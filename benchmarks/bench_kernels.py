@@ -19,7 +19,7 @@ import numpy as np
 CASES = [
     ("lambertian_gains episode batch (n=9000)", "gains", 9000),
     ("lambertian_gains large batch (n=100000)", "gains", 100000),
-    ("link_rates per slot (n=3)", "rates", 3),
+    ("action_utilities one-row slice (1 x 3)", "utilities", 1),
     ("action_utilities per slot (216 x 3)", "utilities", 216),
     ("advance_positions per slot (n=27)", "advance", 27),
     ("run_episode reference config, 300 slots", "episode", 0),
@@ -38,13 +38,8 @@ def _bench_child():
             dy = rng.uniform(-5, 5, size)
             args = (dx, dy, 2.0, 1.0, 3.18e-5, 0.342)
             fn = kernels.lambertian_gains
-        elif kind == "rates":
-            powers = rng.uniform(0, 4e-3, size)
-            serving = rng.uniform(3e-6, 8e-6, size)
-            interference = rng.uniform(0, 1e-11, size)
-            args = (powers, serving, interference, 3.33e6, 1e-21, 0.54, False)
-            fn = kernels.link_rates
         elif kind == "utilities":
+            # size 1 is the one-row slice every policy but greedy scores
             powers = rng.uniform(0, 4e-3, (size, 3))
             serving = rng.uniform(3e-6, 8e-6, 3)
             interference = rng.uniform(0, 1e-11, 3)

@@ -1,11 +1,6 @@
 """Indoor optical ultra-dense network simulator with Q-learning power control."""
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("vlcudn")
-except PackageNotFoundError:  # running from a source tree without install
-    __version__ = "0.0.0"
+__version__ = "0.1.0"
 
 from .agent import (
     ActionSet,

@@ -61,6 +61,8 @@ def _echo_summary(label: str, series) -> None:
 @click.option("--per-run", is_flag=True, help="Also write one CSV per run (needs --out).")
 def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run):
     """Run one experiment and report its converged metrics."""
+    if per_run and not out_dir:
+        raise click.UsageError("--per-run needs --out")
     try:
         config = load_experiment(
             config_path, policy=policy, density=density, runs=runs, seed=seed

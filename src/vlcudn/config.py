@@ -10,8 +10,11 @@ nowhere else.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import json
+import operator
+import typing
 from dataclasses import dataclass
 
 from .agent import AgentConfig
@@ -35,37 +38,56 @@ def canonical_policy(name: str) -> str:
     raise ConfigError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
 
 
-_SCHEMA = {
-    "topology": ("rows", "cols", "spacing_m", "ap_height_m", "reuse_mode"),
-    "channel": ("detector_area_cm2", "semi_angle_deg", "fov_deg", "responsivity_a_per_w"),
-    "link": (
-        "total_bandwidth_hz",
-        "noise_psd_a2_per_hz",
-        "effective_bandwidth_factor",
-        "squared_electrical_power",
-    ),
-    "mobility": ("v_min_mps", "v_max_mps", "slot_duration_s", "ue_height_m"),
-    "interference": ("neighbor_power_mw", "neighbor_ues"),
-    "agent": (
-        "power_levels",
-        "max_power_mw",
-        "learning_rate",
-        "discount",
-        "epsilon_start",
-        "epsilon_end",
-        "epsilon_decay_slots",
-        "warmup_slots",
-        "max_slots",
-        "rate_bins",
-        "gain_bins",
-        "sinr_cap",
-        "action_cap",
-        "replay",
-        "replay_batch",
-    ),
-    "utility": ("energy_weight_per_mw", "interference_weight_per_mw"),
-    "experiment": ("policy", "ue_density", "runs", "seed"),
-}
+# One row per INI key: section, key, kind, SI factor (None: the file unit
+# is SI), and the ExperimentConfig attribute the key fills (None: the
+# attribute has the key's name; a dotted one is a field of the nested
+# parameter object named before the dot).  Kinds are int, float, bool and
+# str, plus "match|int" (the word "match" reads as None) and
+# canonical_policy (any policy alias it accepts).
+_KEYS = (
+    ("topology", "rows", int, None, None),
+    ("topology", "cols", int, None, None),
+    ("topology", "spacing_m", float, None, "spacing"),
+    ("topology", "ap_height_m", float, None, "ap_height"),
+    ("topology", "reuse_mode", str, None, None),
+    ("channel", "detector_area_cm2", float, 1e-4, "channel.detector_area"),
+    ("channel", "semi_angle_deg", float, None, "channel.semi_angle_half_intensity"),
+    ("channel", "fov_deg", float, None, "channel.fov_angle"),
+    ("channel", "responsivity_a_per_w", float, None, "channel.responsivity"),
+    ("link", "total_bandwidth_hz", float, None, "link.total_bandwidth"),
+    ("link", "noise_psd_a2_per_hz", float, None, "link.noise_psd"),
+    ("link", "effective_bandwidth_factor", float, None, "link.effective_bandwidth_factor"),
+    ("link", "squared_electrical_power", bool, None, None),
+    ("mobility", "v_min_mps", float, None, "v_min"),
+    ("mobility", "v_max_mps", float, None, "v_max"),
+    ("mobility", "slot_duration_s", float, None, "slot_duration"),
+    ("mobility", "ue_height_m", float, None, "ue_height"),
+    ("interference", "neighbor_power_mw", float, 1e-3, "neighbor_power"),
+    ("interference", "neighbor_ues", "match|int", None, None),
+    ("agent", "power_levels", int, None, "agent.power_levels"),
+    ("agent", "max_power_mw", float, 1e-3, "agent.max_power"),
+    ("agent", "learning_rate", float, None, "agent.learning_rate"),
+    ("agent", "discount", float, None, "agent.discount"),
+    ("agent", "epsilon_start", float, None, "agent.epsilon_start"),
+    ("agent", "epsilon_end", float, None, "agent.epsilon_end"),
+    ("agent", "epsilon_decay_slots", int, None, "agent.epsilon_decay_slots"),
+    ("agent", "warmup_slots", int, None, "agent.warmup_slots"),
+    ("agent", "max_slots", int, None, "agent.max_slots"),
+    ("agent", "rate_bins", int, None, None),
+    ("agent", "gain_bins", int, None, None),
+    ("agent", "sinr_cap", float, None, None),
+    ("agent", "action_cap", int, None, None),
+    ("agent", "replay", bool, None, None),
+    ("agent", "replay_batch", int, None, None),
+    ("utility", "energy_weight_per_mw", float, None, "weights.energy_weight"),
+    ("utility", "interference_weight_per_mw", float, None, "weights.interference_weight"),
+    ("experiment", "policy", canonical_policy, None, None),
+    ("experiment", "ue_density", int, None, None),
+    ("experiment", "runs", int, None, None),
+    ("experiment", "seed", int, None, None),
+)
+
+_SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
@@ -107,98 +129,44 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Nested dict mirroring the file layout, in the file's units."""
-        return {
-            "topology": {
-                "rows": self.rows,
-                "cols": self.cols,
-                "spacing_m": self.spacing,
-                "ap_height_m": self.ap_height,
-                "reuse_mode": self.reuse_mode,
-            },
-            "channel": {
-                "detector_area_cm2": self.channel.detector_area * 1e4,
-                "semi_angle_deg": self.channel.semi_angle_half_intensity,
-                "fov_deg": self.channel.fov_angle,
-                "responsivity_a_per_w": self.channel.responsivity,
-            },
-            "link": {
-                "total_bandwidth_hz": self.link.total_bandwidth,
-                "noise_psd_a2_per_hz": self.link.noise_psd,
-                "effective_bandwidth_factor": self.link.effective_bandwidth_factor,
-                "squared_electrical_power": self.squared_electrical_power,
-            },
-            "mobility": {
-                "v_min_mps": self.v_min,
-                "v_max_mps": self.v_max,
-                "slot_duration_s": self.slot_duration,
-                "ue_height_m": self.ue_height,
-            },
-            "interference": {
-                "neighbor_power_mw": self.neighbor_power * 1e3,
-                "neighbor_ues": "match" if self.neighbor_ues is None else self.neighbor_ues,
-            },
-            "agent": {
-                "power_levels": self.agent.power_levels,
-                "max_power_mw": self.agent.max_power * 1e3,
-                "learning_rate": self.agent.learning_rate,
-                "discount": self.agent.discount,
-                "epsilon_start": self.agent.epsilon_start,
-                "epsilon_end": self.agent.epsilon_end,
-                "epsilon_decay_slots": self.agent.epsilon_decay_slots,
-                "warmup_slots": self.agent.warmup_slots,
-                "max_slots": self.agent.max_slots,
-                "rate_bins": self.rate_bins,
-                "gain_bins": self.gain_bins,
-                "sinr_cap": self.sinr_cap,
-                "action_cap": self.action_cap,
-                "replay": self.replay,
-                "replay_batch": self.replay_batch,
-            },
-            "utility": {
-                "energy_weight_per_mw": self.weights.energy_weight,
-                "interference_weight_per_mw": self.weights.interference_weight,
-            },
-            "experiment": {
-                "policy": self.policy,
-                "ue_density": self.ue_density,
-                "runs": self.runs,
-                "seed": self.seed,
-            },
-        }
+        tree: dict[str, dict] = {}
+        for section, key, kind, factor, attr in _KEYS:
+            value = operator.attrgetter(attr or key)(self)
+            if factor is not None:
+                # 1 / 1e-4 and 1 / 1e-3 equal 1e4 and 1e3 exactly; dividing
+                # by the factor would change the last bit of some values,
+                # and so the fingerprint.
+                value *= 1 / factor
+            elif kind == "match|int" and value is None:
+                value = "match"
+            tree.setdefault(section, {})[key] = value
+        return tree
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.resolved(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-class _Raw:
-    """Schema-checked raw values with uniform error reporting."""
-
-    def __init__(self, sections: dict[str, dict[str, str]]):
-        self.sections = sections
-
-    def str_(self, section: str, key: str) -> str:
-        return self.sections[section][key]
-
-    def int_(self, section: str, key: str) -> int:
-        raw = self.str_(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-    def float_(self, section: str, key: str) -> float:
-        raw = self.str_(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-    def bool_(self, section: str, key: str) -> bool:
-        raw = self.str_(section, key).strip().lower()
-        if raw not in _BOOLEANS:
-            raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-        return _BOOLEANS[raw]
+def _parse(section: str, key: str, kind, raw: str):
+    """One raw INI value as its kind, with uniform error reporting."""
+    word = raw.strip().lower()
+    if kind is str:
+        return word
+    if kind is canonical_policy:
+        return canonical_policy(raw)
+    if kind is bool:
+        if word not in _BOOLEANS:
+            raise ConfigError(f"[{section}] {key}: expected a boolean, got {word!r}")
+        return _BOOLEANS[word]
+    if kind == "match|int":
+        if word == "match":
+            return None
+        kind = int
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "a number" if kind is float else "an integer"
+        raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
 
 
 def _read_sections(path) -> dict[str, dict[str, str]]:
@@ -215,17 +183,17 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
         raise ConfigError("a [DEFAULT] section is not accepted")
 
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    unknown_sections = sorted(set(sections) - set(_SCHEMA))
+    unknown_sections = sorted(set(sections) - set(_SECTIONS))
     if unknown_sections:
         raise ConfigError(f"unknown sections: {', '.join(unknown_sections)}")
-    missing_sections = sorted(set(_SCHEMA) - set(sections))
+    missing_sections = sorted(set(_SECTIONS) - set(sections))
     if missing_sections:
         raise ConfigError(f"missing sections: {', '.join(missing_sections)}")
-    for name, keys in _SCHEMA.items():
-        unknown = sorted(set(sections[name]) - set(keys))
+    for name, keys in _SECTIONS.items():
+        unknown = sorted(set(sections[name]) - keys)
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {', '.join(unknown)}")
-        missing = sorted(set(keys) - set(sections[name]))
+        missing = sorted(keys - set(sections[name]))
         if missing:
             raise ConfigError(f"missing keys in [{name}]: {', '.join(missing)}")
     return sections
@@ -239,84 +207,31 @@ def load_experiment(
     seed: int | None = None,
 ) -> ExperimentConfig:
     """Load and validate a config file, applying optional CLI overrides."""
-    raw = _Raw(_read_sections(path))
+    sections = _read_sections(path)
+    # Parsed values grouped by owner: "" holds ExperimentConfig's own
+    # fields, every other owner names a nested parameter object.
+    groups: dict[str, dict] = {}
+    for section, key, kind, factor, attr in _KEYS:
+        value = _parse(section, key, kind, sections[section][key])
+        if factor is not None:
+            value *= factor
+        owner, _, name = (attr or key).rpartition(".")
+        groups.setdefault(owner, {})[name] = value
+    fields = groups.pop("")
+    owner_types = typing.get_type_hints(ExperimentConfig)
     try:
-        channel = ChannelParams.from_cm2(
-            detector_area_cm2=raw.float_("channel", "detector_area_cm2"),
-            semi_angle_deg=raw.float_("channel", "semi_angle_deg"),
-            fov_deg=raw.float_("channel", "fov_deg"),
-            responsivity=raw.float_("channel", "responsivity_a_per_w"),
-        )
-        link = LinkParams(
-            total_bandwidth=raw.float_("link", "total_bandwidth_hz"),
-            noise_psd=raw.float_("link", "noise_psd_a2_per_hz"),
-            effective_bandwidth_factor=raw.float_("link", "effective_bandwidth_factor"),
-        )
-        agent = AgentConfig(
-            power_levels=raw.int_("agent", "power_levels"),
-            max_power=raw.float_("agent", "max_power_mw") * 1e-3,
-            learning_rate=raw.float_("agent", "learning_rate"),
-            discount=raw.float_("agent", "discount"),
-            epsilon_start=raw.float_("agent", "epsilon_start"),
-            epsilon_end=raw.float_("agent", "epsilon_end"),
-            epsilon_decay_slots=raw.int_("agent", "epsilon_decay_slots"),
-            warmup_slots=raw.int_("agent", "warmup_slots"),
-            max_slots=raw.int_("agent", "max_slots"),
-        )
-        weights = UtilityWeights(
-            energy_weight=raw.float_("utility", "energy_weight_per_mw"),
-            interference_weight=raw.float_("utility", "interference_weight_per_mw"),
-        )
+        for owner, params in groups.items():
+            fields[owner] = owner_types[owner](**params)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
+    config = ExperimentConfig(**fields)
 
-    neighbor_raw = raw.str_("interference", "neighbor_ues").strip().lower()
-    neighbor_ues = None if neighbor_raw == "match" else raw.int_("interference", "neighbor_ues")
-
-    config = ExperimentConfig(
-        rows=raw.int_("topology", "rows"),
-        cols=raw.int_("topology", "cols"),
-        spacing=raw.float_("topology", "spacing_m"),
-        ap_height=raw.float_("topology", "ap_height_m"),
-        reuse_mode=raw.str_("topology", "reuse_mode").strip().lower(),
-        channel=channel,
-        link=link,
-        squared_electrical_power=raw.bool_("link", "squared_electrical_power"),
-        v_min=raw.float_("mobility", "v_min_mps"),
-        v_max=raw.float_("mobility", "v_max_mps"),
-        slot_duration=raw.float_("mobility", "slot_duration_s"),
-        ue_height=raw.float_("mobility", "ue_height_m"),
-        neighbor_power=raw.float_("interference", "neighbor_power_mw") * 1e-3,
-        neighbor_ues=neighbor_ues,
-        agent=agent,
-        rate_bins=raw.int_("agent", "rate_bins"),
-        gain_bins=raw.int_("agent", "gain_bins"),
-        sinr_cap=raw.float_("agent", "sinr_cap"),
-        action_cap=raw.int_("agent", "action_cap"),
-        replay=raw.bool_("agent", "replay"),
-        replay_batch=raw.int_("agent", "replay_batch"),
-        weights=weights,
-        policy=canonical_policy(raw.str_("experiment", "policy")),
-        ue_density=raw.int_("experiment", "ue_density"),
-        runs=raw.int_("experiment", "runs"),
-        seed=raw.int_("experiment", "seed"),
-    )
-
-    overrides = {}
     if policy is not None:
-        overrides["policy"] = canonical_policy(policy)
-    if density is not None:
-        overrides["ue_density"] = density
-    if runs is not None:
-        overrides["runs"] = runs
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
+        policy = canonical_policy(policy)
+    overrides = dict(policy=policy, ue_density=density, runs=runs, seed=seed)
+    config = dataclasses.replace(
+        config, **{name: value for name, value in overrides.items() if value is not None}
+    )
 
     _validate(config)
     return config
@@ -357,3 +272,11 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("ue_density must be at least 1")
     if config.runs < 1:
         raise ConfigError("runs must be at least 1")
+    levels, n = config.agent.power_levels + 1, config.ue_density
+    # levels >= 2, so past the cap's bit length the space exceeds it; the
+    # short circuit keeps a huge N from building a huge integer.
+    if n > config.action_cap.bit_length() or levels**n > config.action_cap:
+        raise ConfigError(
+            f"joint action space (L+1)^N = {levels}^{n}"
+            f" exceeds action_cap = {config.action_cap}; lower ue_density or power_levels"
+        )

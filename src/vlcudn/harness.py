@@ -43,7 +43,7 @@ from .agent import (
     warmup_policy,
 )
 from .channel import Pos3, channel_gain
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _validate
 from .metrics import per_ue_bandwidth
 from .mobility import MobilityConfig, simulate_paths
 from .topology import Topology, cell_bounds, central_ap, co_channel_neighbors, make_grid
@@ -111,14 +111,8 @@ def _prepare(config: ExperimentConfig, density: int) -> _EpisodeSetup:
         rate_max=wn * math.log2(1.0 + config.sinr_cap),
         gain_max=gain_max,
     )
-    agent_cfg = config.agent
-    if (agent_cfg.power_levels + 1) ** density > config.action_cap:
-        raise ConfigError(
-            f"joint action space (L+1)^N = {(agent_cfg.power_levels + 1) ** density}"
-            f" exceeds action_cap = {config.action_cap}; lower ue_density or power_levels"
-        )
     actions = enumerate_actions(
-        agent_cfg.power_levels, agent_cfg.max_power, density, cap=config.action_cap
+        config.agent.power_levels, config.agent.max_power, density, cap=config.action_cap
     )
     m_order = config.channel.lambertian_order
     coef = (m_order + 1.0) * config.channel.detector_area / (2.0 * math.pi)
@@ -231,6 +225,7 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
         outgoing_k = outgoing[k]
 
         state = None
+        action = fixed_action
         if policy == "rpic":
             state = quantize_state(prev_rates, gains_k, n, setup.quant)
             action = warmup_policy(k, agent_cfg, actions, agent_rng)
@@ -240,20 +235,20 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
                 )
         elif policy == "random":
             action = int(agent_rng.integers(actions.n_actions))
-        elif policy == "greedy_myopic":
-            per_action = kernels.action_utilities(
-                actions.powers, gains_k, incoming_k, wn, noise, eta,
-                squared, outgoing_k, ce, ci,
-            )
-            action = int(np.argmax(per_action))
-        else:
-            action = fixed_action
 
-        powers = actions.powers[action]
-        rates = kernels.link_rates(powers, gains_k, incoming_k, wn, noise, eta, squared)
-        total_power = float(powers.sum())
-        chi = eta * total_power * outgoing_k
-        u = float(rates.mean()) * 1e-6 - ce * total_power * 1e3 - ci * chi * 1e3
+        # Only greedy_myopic reaches here without an action: it scores every
+        # action and takes the argmax.  The others score their one-row slice.
+        scored = actions.powers if action is None else actions.powers[action:action + 1]
+        utilities, rates_a, power_a, chi_a = kernels.action_utilities(
+            scored, gains_k, incoming_k, wn, noise, eta, squared, outgoing_k, ce, ci
+        )
+        row = 0
+        if action is None:
+            action = row = int(np.argmax(utilities))
+        rates = rates_a[row]
+        total_power = float(power_a[row])
+        chi = float(chi_a[row])
+        u = float(utilities[row])
         if not math.isfinite(u):
             raise SimulationAbort(
                 f"non-finite utility at slot {k} (seed {seed}): "
@@ -263,9 +258,9 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
         if policy == "rpic":
             if k > 0:
                 exp = Experience(prev_state, prev_action, prev_utility, state)
-                pool.append(exp)
                 update_q(qtable, exp, agent_cfg.learning_rate, agent_cfg.discount)
                 if config.replay:
+                    pool.append(exp)
                     for _ in range(config.replay_batch):
                         sample = pool[int(agent_rng.integers(len(pool)))]
                         update_q(qtable, sample, agent_cfg.learning_rate, agent_cfg.discount)
@@ -279,7 +274,7 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
                     "serving_gains": gains_k.copy(),
                     "state": state,
                     "action": action,
-                    "powers": powers.copy(),
+                    "powers": actions.powers[action].copy(),
                     "rates": rates.copy(),
                     "utility": u,
                 }
@@ -328,12 +323,10 @@ def sweep_density(config: ExperimentConfig, densities, workers: int = 1) -> list
     densities = list(densities)
     if not densities:
         raise ConfigError("densities must be non-empty")
-    if any(d < 1 for d in densities):
-        raise ConfigError("densities must be positive")
-    return [
-        run_experiment(dataclasses.replace(config, ue_density=int(d)), workers=workers)
-        for d in densities
-    ]
+    configs = [dataclasses.replace(config, ue_density=int(d)) for d in densities]
+    for config_d in configs:
+        _validate(config_d)
+    return [run_experiment(config_d, workers=workers) for config_d in configs]
 
 
 def converged_means(series, window: int = 500) -> dict:

@@ -54,17 +54,6 @@ def _advance_positions(pos, wp, step):
     return out, arrived
 
 
-def _link_rates(powers, serving, interference, wn, noise_psd, eta, squared):
-    # powers/serving are aligned per-user vectors (watts, gain);
-    # interference is the per-user denominator term, already squared when
-    # squared mode is on.  Returns Shannon rates in bit/s on bandwidth wn.
-    den = wn * noise_psd + interference
-    sig = eta * powers * serving
-    if squared:
-        sig = sig * sig
-    return wn * np.log2(1.0 + sig / den)
-
-
 def _action_utilities(
     powers,
     serving,
@@ -77,7 +66,11 @@ def _action_utilities(
     energy_weight,
     ici_weight,
 ):
-    # powers is (actions, users) in watts; returns one utility per row.
+    # powers is (actions, users) in watts; serving and interference are
+    # per-user vectors (gain, and the denominator term, already squared
+    # when squared mode is on).  Returns per action: the utility, the
+    # (actions, users) Shannon rates in bit/s on bandwidth wn, the total
+    # power and the leaked power chi, both in watts.
     # Utility = mean rate in Mbit/s - energy_weight * total power in mW
     #           - ici_weight * leaked power in mW.
     den = wn * noise_psd + interference
@@ -88,17 +81,16 @@ def _action_utilities(
     mean_mbps = (rates.sum(axis=1) / rates.shape[1]) * 1e-6
     total_w = powers.sum(axis=1)
     ici_w = eta * total_w * outgoing_sum
-    return mean_mbps - energy_weight * total_w * 1e3 - ici_weight * ici_w * 1e3
+    utilities = mean_mbps - energy_weight * total_w * 1e3 - ici_weight * ici_w * 1e3
+    return utilities, rates, total_w, ici_w
 
 
 if USE_NUMBA:
     _jit = njit(cache=True)
     lambertian_gains = _jit(_lambertian_gains)
     advance_positions = _jit(_advance_positions)
-    link_rates = _jit(_link_rates)
     action_utilities = _jit(_action_utilities)
 else:
     lambertian_gains = _lambertian_gains
     advance_positions = _advance_positions
-    link_rates = _link_rates
     action_utilities = _action_utilities

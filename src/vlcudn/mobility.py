@@ -9,7 +9,6 @@ speed), so for a given seed they produce the same paths.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -131,14 +130,3 @@ def simulate_paths(
         out[k] = pos
     return out
 
-
-def write_trajectories(path, positions: np.ndarray) -> None:
-    """Dump a (n_slots, n_ues, 2) position array as slot,ue_id,x,y CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "ue_id", "x", "y"])
-        for k in range(positions.shape[0]):
-            for i in range(positions.shape[1]):
-                writer.writerow(
-                    [k, i, "%.12g" % positions[k, i, 0], "%.12g" % positions[k, i, 1]]
-                )

@@ -80,6 +80,13 @@ class TestSimulate:
         assert result.exit_code == 0
         assert (out / "run0000.csv").exists() and (out / "run0001.csv").exists()
 
+    def test_per_run_without_out_exits_2(self, runner, fast_config, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["simulate", "--config", str(fast_config), "--per-run"])
+        assert result.exit_code == 2
+        assert "--per-run needs --out" in result.output
+        assert list(tmp_path.iterdir()) == [fast_config]
+
     def test_missing_config_file(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--config", str(tmp_path / "no.ini")])
         assert result.exit_code == 2  # click's own Path(exists=True) failure
@@ -207,16 +214,29 @@ if __name__ == "__main__":
 """
 
 
-def test_console_script_installed(tmp_path):
-    """The `vlcudn` entry point declared in pyproject.toml runs and prints a
-    version.  The launcher is generated here, as an installer would, so the
-    test needs no install and reads the declared target, not the PATH."""
+def _pyproject() -> dict:
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"].get("scripts", {})
+        return tomllib.load(fh)
+
+
+def test_version_is_read_from_the_package():
+    """pyproject.toml takes the version from vlcudn.__version__, so an
+    install and a source tree report the same one."""
+    pyproject = _pyproject()
+    assert "version" in pyproject["project"].get("dynamic", [])
+    dynamic = pyproject.get("tool", {}).get("setuptools", {}).get("dynamic", {})
+    assert dynamic.get("version") == {"attr": "vlcudn.__version__"}
+
+
+def test_console_script_installed(tmp_path):
+    """The `vlcudn` entry point declared in pyproject.toml runs and prints a
+    version.  The launcher is generated here, as an installer would, so the
+    test needs no install and reads the declared target, not the PATH."""
+    scripts = _pyproject()["project"].get("scripts", {})
     assert "vlcudn" in scripts, "pyproject.toml declares no vlcudn console script"
     module, _, attr = scripts["vlcudn"].partition(":")
     bin_dir = tmp_path / "bin"

@@ -9,7 +9,7 @@ from vlcudn.config import (
     load_experiment,
 )
 
-from conftest import render_config
+from conftest import BASE, render_config
 
 
 class TestReferenceConfig:
@@ -63,6 +63,11 @@ class TestOverrides:
             load_experiment(path, runs=0)
         with pytest.raises(ConfigError):
             load_experiment(path, policy="loudest")
+
+    @pytest.mark.parametrize("density", [9, 100_000])
+    def test_action_space_over_cap_rejected(self, make_config, density):
+        with pytest.raises(ConfigError, match="action_cap"):
+            load_experiment(make_config(), density=density)
 
     def test_explicit_neighbor_count(self, make_config):
         path = make_config({"interference.neighbor_ues": 0})
@@ -222,3 +227,12 @@ class TestFingerprint:
         assert tree["agent"]["max_power_mw"] == pytest.approx(4.0, rel=1e-12)
         assert tree["interference"]["neighbor_ues"] == "match"
         assert tree["experiment"]["policy"] == "rpic"
+        assert {section: set(keys) for section, keys in tree.items()} == {
+            section: set(keys) for section, keys in BASE.items()
+        }
+
+    def test_reference_fingerprint_is_pinned(self, reference_config_path):
+        # config_sha256 in every result directory of the reference experiment
+        assert load_experiment(reference_config_path).fingerprint() == (
+            "6c6f72971b74e6399e7084b4185d6246964182a712e05a6b9fce2d42d7acf4f8"
+        )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from vlcudn import harness
 from vlcudn.agent import quantize_state
 from vlcudn.config import ConfigError, load_experiment
 from vlcudn.harness import (
@@ -200,6 +201,20 @@ class TestExperiment:
             sweep_density(cfg, [])
         with pytest.raises(ConfigError):
             sweep_density(cfg, [2, 0])
+
+    def test_sweep_checks_every_density_before_running(self, make_config, monkeypatch):
+        cfg = load_experiment(make_config(SHORT), runs=1)
+        calls = []
+        real = harness.run_episode
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_episode", counting)
+        with pytest.raises(ConfigError, match="action_cap"):
+            sweep_density(cfg, [1, 9])
+        assert calls == []
 
 
 class TestWriters:

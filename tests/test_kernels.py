@@ -62,11 +62,14 @@ def test_link_rates_matches_metrics_ops(squared):
     if squared:
         terms = terms * terms
     interference = terms.sum(axis=0)
-    got = kernels.link_rates(x, serving, interference, wn, LINK.noise_psd, eta, squared)
+    _, rates, _, _ = kernels.action_utilities(
+        x[None, :], serving, interference, wn, LINK.noise_psd, eta, squared, 0.0, 4.0, 1e6
+    )
+    assert rates.shape == (1, n_ues)
 
     for n in range(n_ues):
         zeta = sinr(n, powers, snapshot, LINK, eta, squared=squared)
-        assert got[n] == pytest.approx(achievable_rate(wn, zeta), rel=1e-12)
+        assert rates[0, n] == pytest.approx(achievable_rate(wn, zeta), rel=1e-12)
 
 
 @pytest.mark.parametrize("squared", [False, True])
@@ -87,7 +90,7 @@ def test_action_utilities_matches_metrics_ops(squared):
     if squared:
         terms = terms * terms
     interference = terms.sum(axis=0)
-    got = kernels.action_utilities(
+    got, _, power, leaked = kernels.action_utilities(
         action_powers, serving, interference, wn, LINK.noise_psd, eta,
         squared, snapshot.outgoing_sum(), weights.energy_weight,
         weights.interference_weight,
@@ -99,8 +102,11 @@ def test_action_utilities_matches_metrics_ops(squared):
             achievable_rate(wn, sinr(n, powers, snapshot, LINK, eta, squared=squared))
             for n in range(n_ues)
         ]
-        want = utility(rates, powers, total_ici(powers, snapshot, eta), weights)
+        chi = total_ici(powers, snapshot, eta)
+        want = utility(rates, powers, chi, weights)
         assert got[a] == pytest.approx(want, rel=1e-12)
+        assert power[a] == pytest.approx(powers.serving.sum(), rel=1e-12)
+        assert leaked[a] == pytest.approx(chi, rel=1e-12)
 
 
 def test_advance_positions_lands_exactly_on_waypoint():

@@ -1,7 +1,5 @@
 """Waypoint movement: kinematics, redraw rules, batched equivalence."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from vlcudn.mobility import (
     init_ues,
     rwp_step,
     simulate_paths,
-    write_trajectories,
 )
 
 CFG = MobilityConfig(
@@ -82,17 +79,6 @@ def test_zero_speed_keeps_ues_static():
     paths = simulate_paths(3, cfg, 50, np.random.default_rng(4))
     for k in range(1, 50):
         assert np.array_equal(paths[k], paths[0])
-
-
-def test_write_trajectories_roundtrip(tmp_path):
-    paths = simulate_paths(3, CFG, 20, np.random.default_rng(9))
-    out = tmp_path / "traj.csv"
-    write_trajectories(out, paths)
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["slot", "ue_id", "x", "y"]
-    assert len(rows) == 1 + 20 * 3
-    assert float(rows[1][2]) == pytest.approx(paths[0, 0, 0], rel=1e-10)
 
 
 @pytest.mark.parametrize(
