@@ -262,7 +262,10 @@ class QTable:
                 if not line:
                     continue
                 key, action, value = line.split("\t")
-                table.set(StateKey.from_str(key), int(action), float(value))
+                action = int(action)
+                if not 0 <= action < table.n_actions:
+                    raise ValueError(f"action {action} outside [0, {table.n_actions})")
+                table.set(StateKey.from_str(key), action, float(value))
         return table, meta
 
 

@@ -56,7 +56,7 @@ def _echo_summary(label: str, series) -> None:
     default=None,
     help="Directory for metrics.csv plus sidecars.",
 )
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Processes for Monte-Carlo runs; 1 runs serially.")
 @click.option("--per-run", is_flag=True, help="Also write one CSV per run (needs --out).")
 def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run):
@@ -100,7 +100,7 @@ def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run
 )
 @click.option("--runs", type=int, default=None, help="Override the run count.")
 @click.option("--seed", type=int, default=None, help="Override the base seed.")
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Processes for Monte-Carlo runs; 1 runs serially.")
 def sweep(config_path, densities, out_dir, runs, seed, workers):
     """Repeat the experiment across several UE densities."""
@@ -144,7 +144,7 @@ def _decode_levels(index: int, n_ues: int, n_levels: int) -> list[int]:
     type=click.Path(exists=True, dir_okay=False),
     help="Exported q-table file.",
 )
-@click.option("--top", type=int, default=5, show_default=True,
+@click.option("--top", type=click.IntRange(min=0), default=5, show_default=True,
               help="How many best states to list.")
 def inspect_q(qtable_path, top):
     """Summarize an exported Q-table."""

@@ -272,6 +272,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("ue_density must be at least 1")
     if config.runs < 1:
         raise ConfigError("runs must be at least 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be non-negative")
     levels, n = config.agent.power_levels + 1, config.ue_density
     # levels >= 2, so past the cap's bit length the space exceeds it; the
     # short circuit keeps a huge N from building a huge integer.

@@ -360,7 +360,7 @@ def _git_describe() -> str | None:
             text=True,
             timeout=10,
         )
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
     if proc.returncode != 0:
         return None
@@ -377,7 +377,6 @@ def write_metadata(path, config: ExperimentConfig, series: RunSeries) -> None:
         "seed": series.seed,
         "package_version": __version__,
         "git_describe": _git_describe(),
-        "kernel_backend": kernels.ACTIVE_BACKEND,
         "frame_definition": "1 frame = 1 slot",
         "converged_last_500": converged_means(series),
     }

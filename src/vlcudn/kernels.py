@@ -1,37 +1,20 @@
-"""Vectorized numeric kernels for the hot per-slot paths.
+"""Vectorized numpy kernels for the hot per-slot paths.
 
-Every kernel is written once as a plain numpy function and compiled with
-numba's ``@njit`` when numba is importable.  Set the environment variable
-``VLCUDN_DISABLE_NUMBA=1`` (or any value other than ``0``/empty) before
-import to force the pure-numpy implementations, e.g. for debugging or on
-platforms where numba is unavailable.  ``ACTIVE_BACKEND`` records which
-path was selected.
+Each kernel is written once and is the only implementation of its
+formula; the scalar code in ``channel``, ``mobility`` and ``metrics`` is
+the reference the tests hold these kernels to.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
+# The only backend.  Kept because perfbench/run.py's environment() reads it
+# on every run; remove it together with that field.
+ACTIVE_BACKEND = "numpy"
 
 
-def _numba_disabled() -> bool:
-    flag = os.environ.get("VLCUDN_DISABLE_NUMBA", "")
-    return flag not in ("", "0")
-
-
-USE_NUMBA = HAS_NUMBA and not _numba_disabled()
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-def _lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
+def lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
     # coef = (m + 1) * detector_area / (2 * pi); dz > 0 is the vertical
     # drop from transmitter plane to receiver plane, shared by all links.
     d2 = dx * dx + dy * dy + dz * dz
@@ -40,7 +23,7 @@ def _lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
     return np.where(cos_t >= cos_fov, gains, 0.0)
 
 
-def _advance_positions(pos, wp, step):
+def advance_positions(pos, wp, step):
     # One waypoint-chasing move per row; rows that reach (or overshoot)
     # their waypoint land exactly on it and are flagged for a redraw.
     delta = wp - pos
@@ -54,7 +37,7 @@ def _advance_positions(pos, wp, step):
     return out, arrived
 
 
-def _action_utilities(
+def action_utilities(
     powers,
     serving,
     interference,
@@ -83,14 +66,3 @@ def _action_utilities(
     ici_w = eta * total_w * outgoing_sum
     utilities = mean_mbps - energy_weight * total_w * 1e3 - ici_weight * ici_w * 1e3
     return utilities, rates, total_w, ici_w
-
-
-if USE_NUMBA:
-    _jit = njit(cache=True)
-    lambertian_gains = _jit(_lambertian_gains)
-    advance_positions = _jit(_advance_positions)
-    action_utilities = _jit(_action_utilities)
-else:
-    lambertian_gains = _lambertian_gains
-    advance_positions = _advance_positions
-    action_utilities = _action_utilities

@@ -208,6 +208,13 @@ class TestQTable:
         with pytest.raises(ValueError):
             QTable.load(path)
 
+    @pytest.mark.parametrize("action", [-1, 4])
+    def test_load_rejects_out_of_range_action(self, tmp_path, action):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"# n_actions=4\n0|0|1\t{action}\t2.0\n")
+        with pytest.raises(ValueError, match="outside"):
+            QTable.load(path)
+
     def test_rejects_empty_table_size(self):
         with pytest.raises(ValueError):
             QTable(0)

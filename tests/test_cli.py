@@ -1,7 +1,9 @@
 """End-to-end command line behavior: outputs, overrides, exit codes."""
 
+import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -163,12 +165,40 @@ class TestInspectQ:
         assert "best states:" in result.output
         assert "power_mw=(" in result.output
 
-    def test_rejects_garbage_file(self, runner, tmp_path):
+    @pytest.mark.parametrize("contents", [
+        "not a table\n",
+        "# n_actions=216\n0|0|1\t-1\t1.0\n",
+        "# n_actions=216\n0|0|1\t999\t1.0\n",
+    ], ids=["not-a-table", "negative-action", "action-past-end"])
+    def test_rejects_garbage_file(self, runner, tmp_path, contents):
         path = tmp_path / "junk.tsv"
-        path.write_text("not a table\n")
+        path.write_text(contents)
         result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
         assert result.exit_code == 2
         assert "cannot read q-table" in result.output
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("simulate", "--workers", "0"),
+    ("sweep", "--workers", "-4"),
+    ("inspect-q", "--top", "-1"),
+])
+def test_out_of_range_integer_option_exits_2(
+    runner, fast_config, tmp_path, command, option, value
+):
+    qtable = tmp_path / "q.tsv"
+    qtable.write_text("# n_actions=4\n0|0|1\t1\t2.0\n")
+    out = tmp_path / "out"
+    args = {
+        "simulate": ["--config", str(fast_config), "--out", str(out)],
+        "sweep": ["--config", str(fast_config), "--densities", "1", "--out", str(out)],
+        "inspect-q": ["--qtable", str(qtable)],
+    }[command]
+    result = runner.invoke(main, [command, *args, option, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "wrote" not in result.output and "states:" not in result.output
+    assert not out.exists()
 
 
 class TestDeterminism:
@@ -230,6 +260,24 @@ def test_version_is_read_from_the_package():
     assert "version" in pyproject["project"].get("dynamic", [])
     dynamic = pyproject.get("tool", {}).get("setuptools", {}).get("dynamic", {})
     assert dynamic.get("version") == {"attr": "vlcudn.__version__"}
+
+
+def test_declared_dependencies_match_imports():
+    """[project].dependencies names exactly the third-party packages that
+    src/vlcudn imports, no more and no fewer."""
+    imported = set()
+    for path in (REPO_ROOT / "src" / "vlcudn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__"}
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group(0)
+        for req in _pyproject()["project"]["dependencies"]
+    }
+    assert third_party == declared
 
 
 def test_console_script_installed(tmp_path):

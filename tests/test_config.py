@@ -170,6 +170,7 @@ class TestCrossValidation:
         ("experiment.policy", "loudest"),
         ("experiment.ue_density", 0),
         ("experiment.runs", 0),
+        ("experiment.seed", -1),
     ])
     def test_rejected_values(self, make_config, dotted, value):
         path = make_config({dotted: value})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import subprocess
 
 import numpy as np
 import pytest
@@ -250,12 +251,25 @@ class TestWriters:
         assert meta["config_sha256"] == cfg.fingerprint()
         assert meta["policy"] == "rpic"
         assert meta["runs"] == 2
-        assert meta["kernel_backend"] in ("numba", "numpy")
+        assert set(meta) == {
+            "config", "config_sha256", "policy", "ue_density", "runs", "seed",
+            "package_version", "git_describe", "frame_definition", "converged_last_500",
+        }
         assert meta["frame_definition"] == "1 frame = 1 slot"
         assert set(meta["converged_last_500"]) == {
             "utility", "mean_rate_bps", "energy_w", "ici_w"
         }
         assert meta["config"]["experiment"]["seed"] == cfg.seed
+
+    def test_metadata_survives_git_timeout(self, tmp_path, small_series, monkeypatch):
+        def hung_git(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(harness.subprocess, "run", hung_git)
+        cfg, series = small_series
+        path = tmp_path / "metrics.meta.json"
+        write_metadata(path, cfg, series)
+        assert json.loads(path.read_text())["git_describe"] is None
 
     def test_save_experiment_layout(self, tmp_path, small_series):
         cfg, series = small_series

@@ -1,9 +1,5 @@
 """The vectorized kernels must agree with the scalar reference code."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -127,33 +123,3 @@ def test_advance_positions_partial_move_is_collinear():
     assert out[0, 0] == pytest.approx(0.6, rel=1e-12)
     assert out[0, 1] == pytest.approx(0.8, rel=1e-12)
 
-
-def _backend_in_subprocess(disable_flag: str) -> str:
-    env = dict(os.environ, VLCUDN_DISABLE_NUMBA=disable_flag)
-    out = subprocess.run(
-        [sys.executable, "-c", "from vlcudn import kernels; print(kernels.ACTIVE_BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_forces_numpy_backend():
-    assert _backend_in_subprocess("1") == "numpy"
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba_when_available():
-    assert _backend_in_subprocess("0") == "numba"
-
-
-def test_numpy_fallback_matches_active_backend():
-    rng = np.random.default_rng(3)
-    dx = rng.uniform(-6, 6, 200)
-    dy = rng.uniform(-6, 6, 200)
-    m, coef, cos_fov = _gain_args(PARAMS)
-    active = kernels.lambertian_gains(dx, dy, 2.0, m, coef, cos_fov)
-    plain = kernels._lambertian_gains(dx, dy, 2.0, m, coef, cos_fov)
-    np.testing.assert_allclose(active, plain, rtol=1e-12)
