@@ -10,10 +10,12 @@ theta the incidence angle at the photodiode, and rect() the field-of-view
 cutoff (1 inside the FOV, 0 outside, boundary included).
 
 Both the LED and the photodiode are assumed vertically oriented (LED
-facing down, detector facing up), so phi == theta. The geometry is kept
-as an explicit angle pair anyway, which leaves room for tilted receivers.
-All distances are in meters; ChannelParams stores its angles in degrees
-(the usual datasheet unit) and the detector area in m^2.
+facing down, detector facing up), so phi == theta.  All distances are in
+meters; ChannelParams stores its angles in degrees (the usual datasheet
+unit) and the detector area in m^2.
+
+The gain is computed only by :func:`vlcudn.kernels.lambertian_gains`;
+``tests/oracles.py`` holds the scalar per-link reference for the tests.
 """
 
 from __future__ import annotations
@@ -58,34 +60,6 @@ class ChannelParams:
     def fov_rad(self) -> float:
         return math.radians(self.fov_angle)
 
-    @classmethod
-    def from_cm2(cls, detector_area_cm2: float, semi_angle_deg: float,
-                 fov_deg: float, responsivity: float) -> "ChannelParams":
-        """Build from a detector area given in cm^2 (the usual config unit)."""
-        return cls(detector_area_cm2 * 1e-4, semi_angle_deg, fov_deg, responsivity)
-
-
-@dataclass(frozen=True)
-class Pos3:
-    """A point in room coordinates, meters. z >= 0 (floor level is z = 0)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValueError(f"z must be >= 0 (inside the room), got {self.z}")
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Distance and angle pair of one AP-UE link (radians)."""
-
-    distance: float
-    irradiance_angle: float
-    incidence_angle: float
-
 
 def lambertian_order(semi_angle_half_intensity: float) -> float:
     """Lambertian order m = -1 / log2(cos(semi_angle)), semi-angle in degrees.
@@ -98,44 +72,3 @@ def lambertian_order(semi_angle_half_intensity: float) -> float:
             f"semi-angle must lie in (0, 90) degrees, got {semi_angle_half_intensity}"
         )
     return -1.0 / math.log2(math.cos(math.radians(semi_angle_half_intensity)))
-
-
-def link_geometry(ap: Pos3, ue: Pos3) -> LinkGeometry:
-    """Distance and angles of the AP->UE link, both devices vertically aligned.
-
-    Requires the AP strictly above the UE plane; with that orientation the
-    irradiance and incidence angles coincide: arccos(dz / d).
-    """
-    dz = ap.z - ue.z
-    if dz <= 0:
-        raise ValueError(
-            f"degenerate geometry: AP height {ap.z} must exceed UE height {ue.z}"
-        )
-    dx = ap.x - ue.x
-    dy = ap.y - ue.y
-    distance = math.sqrt(dx * dx + dy * dy + dz * dz)
-    angle = math.acos(min(1.0, dz / distance))
-    return LinkGeometry(distance=distance, irradiance_angle=angle, incidence_angle=angle)
-
-
-def rect_fov(incidence_angle: float, fov_angle: float) -> int:
-    """FOV indicator: 1 if |incidence_angle| <= fov_angle else 0 (radians).
-
-    The boundary |theta| == fov_angle counts as inside.
-    """
-    return 1 if abs(incidence_angle) <= fov_angle else 0
-
-
-def channel_gain(ap: Pos3, ue: Pos3, params: ChannelParams) -> float:
-    """LoS Lambertian channel gain h between one AP and one UE (dimensionless).
-
-    Zero whenever the incidence angle falls outside the photodiode FOV.
-    This is the scalar reference implementation; bulk evaluation over
-    position arrays lives in :mod:`vlcudn.kernels`.
-    """
-    geom = link_geometry(ap, ue)
-    if not rect_fov(geom.incidence_angle, params.fov_rad):
-        return 0.0
-    m = params.lambertian_order
-    radial = (m + 1.0) * params.detector_area / (2.0 * math.pi * geom.distance ** 2)
-    return radial * math.cos(geom.irradiance_angle) ** m * math.cos(geom.incidence_angle)

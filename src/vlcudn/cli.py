@@ -127,15 +127,6 @@ def sweep(config_path, densities, out_dir, runs, seed, workers):
             click.echo(f"wrote {path}")
 
 
-def _decode_levels(index: int, n_ues: int, n_levels: int) -> list[int]:
-    digits = []
-    for _ in range(n_ues):
-        digits.append(index % n_levels)
-        index //= n_levels
-    digits.reverse()
-    return digits
-
-
 @main.command("inspect-q")
 @click.option(
     "--qtable",
@@ -150,6 +141,14 @@ def inspect_q(qtable_path, top):
     """Summarize an exported Q-table."""
     try:
         table, meta = QTable.load(qtable_path)
+        n_levels = meta.get("power_levels")
+        max_power = meta.get("max_power")
+        decode = n_levels is not None and max_power is not None
+        # each state's joint actions are its UEs' power levels, one digit per UE
+        if decode and not (isinstance(n_levels, int) and n_levels >= 1 and all(
+            (n_levels + 1) ** s.density == table.n_actions for s in table.states()
+        )):
+            raise ValueError(f"power_levels={n_levels} does not fit n_actions={table.n_actions}")
     except (ValueError, OSError) as exc:
         click.echo(f"cannot read q-table: {exc}", err=True)
         sys.exit(2)
@@ -167,16 +166,14 @@ def inspect_q(qtable_path, top):
     stored = np.concatenate(list(rows.values()))
     click.echo(f"nonzero entries: {entries}")
     click.echo(f"value range: [{stored.min():.6g}, {stored.max():.6g}]")
-    n_levels = meta.get("power_levels")
-    max_power = meta.get("max_power")
     click.echo("best states:")
     ranked = sorted(rows, key=lambda s: rows[s].max(), reverse=True)[:top]
     for state in ranked:
         row = rows[state]
         best = int(np.argmax(row))
         line = f"  {state.to_str()}  action={best}  q={row[best]:.6g}"
-        if n_levels is not None and max_power is not None:
-            levels = _decode_levels(best, state.density, int(n_levels) + 1)
+        if decode:
+            levels = np.unravel_index(best, (n_levels + 1,) * state.density)
             mw = ", ".join("%.3g" % (l * max_power * 1e3 / n_levels) for l in levels)
             line += f"  power_mw=({mw})"
         click.echo(line)

@@ -42,7 +42,6 @@ from .agent import (
     update_q,
     warmup_policy,
 )
-from .channel import Pos3, channel_gain
 from .config import ConfigError, ExperimentConfig, _validate
 from .metrics import per_ue_bandwidth
 from .mobility import MobilityConfig, simulate_paths
@@ -63,7 +62,6 @@ class EpisodeResult:
     ici_w: np.ndarray
     qtable: QTable | None
     quant: StateQuantizer
-    trace: list | None = None
 
 
 @dataclass
@@ -102,20 +100,20 @@ def _prepare(config: ExperimentConfig, density: int) -> _EpisodeSetup:
         topo, central, config.reuse_mode, config.channel.fov_rad, config.ue_height
     )
     wn = per_ue_bandwidth(config.link, density)
-    gain_max = channel_gain(
-        Pos3(0.0, 0.0, config.ap_height), Pos3(0.0, 0.0, config.ue_height), config.channel
-    )
+    m_order = config.channel.lambertian_order
+    area = config.channel.detector_area
+    dz = config.ap_height - config.ue_height
     quant = StateQuantizer(
         rate_bins=config.rate_bins,
         gain_bins=config.gain_bins,
         rate_max=wn * math.log2(1.0 + config.sinr_cap),
-        gain_max=gain_max,
+        # the gain directly under the AP, where both angles are zero
+        gain_max=(m_order + 1.0) * area / (2.0 * math.pi * dz ** 2),
     )
     actions = enumerate_actions(
         config.agent.power_levels, config.agent.max_power, density, cap=config.action_cap
     )
-    m_order = config.channel.lambertian_order
-    coef = (m_order + 1.0) * config.channel.detector_area / (2.0 * math.pi)
+    coef = (m_order + 1.0) * area / (2.0 * math.pi)
     return _EpisodeSetup(
         topo=topo,
         central=central,
@@ -126,7 +124,7 @@ def _prepare(config: ExperimentConfig, density: int) -> _EpisodeSetup:
         m_order=m_order,
         coef=coef,
         cos_fov=math.cos(config.channel.fov_rad),
-        dz=config.ap_height - config.ue_height,
+        dz=dz,
     )
 
 
@@ -145,12 +143,11 @@ def _mobility_config(config: ExperimentConfig, bounds) -> MobilityConfig:
         v_min=config.v_min,
         v_max=config.v_max,
         slot_duration=config.slot_duration,
-        ue_height=config.ue_height,
         bounds=bounds,
     )
 
 
-def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False) -> EpisodeResult:
+def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
     """One learning episode with its own seed; returns per-slot metrics."""
     n = config.ue_density
     setup = _prepare(config, n)
@@ -217,7 +214,6 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
     mean_rate = np.empty(n_slots)
     energy = np.empty(n_slots)
     ici = np.empty(n_slots)
-    trace = [] if record_trace else None
 
     for k in range(n_slots):
         gains_k = serving[k]
@@ -266,20 +262,6 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
                         update_q(qtable, sample, agent_cfg.learning_rate, agent_cfg.discount)
             prev_state, prev_action, prev_utility = state, action, u
 
-        if record_trace:
-            trace.append(
-                {
-                    "slot": k,
-                    "prev_rates": prev_rates.copy(),
-                    "serving_gains": gains_k.copy(),
-                    "state": state,
-                    "action": action,
-                    "powers": actions.powers[action].copy(),
-                    "rates": rates.copy(),
-                    "utility": u,
-                }
-            )
-
         prev_rates = rates
         utility[k] = u
         mean_rate[k] = rates.mean()
@@ -293,7 +275,6 @@ def run_episode(config: ExperimentConfig, seed: int, record_trace: bool = False)
         ici_w=ici,
         qtable=qtable,
         quant=setup.quant,
-        trace=trace,
     )
 
 
@@ -323,6 +304,8 @@ def sweep_density(config: ExperimentConfig, densities, workers: int = 1) -> list
     densities = list(densities)
     if not densities:
         raise ConfigError("densities must be non-empty")
+    if len(set(densities)) != len(densities):
+        raise ConfigError(f"densities must be distinct, got {densities}")
     configs = [dataclasses.replace(config, ue_density=int(d)) for d in densities]
     for config_d in configs:
         _validate(config_d)

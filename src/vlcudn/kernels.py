@@ -1,8 +1,10 @@
 """Vectorized numpy kernels for the hot per-slot paths.
 
-Each kernel is written once and is the only implementation of its
-formula; the scalar code in ``channel``, ``mobility`` and ``metrics`` is
-the reference the tests hold these kernels to.
+Each kernel is written once and is the package's only implementation of
+its formula: the Lambertian gain, the random-waypoint move, and the
+SINR/rate, leakage and utility of every candidate power vector.  The
+scalar code in ``tests/oracles.py`` is the reference the tests hold
+these kernels to.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-slot link metrics: SINR, achievable rate, leaked interference, utility.
+"""Link and utility parameters of the per-slot metrics: SINR, rate, leakage, utility.
 
 For UE n served with optical power x_n over gain h_n, with J co-channel
 neighbor APs sending power x_{j,n} seen through gain gamma_{j,n}:
@@ -7,7 +7,7 @@ neighbor APs sending power x_{j,n} seen through gain gamma_{j,n}:
     r_n    = W_n log2(1 + zeta_n)
 
 The SINR numerator and interference terms are linear in the received
-optical power by default; ``squared=True`` switches both to the squared
+optical power by default; ``squared_electrical_power = true`` switches both to the squared
 electrical form (eta x h)^2 used in conventional direct-detection link
 budgets.
 
@@ -21,14 +21,15 @@ in Mbit/s, powers and chi in mW, and the weights carry the conversions:
 
     u = mean_n(r_n [Mbit/s]) - energy_weight * sum_n(x_n [mW])
         - interference_weight * (chi [mW])
+
+These formulas are computed only by :func:`vlcudn.kernels.action_utilities`,
+for every candidate power vector of a slot at once; the scalar reference
+the tests compare it with is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,66 +45,6 @@ class LinkParams:
             raise ValueError("noise_psd must be positive")
         if not 0.0 < self.effective_bandwidth_factor <= 1.0:
             raise ValueError("effective_bandwidth_factor must be in (0, 1]")
-
-
-class SlotChannelSnapshot:
-    """Channel gains seen in one slot.
-
-    serving_gains: (N,) gain from the serving AP to each local UE.
-    interferer_gains: (J, N) gain from each co-channel neighbor AP to
-        each local UE.
-    outgoing_gains: length-J sequence of 1-D arrays; entry j holds the
-        gains from the serving AP to the M_j UEs of neighbor j.
-    """
-
-    def __init__(self, serving_gains, interferer_gains, outgoing_gains):
-        serving = np.asarray(serving_gains, dtype=float)
-        inter = np.asarray(interferer_gains, dtype=float)
-        outgoing = [np.asarray(g, dtype=float) for g in outgoing_gains]
-        if serving.ndim != 1:
-            raise ValueError("serving_gains must be one-dimensional")
-        if inter.ndim != 2 or inter.shape[1] != serving.shape[0]:
-            raise ValueError("interferer_gains must have shape (J, N)")
-        if len(outgoing) != inter.shape[0]:
-            raise ValueError("outgoing_gains must have one entry per neighbor")
-        arrays = [serving, inter] + outgoing
-        if any((a < 0.0).any() for a in arrays):
-            raise ValueError("channel gains must be non-negative")
-        self.serving_gains = serving
-        self.interferer_gains = inter
-        self.outgoing_gains = outgoing
-
-    @property
-    def n_ues(self) -> int:
-        return self.serving_gains.shape[0]
-
-    @property
-    def n_neighbors(self) -> int:
-        return self.interferer_gains.shape[0]
-
-    @property
-    def foreign_ue_counts(self) -> list[int]:
-        return [g.shape[0] for g in self.outgoing_gains]
-
-    def outgoing_sum(self) -> float:
-        """Total cross-gain toward all foreign UEs, sum_j sum_m g_{j,m}."""
-        return float(sum(g.sum() for g in self.outgoing_gains))
-
-
-class PowerVector:
-    """Transmit powers for one slot: serving (N,) and interferer (J, N), watts."""
-
-    def __init__(self, serving, interferer):
-        s = np.asarray(serving, dtype=float)
-        i = np.asarray(interferer, dtype=float)
-        if s.ndim != 1:
-            raise ValueError("serving powers must be one-dimensional")
-        if i.ndim != 2 or i.shape[1] != s.shape[0]:
-            raise ValueError("interferer powers must have shape (J, N)")
-        if (s < 0.0).any() or (i < 0.0).any():
-            raise ValueError("powers must be non-negative")
-        self.serving = s
-        self.interferer = i
 
 
 @dataclass(frozen=True)
@@ -123,58 +64,3 @@ def per_ue_bandwidth(params: LinkParams, n_ues: int) -> float:
     if n_ues < 1:
         raise ValueError("n_ues must be at least 1")
     return params.effective_bandwidth_factor * params.total_bandwidth / n_ues
-
-
-def sinr(
-    n: int,
-    powers: PowerVector,
-    snapshot: SlotChannelSnapshot,
-    params: LinkParams,
-    responsivity: float,
-    squared: bool = False,
-) -> float:
-    """SINR zeta_n of UE n under the given powers and gains."""
-    if powers.serving.shape[0] != snapshot.n_ues:
-        raise ValueError("powers and snapshot disagree on the number of UEs")
-    if powers.interferer.shape[0] != snapshot.n_neighbors:
-        raise ValueError("powers and snapshot disagree on the number of neighbors")
-    if not 0 <= n < snapshot.n_ues:
-        raise ValueError(f"UE index {n} out of range")
-    wn = per_ue_bandwidth(params, snapshot.n_ues)
-    sig = responsivity * powers.serving[n] * snapshot.serving_gains[n]
-    terms = responsivity * powers.interferer[:, n] * snapshot.interferer_gains[:, n]
-    if squared:
-        sig = sig * sig
-        terms = terms * terms
-    return sig / (wn * params.noise_psd + float(terms.sum()))
-
-
-def achievable_rate(wn: float, zeta: float) -> float:
-    """Shannon rate W_n log2(1 + zeta) in bit/s."""
-    if zeta < 0.0:
-        raise ValueError("zeta must be non-negative")
-    return wn * math.log2(1.0 + zeta)
-
-
-def total_ici(powers: PowerVector, snapshot: SlotChannelSnapshot, responsivity: float) -> float:
-    """Aggregate power chi leaked to all foreign UEs, in watts."""
-    if powers.serving.shape[0] != snapshot.n_ues:
-        raise ValueError("powers and snapshot disagree on the number of UEs")
-    return responsivity * float(powers.serving.sum()) * snapshot.outgoing_sum()
-
-
-def utility(rates, powers: PowerVector, ici: float, weights: UtilityWeights) -> float:
-    """Reward u for one slot.
-
-    rates are in bit/s, powers and ici in watts; internally the rate term
-    is converted to Mbit/s and the power terms to mW (see module docs).
-    """
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape[0] != powers.serving.shape[0]:
-        raise ValueError("rates and powers disagree on the number of UEs")
-    if ici < 0.0:
-        raise ValueError("ici must be non-negative")
-    mean_mbps = float(rates.mean()) * 1e-6
-    energy_mw = float(powers.serving.sum()) * 1e3
-    ici_mw = ici * 1e3
-    return mean_mbps - weights.energy_weight * energy_mw - weights.interference_weight * ici_mw

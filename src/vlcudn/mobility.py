@@ -1,20 +1,18 @@
 """Random-waypoint movement of receivers inside one cell.
 
-Two implementations of the same process: a per-UE reference
-(:func:`rwp_step`) and a batched trajectory generator
-(:func:`simulate_paths`) used by the simulation loop.  Both consume the
-random stream in the identical order (per UE: waypoint x, waypoint y,
-speed), so for a given seed they produce the same paths.
+:func:`simulate_paths` generates the trajectories of a group of UEs for
+a whole episode; the move itself is :func:`vlcudn.kernels.advance_positions`.
+The random stream is consumed in a fixed order (per UE: waypoint x,
+waypoint y, speed), the same order as the per-UE scalar reference in
+``tests/oracles.py``, so for a given seed both produce the same paths.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Pos3
 from .kernels import advance_positions
 
 Bounds = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
@@ -25,7 +23,6 @@ class MobilityConfig:
     v_min: float
     v_max: float
     slot_duration: float
-    ue_height: float
     bounds: Bounds
 
     def __post_init__(self):
@@ -33,20 +30,9 @@ class MobilityConfig:
             raise ValueError("need 0 <= v_min <= v_max")
         if self.slot_duration <= 0.0:
             raise ValueError("slot_duration must be positive")
-        if self.ue_height < 0.0:
-            raise ValueError("ue_height must be non-negative")
         xmin, xmax, ymin, ymax = self.bounds
         if not (xmin < xmax and ymin < ymax):
             raise ValueError("bounds must span a non-empty rectangle")
-
-
-@dataclass(frozen=True)
-class UeState:
-    id: int
-    position: Pos3
-    waypoint: Pos3
-    speed: float
-    serving_ap: int = -1
 
 
 def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float, float]:
@@ -54,51 +40,6 @@ def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float
     x = rng.uniform(xmin, xmax)
     y = rng.uniform(ymin, ymax)
     return x, y
-
-
-def init_ues(n: int, config: MobilityConfig, rng: np.random.Generator) -> list[UeState]:
-    """Place n UEs uniformly in bounds with fresh waypoints and speeds."""
-    ues = []
-    for i in range(n):
-        px, py = _draw_point(config, rng)
-        wx, wy = _draw_point(config, rng)
-        speed = rng.uniform(config.v_min, config.v_max)
-        ues.append(
-            UeState(
-                id=i,
-                position=Pos3(px, py, config.ue_height),
-                waypoint=Pos3(wx, wy, config.ue_height),
-                speed=speed,
-            )
-        )
-    return ues
-
-
-def rwp_step(ue: UeState, config: MobilityConfig, rng: np.random.Generator) -> UeState:
-    """Advance one slot toward the waypoint.
-
-    If the move would reach or overshoot the waypoint, the UE lands
-    exactly on it and draws a new waypoint and speed for the next slot.
-    """
-    step = ue.speed * config.slot_duration
-    dx = ue.waypoint.x - ue.position.x
-    dy = ue.waypoint.y - ue.position.y
-    # same float ops as the batched kernel so both paths agree bit for bit
-    dist = math.sqrt(dx * dx + dy * dy)
-    if step >= dist:
-        wx, wy = _draw_point(config, rng)
-        speed = rng.uniform(config.v_min, config.v_max)
-        return replace(
-            ue,
-            position=Pos3(ue.waypoint.x, ue.waypoint.y, config.ue_height),
-            waypoint=Pos3(wx, wy, config.ue_height),
-            speed=speed,
-        )
-    frac = step / dist
-    return replace(
-        ue,
-        position=Pos3(ue.position.x + dx * frac, ue.position.y + dy * frac, config.ue_height),
-    )
 
 
 def simulate_paths(
@@ -110,8 +51,8 @@ def simulate_paths(
     """Batched trajectories: positions of shape (n_slots, n_ues, 2).
 
     Row k holds all UE positions after the move of slot k.  The initial
-    placement is drawn the same way as :func:`init_ues` but is not part
-    of the returned array.
+    placement (position, waypoint, speed per UE) is drawn first but is
+    not part of the returned array.
     """
     pos = np.empty((n_ues, 2))
     wp = np.empty((n_ues, 2))

@@ -9,15 +9,19 @@ import math
 
 import numpy as np
 
+from oracles import (
+    PowerVector, Pos3, SlotChannelSnapshot, channel_gain, channel_params_from_cm2,
+    link_geometry, rect_fov, sinr, total_ici,
+)
 from vlcudn import kernels
 from vlcudn.agent import QTable, StateKey, enumerate_actions, select_action
-from vlcudn.channel import ChannelParams, Pos3, channel_gain, link_geometry, rect_fov
-from vlcudn.metrics import LinkParams, PowerVector, SlotChannelSnapshot, sinr, total_ici
+from vlcudn.channel import ChannelParams
+from vlcudn.metrics import LinkParams
 from vlcudn.mobility import MobilityConfig, simulate_paths
 
 
 def _random_channel(rng) -> ChannelParams:
-    return ChannelParams.from_cm2(
+    return channel_params_from_cm2(
         detector_area_cm2=rng.uniform(0.2, 3.0),
         semi_angle_deg=rng.uniform(20.0, 80.0),
         fov_deg=rng.uniform(20.0, 89.0),
@@ -153,7 +157,6 @@ def check_mobility_confinement(n_cases: int = 1000, seed: int = 106) -> int:
             v_min=v_min,
             v_max=v_min + rng.uniform(0.0, 2.0),
             slot_duration=rng.uniform(0.02, 0.5),
-            ue_height=1.0,
             bounds=bounds,
         )
         n_ues = int(rng.integers(1, 4))

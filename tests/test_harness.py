@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from vlcudn import harness
+from vlcudn import harness, kernels
 from vlcudn.agent import quantize_state
 from vlcudn.config import ConfigError, load_experiment
 from vlcudn.harness import (
@@ -78,35 +78,69 @@ class TestEpisode:
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
+    """One rpic episode and its per-slot trace, recorded from the calls the
+    loop makes each slot: quantize_state (the state from the previous rates
+    and the gains), warmup_policy or select_action (the chosen action) and
+    action_utilities (the scored rates and utility)."""
     from conftest import render_config
 
     path = tmp_path_factory.mktemp("trace") / "t.ini"
     path.write_text(render_config(SHORT))
     cfg = load_experiment(path)
-    return cfg, run_episode(cfg, seed=7, record_trace=True)
+    quantized, warmups, picks, scored = [], [], [], []
+
+    def recording(fn, calls):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append((args, result))
+            return result
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "quantize_state", recording(harness.quantize_state, quantized))
+        mp.setattr(harness, "warmup_policy", recording(harness.warmup_policy, warmups))
+        mp.setattr(harness, "select_action", recording(harness.select_action, picks))
+        mp.setattr(kernels, "action_utilities", recording(kernels.action_utilities, scored))
+        episode = run_episode(cfg, seed=7)
+    n_slots = cfg.agent.max_slots
+    assert len(quantized) == len(warmups) == len(scored) == n_slots
+    # select_action runs exactly in the slots where warmup_policy returned None
+    picked = iter(action for _, action in picks)
+    chosen = [action if action is not None else next(picked) for _, action in warmups]
+    assert next(picked, None) is None
+    actions = warmups[0][0][2]
+    trace = [
+        {"slot": k, "prev_rates": q_args[0], "quantized_gains": q_args[1], "state": state,
+         "serving_gains": s_args[1], "action": action, "powers": actions.powers[action],
+         "rates": rates[0], "utility": float(u[0])}
+        for k, ((q_args, state), action, (s_args, (u, rates, _, _)))
+        in enumerate(zip(quantized, chosen, scored))
+    ]
+    return cfg, episode, trace
 
 
 class TestSlotContract:
     def test_first_slot_sees_zero_rates(self, traced):
-        _, episode = traced
-        assert (episode.trace[0]["prev_rates"] == 0.0).all()
+        _, _, trace = traced
+        assert (trace[0]["prev_rates"] == 0.0).all()
 
     def test_state_uses_previous_rates_and_current_gains(self, traced):
-        cfg, episode = traced
-        for entry in episode.trace[:30]:
+        cfg, episode, trace = traced
+        for entry in trace[:30]:
+            assert (entry["quantized_gains"] == entry["serving_gains"]).all()
             want = quantize_state(
                 entry["prev_rates"], entry["serving_gains"], cfg.ue_density, episode.quant
             )
             assert entry["state"] == want
 
     def test_rates_chain_across_slots(self, traced):
-        _, episode = traced
-        for prev, cur in zip(episode.trace, episode.trace[1:]):
+        _, _, trace = traced
+        for prev, cur in zip(trace, trace[1:]):
             assert (cur["prev_rates"] == prev["rates"]).all()
 
     def test_recorded_metrics_match_trace(self, traced):
-        _, episode = traced
-        for k, entry in enumerate(episode.trace):
+        _, episode, trace = traced
+        for k, entry in enumerate(trace):
             assert entry["slot"] == k
             assert episode.utility[k] == entry["utility"]
             assert episode.energy_w[k] == pytest.approx(entry["powers"].sum(), rel=1e-12)
@@ -215,6 +249,8 @@ class TestExperiment:
         monkeypatch.setattr(harness, "run_episode", counting)
         with pytest.raises(ConfigError, match="action_cap"):
             sweep_density(cfg, [1, 9])
+        with pytest.raises(ConfigError, match="distinct"):
+            sweep_density(cfg, [2, 1, 2])
         assert calls == []
 
 

@@ -3,21 +3,15 @@
 import numpy as np
 import pytest
 
-from vlcudn import kernels
-from vlcudn.channel import ChannelParams, Pos3, channel_gain
-from vlcudn.metrics import (
-    LinkParams,
-    PowerVector,
-    SlotChannelSnapshot,
-    UtilityWeights,
-    achievable_rate,
-    per_ue_bandwidth,
-    sinr,
-    total_ici,
-    utility,
+from oracles import (
+    PowerVector, Pos3, SlotChannelSnapshot, achievable_rate, channel_gain,
+    channel_params_from_cm2, sinr, total_ici, utility,
 )
+from vlcudn import kernels
+from vlcudn.channel import ChannelParams
+from vlcudn.metrics import LinkParams, UtilityWeights, per_ue_bandwidth
 
-PARAMS = ChannelParams.from_cm2(1.0, 60.0, 70.0, 0.54)
+PARAMS = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
 LINK = LinkParams(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
 
 

@@ -3,18 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import PowerVector, SlotChannelSnapshot, achievable_rate, sinr, total_ici, utility
 from vlcudn.agent import enumerate_actions
-from vlcudn.metrics import (
-    LinkParams,
-    PowerVector,
-    SlotChannelSnapshot,
-    UtilityWeights,
-    achievable_rate,
-    per_ue_bandwidth,
-    sinr,
-    total_ici,
-    utility,
-)
+from vlcudn.metrics import LinkParams, UtilityWeights, per_ue_bandwidth
 
 LINK = LinkParams(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
 ETA = 0.54

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from vlcudn.channel import Pos3
-from vlcudn.mobility import (
-    MobilityConfig,
-    UeState,
-    init_ues,
-    rwp_step,
-    simulate_paths,
-)
+from oracles import MobilityConfig, Pos3, UeState, init_ues, rwp_step
+from vlcudn import mobility
+from vlcudn.mobility import simulate_paths
 
 CFG = MobilityConfig(
     v_min=0.1, v_max=1.0, slot_duration=0.1, ue_height=1.0, bounds=(4.0, 6.0, 4.0, 6.0)
@@ -75,7 +70,7 @@ def test_batched_paths_match_per_ue_reference_exactly():
 
 
 def test_zero_speed_keeps_ues_static():
-    cfg = MobilityConfig(0.0, 0.0, 0.1, 1.0, (4.0, 6.0, 4.0, 6.0))
+    cfg = mobility.MobilityConfig(0.0, 0.0, 0.1, (4.0, 6.0, 4.0, 6.0))
     paths = simulate_paths(3, cfg, 50, np.random.default_rng(4))
     for k in range(1, 50):
         assert np.array_equal(paths[k], paths[0])
