@@ -9,7 +9,6 @@ states are actually visited.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,61 +124,40 @@ def quantize_state(rates, gains, density: int, quant: StateQuantizer) -> StateKe
 
 @dataclass(frozen=True, eq=False)
 class ActionSet:
-    """All joint power vectors over the quantized per-UE grid.
+    """The joint power vectors over the quantized per-UE grid, by index.
 
     levels holds the L+1 per-UE power values 0, X/L, ..., X.  Joint
-    actions are in lexicographic order of per-UE level indices with the
-    first UE most significant: index 0 is all-zero, the last index is
-    all-max.
+    actions are numbered in lexicographic order of per-UE level indices
+    with the first UE most significant: index 0 is all-zero, the last
+    index is all-max.  Rows are decoded on demand, never materialised.
     """
 
     levels: np.ndarray  # (L+1,) watts
-    level_indices: np.ndarray  # (n_actions, n_ues)
-    powers: np.ndarray  # (n_actions, n_ues) watts
+    n_ues: int
 
     @property
     def n_actions(self) -> int:
-        return self.powers.shape[0]
+        return self.levels.size ** self.n_ues
 
-    @property
-    def n_ues(self) -> int:
-        return self.powers.shape[1]
-
-    def index_of(self, level_indices) -> int:
-        """Flat index of the joint action with these per-UE level indices."""
-        radix = self.levels.shape[0]
-        if len(level_indices) != self.n_ues:
-            raise ValueError("need one level index per UE")
-        flat = 0
-        for level in level_indices:
-            if not 0 <= level < radix:
-                raise ValueError(f"level index {level} out of range")
-            flat = flat * radix + int(level)
-        return flat
+    def decode(self, index: int) -> np.ndarray:
+        """Per-UE powers (watts) of the joint action with this flat index."""
+        digits = np.unravel_index(index, (self.levels.size,) * self.n_ues)
+        return self.levels[np.array(digits)]
 
 
-def enumerate_actions(
-    power_levels: int,
-    max_power: float,
-    n_ues: int,
-    cap: int = 1_000_000,
-) -> ActionSet:
+def enumerate_actions(power_levels: int, max_power: float, n_ues: int) -> ActionSet:
+    """Action set of n_ues UEs, each on the grid 0, X/L, ..., X = max_power.
+
+    Its size (L+1)^n_ues is bounded by config validation (action_cap).
+    """
     if power_levels < 1:
         raise ValueError("power_levels must be at least 1")
     if max_power <= 0.0:
         raise ValueError("max_power must be positive")
     if n_ues < 1:
         raise ValueError("n_ues must be at least 1")
-    count = (power_levels + 1) ** n_ues
-    if count > cap:
-        raise ValueError(
-            f"joint action space has {count} entries, exceeding the cap of {cap}"
-        )
-    indices = np.array(
-        list(itertools.product(range(power_levels + 1), repeat=n_ues)), dtype=np.int64
-    )
     levels = np.arange(power_levels + 1) * (max_power / power_levels)
-    return ActionSet(levels=levels, level_indices=indices, powers=levels[indices])
+    return ActionSet(levels=levels, n_ues=n_ues)
 
 
 class QTable:
@@ -254,9 +232,10 @@ class QTable:
                     meta[key] = int(raw)
                 except ValueError:
                     meta[key] = float(raw)
-            if "n_actions" not in meta:
-                raise ValueError("header does not record n_actions")
-            table = cls(n_actions=meta["n_actions"])
+            n_actions = meta.get("n_actions")
+            if not isinstance(n_actions, int) or n_actions < 1:
+                raise ValueError(f"n_actions must be an integer >= 1, got {n_actions!r}")
+            table = cls(n_actions=n_actions)
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:

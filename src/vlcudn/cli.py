@@ -10,7 +10,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .agent import QTable
+from .agent import QTable, enumerate_actions
 from .config import ConfigError, load_experiment
 from .harness import (
     SimulationAbort,
@@ -141,14 +141,19 @@ def inspect_q(qtable_path, top):
     """Summarize an exported Q-table."""
     try:
         table, meta = QTable.load(qtable_path)
-        n_levels = meta.get("power_levels")
-        max_power = meta.get("max_power")
-        decode = n_levels is not None and max_power is not None
-        # each state's joint actions are its UEs' power levels, one digit per UE
-        if decode and not (isinstance(n_levels, int) and n_levels >= 1 and all(
-            (n_levels + 1) ** s.density == table.n_actions for s in table.states()
-        )):
-            raise ValueError(f"power_levels={n_levels} does not fit n_actions={table.n_actions}")
+        n_levels, max_power = meta.get("power_levels"), meta.get("max_power")
+        misfit = f"power_levels={n_levels} does not fit n_actions={table.n_actions}"
+        decoders = {}
+        if n_levels is not None and max_power is not None:
+            # checked before enumerate_actions allocates the levels
+            if not isinstance(n_levels, int) or n_levels >= table.n_actions:
+                raise ValueError(misfit)
+            decoders = {
+                d: enumerate_actions(n_levels, max_power, d)
+                for d in {s.density for s in table.states()}
+            }
+            if any(a.n_actions != table.n_actions for a in decoders.values()):
+                raise ValueError(misfit)
     except (ValueError, OSError) as exc:
         click.echo(f"cannot read q-table: {exc}", err=True)
         sys.exit(2)
@@ -172,9 +177,8 @@ def inspect_q(qtable_path, top):
         row = rows[state]
         best = int(np.argmax(row))
         line = f"  {state.to_str()}  action={best}  q={row[best]:.6g}"
-        if decode:
-            levels = np.unravel_index(best, (n_levels + 1,) * state.density)
-            mw = ", ".join("%.3g" % (l * max_power * 1e3 / n_levels) for l in levels)
+        if decoders:
+            mw = ", ".join("%.3g" % (p * 1e3) for p in decoders[state.density].decode(best))
             line += f"  power_mw=({mw})"
         click.echo(line)
 

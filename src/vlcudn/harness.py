@@ -110,9 +110,7 @@ def _prepare(config: ExperimentConfig, density: int) -> _EpisodeSetup:
         # the gain directly under the AP, where both angles are zero
         gain_max=(m_order + 1.0) * area / (2.0 * math.pi * dz ** 2),
     )
-    actions = enumerate_actions(
-        config.agent.power_levels, config.agent.max_power, density, cap=config.action_cap
-    )
+    actions = enumerate_actions(config.agent.power_levels, config.agent.max_power, density)
     coef = (m_order + 1.0) * area / (2.0 * math.pi)
     return _EpisodeSetup(
         topo=topo,
@@ -196,12 +194,18 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
 
     actions = setup.actions
     policy = config.policy
-    fixed_action: int | None = None
+    fixed_powers = None
     if policy == "fixed_max":
-        fixed_action = actions.n_actions - 1
+        fixed_powers = np.full(n, actions.levels[-1])
     elif policy == "fixed_half":
-        half_level = int(np.argmin(np.abs(actions.levels - agent_cfg.max_power / 2.0)))
-        fixed_action = actions.index_of([half_level] * n)
+        half = actions.levels[np.argmin(np.abs(actions.levels - agent_cfg.max_power / 2.0))]
+        fixed_powers = np.full(n, half)
+    elif policy == "greedy_myopic":
+        # Block b has UE b alone on at each level.  A UE at zero power adds
+        # zero rate, energy and leakage, and no term couples two UEs, so
+        # block b's utilities are UE b's own term and the joint argmax is
+        # the per-UE argmax.
+        solo = np.kron(np.eye(n), actions.levels[:, None])
 
     qtable = QTable(actions.n_actions) if policy == "rpic" else None
     pool: list[Experience] = []
@@ -217,11 +221,10 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
 
     for k in range(n_slots):
         gains_k = serving[k]
-        incoming_k = incoming[k]
-        outgoing_k = outgoing[k]
+        slot_inputs = (gains_k, incoming[k], wn, noise, eta, squared, outgoing[k], ce, ci)
 
         state = None
-        action = fixed_action
+        powers = fixed_powers
         if policy == "rpic":
             state = quantize_state(prev_rates, gains_k, n, setup.quant)
             action = warmup_policy(k, agent_cfg, actions, agent_rng)
@@ -229,22 +232,20 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
                 action = select_action(
                     qtable, state, actions, epsilon_at(k, agent_cfg), agent_rng
                 )
+            powers = actions.decode(action)
         elif policy == "random":
-            action = int(agent_rng.integers(actions.n_actions))
+            powers = actions.decode(int(agent_rng.integers(actions.n_actions)))
+        elif policy == "greedy_myopic":
+            # np.argmax keeps each UE's lowest level among exact ties, as the
+            # lowest flat index of the joint scan does.
+            per_ue = kernels.action_utilities(solo, *slot_inputs)[0]
+            powers = actions.levels[per_ue.reshape(n, -1).argmax(axis=1)]
 
-        # Only greedy_myopic reaches here without an action: it scores every
-        # action and takes the argmax.  The others score their one-row slice.
-        scored = actions.powers if action is None else actions.powers[action:action + 1]
-        utilities, rates_a, power_a, chi_a = kernels.action_utilities(
-            scored, gains_k, incoming_k, wn, noise, eta, squared, outgoing_k, ce, ci
-        )
-        row = 0
-        if action is None:
-            action = row = int(np.argmax(utilities))
-        rates = rates_a[row]
-        total_power = float(power_a[row])
-        chi = float(chi_a[row])
-        u = float(utilities[row])
+        utilities, rates_a, power_a, chi_a = kernels.action_utilities(powers[None], *slot_inputs)
+        rates = rates_a[0]
+        total_power = float(power_a[0])
+        chi = float(chi_a[0])
+        u = float(utilities[0])
         if not math.isfinite(u):
             raise SimulationAbort(
                 f"non-finite utility at slot {k} (seed {seed}): "

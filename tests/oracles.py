@@ -1,17 +1,19 @@
 """Scalar references, one link or UE at a time, for the formulas that the
 package computes only in :mod:`vlcudn.kernels`: the Lambertian gain, SINR
 and Shannon rate, leaked ICI, the slot utility and the random-waypoint
-step.  The tests hold the kernels to these; the package never imports them.
+step; and the joint-action scan that the per-UE greedy choice replaces.
+The tests hold the package to these; the package never imports them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vlcudn import mobility
+from vlcudn import kernels, mobility
 from vlcudn.channel import ChannelParams
 from vlcudn.metrics import LinkParams, UtilityWeights, per_ue_bandwidth
 from vlcudn.mobility import _draw_point
@@ -262,3 +264,17 @@ def rwp_step(ue: UeState, config: MobilityConfig, rng: np.random.Generator) -> U
         ue,
         position=Pos3(ue.position.x + dx * frac, ue.position.y + dy * frac, config.ue_height),
     )
+
+
+def joint_actions(levels, n_ues: int) -> np.ndarray:
+    """Every joint power vector over the per-UE levels, in lexicographic
+    order with the first UE most significant: (L+1)^N rows."""
+    return np.array(list(itertools.product(levels, repeat=n_ues)))
+
+
+def greedy_joint_argmax(levels, n_ues: int, *slot_inputs) -> np.ndarray:
+    """The greedy choice by full scan: score every joint action in one
+    action_utilities call (slot_inputs are its arguments after powers) and
+    keep np.argmax's lowest-index maximiser."""
+    powers = joint_actions(levels, n_ues)
+    return powers[np.argmax(kernels.action_utilities(powers, *slot_inputs)[0])]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import joint_actions
 from vlcudn.agent import (
     ActionSet,
     AgentConfig,
@@ -104,31 +105,28 @@ class TestEnumerateActions:
     def test_two_ue_lexicographic_order(self):
         actions = enumerate_actions(1, 2e-3, 2)
         assert actions.n_actions == 4
-        assert actions.level_indices.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
-        assert actions.powers[1].tolist() == [0.0, actions.levels[1]]
+        rows = [actions.decode(a).tolist() for a in range(actions.n_actions)]
+        assert rows == [[0.0, 0.0], [0.0, 2e-3], [2e-3, 0.0], [2e-3, 2e-3]]
 
     def test_three_ue_count_and_endpoints(self):
         actions = enumerate_actions(5, 4e-3, 3)
         assert actions.n_actions == 216
         assert actions.n_ues == 3
-        assert (actions.powers[0] == 0.0).all()
-        assert actions.powers[-1] == pytest.approx([4e-3] * 3, rel=1e-12)
+        assert (actions.decode(0) == 0.0).all()
+        assert actions.decode(215) == pytest.approx([4e-3] * 3, rel=1e-12)
 
-    def test_index_of_roundtrip(self):
+    def test_decode_follows_joint_scan_order(self):
         actions = enumerate_actions(5, 4e-3, 3)
-        for a in range(actions.n_actions):
-            assert actions.index_of(actions.level_indices[a]) == a
+        rows = joint_actions(actions.levels, 3)
+        assert len(rows) == actions.n_actions
+        for a, row in enumerate(rows):
+            assert (actions.decode(a) == row).all()
 
-    def test_index_of_rejects_bad_input(self):
+    def test_decode_rejects_out_of_range_index(self):
         actions = enumerate_actions(5, 4e-3, 2)
-        with pytest.raises(ValueError):
-            actions.index_of([1])
-        with pytest.raises(ValueError):
-            actions.index_of([0, 6])
-
-    def test_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_actions(5, 4e-3, 9, cap=1_000_000)
+        for index in (-1, actions.n_actions):
+            with pytest.raises(ValueError):
+                actions.decode(index)
 
     @pytest.mark.parametrize("kwargs", [
         dict(power_levels=0, max_power=1e-3, n_ues=1),

@@ -181,7 +181,9 @@ class TestInspectQ:
         "# n_actions=216\n0|0|1\t-1\t1.0\n",
         "# n_actions=216\n0|0|1\t999\t1.0\n",
         "# n_actions=216 power_levels=2 max_power=0.004\n0,0,0|0,0,0|3\t100\t1.0\n",
-    ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree"])
+        "# n_actions=2.5\n0|0|1\t1\t1.0\n",
+    ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree",
+            "fractional-action-count"])
     def test_rejects_garbage_file(self, runner, tmp_path, contents):
         path = tmp_path / "junk.tsv"
         path.write_text(contents)

@@ -7,8 +7,9 @@ import subprocess
 import numpy as np
 import pytest
 
+from oracles import greedy_joint_argmax
 from vlcudn import harness, kernels
-from vlcudn.agent import quantize_state
+from vlcudn.agent import enumerate_actions, quantize_state
 from vlcudn.config import ConfigError, load_experiment
 from vlcudn.harness import (
     CSV_HEADER,
@@ -111,7 +112,7 @@ def traced(tmp_path_factory):
     actions = warmups[0][0][2]
     trace = [
         {"slot": k, "prev_rates": q_args[0], "quantized_gains": q_args[1], "state": state,
-         "serving_gains": s_args[1], "action": action, "powers": actions.powers[action],
+         "serving_gains": s_args[1], "action": action, "powers": actions.decode(action),
          "rates": rates[0], "utility": float(u[0])}
         for k, ((q_args, state), action, (s_args, (u, rates, _, _)))
         in enumerate(zip(quantized, chosen, scored))
@@ -165,6 +166,37 @@ class TestPolicies:
             other = run_episode(dataclasses.replace(cfg, policy=policy), seed=11)
             slack = 1e-9 * np.maximum(1.0, np.abs(greedy.utility))
             assert (greedy.utility >= other.utility - slack).all(), policy
+
+    @pytest.mark.parametrize("squared", ["false", "true"])
+    @pytest.mark.parametrize("weights", [("0.1", "1e4"), ("1", "1e5")])
+    @pytest.mark.parametrize("density", [2, 3, 4])
+    def test_greedy_matches_joint_argmax(self, make_config, monkeypatch, density, weights,
+                                         squared):
+        cfg = load_experiment(make_config({
+            **SHORT, "experiment.policy": "greedy_myopic", "experiment.ue_density": density,
+            "utility.energy_weight_per_mw": weights[0],
+            "utility.interference_weight_per_mw": weights[1],
+            "link.squared_electrical_power": squared,
+        }))
+        calls = []
+        real = kernels.action_utilities
+
+        def recording(powers, *slot_inputs):
+            calls.append((powers, slot_inputs))
+            return real(powers, *slot_inputs)
+
+        monkeypatch.setattr(kernels, "action_utilities", recording)
+        episode = run_episode(cfg, seed=5)
+        # per slot: the per-UE scoring call, then the chosen row
+        chosen = calls[1::2]
+        assert len(calls) == 2 * len(chosen) == 2 * cfg.agent.max_slots
+        levels = enumerate_actions(cfg.agent.power_levels, cfg.agent.max_power, density).levels
+        for k, (powers, slot_inputs) in enumerate(chosen):
+            want = greedy_joint_argmax(levels, density, *slot_inputs)
+            assert (powers == [want]).all(), k
+            assert episode.energy_w[k] == powers.sum()
+        if squared == "false":  # these weights leave linear-mode greedy some power
+            assert episode.energy_w.max() > 0.0
 
     def test_fixed_policies_hold_power_constant(self, make_config):
         # an even level count puts max_power/2 exactly on the grid

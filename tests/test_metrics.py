@@ -154,7 +154,7 @@ def test_full_power_maximizes_rate_only_utility():
     weights = UtilityWeights(0.0, 0.0)
     best, best_u = None, -np.inf
     for a in range(actions.n_actions):
-        powers = PowerVector(actions.powers[a], x_nb)
+        powers = PowerVector(actions.decode(a), x_nb)
         rates = [
             achievable_rate(wn, sinr(n, powers, snap, LINK, ETA)) for n in range(2)
         ]
