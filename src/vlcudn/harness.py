@@ -282,6 +282,7 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
 def run_experiment(config: ExperimentConfig, workers: int = 1, keep_runs: bool = False) -> RunSeries:
     """Average config.runs episodes, seeded seed, seed+1, ..."""
     seeds = range(config.seed, config.seed + config.runs)
+    workers = min(workers, config.runs)  # the pool starts all its processes up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             episodes = list(pool.map(run_episode, repeat(config), seeds))

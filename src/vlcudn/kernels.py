@@ -1,10 +1,11 @@
 """Vectorized numpy kernels for the hot per-slot paths.
 
 Each kernel is written once and is the package's only implementation of
-its formula: the Lambertian gain, the random-waypoint move, and the
-SINR/rate, leakage and utility of every candidate power vector.  The
-scalar code in ``tests/oracles.py`` is the reference the tests hold
-these kernels to.
+its formula: the Lambertian gain, and the SINR/rate, leakage and utility
+of every candidate power vector.  The scalar code in ``tests/oracles.py``
+is the reference the tests hold these kernels to.  The random-waypoint
+move is not a kernel: it steps a few UEs at a time, and is written once,
+in :func:`vlcudn.mobility.simulate_paths`.
 """
 
 from __future__ import annotations
@@ -23,20 +24,6 @@ def lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
     cos_t = dz / np.sqrt(d2)
     gains = (coef / d2) * cos_t ** (m_order + 1.0)
     return np.where(cos_t >= cos_fov, gains, 0.0)
-
-
-def advance_positions(pos, wp, step):
-    # One waypoint-chasing move per row; rows that reach (or overshoot)
-    # their waypoint land exactly on it and are flagged for a redraw.
-    delta = wp - pos
-    dist = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-    arrived = step >= dist
-    safe = np.where(dist > 0.0, dist, 1.0)
-    frac = step / safe
-    out = np.empty_like(pos)
-    out[:, 0] = np.where(arrived, wp[:, 0], pos[:, 0] + delta[:, 0] * frac)
-    out[:, 1] = np.where(arrived, wp[:, 1], pos[:, 1] + delta[:, 1] * frac)
-    return out, arrived
 
 
 def action_utilities(

@@ -1,19 +1,25 @@
 """Random-waypoint movement of receivers inside one cell.
 
 :func:`simulate_paths` generates the trajectories of a group of UEs for
-a whole episode; the move itself is :func:`vlcudn.kernels.advance_positions`.
-The random stream is consumed in a fixed order (per UE: waypoint x,
-waypoint y, speed), the same order as the per-UE scalar reference in
-``tests/oracles.py``, so for a given seed both produce the same paths.
+a whole episode.  Each UE heads for its waypoint at its speed; a move
+that reaches or overshoots the waypoint lands exactly on it, and the UE
+then draws a new waypoint and speed.  The random stream is consumed in a
+fixed order (per UE: waypoint x, waypoint y, speed), the same order as
+the per-UE scalar reference in ``tests/oracles.py``, so for a given seed
+both produce the same paths.
+
+The walk is plain Python over scalar floats: a group holds only a few
+UEs, so numpy calls on arrays that small would cost more in call
+overhead than in arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import advance_positions
 
 Bounds = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
 
@@ -48,26 +54,38 @@ def simulate_paths(
     n_slots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Batched trajectories: positions of shape (n_slots, n_ues, 2).
+    """Trajectories of a group of UEs: positions of shape (n_slots, n_ues, 2).
 
     Row k holds all UE positions after the move of slot k.  The initial
     placement (position, waypoint, speed per UE) is drawn first but is
     not part of the returned array.
     """
-    pos = np.empty((n_ues, 2))
-    wp = np.empty((n_ues, 2))
-    speed = np.empty(n_ues)
-    for i in range(n_ues):
-        pos[i] = _draw_point(config, rng)
-        wp[i] = _draw_point(config, rng)
-        speed[i] = rng.uniform(config.v_min, config.v_max)
+    v_min, v_max, slot = config.v_min, config.v_max, config.slot_duration
+    ues = []  # per UE: [x, y, waypoint x, waypoint y, distance per slot]
+    for _ in range(n_ues):
+        x, y = _draw_point(config, rng)
+        wx, wy = _draw_point(config, rng)
+        ues.append([x, y, wx, wy, rng.uniform(v_min, v_max) * slot])
 
-    out = np.empty((n_slots, n_ues, 2))
-    for k in range(n_slots):
-        pos, arrived = advance_positions(pos, wp, speed * config.slot_duration)
-        for i in np.flatnonzero(arrived):
-            wp[i] = _draw_point(config, rng)
-            speed[i] = rng.uniform(config.v_min, config.v_max)
-        out[k] = pos
-    return out
-
+    # Slot-major, so arrivals draw in (slot, UE) order.  8 bytes per
+    # coordinate, as the returned float64 array holds them.
+    out = array("d")
+    for _ in range(n_slots):
+        for ue in ues:
+            x, y, wx, wy, step = ue
+            dx = wx - x
+            dy = wy - y
+            dist = math.sqrt(dx * dx + dy * dy)
+            if step >= dist:
+                x, y = wx, wy
+                ue[2], ue[3] = _draw_point(config, rng)
+                ue[4] = rng.uniform(v_min, v_max) * slot
+            else:
+                frac = step / dist
+                x = x + dx * frac
+                y = y + dy * frac
+            ue[0] = x
+            ue[1] = y
+            out.append(x)
+            out.append(y)
+    return np.frombuffer(out).reshape(n_slots, n_ues, 2)

@@ -1,7 +1,9 @@
 """Scalar references, one link or UE at a time, for the formulas that the
 package computes only in :mod:`vlcudn.kernels`: the Lambertian gain, SINR
-and Shannon rate, leaked ICI, the slot utility and the random-waypoint
-step; and the joint-action scan that the per-UE greedy choice replaces.
+and Shannon rate, leaked ICI and the slot utility; the random-waypoint
+step, which the package computes only in
+:func:`vlcudn.mobility.simulate_paths`; and the joint-action scan that
+the per-UE greedy choice replaces.
 The tests hold the package to these; the package never imports them.
 """
 
@@ -248,7 +250,7 @@ def rwp_step(ue: UeState, config: MobilityConfig, rng: np.random.Generator) -> U
     step = ue.speed * config.slot_duration
     dx = ue.waypoint.x - ue.position.x
     dy = ue.waypoint.y - ue.position.y
-    # same float ops as the batched kernel so both paths agree bit for bit
+    # same float ops as simulate_paths so both paths agree bit for bit
     dist = math.sqrt(dx * dx + dy * dy)
     if step >= dist:
         wx, wy = _draw_point(config, rng)

@@ -98,22 +98,3 @@ def test_action_utilities_matches_metrics_ops(squared):
         assert power[a] == pytest.approx(powers.serving.sum(), rel=1e-12)
         assert leaked[a] == pytest.approx(chi, rel=1e-12)
 
-
-def test_advance_positions_lands_exactly_on_waypoint():
-    pos = np.array([[0.0, 0.0], [1.0, 1.0], [0.3, 0.4]])
-    wp = np.array([[3.0, 4.0], [1.0, 1.0], [0.3, 0.4]])
-    step = np.array([10.0, 0.5, 0.0])
-    out, arrived = kernels.advance_positions(pos, wp, step)
-    assert arrived.tolist() == [True, True, True]
-    assert np.array_equal(out, wp)
-
-
-def test_advance_positions_partial_move_is_collinear():
-    pos = np.array([[0.0, 0.0]])
-    wp = np.array([[3.0, 4.0]])
-    out, arrived = kernels.advance_positions(pos, wp, np.array([1.0]))
-    assert not arrived[0]
-    # unit step along the (3,4)/5 direction
-    assert out[0, 0] == pytest.approx(0.6, rel=1e-12)
-    assert out[0, 1] == pytest.approx(0.8, rel=1e-12)
-

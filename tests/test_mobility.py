@@ -1,5 +1,7 @@
 """Waypoint movement: kinematics, redraw rules, batched equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,17 +58,69 @@ def test_init_ues_inside_bounds_with_valid_speeds():
         assert u.position.z == CFG.ue_height
 
 
-def test_batched_paths_match_per_ue_reference_exactly():
-    n_ues, n_slots = 5, 200
-    batched = simulate_paths(n_ues, CFG, n_slots, np.random.default_rng(17))
-
+@pytest.mark.parametrize(
+    "cfg, n_ues, n_slots",
+    [
+        (CFG, 3, 3000),
+        (dataclasses.replace(CFG, v_min=0.0, v_max=0.0), 3, 200),
+        # steps of 0.1-1 m in a 1 cm cell: nearly every move overshoots
+        (dataclasses.replace(CFG, slot_duration=1.0, bounds=(4.0, 4.01, 4.0, 4.01)), 5, 300),
+    ],
+    ids=["reference-cell", "zero-speed", "overshoot"],
+)
+def test_batched_paths_match_per_ue_reference_exactly(cfg, n_ues, n_slots):
     rng = np.random.default_rng(17)
-    ues = init_ues(n_ues, CFG, rng)
+    batched = simulate_paths(n_ues, cfg, n_slots, rng)
+    assert batched.shape == (n_slots, n_ues, 2) and batched.dtype == np.float64
+
+    ref_rng = np.random.default_rng(17)
+    ues = init_ues(n_ues, cfg, ref_rng)
     for k in range(n_slots):
-        ues = [rwp_step(u, CFG, rng) for u in ues]
+        ues = [rwp_step(u, cfg, ref_rng) for u in ues]
         for i, u in enumerate(ues):
             assert batched[k, i, 0] == u.position.x
             assert batched[k, i, 1] == u.position.y
+    # Cell groups share one generator: a draw too many or too few would
+    # shift every later group's paths.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _Scripted:
+    """Stands in for the generator: uniform() returns the next scripted value."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def uniform(self, low, high):
+        return next(self.values)
+
+    def exhausted(self):
+        return next(self.values, None) is None
+
+
+# Each UE draws x, y, waypoint x, waypoint y and speed, and draws waypoint
+# x, y and speed again on arrival.
+UNIT_SLOT = mobility.MobilityConfig(0.0, 10.0, 1.0, (0.0, 5.0, 0.0, 5.0))
+
+
+def test_arrival_lands_exactly_on_waypoint():
+    rng = _Scripted([
+        0.0, 0.0, 3.0, 4.0, 10.0,  # step 10 m overshoots a 5 m leg
+        1.0, 1.0, 1.0, 1.0, 0.5,  # already on the waypoint
+        0.3, 0.4, 0.3, 0.4, 0.0,  # on the waypoint with zero step
+        *[2.0, 2.0, 1.0] * 3,  # all three redraw
+    ])
+    paths = simulate_paths(3, UNIT_SLOT, 1, rng)
+    assert paths[0].tolist() == [[3.0, 4.0], [1.0, 1.0], [0.3, 0.4]]
+    assert rng.exhausted()
+
+
+def test_partial_move_is_collinear():
+    rng = _Scripted([0.0, 0.0, 3.0, 4.0, 1.0])  # no arrival, so no redraw
+    paths = simulate_paths(1, UNIT_SLOT, 2, rng)
+    # unit steps along the (3, 4) / 5 direction
+    assert paths[:, 0] == pytest.approx(np.array([[0.6, 0.8], [1.2, 1.6]]), rel=1e-12)
+    assert rng.exhausted()
 
 
 def test_zero_speed_keeps_ues_static():
