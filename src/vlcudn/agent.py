@@ -1,10 +1,16 @@
-"""Tabular Q-learning pieces: state keys, action set, selection, update.
+"""Tabular Q-learning pieces: state index, action set, selection, update.
 
-The learner picks one joint power vector per slot.  States are built by
-uniform binning of the previous slot's per-UE rates and the current
-per-UE serving gains, plus the UE count.  The Q-table is a sparse map
-with implicit zeros, so the huge nominal state space costs nothing until
-states are actually visited.
+The learner picks one joint power vector per slot.  Its state is the
+uniform bin of each UE's previous-slot rate and of each UE's current
+serving gain, held as one integer: a mixed-radix number whose digits are
+the N rate bins, then the N gain bins, first UE most significant.  The
+index is a plain Python int, so it stays exact past 2**63 at large bin
+counts.  The Q-table is a sparse map with implicit zeros, so the huge
+nominal state space costs nothing until states are actually visited.
+
+qtable.tsv spells a state as "r1,..,rN|g1,..,gN|N" (state_key) and lists
+the rows in string order of that key, which differs from index order once
+a bin count reaches 10.
 """
 
 from __future__ import annotations
@@ -51,36 +57,6 @@ class AgentConfig:
 
 
 @dataclass(frozen=True)
-class StateKey:
-    rate_bins: tuple[int, ...]
-    gain_bins: tuple[int, ...]
-    density: int
-
-    def __post_init__(self):
-        if self.density < 1:
-            raise ValueError("density must be at least 1")
-        if len(self.rate_bins) != self.density or len(self.gain_bins) != self.density:
-            raise ValueError("bin tuples must have one entry per UE")
-
-    def to_str(self) -> str:
-        rates = ",".join(str(b) for b in self.rate_bins)
-        gains = ",".join(str(b) for b in self.gain_bins)
-        return f"{rates}|{gains}|{self.density}"
-
-    @classmethod
-    def from_str(cls, text: str) -> "StateKey":
-        try:
-            rates, gains, density = text.split("|")
-            return cls(
-                rate_bins=tuple(int(b) for b in rates.split(",")),
-                gain_bins=tuple(int(b) for b in gains.split(",")),
-                density=int(density),
-            )
-        except ValueError as exc:
-            raise ValueError(f"malformed state key {text!r}") from exc
-
-
-@dataclass(frozen=True)
 class StateQuantizer:
     """Uniform binning grids for the continuous state components.
 
@@ -102,24 +78,47 @@ class StateQuantizer:
             raise ValueError("grid upper edges must be positive")
 
 
-def _bin_indices(values: np.ndarray, upper: float, n_bins: int) -> tuple[int, ...]:
-    idx = np.floor(values * (n_bins / upper)).astype(np.int64)
-    return tuple(int(i) for i in np.clip(idx, 0, n_bins - 1))
+def quantize_state(rates, gains, quant: StateQuantizer) -> int:
+    """State index of one slot's per-UE rates and gains (module docstring)."""
+    index = 0
+    for values, n_bins, upper in (
+        (rates, quant.rate_bins, quant.rate_max),
+        (gains, quant.gain_bins, quant.gain_max),
+    ):
+        scale = n_bins / upper
+        top = n_bins - 1
+        for v in np.asarray(values).tolist():
+            # int() truncates: floor for v >= 0, and any v < 0 still clamps to 0
+            index = index * n_bins + min(max(int(v * scale), 0), top)
+    return index
 
 
-def quantize_state(rates, gains, density: int, quant: StateQuantizer) -> StateKey:
-    """Deterministic StateKey for one slot's observations."""
-    rates = np.asarray(rates, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    if rates.shape != (density,) or gains.shape != (density,):
-        raise ValueError("rates and gains must have one entry per UE")
-    if (rates < 0.0).any() or (gains < 0.0).any():
-        raise ValueError("rates and gains must be non-negative")
-    return StateKey(
-        rate_bins=_bin_indices(rates, quant.rate_max, quant.rate_bins),
-        gain_bins=_bin_indices(gains, quant.gain_max, quant.gain_bins),
-        density=density,
-    )
+def _key_text(rates, gains, density: int) -> str:
+    return f"{','.join(map(str, rates))}|{','.join(map(str, gains))}|{density}"
+
+
+def state_key(index: int, quant: StateQuantizer, density: int) -> str:
+    """The qtable.tsv key "r1,..,rN|g1,..,gN|N" of a state index."""
+    digits = []
+    for n_bins in (quant.gain_bins,) * density + (quant.rate_bins,) * density:
+        index, digit = divmod(index, n_bins)
+        digits.append(digit)
+    digits.reverse()
+    return _key_text(digits[:density], digits[density:], density)
+
+
+def parse_state_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Rate bins, gain bins and UE count of a qtable.tsv state key."""
+    try:
+        rates, gains, density = text.split("|")
+        rates = tuple(int(b) for b in rates.split(","))
+        gains = tuple(int(b) for b in gains.split(","))
+        density = int(density)
+    except ValueError as exc:
+        raise ValueError(f"malformed state key {text!r}") from exc
+    if density < 1 or len(rates) != density or len(gains) != density:
+        raise ValueError(f"malformed state key {text!r}: needs one rate and gain bin per UE")
+    return rates, gains, density
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +160,18 @@ def enumerate_actions(power_levels: int, max_power: float, n_ues: int) -> Action
 
 
 class QTable:
-    """Sparse state -> action-value-row map with implicit zero rows."""
+    """Sparse state -> action-value-row map with implicit zero rows.
+
+    The learner keys rows by state index.  A table read back by load is
+    keyed by the file's state keys, since a file need not record the grid
+    that the indices were taken on.
+    """
 
     def __init__(self, n_actions: int):
         if n_actions < 1:
             raise ValueError("n_actions must be at least 1")
         self.n_actions = n_actions
-        self._rows: dict[StateKey, np.ndarray] = {}
+        self._rows: dict[int | str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -175,20 +179,20 @@ class QTable:
     def states(self):
         return self._rows.keys()
 
-    def row(self, state: StateKey) -> np.ndarray:
+    def row(self, state) -> np.ndarray:
         """Value row for a state; a zero row (not inserted) if unseen."""
         existing = self._rows.get(state)
         if existing is not None:
             return existing
         return np.zeros(self.n_actions)
 
-    def value(self, state: StateKey, action: int) -> float:
+    def value(self, state, action: int) -> float:
         return float(self.row(state)[action])
 
-    def max_value(self, state: StateKey) -> float:
+    def max_value(self, state) -> float:
         return float(self.row(state).max())
 
-    def set(self, state: StateKey, action: int, value: float) -> None:
+    def set(self, state, action: int, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError("q-values must be finite")
         existing = self._rows.get(state)
@@ -197,8 +201,8 @@ class QTable:
             self._rows[state] = existing
         existing[action] = value
 
-    def save(self, path, quant: StateQuantizer, extra: dict | None = None) -> None:
-        """Write the table as tab-separated state/action/value lines.
+    def save(self, path, quant: StateQuantizer, density: int, extra: dict | None = None) -> None:
+        """Write tab-separated state-key/action/value lines, in key order.
 
         The header row records the binning grid and action count needed
         to interpret the keys; extra appends further key=value pairs
@@ -211,16 +215,17 @@ class QTable:
         for key, value in (extra or {}).items():
             part = "%.17g" % value if isinstance(value, float) else str(value)
             header += f" {key}={part}"
+        keys = {state_key(state, quant, density): state for state in self._rows}
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for state in sorted(self._rows, key=StateKey.to_str):
-                row = self._rows[state]
-                key = state.to_str()
+            for key in sorted(keys):
+                row = self._rows[keys[key]]
                 for action in np.flatnonzero(row != 0.0):
                     fh.write("%s\t%d\t%.17g\n" % (key, action, row[action]))
 
     @classmethod
     def load(cls, path) -> tuple["QTable", dict]:
+        """A saved table keyed by its state keys, and the header's pairs."""
         with open(path) as fh:
             header = fh.readline()
             if not header.startswith("#"):
@@ -244,25 +249,11 @@ class QTable:
                 action = int(action)
                 if not 0 <= action < table.n_actions:
                     raise ValueError(f"action {action} outside [0, {table.n_actions})")
-                table.set(StateKey.from_str(key), action, float(value))
+                table.set(_key_text(*parse_state_key(key)), action, float(value))
         return table, meta
 
 
-@dataclass(frozen=True)
-class Experience:
-    state: StateKey
-    action: int
-    utility: float
-    next_state: StateKey
-
-
-def select_action(
-    q: QTable,
-    state: StateKey,
-    actions: ActionSet,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> int:
+def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy pick over the joint action set.
 
     With probability 1 - epsilon: a uniform draw among the maximizers of
@@ -270,32 +261,25 @@ def select_action(
     each carries probability epsilon / (n_actions - 1) when the maximizer
     is unique.  If every action is a maximizer the two branches coincide.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    if actions.n_actions != q.n_actions:
-        raise ValueError("action set size does not match the q-table")
     row = q.row(state)
-    best = np.flatnonzero(row == row.max())
-    pool = best
+    top = row.max()
+    pool = np.flatnonzero(row == top)
     if rng.random() < epsilon:
-        others = np.flatnonzero(row != row.max())
+        others = np.flatnonzero(row != top)
         if others.size:
             pool = others
     return int(pool[rng.integers(pool.size)])
 
 
-def update_q(q: QTable, exp: Experience, alpha: float, beta: float) -> float:
+def update_q(q: QTable, state: int, action: int, utility: float, next_state: int,
+             alpha: float, beta: float) -> float:
     """Apply one Bellman step to the (state, action) entry; returns it.
 
     Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must be in [0, 1)")
-    old = q.value(exp.state, exp.action)
-    value = (1.0 - alpha) * old + alpha * (exp.utility + beta * q.max_value(exp.next_state))
-    q.set(exp.state, exp.action, value)
+    old = q.value(state, action)
+    value = (1.0 - alpha) * old + alpha * (utility + beta * q.max_value(next_state))
+    q.set(state, action, value)
     return value
 
 

@@ -10,7 +10,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .agent import QTable, enumerate_actions
+from .agent import QTable, enumerate_actions, parse_state_key
 from .config import ConfigError, load_experiment
 from .harness import (
     SimulationAbort,
@@ -150,7 +150,7 @@ def inspect_q(qtable_path, top):
                 raise ValueError(misfit)
             decoders = {
                 d: enumerate_actions(n_levels, max_power, d)
-                for d in {s.density for s in table.states()}
+                for d in {parse_state_key(s)[2] for s in table.states()}
             }
             if any(a.n_actions != table.n_actions for a in decoders.values()):
                 raise ValueError(misfit)
@@ -176,9 +176,10 @@ def inspect_q(qtable_path, top):
     for state in ranked:
         row = rows[state]
         best = int(np.argmax(row))
-        line = f"  {state.to_str()}  action={best}  q={row[best]:.6g}"
+        line = f"  {state}  action={best}  q={row[best]:.6g}"
         if decoders:
-            mw = ", ".join("%.3g" % (p * 1e3) for p in decoders[state.density].decode(best))
+            decoder = decoders[parse_state_key(state)[2]]
+            mw = ", ".join("%.3g" % (p * 1e3) for p in decoder.decode(best))
             line += f"  power_mw=({mw})"
         click.echo(line)
 

@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__, kernels
 from .agent import (
     ActionSet,
-    Experience,
     QTable,
     StateQuantizer,
     enumerate_actions,
@@ -136,15 +135,6 @@ def _gain_grid(setup: _EpisodeSetup, ap_xy, paths: np.ndarray) -> np.ndarray:
     return flat.reshape(paths.shape[0], paths.shape[1])
 
 
-def _mobility_config(config: ExperimentConfig, bounds) -> MobilityConfig:
-    return MobilityConfig(
-        v_min=config.v_min,
-        v_max=config.v_max,
-        slot_duration=config.slot_duration,
-        bounds=bounds,
-    )
-
-
 def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
     """One learning episode with its own seed; returns per-slot metrics."""
     n = config.ue_density
@@ -162,20 +152,15 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
     mob_rng = np.random.default_rng(mob_ss)
     agent_rng = np.random.default_rng(agent_ss)
 
+    def walk(count: int, ap: int) -> np.ndarray:
+        bounds = cell_bounds(setup.topo, ap)
+        mob = MobilityConfig(config.v_min, config.v_max, config.slot_duration, bounds)
+        return simulate_paths(count, mob, n_slots, mob_rng)
+
     # Trajectories: local UEs first, then each neighbor's UEs in index order.
-    local_paths = simulate_paths(
-        n, _mobility_config(config, cell_bounds(setup.topo, setup.central)), n_slots, mob_rng
-    )
+    local_paths = walk(n, setup.central)
     n_foreign = config.n_neighbor_ues()
-    foreign_paths = []
-    for j in setup.neighbors:
-        if n_foreign == 0:
-            continue
-        foreign_paths.append(
-            simulate_paths(
-                n_foreign, _mobility_config(config, cell_bounds(setup.topo, int(j))), n_slots, mob_rng
-            )
-        )
+    foreign_paths = [walk(n_foreign, int(j)) for j in setup.neighbors] if n_foreign else []
 
     central_xy = setup.topo.positions[setup.central, :2]
     serving = _gain_grid(setup, central_xy, local_paths)  # (K, N)
@@ -208,11 +193,9 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
         solo = np.kron(np.eye(n), actions.levels[:, None])
 
     qtable = QTable(actions.n_actions) if policy == "rpic" else None
-    pool: list[Experience] = []
+    pool: list[tuple[int, int, float, int]] = []  # (state, action, utility, next state)
     prev_rates = np.zeros(n)
-    prev_state = None
-    prev_action = -1
-    prev_utility = 0.0
+    last = None  # the previous slot's (state, action, utility)
 
     utility = np.empty(n_slots)
     mean_rate = np.empty(n_slots)
@@ -223,15 +206,12 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
         gains_k = serving[k]
         slot_inputs = (gains_k, incoming[k], wn, noise, eta, squared, outgoing[k], ce, ci)
 
-        state = None
         powers = fixed_powers
         if policy == "rpic":
-            state = quantize_state(prev_rates, gains_k, n, setup.quant)
+            state = quantize_state(prev_rates, gains_k, setup.quant)
             action = warmup_policy(k, agent_cfg, actions, agent_rng)
             if action is None:
-                action = select_action(
-                    qtable, state, actions, epsilon_at(k, agent_cfg), agent_rng
-                )
+                action = select_action(qtable, state, epsilon_at(k, agent_cfg), agent_rng)
             powers = actions.decode(action)
         elif policy == "random":
             powers = actions.decode(int(agent_rng.integers(actions.n_actions)))
@@ -253,15 +233,15 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
             )
 
         if policy == "rpic":
-            if k > 0:
-                exp = Experience(prev_state, prev_action, prev_utility, state)
-                update_q(qtable, exp, agent_cfg.learning_rate, agent_cfg.discount)
+            if last is not None:
+                step = (*last, state)
+                update_q(qtable, *step, agent_cfg.learning_rate, agent_cfg.discount)
                 if config.replay:
-                    pool.append(exp)
+                    pool.append(step)
                     for _ in range(config.replay_batch):
                         sample = pool[int(agent_rng.integers(len(pool)))]
-                        update_q(qtable, sample, agent_cfg.learning_rate, agent_cfg.discount)
-            prev_state, prev_action, prev_utility = state, action, u
+                        update_q(qtable, *sample, agent_cfg.learning_rate, agent_cfg.discount)
+            last = (state, action, u)
 
         prev_rates = rates
         utility[k] = u
@@ -391,6 +371,7 @@ def save_experiment(out_dir, config: ExperimentConfig, series: RunSeries) -> lis
         series.qtable.save(
             q_path,
             series.quant,
+            config.ue_density,
             extra={
                 "power_levels": config.agent.power_levels,
                 "max_power": config.agent.max_power,

@@ -2,8 +2,9 @@
 package computes only in :mod:`vlcudn.kernels`: the Lambertian gain, SINR
 and Shannon rate, leaked ICI and the slot utility; the random-waypoint
 step, which the package computes only in
-:func:`vlcudn.mobility.simulate_paths`; and the joint-action scan that
-the per-UE greedy choice replaces.
+:func:`vlcudn.mobility.simulate_paths`; the joint-action scan that the
+per-UE greedy choice replaces; and the per-component state binning that
+the integer state index replaces.
 The tests hold the package to these; the package never imports them.
 """
 
@@ -280,3 +281,19 @@ def greedy_joint_argmax(levels, n_ues: int, *slot_inputs) -> np.ndarray:
     keep np.argmax's lowest-index maximiser."""
     powers = joint_actions(levels, n_ues)
     return powers[np.argmax(kernels.action_utilities(powers, *slot_inputs)[0])]
+
+
+def state_key(rates, gains, quant) -> str:
+    """qtable.tsv key "r1,..,rN|g1,..,gN|N" of one slot's per-UE rates and
+    gains: each value floored onto its uniform grid, then clipped into
+    [0, bins - 1], one tuple per component."""
+
+    def bins(values, upper: float, n_bins: int) -> str:
+        idx = np.floor(np.asarray(values, dtype=float) * (n_bins / upper)).astype(np.int64)
+        return ",".join(str(int(i)) for i in np.clip(idx, 0, n_bins - 1))
+
+    return "%s|%s|%d" % (
+        bins(rates, quant.rate_max, quant.rate_bins),
+        bins(gains, quant.gain_max, quant.gain_bins),
+        len(rates),
+    )

@@ -19,14 +19,7 @@ from oracles import (
     PowerVector, Pos3, SlotChannelSnapshot, achievable_rate, channel_gain,
     channel_params_from_cm2, sinr, total_ici, utility,
 )
-from vlcudn.agent import (
-    Experience,
-    QTable,
-    StateKey,
-    enumerate_actions,
-    select_action,
-    update_q,
-)
+from vlcudn.agent import QTable, select_action, update_q
 from vlcudn.channel import lambertian_order
 from vlcudn.config import load_experiment
 from vlcudn.harness import converged_means, run_experiment
@@ -110,15 +103,14 @@ def test_criterion_2_lambertian_order(capsys):
 
 
 def test_criterion_3_epsilon_greedy_distribution(capsys):
-    state = StateKey((0,), (0,), 1)
-    actions = enumerate_actions(3, 4e-3, 1)  # four joint actions
-    q = QTable(4)
+    state = 0
+    q = QTable(4)  # four joint actions
     q.set(state, 1, 5.0)
     rng = np.random.default_rng(2024)
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[select_action(q, state, actions, 0.4, rng)] += 1
+        counts[select_action(q, state, 0.4, rng)] += 1
     freq = counts / n
     p_other = 0.4 / 3
     band_greedy = 3 * np.sqrt(0.6 * 0.4 / n)
@@ -147,16 +139,14 @@ def test_criterion_4_q_learning_matches_value_iteration(capsys):
         if done:
             break
 
-    keys = [StateKey((0,), (0,), 1), StateKey((1,), (0,), 1)]
-    actions = enumerate_actions(1, 1e-3, 1)  # two joint actions
-    q = QTable(2)
+    q = QTable(2)  # states 0 and 1, two actions; action a leads to state a
     rng = np.random.default_rng(77)
     s = 0
     for _ in range(10_000):
-        a = select_action(q, keys[s], actions, 0.3, rng)
-        update_q(q, Experience(keys[s], a, rewards[s, a], keys[a]), 0.1, beta)
+        a = select_action(q, s, 0.3, rng)
+        update_q(q, s, a, rewards[s, a], a, 0.1, beta)
         s = a
-    learned = np.array([q.row(keys[s]) for s in (0, 1)])
+    learned = np.array([q.row(s) for s in (0, 1)])
     policy_ok = all(int(np.argmax(learned[s])) == int(np.argmax(q_star[s])) for s in (0, 1))
     gap = np.abs(learned - q_star).max()
     bound = 0.05 * np.abs(q_star).max()

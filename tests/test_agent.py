@@ -3,23 +3,29 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import joint_actions
 from vlcudn.agent import (
     ActionSet,
     AgentConfig,
-    Experience,
     QTable,
-    StateKey,
     StateQuantizer,
     enumerate_actions,
     epsilon_at,
+    parse_state_key,
     quantize_state,
     select_action,
+    state_key,
     update_q,
     warmup_policy,
 )
 
 QUANT = StateQuantizer(rate_bins=4, gain_bins=4, rate_max=2.0**25, gain_max=8e-6)
+
+
+def _key(rates, gains):
+    """The rendered key of quantize_state on QUANT."""
+    return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
 
 
 def _cfg(**overrides):
@@ -40,33 +46,26 @@ def _cfg(**overrides):
 
 class TestQuantizeState:
     def test_zeros_land_in_bin_zero(self):
-        key = quantize_state([0.0, 0.0], [0.0, 0.0], 2, QUANT)
-        assert key == StateKey((0, 0), (0, 0), 2)
+        assert quantize_state([0.0, 0.0], [0.0, 0.0], QUANT) == 0
+        assert _key([0.0, 0.0], [0.0, 0.0]) == "0,0|0,0|2"
 
     def test_interior_edge_goes_to_upper_bin(self):
         # 2^23 * (4 / 2^25) is exactly 1.0, so the edge value lands in bin 1
-        key = quantize_state([2.0**23], [0.0], 1, QUANT)
-        assert key.rate_bins == (1,)
+        assert _key([2.0**23], [0.0]) == "1|0|1"
 
     def test_just_below_edge_stays_in_lower_bin(self):
-        key = quantize_state([2.0**23 * (1 - 1e-12)], [0.0], 1, QUANT)
-        assert key.rate_bins == (0,)
+        assert _key([2.0**23 * (1 - 1e-12)], [0.0]) == "0|0|1"
 
     def test_values_at_or_above_max_clamp_to_top_bin(self):
-        key = quantize_state([QUANT.rate_max, 10 * QUANT.rate_max], [0.0, 0.0], 2, QUANT)
-        assert key.rate_bins == (3, 3)
+        assert _key([QUANT.rate_max, 10 * QUANT.rate_max], [0.0, 0.0]) == "3,3|0,0|2"
 
     def test_gain_component(self):
-        key = quantize_state([0.0], [5e-6], 1, QUANT)
-        assert key.gain_bins == (2,)  # 5e-6 / (8e-6/4) = 2.5 -> floor 2
+        assert _key([0.0], [5e-6]) == "0|2|1"  # 5e-6 / (8e-6/4) = 2.5 -> floor 2
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            quantize_state([1.0], [1.0, 2.0], 2, QUANT)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            quantize_state([-1.0], [0.0], 1, QUANT)
+    def test_digits_are_rates_then_gains_first_ue_most_significant(self):
+        rates = [2.0**23, 2.0**24]  # bins 1, 2
+        gains = [6e-6, 0.0]  # bins 3, 0
+        assert quantize_state(rates, gains, QUANT) == ((1 * 4 + 2) * 4 + 3) * 4 + 0
 
     def test_quantizer_validation(self):
         with pytest.raises(ValueError):
@@ -74,25 +73,73 @@ class TestQuantizeState:
         with pytest.raises(ValueError):
             StateQuantizer(4, 4, 0.0, 1.0)
 
+    def test_matches_the_oracle_on_edges(self):
+        cases = [
+            (QUANT, [2.0**23], [0.0]),
+            (QUANT, [np.nextafter(2.0**23, 0.0)], [0.0]),
+            (QUANT, [QUANT.rate_max, 3 * QUANT.rate_max], [QUANT.gain_max, 1.0]),
+            (QUANT, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+            (QUANT, [-1.0, -0.5], [-1e-9, 0.0]),  # below the grid: bin 0, as the oracle clips
+        ]
+        big = []
+        for n_bins in (3, 12, 1000):
+            quant = StateQuantizer(n_bins, n_bins, 7.5e7, 8e-6)
+            for density in range(1, 6):
+                for scale in (0.0, 1.0, 2.0):  # zeros, the top edge, above it
+                    cases.append((quant, [scale * quant.rate_max] * density,
+                                  [scale * quant.gain_max] * density))
+                steps = range(density)  # interior edges, rates on them, gains just below
+                cases.append((quant, [k * quant.rate_max / n_bins for k in steps],
+                              [np.nextafter(k * quant.gain_max / n_bins, 0.0) for k in steps]))
+        for quant, rates, gains in cases:
+            index = quantize_state(rates, gains, quant)
+            assert type(index) is int
+            assert state_key(index, quant, len(rates)) == oracles.state_key(rates, gains, quant)
+            if quant.rate_bins == 1000:
+                big.append(index)
+        assert max(big) > 2**63
+
+    def test_matches_the_oracle_on_random_draws(self):
+        rng = np.random.default_rng(108)
+        for _ in range(1500):
+            quant = StateQuantizer(
+                int(rng.choice([1, 3, 10, 12, 1000])), int(rng.choice([1, 3, 11, 1000])),
+                rng.uniform(1e6, 1e8), rng.uniform(1e-6, 1e-5),
+            )
+            density = int(rng.integers(1, 6))
+            rates = rng.uniform(0.0, 1.2 * quant.rate_max, density)
+            gains = rng.uniform(0.0, 1.2 * quant.gain_max, density)
+            index = quantize_state(rates, gains, quant)
+            assert state_key(index, quant, density) == oracles.state_key(rates, gains, quant)
+
 
 class TestStateKey:
     def test_str_roundtrip(self):
-        key = StateKey((3, 0, 2), (1, 1, 0), 3)
-        assert StateKey.from_str(key.to_str()) == key
+        quant = StateQuantizer(12, 11, 1.0, 1.0)
+        for index in (0, 5, 12**3 * 11**3 - 1, 123_456):
+            rates, gains, density = parse_state_key(state_key(index, quant, 3))
+            assert density == 3
+            digits = rates + gains
+            radices = (12,) * 3 + (11,) * 3
+            assert all(0 <= d < r for d, r in zip(digits, radices))
+            rebuilt = 0
+            for digit, radix in zip(digits, radices):
+                rebuilt = rebuilt * radix + digit
+            assert rebuilt == index
 
     def test_str_format(self):
-        assert StateKey((1, 2), (0, 3), 2).to_str() == "1,2|0,3|2"
+        assert state_key(((1 * 4 + 2) * 4 + 0) * 4 + 3, QUANT, 2) == "1,2|0,3|2"
+        assert parse_state_key("1,2|0,3|2") == ((1, 2), (0, 3), 2)
 
     @pytest.mark.parametrize("text", ["", "1|2", "1,2|0|2", "a,b|0,0|2", "1|0|1|extra"])
     def test_malformed_strings_rejected(self, text):
         with pytest.raises(ValueError):
-            StateKey.from_str(text)
+            parse_state_key(text)
 
     def test_tuple_lengths_must_match_density(self):
-        with pytest.raises(ValueError):
-            StateKey((0, 1), (0,), 2)
-        with pytest.raises(ValueError):
-            StateKey((0,), (0,), 0)
+        for text in ("0,1|0|2", "0|0,1|2", "0|0|0"):
+            with pytest.raises(ValueError, match="one rate and gain bin per UE"):
+                parse_state_key(text)
 
 
 class TestEnumerateActions:
@@ -139,8 +186,8 @@ class TestEnumerateActions:
 
 
 class TestQTable:
-    S0 = StateKey((0,), (0,), 1)
-    S1 = StateKey((1,), (0,), 1)
+    S0 = 0
+    S1 = 4  # rate bin 1, gain bin 0 on QUANT
 
     def test_reads_do_not_insert(self):
         q = QTable(4)
@@ -172,11 +219,12 @@ class TestQTable:
         for (state, action), value in entries.items():
             q.set(state, action, value)
         path = tmp_path / "q.tsv"
-        q.save(path, QUANT, extra={"power_levels": 5, "max_power": 4e-3})
+        q.save(path, QUANT, 1, extra={"power_levels": 5, "max_power": 4e-3})
         loaded, meta = QTable.load(path)
         assert loaded.n_actions == 6
+        assert set(loaded.states()) == {"0|0|1", "1|0|1"}
         for (state, action), value in entries.items():
-            assert loaded.value(state, action) == value
+            assert loaded.value(state_key(state, QUANT, 1), action) == value
         assert meta["rate_bins"] == 4
         assert meta["gain_bins"] == 4
         assert meta["rate_max"] == QUANT.rate_max
@@ -189,10 +237,27 @@ class TestQTable:
         q.set(self.S0, 1, 2.0)
         q.set(self.S0, 2, 0.0)
         path = tmp_path / "q.tsv"
-        q.save(path, QUANT)
+        q.save(path, QUANT, 1)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1:] == ["0|0|1\t1\t2"]
+
+    def test_save_orders_rows_by_key_string(self, tmp_path):
+        quant = StateQuantizer(12, 11, 1.0, 1.0)
+        q = QTable(2)
+        for index in (2 * 11, 10 * 11 + 7, 10 * 11):  # "2|0|1", "10|7|1", "10|0|1"
+            q.set(index, 0, 1.0)
+        path = tmp_path / "q.tsv"
+        q.save(path, quant, 1)
+        keys = [line.split("\t")[0] for line in path.read_text().splitlines()[1:]]
+        assert keys == ["10|0|1", "10|7|1", "2|0|1"]
+
+    def test_load_keys_rows_by_canonical_state_key(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("# n_actions=2\n01|0|1\t0\t1.5\n1|00|1\t1\t2.5\n")
+        loaded, _ = QTable.load(path)
+        assert list(loaded.states()) == ["1|0|1"]
+        assert loaded.row("1|0|1").tolist() == [1.5, 2.5]
 
     def test_load_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -219,7 +284,7 @@ class TestQTable:
 
 
 class TestSelectAction:
-    S = StateKey((0,), (0,), 1)
+    S = 0
 
     def _table(self, row):
         q = QTable(len(row))
@@ -231,17 +296,15 @@ class TestSelectAction:
     def test_greedy_when_epsilon_zero(self):
         q = self._table([0.0, 5.0, 0.0, 0.0])
         rng = np.random.default_rng(0)
-        actions = enumerate_actions(3, 4e-3, 1)
-        picks = {select_action(q, self.S, actions, 0.0, rng) for _ in range(50)}
+        picks = {select_action(q, self.S, 0.0, rng) for _ in range(50)}
         assert picks == {1}
 
     def test_fresh_state_is_uniform_any_epsilon(self):
         q = QTable(4)
         rng = np.random.default_rng(1)
-        actions = enumerate_actions(3, 4e-3, 1)
         counts = np.zeros(4)
         for _ in range(8000):
-            counts[select_action(q, self.S, actions, 0.9, rng)] += 1
+            counts[select_action(q, self.S, 0.9, rng)] += 1
         # every action is a maximizer, so the split should be near 1/4 each
         assert (counts > 0).all()
         assert np.abs(counts / 8000 - 0.25).max() < 0.03
@@ -249,47 +312,37 @@ class TestSelectAction:
     def test_explore_probability_split(self):
         q = self._table([0.0, 5.0, 0.0, 0.0])
         rng = np.random.default_rng(2)
-        actions = enumerate_actions(3, 4e-3, 1)
         n = 30000
         counts = np.zeros(4)
         for _ in range(n):
-            counts[select_action(q, self.S, actions, 0.4, rng)] += 1
+            counts[select_action(q, self.S, 0.4, rng)] += 1
         freq = counts / n
         assert freq[1] == pytest.approx(0.6, abs=0.015)
         for a in (0, 2, 3):
             assert freq[a] == pytest.approx(0.4 / 3, abs=0.01)
 
-    def test_rejects_bad_epsilon_and_size(self):
-        q = QTable(4)
-        actions = enumerate_actions(3, 4e-3, 1)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            select_action(q, self.S, actions, 1.5, rng)
-        with pytest.raises(ValueError):
-            select_action(QTable(5), self.S, actions, 0.1, rng)
-
 
 class TestUpdateQ:
-    S0 = StateKey((0,), (0,), 1)
-    S1 = StateKey((1,), (0,), 1)
+    S0 = 0
+    S1 = 4
 
     def test_hand_worked_value(self):
         q = QTable(2)
         q.set(self.S0, 0, 1.0)
         q.set(self.S1, 1, 1.0)
-        got = update_q(q, Experience(self.S0, 0, 4.0, self.S1), alpha=0.9, beta=0.5)
+        got = update_q(q, self.S0, 0, 4.0, self.S1, alpha=0.9, beta=0.5)
         # (1 - 0.9) * 1 + 0.9 * (4 + 0.5 * 1) = 4.15
         assert got == pytest.approx(4.15, rel=1e-12)
         assert q.value(self.S0, 0) == got
 
     def test_full_rate_no_discount_copies_reward(self):
         q = QTable(2)
-        got = update_q(q, Experience(self.S0, 1, -2.5, self.S1), alpha=1.0, beta=0.0)
+        got = update_q(q, self.S0, 1, -2.5, self.S1, alpha=1.0, beta=0.0)
         assert got == -2.5
 
     def test_zero_everything_is_a_fixpoint(self):
         q = QTable(2)
-        got = update_q(q, Experience(self.S0, 0, 0.0, self.S1), alpha=0.9, beta=0.5)
+        got = update_q(q, self.S0, 0, 0.0, self.S1, alpha=0.9, beta=0.5)
         assert got == 0.0
         assert q.value(self.S0, 0) == 0.0
 
@@ -298,15 +351,9 @@ class TestUpdateQ:
         q.set(self.S0, 2, 7.0)
         q.set(self.S1, 0, -1.0)
         before_s1 = q.row(self.S1).copy()
-        update_q(q, Experience(self.S0, 0, 1.0, self.S1), alpha=0.5, beta=0.5)
+        update_q(q, self.S0, 0, 1.0, self.S1, alpha=0.5, beta=0.5)
         assert q.value(self.S0, 2) == 7.0
         assert (q.row(self.S1) == before_s1).all()
-
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (1.5, 0.5), (0.5, 1.0), (0.5, -0.1)])
-    def test_parameter_domains(self, alpha, beta):
-        q = QTable(2)
-        with pytest.raises(ValueError):
-            update_q(q, Experience(self.S0, 0, 1.0, self.S1), alpha, beta)
 
 
 class TestSchedules:

@@ -1,15 +1,19 @@
 """Episode loop, run averaging, baselines, writers, and abort handling."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
+import re
 import subprocess
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from oracles import greedy_joint_argmax
-from vlcudn import harness, kernels
+from vlcudn import agent, harness, kernels
 from vlcudn.agent import enumerate_actions, quantize_state
 from vlcudn.config import ConfigError, load_experiment
 from vlcudn.harness import (
@@ -121,6 +125,40 @@ def traced(tmp_path_factory):
     return cfg, episode, trace
 
 
+class TestPerfbenchReads:
+    """perfbench/run.py reads the agent's span stats under "agent.<function>"
+    keys, and the tracer counts each traced call; a rename or an extra call
+    per slot would change its per-layer numbers without failing the run."""
+
+    def test_agent_span_keys_name_public_agent_functions(self):
+        source = (REPO_ROOT / "perfbench" / "run.py").read_text()
+        bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        metric_names = {entry["name"] for entry in bench["per_layer"]}
+        span_keys = {
+            node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"agent\.\w+", node.value) and node.value not in metric_names
+        }
+        assert span_keys
+        for key in span_keys:
+            name = key.partition(".")[2]
+            fn = getattr(agent, name, None)
+            assert not name.startswith("_") and inspect.isfunction(fn), key
+            assert fn.__module__ == "vlcudn.agent", key
+
+    def test_run_episode_quantizes_once_per_slot(self, make_config, monkeypatch):
+        cfg = load_experiment(make_config({**SHORT, "agent.replay": "true"}))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return quantize_state(*args)
+
+        monkeypatch.setattr(harness, "quantize_state", counting)
+        run_episode(cfg, seed=2)
+        assert len(calls) == cfg.agent.max_slots
+
+
 class TestSlotContract:
     def test_first_slot_sees_zero_rates(self, traced):
         _, _, trace = traced
@@ -130,10 +168,8 @@ class TestSlotContract:
         cfg, episode, trace = traced
         for entry in trace[:30]:
             assert (entry["quantized_gains"] == entry["serving_gains"]).all()
-            want = quantize_state(
-                entry["prev_rates"], entry["serving_gains"], cfg.ue_density, episode.quant
-            )
-            assert entry["state"] == want
+            want = quantize_state(entry["prev_rates"], entry["serving_gains"], episode.quant)
+            assert type(entry["state"]) is int and entry["state"] == want
 
     def test_rates_chain_across_slots(self, traced):
         _, _, trace = traced
@@ -416,6 +452,10 @@ GOLDEN = {
     "rpic-replay": ("rpic", 3, {"agent.replay": "true"},
                     "fdd3c1ed4917e0581fdba8edfe91f26462fa48b7df8157f837d6b662daf1deaa",
                     "949fb057552aff1a4fa7203ac77d57e8dc75993e1ba62c224eb476884a8c60cf"),
+    # 12 and 11 bins: key-string order differs from state-index order
+    "rpic-bins12": ("rpic", 3, {"agent.rate_bins": 12, "agent.gain_bins": 11},
+                    "1c1846dd5760d10b37bac78088a45b87034f3b431b4d41edac2ce43cd8ba8dd2",
+                    "5073b52817c8c86542ef077689ad2d38123ed99d7657d6fe6f2c8fded3964702"),
     "rpic-squared": ("rpic", 3, SQUARED,
                      "4ed61f64d3834375e7770013726e65d8d6496f37c3f1460fceb482108cbe1da6",
                      "971e2d0ff78b33505abfe8d8738ba4acd8a3f1c6d00cc914ee772c4ab7cc9f07"),
