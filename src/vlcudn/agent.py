@@ -71,12 +71,6 @@ class StateQuantizer:
     rate_max: float
     gain_max: float
 
-    def __post_init__(self):
-        if self.rate_bins < 1 or self.gain_bins < 1:
-            raise ValueError("bin counts must be at least 1")
-        if self.rate_max <= 0.0 or self.gain_max <= 0.0:
-            raise ValueError("grid upper edges must be positive")
-
 
 def quantize_state(rates, gains, quant: StateQuantizer) -> int:
     """State index of one slot's per-UE rates and gains (module docstring)."""
@@ -147,14 +141,8 @@ class ActionSet:
 def enumerate_actions(power_levels: int, max_power: float, n_ues: int) -> ActionSet:
     """Action set of n_ues UEs, each on the grid 0, X/L, ..., X = max_power.
 
-    Its size (L+1)^n_ues is bounded by config validation (action_cap).
+    The arguments arrive checked, from a config or a QTable.load header.
     """
-    if power_levels < 1:
-        raise ValueError("power_levels must be at least 1")
-    if max_power <= 0.0:
-        raise ValueError("max_power must be positive")
-    if n_ues < 1:
-        raise ValueError("n_ues must be at least 1")
     levels = np.arange(power_levels + 1) * (max_power / power_levels)
     return ActionSet(levels=levels, n_ues=n_ues)
 
@@ -168,8 +156,6 @@ class QTable:
     """
 
     def __init__(self, n_actions: int):
-        if n_actions < 1:
-            raise ValueError("n_actions must be at least 1")
         self.n_actions = n_actions
         self._rows: dict[int | str, np.ndarray] = {}
 
@@ -225,7 +211,13 @@ class QTable:
 
     @classmethod
     def load(cls, path) -> tuple["QTable", dict]:
-        """A saved table keyed by its state keys, and the header's pairs."""
+        """A saved table keyed by its state keys, and the header's pairs.
+
+        Every check on a q-table file is made here: an integer n_actions >= 1,
+        actions below it, one UE count N over all keys, bins inside the header's
+        rate_bins/gain_bins grid if any, and a power grid, if any, with integer
+        L = power_levels >= 1, max_power > 0 and (L + 1)**N == n_actions.
+        """
         with open(path) as fh:
             header = fh.readline()
             if not header.startswith("#"):
@@ -240,16 +232,34 @@ class QTable:
             n_actions = meta.get("n_actions")
             if not isinstance(n_actions, int) or n_actions < 1:
                 raise ValueError(f"n_actions must be an integer >= 1, got {n_actions!r}")
+            grid = (meta.get("rate_bins"), meta.get("gain_bins"))
             table = cls(n_actions=n_actions)
+            ue_counts = set()
             for line in fh:
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 key, action, value = line.split("\t")
                 action = int(action)
-                if not 0 <= action < table.n_actions:
-                    raise ValueError(f"action {action} outside [0, {table.n_actions})")
-                table.set(_key_text(*parse_state_key(key)), action, float(value))
+                if not 0 <= action < n_actions:
+                    raise ValueError(f"action {action} outside [0, {n_actions})")
+                rates, gains, density = parse_state_key(key)
+                for bins, n_bins in zip((rates, gains), grid):
+                    if n_bins is not None and not all(0 <= b < n_bins for b in bins):
+                        raise ValueError(f"state key {key!r} has a bin outside the header's grid")
+                ue_counts.add(density)
+                table.set(_key_text(rates, gains, density), action, float(value))
+        if len(ue_counts) > 1:
+            raise ValueError(f"state keys mix UE counts {sorted(ue_counts)}")
+        n_levels, max_power = meta.get("power_levels"), meta.get("max_power")
+        # 2**N <= (L+1)**N: the bit-length test keeps a huge N from a huge power
+        if n_levels is not None and max_power is not None and not (
+            isinstance(n_levels, int) and 1 <= n_levels < n_actions and max_power > 0
+            and all(n <= n_actions.bit_length() and (n_levels + 1) ** n == n_actions
+                    for n in ue_counts)
+        ):
+            raise ValueError(f"power grid power_levels={n_levels} max_power={max_power}"
+                             f" does not fit n_actions={n_actions}")
         return table, meta
 
 
@@ -285,8 +295,6 @@ def update_q(q: QTable, state: int, action: int, utility: float, next_state: int
 
 def epsilon_at(slot: int, config: AgentConfig) -> float:
     """Linearly decayed exploration rate, constant once decay completes."""
-    if slot < 0:
-        raise ValueError("slot must be non-negative")
     if slot >= config.epsilon_decay_slots:
         return config.epsilon_end
     frac = slot / config.epsilon_decay_slots

@@ -67,8 +67,4 @@ def lambertian_order(semi_angle_half_intensity: float) -> float:
     A 60 degree semi-angle gives m = 1 (the ideal Lambertian source),
     45 degrees gives m = 2; smaller angles give narrower, higher-order lobes.
     """
-    if not 0.0 < semi_angle_half_intensity < 90.0:
-        raise ValueError(
-            f"semi-angle must lie in (0, 90) degrees, got {semi_angle_half_intensity}"
-        )
     return -1.0 / math.log2(math.cos(math.radians(semi_angle_half_intensity)))

@@ -141,19 +141,6 @@ def inspect_q(qtable_path, top):
     """Summarize an exported Q-table."""
     try:
         table, meta = QTable.load(qtable_path)
-        n_levels, max_power = meta.get("power_levels"), meta.get("max_power")
-        misfit = f"power_levels={n_levels} does not fit n_actions={table.n_actions}"
-        decoders = {}
-        if n_levels is not None and max_power is not None:
-            # checked before enumerate_actions allocates the levels
-            if not isinstance(n_levels, int) or n_levels >= table.n_actions:
-                raise ValueError(misfit)
-            decoders = {
-                d: enumerate_actions(n_levels, max_power, d)
-                for d in {parse_state_key(s)[2] for s in table.states()}
-            }
-            if any(a.n_actions != table.n_actions for a in decoders.values()):
-                raise ValueError(misfit)
     except (ValueError, OSError) as exc:
         click.echo(f"cannot read q-table: {exc}", err=True)
         sys.exit(2)
@@ -172,13 +159,15 @@ def inspect_q(qtable_path, top):
     click.echo(f"nonzero entries: {entries}")
     click.echo(f"value range: [{stored.min():.6g}, {stored.max():.6g}]")
     click.echo("best states:")
+    n_ues = parse_state_key(next(iter(rows)))[2]  # load allows one UE count per file
+    decoder = (enumerate_actions(meta["power_levels"], meta["max_power"], n_ues)
+               if "power_levels" in meta and "max_power" in meta else None)
     ranked = sorted(rows, key=lambda s: rows[s].max(), reverse=True)[:top]
     for state in ranked:
         row = rows[state]
         best = int(np.argmax(row))
         line = f"  {state}  action={best}  q={row[best]:.6g}"
-        if decoders:
-            decoder = decoders[parse_state_key(state)[2]]
+        if decoder is not None:
             mw = ", ".join("%.3g" % (p * 1e3) for p in decoder.decode(best))
             line += f"  power_mw=({mw})"
         click.echo(line)

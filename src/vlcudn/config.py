@@ -4,13 +4,15 @@ The file format is plain INI with fixed sections.  Every known key must
 be present and no other keys are accepted, so a config file is always a
 complete, unambiguous record of an experiment.  Quantities carry their
 unit in the key name (mW, Hz, meters); they are converted to SI here and
-nowhere else.
+nowhere else.  Each value is checked once, on construction: the nested
+records check their own fields and ExperimentConfig the rest, so every
+ExperimentConfig (dataclasses.replace too) is valid and the simulator
+takes its values as given.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import hashlib
 import json
 import operator
@@ -124,6 +126,53 @@ class ExperimentConfig:
     runs: int
     seed: int
 
+    def __post_init__(self):
+        if self.reuse_mode not in REUSE_MODES:
+            raise ConfigError(
+                f"reuse_mode must be one of {', '.join(REUSE_MODES)}, got {self.reuse_mode!r}"
+            )
+        if self.policy not in POLICIES:
+            raise ConfigError(f"policy must be one of {', '.join(POLICIES)}")
+        if self.rows < 1 or self.cols < 1:
+            raise ConfigError("grid needs at least one row and one column")
+        if self.spacing <= 0.0:
+            raise ConfigError("spacing_m must be positive")
+        if self.ap_height <= 0.0:
+            raise ConfigError("ap_height_m must be positive")
+        if not 0.0 <= self.ue_height < self.ap_height:
+            raise ConfigError("ue_height_m must be in [0, ap_height_m)")
+        if not 0.0 <= self.v_min <= self.v_max:
+            raise ConfigError("need 0 <= v_min_mps <= v_max_mps")
+        if self.slot_duration <= 0.0:
+            raise ConfigError("slot_duration_s must be positive")
+        if self.neighbor_power < 0.0:
+            raise ConfigError("neighbor_power_mw must be non-negative")
+        if self.neighbor_ues is not None and self.neighbor_ues < 0:
+            raise ConfigError("neighbor_ues must be 'match' or a non-negative integer")
+        if self.rate_bins < 1 or self.gain_bins < 1:
+            raise ConfigError("rate_bins and gain_bins must be at least 1")
+        # log2(1 + sinr_cap) is the rate grid's top edge, so it must not round to 0
+        if self.sinr_cap <= 0.0 or 1.0 + self.sinr_cap == 1.0:
+            raise ConfigError(f"need sinr_cap > 0 and 1 + sinr_cap > 1, got {self.sinr_cap}")
+        if self.action_cap < 1:
+            raise ConfigError("action_cap must be at least 1")
+        if self.replay_batch < 1:
+            raise ConfigError("replay_batch must be at least 1")
+        if self.ue_density < 1:
+            raise ConfigError("ue_density must be at least 1")
+        if self.runs < 1:
+            raise ConfigError("runs must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        levels, n = self.agent.power_levels + 1, self.ue_density
+        # levels >= 2, so past the cap's bit length the space exceeds it; the
+        # short circuit keeps a huge N from building a huge integer.
+        if n > self.action_cap.bit_length() or levels**n > self.action_cap:
+            raise ConfigError(
+                f"joint action space (L+1)^N = {levels}^{n}"
+                f" exceeds action_cap = {self.action_cap}; lower ue_density or power_levels"
+            )
+
     def n_neighbor_ues(self) -> int:
         return self.ue_density if self.neighbor_ues is None else self.neighbor_ues
 
@@ -206,7 +255,7 @@ def load_experiment(
     runs: int | None = None,
     seed: int | None = None,
 ) -> ExperimentConfig:
-    """Load and validate a config file, applying optional CLI overrides."""
+    """Load a config file with optional CLI overrides, checked once as a whole."""
     sections = _read_sections(path)
     # Parsed values grouped by owner: "" holds ExperimentConfig's own
     # fields, every other owner names a nested parameter object.
@@ -224,61 +273,9 @@ def load_experiment(
             fields[owner] = owner_types[owner](**params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config = ExperimentConfig(**fields)
 
     if policy is not None:
         policy = canonical_policy(policy)
     overrides = dict(policy=policy, ue_density=density, runs=runs, seed=seed)
-    config = dataclasses.replace(
-        config, **{name: value for name, value in overrides.items() if value is not None}
-    )
-
-    _validate(config)
-    return config
-
-
-def _validate(config: ExperimentConfig) -> None:
-    if config.reuse_mode not in REUSE_MODES:
-        raise ConfigError(
-            f"reuse_mode must be one of {', '.join(REUSE_MODES)}, got {config.reuse_mode!r}"
-        )
-    if config.policy not in POLICIES:
-        raise ConfigError(f"policy must be one of {', '.join(POLICIES)}")
-    if config.rows < 1 or config.cols < 1:
-        raise ConfigError("grid needs at least one row and one column")
-    if config.spacing <= 0.0:
-        raise ConfigError("spacing_m must be positive")
-    if config.ap_height <= 0.0:
-        raise ConfigError("ap_height_m must be positive")
-    if not 0.0 <= config.ue_height < config.ap_height:
-        raise ConfigError("ue_height_m must be in [0, ap_height_m)")
-    if not 0.0 <= config.v_min <= config.v_max:
-        raise ConfigError("need 0 <= v_min_mps <= v_max_mps")
-    if config.slot_duration <= 0.0:
-        raise ConfigError("slot_duration_s must be positive")
-    if config.neighbor_power < 0.0:
-        raise ConfigError("neighbor_power_mw must be non-negative")
-    if config.neighbor_ues is not None and config.neighbor_ues < 0:
-        raise ConfigError("neighbor_ues must be 'match' or a non-negative integer")
-    if config.rate_bins < 1 or config.gain_bins < 1:
-        raise ConfigError("rate_bins and gain_bins must be at least 1")
-    if config.sinr_cap <= 0.0:
-        raise ConfigError("sinr_cap must be positive")
-    if config.action_cap < 1:
-        raise ConfigError("action_cap must be at least 1")
-    if config.replay_batch < 1:
-        raise ConfigError("replay_batch must be at least 1")
-    if config.ue_density < 1:
-        raise ConfigError("ue_density must be at least 1")
-    if config.runs < 1:
-        raise ConfigError("runs must be at least 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    levels, n = config.agent.power_levels + 1, config.ue_density
-    # levels >= 2, so past the cap's bit length the space exceeds it; the
-    # short circuit keeps a huge N from building a huge integer.
-    if n > config.action_cap.bit_length() or levels**n > config.action_cap:
-        raise ConfigError(
-            f"joint action space (L+1)^N = {levels}^{n}"
-            f" exceeds action_cap = {config.action_cap}; lower ue_density or power_levels"
-        )
+    fields.update((name, value) for name, value in overrides.items() if value is not None)
+    return ExperimentConfig(**fields)

@@ -41,7 +41,7 @@ from .agent import (
     update_q,
     warmup_policy,
 )
-from .config import ConfigError, ExperimentConfig, _validate
+from .config import ConfigError, ExperimentConfig
 from .metrics import per_ue_bandwidth
 from .mobility import MobilityConfig, simulate_paths
 from .topology import Topology, cell_bounds, central_ap, co_channel_neighbors, make_grid
@@ -289,8 +289,6 @@ def sweep_density(config: ExperimentConfig, densities, workers: int = 1) -> list
     if len(set(densities)) != len(densities):
         raise ConfigError(f"densities must be distinct, got {densities}")
     configs = [dataclasses.replace(config, ue_density=int(d)) for d in densities]
-    for config_d in configs:
-        _validate(config_d)
     return [run_experiment(config_d, workers=workers) for config_d in configs]
 
 

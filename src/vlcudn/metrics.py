@@ -61,6 +61,4 @@ class UtilityWeights:
 
 def per_ue_bandwidth(params: LinkParams, n_ues: int) -> float:
     """Bandwidth share W_n of each of n equal users, in Hz."""
-    if n_ues < 1:
-        raise ValueError("n_ues must be at least 1")
     return params.effective_bandwidth_factor * params.total_bandwidth / n_ues

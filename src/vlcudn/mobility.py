@@ -31,15 +31,6 @@ class MobilityConfig:
     slot_duration: float
     bounds: Bounds
 
-    def __post_init__(self):
-        if not 0.0 <= self.v_min <= self.v_max:
-            raise ValueError("need 0 <= v_min <= v_max")
-        if self.slot_duration <= 0.0:
-            raise ValueError("slot_duration must be positive")
-        xmin, xmax, ymin, ymax = self.bounds
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError("bounds must span a non-empty rectangle")
-
 
 def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float, float]:
     xmin, xmax, ymin, ymax = config.bounds

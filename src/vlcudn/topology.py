@@ -25,12 +25,6 @@ class Topology:
     positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and column")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if self.ap_height <= 0.0:
-            raise ValueError("ap_height must be positive")
         ii, jj = np.divmod(np.arange(self.rows * self.cols), self.cols)
         half = self.spacing / 2.0
         self.positions = np.column_stack(
@@ -57,8 +51,6 @@ def reuse_blocks(topo: Topology, mode: str) -> np.ndarray:
     blocks so that no two adjacent cells (including diagonals in the
     2x2 super-cell) share one.
     """
-    if mode not in REUSE_MODES:
-        raise ValueError(f"unknown reuse mode {mode!r}, expected one of {REUSE_MODES}")
     ii, jj = np.divmod(np.arange(topo.n_aps), topo.cols)
     if mode == "two_block":
         return (ii + jj) % 2
@@ -79,10 +71,6 @@ def co_channel_neighbors(
     half the cell diagonal: its coverage disc at receiver height then
     reaches into this cell.  fov_angle is in radians.
     """
-    if not 0 <= ap_index < topo.n_aps:
-        raise ValueError(f"ap_index {ap_index} out of range")
-    if ue_height >= topo.ap_height:
-        raise ValueError("ue_height must be below ap_height")
     blocks = reuse_blocks(topo, mode)
     radius = (topo.ap_height - ue_height) * math.tan(fov_angle)
     radius += topo.spacing * math.sqrt(2.0) / 2.0
@@ -97,8 +85,6 @@ def co_channel_neighbors(
 
 def cell_bounds(topo: Topology, ap_index: int) -> tuple[float, float, float, float]:
     """(xmin, xmax, ymin, ymax) of the square cell served by an AP."""
-    if not 0 <= ap_index < topo.n_aps:
-        raise ValueError(f"ap_index {ap_index} out of range")
     x, y = topo.positions[ap_index, :2]
     half = topo.spacing / 2.0
     return (x - half, x + half, y - half, y + half)

@@ -210,7 +210,6 @@ class MobilityConfig(mobility.MobilityConfig):
     ue_height: float
 
     def __post_init__(self):
-        super().__post_init__()
         if self.ue_height < 0.0:
             raise ValueError("ue_height must be non-negative")
 

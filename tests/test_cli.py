@@ -182,8 +182,14 @@ class TestInspectQ:
         "# n_actions=216\n0|0|1\t999\t1.0\n",
         "# n_actions=216 power_levels=2 max_power=0.004\n0,0,0|0,0,0|3\t100\t1.0\n",
         "# n_actions=2.5\n0|0|1\t1\t1.0\n",
+        "# rate_bins=3 gain_bins=3 rate_max=1 gain_max=1 n_actions=4\n7|0|1\t0\t1.0\n",
+        "# n_actions=4\n0|0|1\t1\t1.0\n0,0|0,0|2\t1\t1.0\n",
+        "# n_actions=1 power_levels=0 max_power=0.004\n0|0|1\t0\t1.0\n",
+        "# n_actions=6 power_levels=5 max_power=0\n0|0|1\t1\t1.0\n",
+        "# n_actions=0\n0|0|1\t0\t1.0\n",
     ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree",
-            "fractional-action-count"])
+            "fractional-action-count", "bins-outside-grid", "mixed-ue-counts",
+            "power-levels-zero", "max-power-zero", "zero-action-count"])
     def test_rejects_garbage_file(self, runner, tmp_path, contents):
         path = tmp_path / "junk.tsv"
         path.write_text(contents)

@@ -1,5 +1,7 @@
 """Strict INI loading: schema enforcement, unit conversion, overrides."""
 
+import dataclasses
+
 import pytest
 
 from vlcudn.config import (
@@ -63,6 +65,18 @@ class TestOverrides:
             load_experiment(path, runs=0)
         with pytest.raises(ConfigError):
             load_experiment(path, policy="loudest")
+
+    def test_overrides_apply_before_the_check(self, make_config):
+        path = make_config({"experiment.ue_density": 9})  # over action_cap alone
+        assert load_experiment(path, density=2).ue_density == 2
+
+    @pytest.mark.parametrize("change", [
+        dict(ue_density=0), dict(runs=0), dict(policy="loudest"),
+    ])
+    def test_replace_is_checked(self, make_config, change):
+        cfg = load_experiment(make_config())
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, **change)
 
     @pytest.mark.parametrize("density", [9, 100_000])
     def test_action_space_over_cap_rejected(self, make_config, density):
@@ -151,15 +165,19 @@ class TestCrossValidation:
     @pytest.mark.parametrize("dotted,value", [
         ("topology.reuse_mode", "full"),
         ("topology.rows", 0),
+        ("topology.cols", 0),
         ("topology.spacing_m", 0.0),
         ("topology.ap_height_m", -3.0),
         ("mobility.ue_height_m", 3.0),  # not below AP height
         ("mobility.v_min_mps", 2.0),  # above v_max
+        ("mobility.v_min_mps", -0.1),
         ("mobility.slot_duration_s", 0.0),
         ("interference.neighbor_power_mw", -1.0),
         ("interference.neighbor_ues", -2),
         ("agent.rate_bins", 0),
+        ("agent.gain_bins", 0),
         ("agent.sinr_cap", 0.0),
+        ("agent.sinr_cap", "1e-300"),  # 1 + sinr_cap == 1: a zero-width rate grid
         ("agent.action_cap", 0),
         ("agent.replay_batch", 0),
         ("channel.fov_deg", 95.0),
@@ -176,6 +194,10 @@ class TestCrossValidation:
         path = make_config({dotted: value})
         with pytest.raises(ConfigError):
             load_experiment(path)
+
+    def test_vanishing_sinr_cap_is_named(self, make_config):
+        with pytest.raises(ConfigError, match="sinr_cap"):
+            load_experiment(make_config({"agent.sinr_cap": "1e-17"}))
 
 
 class TestPolicyNames:

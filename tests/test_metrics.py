@@ -26,10 +26,6 @@ class TestPerUeBandwidth:
         link = LinkParams(20e6, 1e-21, 1.0)
         assert per_ue_bandwidth(link, 2) == pytest.approx(10e6, rel=1e-12)
 
-    def test_rejects_zero_ues(self):
-        with pytest.raises(ValueError):
-            per_ue_bandwidth(LINK, 0)
-
 
 class TestSinr:
     def test_zero_power_gives_zero(self):
