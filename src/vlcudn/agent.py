@@ -81,7 +81,7 @@ def quantize_state(rates, gains, quant: StateQuantizer) -> int:
     ):
         scale = n_bins / upper
         top = n_bins - 1
-        for v in np.asarray(values).tolist():
+        for v in values:
             # int() truncates: floor for v >= 0, and any v < 0 still clamps to 0
             index = index * n_bins + min(max(int(v * scale), 0), top)
     return index

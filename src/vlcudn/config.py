@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import operator
 import typing
 from dataclasses import dataclass
@@ -154,6 +155,13 @@ class ExperimentConfig:
         # log2(1 + sinr_cap) is the rate grid's top edge, so it must not round to 0
         if self.sinr_cap <= 0.0 or 1.0 + self.sinr_cap == 1.0:
             raise ConfigError(f"need sinr_cap > 0 and 1 + sinr_cap > 1, got {self.sinr_cap}")
+        try:  # the drop to the receiver may square to 0 or overflow
+            gain_max = self.gain_max()
+        except ArithmeticError:
+            gain_max = math.nan
+        if not 0.0 < gain_max < math.inf:
+            raise ConfigError(f"the gain under the AP, the gain grid's top edge, is {gain_max!r};"
+                              " it must be finite and positive: check the heights and semi_angle")
         if self.action_cap < 1:
             raise ConfigError("action_cap must be at least 1")
         if self.replay_batch < 1:
@@ -172,6 +180,13 @@ class ExperimentConfig:
                 f"joint action space (L+1)^N = {levels}^{n}"
                 f" exceeds action_cap = {self.action_cap}; lower ue_density or power_levels"
             )
+
+    def gain_max(self) -> float:
+        """The gain directly under the AP, where both angles are zero: the
+        top edge of the state's gain grid."""
+        dz = self.ap_height - self.ue_height
+        m_order = self.channel.lambertian_order
+        return (m_order + 1.0) * self.channel.detector_area / (2.0 * math.pi * dz ** 2)
 
     def n_neighbor_ues(self) -> int:
         return self.ue_density if self.neighbor_ues is None else self.neighbor_ues
@@ -212,10 +227,14 @@ def _parse(section: str, key: str, kind, raw: str):
             return None
         kind = int
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         expected = "a number" if kind is float else "an integer"
         raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+    # NaN passes every bound check below, and inf is no physical value
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _read_sections(path) -> dict[str, dict[str, str]]:

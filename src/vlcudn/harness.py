@@ -2,12 +2,16 @@
 
 One episode simulates the central AP serving N mobile UEs for max_slots
 slots while co-channel neighbor APs transmit a fixed power to their own
-users.  Per slot the order is: move UEs, take the channel snapshot, form
-the state from the previous slot's rates plus the current gains, pick an
-action, compute rates/energy/leakage/utility, apply the learning update,
-record.  Trajectories and all channel gains are action-independent, so
-they are precomputed for the whole episode up front and the loop only
-does selection, metric arithmetic and table updates.
+users.  Trajectories and all channel gains are action-independent, and a
+UE's rate depends only on its own power level, so the episode first
+precomputes the paths, the gains and the rate of every (slot, UE, power
+level) in one table.  Each policy then picks a level per slot and UE:
+the fixed ones a constant, greedy_myopic each UE's best level from the
+table, random one batch of draws.  Only the learner keeps a slot loop,
+in this order: form the state from the previous slot's rates plus the
+current gains, pick an action, read its rates from the table and compute
+the utility, apply the learning update.  One batched pass then records
+every policy's per-slot utility, mean rate, energy and leakage.
 
 Each run derives two independent random streams from its seed, one for
 movement and one for the agent, and run i of an experiment uses seed
@@ -25,13 +29,14 @@ import os
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import add
 
 import numpy as np
 
 from . import __version__, kernels
 from .agent import (
-    ActionSet,
     QTable,
     StateQuantizer,
     enumerate_actions,
@@ -44,7 +49,7 @@ from .agent import (
 from .config import ConfigError, ExperimentConfig
 from .metrics import per_ue_bandwidth
 from .mobility import MobilityConfig, simulate_paths
-from .topology import Topology, cell_bounds, central_ap, co_channel_neighbors, make_grid
+from .topology import cell_bounds, central_ap, co_channel_neighbors, make_grid
 
 CSV_HEADER = "slot,utility,mean_rate_bps,energy_w,ici_w"
 
@@ -78,185 +83,158 @@ class RunSeries:
     per_run: list[EpisodeResult] | None = None
 
 
-@dataclass
-class _EpisodeSetup:
-    topo: Topology
-    central: int
-    neighbors: np.ndarray
-    wn: float
-    quant: StateQuantizer
-    actions: ActionSet
-    m_order: float
-    coef: float
-    cos_fov: float
-    dz: float
+def _left_sum(terms):
+    """((t0 + t1) + t2) + ...: the one order in which per-UE rates and powers
+    are summed, on floats in the learner's loop and on per-slot columns in
+    _score.  numpy's add-reduce gives the same bits for fewer than 8 terms."""
+    return reduce(add, terms)
 
 
-def _prepare(config: ExperimentConfig, density: int) -> _EpisodeSetup:
-    topo = make_grid(config.rows, config.cols, config.spacing, config.ap_height)
-    central = central_ap(topo)
-    neighbors = co_channel_neighbors(
-        topo, central, config.reuse_mode, config.channel.fov_rad, config.ue_height
-    )
-    wn = per_ue_bandwidth(config.link, density)
-    m_order = config.channel.lambertian_order
-    area = config.channel.detector_area
-    dz = config.ap_height - config.ue_height
-    quant = StateQuantizer(
-        rate_bins=config.rate_bins,
-        gain_bins=config.gain_bins,
-        rate_max=wn * math.log2(1.0 + config.sinr_cap),
-        # the gain directly under the AP, where both angles are zero
-        gain_max=(m_order + 1.0) * area / (2.0 * math.pi * dz ** 2),
-    )
-    actions = enumerate_actions(config.agent.power_levels, config.agent.max_power, density)
-    coef = (m_order + 1.0) * area / (2.0 * math.pi)
-    return _EpisodeSetup(
-        topo=topo,
-        central=central,
-        neighbors=neighbors,
-        wn=wn,
-        quant=quant,
-        actions=actions,
-        m_order=m_order,
-        coef=coef,
-        cos_fov=math.cos(config.channel.fov_rad),
-        dz=dz,
-    )
-
-
-def _gain_grid(setup: _EpisodeSetup, ap_xy, paths: np.ndarray) -> np.ndarray:
-    """Gains from one AP to a (n_slots, n_ues, 2) position array."""
-    dx = paths[:, :, 0] - ap_xy[0]
-    dy = paths[:, :, 1] - ap_xy[1]
-    flat = kernels.lambertian_gains(
-        dx.ravel(), dy.ravel(), setup.dz, setup.m_order, setup.coef, setup.cos_fov
-    )
-    return flat.reshape(paths.shape[0], paths.shape[1])
+def _score(rate_tab, levels, choice, outgoing, prices, seed: int):
+    """Utility, mean rate, energy and leakage of the level indices choice[k, n]
+    of slots 0..len(choice)-1, one array each; stops at a non-finite utility."""
+    n = choice.shape[1]
+    slots = np.arange(choice.shape[0])
+    rate_sum = _left_sum([rate_tab[slots, i, choice[:, i]] for i in range(n)])
+    total_w = _left_sum([levels[choice[:, i]] for i in range(n)])
+    u, ici = kernels.utility(rate_sum, n, total_w, outgoing[: len(choice)], *prices)
+    mean_rate = rate_sum / n
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        k = bad[0]
+        raise SimulationAbort(
+            f"non-finite utility at slot {k} (seed {seed}): mean_rate={float(mean_rate[k])!r}"
+            f" energy={float(total_w[k])!r} ici={float(ici[k])!r}"
+        )
+    return u, mean_rate, total_w, ici
 
 
 def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
     """One learning episode with its own seed; returns per-slot metrics."""
     n = config.ue_density
-    setup = _prepare(config, n)
     agent_cfg = config.agent
     n_slots = agent_cfg.max_slots
     eta = config.channel.responsivity
     squared = config.squared_electrical_power
-    ce = config.weights.energy_weight
-    ci = config.weights.interference_weight
-    noise = config.link.noise_psd
-    wn = setup.wn
+    # utility()'s arguments after the summed powers and the cross-gain
+    prices = (eta, config.weights.energy_weight, config.weights.interference_weight)
+    topo = make_grid(config.rows, config.cols, config.spacing, config.ap_height)
+    central = central_ap(topo)
+    neighbors = co_channel_neighbors(
+        topo, central, config.reuse_mode, config.channel.fov_rad, config.ue_height
+    )
+    wn = per_ue_bandwidth(config.link, n)
+    rate_max = wn * math.log2(1.0 + config.sinr_cap)
+    quant = StateQuantizer(config.rate_bins, config.gain_bins, rate_max, config.gain_max())
+    actions = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power, n)
+    levels = actions.levels
+    m_order = config.channel.lambertian_order
+    coef = (m_order + 1.0) * config.channel.detector_area / (2.0 * math.pi)
+    cos_fov = math.cos(config.channel.fov_rad)
+    dz = config.ap_height - config.ue_height
 
     mob_ss, agent_ss = np.random.SeedSequence(seed).spawn(2)
     mob_rng = np.random.default_rng(mob_ss)
     agent_rng = np.random.default_rng(agent_ss)
 
     def walk(count: int, ap: int) -> np.ndarray:
-        bounds = cell_bounds(setup.topo, ap)
+        bounds = cell_bounds(topo, ap)
         mob = MobilityConfig(config.v_min, config.v_max, config.slot_duration, bounds)
         return simulate_paths(count, mob, n_slots, mob_rng)
 
-    # Trajectories: local UEs first, then each neighbor's UEs in index order.
-    local_paths = walk(n, setup.central)
-    n_foreign = config.n_neighbor_ues()
-    foreign_paths = [walk(n_foreign, int(j)) for j in setup.neighbors] if n_foreign else []
+    def gain_grid(ap: int, paths: np.ndarray) -> np.ndarray:
+        """Gains from AP ap to a (n_slots, n_ues, 2) position array."""
+        dx = paths[:, :, 0] - topo.positions[ap, 0]
+        dy = paths[:, :, 1] - topo.positions[ap, 1]
+        flat = kernels.lambertian_gains(dx.ravel(), dy.ravel(), dz, m_order, coef, cos_fov)
+        return flat.reshape(paths.shape[:2])
 
-    central_xy = setup.topo.positions[setup.central, :2]
-    serving = _gain_grid(setup, central_xy, local_paths)  # (K, N)
+    # Trajectories: local UEs first, then each neighbor's UEs in index order.
+    local_paths = walk(n, central)
+    serving = gain_grid(central, local_paths)  # (K, N)
+
+    # Total cross-gain toward foreign UEs per slot; each neighbor's paths
+    # are dropped once summed.
+    n_foreign = config.n_neighbor_ues()
+    outgoing = np.zeros(n_slots)
+    for j in neighbors if n_foreign else ():
+        outgoing += gain_grid(central, walk(n_foreign, int(j))).sum(axis=1)
 
     # Incoming interference per slot and UE, already in denominator form.
     incoming = np.zeros((n_slots, n))
-    for j in setup.neighbors:
-        gains_j = _gain_grid(setup, setup.topo.positions[int(j), :2], local_paths)
-        term = eta * config.neighbor_power * gains_j
+    for j in neighbors:
+        term = eta * config.neighbor_power * gain_grid(int(j), local_paths)
         incoming += term * term if squared else term
 
-    # Total cross-gain toward foreign UEs per slot.
-    outgoing = np.zeros(n_slots)
-    for paths_j in foreign_paths:
-        outgoing += _gain_grid(setup, central_xy, paths_j).sum(axis=1)
+    rate_tab = kernels.level_rates(
+        levels, serving, incoming, wn, config.link.noise_psd, eta, squared
+    )  # (K, N, L+1)
+    qtable = None
+    if config.policy == "fixed_max":
+        choice = np.full((n_slots, n), levels.size - 1)
+    elif config.policy == "fixed_half":
+        choice = np.full((n_slots, n), np.argmin(np.abs(levels - agent_cfg.max_power / 2.0)))
+    elif config.policy == "greedy_myopic":
+        # A UE at zero power adds zero rate, energy and leakage, and no term
+        # couples two UEs, so the joint argmax is each UE's own argmax with
+        # the others off.  np.argmax keeps each UE's lowest level among exact
+        # ties, as the lowest flat index of the joint scan does.
+        per_ue = kernels.utility(rate_tab, n, levels, outgoing[:, None, None], *prices)[0]
+        choice = per_ue.argmax(axis=2)
+    else:
+        if config.policy == "random":
+            picks = agent_rng.integers(actions.n_actions, size=n_slots)
+        else:
+            qtable = QTable(actions.n_actions)
+            picks = _learn(config, quant, actions, rate_tab, serving, outgoing, prices,
+                           qtable, agent_rng)
+        choice = np.stack(np.unravel_index(picks, (levels.size,) * n), axis=1)
 
-    actions = setup.actions
-    policy = config.policy
-    fixed_powers = None
-    if policy == "fixed_max":
-        fixed_powers = np.full(n, actions.levels[-1])
-    elif policy == "fixed_half":
-        half = actions.levels[np.argmin(np.abs(actions.levels - agent_cfg.max_power / 2.0))]
-        fixed_powers = np.full(n, half)
-    elif policy == "greedy_myopic":
-        # Block b has UE b alone on at each level.  A UE at zero power adds
-        # zero rate, energy and leakage, and no term couples two UEs, so
-        # block b's utilities are UE b's own term and the joint argmax is
-        # the per-UE argmax.
-        solo = np.kron(np.eye(n), actions.levels[:, None])
+    return EpisodeResult(*_score(rate_tab, levels, choice, outgoing, prices, seed), qtable, quant)
 
-    qtable = QTable(actions.n_actions) if policy == "rpic" else None
+
+def _learn(config, quant, actions, rate_tab, serving, outgoing, prices, qtable, rng):
+    """The rpic slot loop: fills qtable and returns each slot's action.
+
+    Python floats throughout: the chosen rates come from one slot's row of
+    the rate table, and the utility from the same kernel, operations and
+    summation order as _score, so the learner sees the recorded utility.
+    A non-finite utility ends the loop early, and _score stops the run at
+    that slot.
+    """
+    agent_cfg = config.agent
+    alpha, beta = agent_cfg.learning_rate, agent_cfg.discount
+    n = config.ue_density
+    n_levels = actions.levels.size
+    level_w = actions.levels.tolist()
+    places = [n_levels ** (n - 1 - i) for i in range(n)]  # first UE most significant
+    gains = serving.tolist()
+    cross = outgoing.tolist()
     pool: list[tuple[int, int, float, int]] = []  # (state, action, utility, next state)
-    prev_rates = np.zeros(n)
+    picks = []
+    rates = [0.0] * n
     last = None  # the previous slot's (state, action, utility)
-
-    utility = np.empty(n_slots)
-    mean_rate = np.empty(n_slots)
-    energy = np.empty(n_slots)
-    ici = np.empty(n_slots)
-
-    for k in range(n_slots):
-        gains_k = serving[k]
-        slot_inputs = (gains_k, incoming[k], wn, noise, eta, squared, outgoing[k], ce, ci)
-
-        powers = fixed_powers
-        if policy == "rpic":
-            state = quantize_state(prev_rates, gains_k, setup.quant)
-            action = warmup_policy(k, agent_cfg, actions, agent_rng)
-            if action is None:
-                action = select_action(qtable, state, epsilon_at(k, agent_cfg), agent_rng)
-            powers = actions.decode(action)
-        elif policy == "random":
-            powers = actions.decode(int(agent_rng.integers(actions.n_actions)))
-        elif policy == "greedy_myopic":
-            # np.argmax keeps each UE's lowest level among exact ties, as the
-            # lowest flat index of the joint scan does.
-            per_ue = kernels.action_utilities(solo, *slot_inputs)[0]
-            powers = actions.levels[per_ue.reshape(n, -1).argmax(axis=1)]
-
-        utilities, rates_a, power_a, chi_a = kernels.action_utilities(powers[None], *slot_inputs)
-        rates = rates_a[0]
-        total_power = float(power_a[0])
-        chi = float(chi_a[0])
-        u = float(utilities[0])
+    for k in range(agent_cfg.max_slots):
+        state = quantize_state(rates, gains[k], quant)
+        action = warmup_policy(k, agent_cfg, actions, rng)
+        if action is None:
+            action = select_action(qtable, state, epsilon_at(k, agent_cfg), rng)
+        picks.append(action)
+        digits = [action // p % n_levels for p in places]
+        rates = [row[d] for row, d in zip(rate_tab[k].tolist(), digits)]
+        total_w = _left_sum([level_w[d] for d in digits])
+        u = kernels.utility(_left_sum(rates), n, total_w, cross[k], *prices)[0]
         if not math.isfinite(u):
-            raise SimulationAbort(
-                f"non-finite utility at slot {k} (seed {seed}): "
-                f"mean_rate={float(rates.mean())!r} energy={total_power!r} ici={chi!r}"
-            )
-
-        if policy == "rpic":
-            if last is not None:
-                step = (*last, state)
-                update_q(qtable, *step, agent_cfg.learning_rate, agent_cfg.discount)
-                if config.replay:
-                    pool.append(step)
-                    for _ in range(config.replay_batch):
-                        sample = pool[int(agent_rng.integers(len(pool)))]
-                        update_q(qtable, *sample, agent_cfg.learning_rate, agent_cfg.discount)
-            last = (state, action, u)
-
-        prev_rates = rates
-        utility[k] = u
-        mean_rate[k] = rates.mean()
-        energy[k] = total_power
-        ici[k] = chi
-
-    return EpisodeResult(
-        utility=utility,
-        mean_rate_bps=mean_rate,
-        energy_w=energy,
-        ici_w=ici,
-        qtable=qtable,
-        quant=setup.quant,
-    )
+            break
+        if last is not None:
+            step = (*last, state)
+            update_q(qtable, *step, alpha, beta)
+            if config.replay:
+                pool.append(step)
+                for _ in range(config.replay_batch):
+                    update_q(qtable, *pool[int(rng.integers(len(pool)))], alpha, beta)
+        last = (state, action, u)
+    return picks
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1, keep_runs: bool = False) -> RunSeries:

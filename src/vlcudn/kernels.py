@@ -1,11 +1,12 @@
-"""Vectorized numpy kernels for the hot per-slot paths.
+"""Vectorized numpy kernels for the per-episode channel and reward arithmetic.
 
 Each kernel is written once and is the package's only implementation of
-its formula: the Lambertian gain, and the SINR/rate, leakage and utility
-of every candidate power vector.  The scalar code in ``tests/oracles.py``
-is the reference the tests hold these kernels to.  The random-waypoint
-move is not a kernel: it steps a few UEs at a time, and is written once,
-in :func:`vlcudn.mobility.simulate_paths`.
+its formula: the Lambertian gain, the SINR/rate of every (slot, UE, power
+level) of an episode, and the leakage and utility of summed rates and
+powers, on the learner's Python floats or on whole arrays of slots.  The
+scalar code in ``tests/oracles.py`` is the reference the tests hold these
+kernels to.  The random-waypoint move is not a kernel: it steps a few UEs
+at a time, and is written once, in :func:`vlcudn.mobility.simulate_paths`.
 """
 
 from __future__ import annotations
@@ -26,32 +27,31 @@ def lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
     return np.where(cos_t >= cos_fov, gains, 0.0)
 
 
-def action_utilities(
-    powers,
-    serving,
-    interference,
-    wn,
-    noise_psd,
-    eta,
-    squared,
-    outgoing_sum,
-    energy_weight,
-    ici_weight,
-):
-    # powers is (actions, users) in watts; serving and interference are
-    # per-user vectors (gain, and the denominator term, already squared
-    # when squared mode is on).  Returns per action: the utility, the
-    # (actions, users) Shannon rates in bit/s on bandwidth wn, the total
-    # power and the leaked power chi, both in watts.
-    # Utility = mean rate in Mbit/s - energy_weight * total power in mW
-    #           - ici_weight * leaked power in mW.
-    den = wn * noise_psd + interference
-    sig = eta * powers * serving
+def level_rates(levels, serving, interference, wn, noise_psd, eta, squared):
+    # levels is the (L+1,) per-UE power grid in watts; serving and
+    # interference are (slots, users) arrays (gain, and the denominator
+    # term, already squared when squared mode is on).  Returns the
+    # (slots, users, L+1) Shannon rates in bit/s on bandwidth wn, built in
+    # place so that the table is the only array of that size.
+    out = np.multiply(eta * levels, serving[:, :, None])
     if squared:
-        sig = sig * sig
-    rates = wn * np.log2(1.0 + sig / den)
-    mean_mbps = (rates.sum(axis=1) / rates.shape[1]) * 1e-6
-    total_w = powers.sum(axis=1)
-    ici_w = eta * total_w * outgoing_sum
-    utilities = mean_mbps - energy_weight * total_w * 1e3 - ici_weight * ici_w * 1e3
-    return utilities, rates, total_w, ici_w
+        np.multiply(out, out, out=out)
+    np.divide(out, (wn * noise_psd + interference)[:, :, None], out=out)
+    np.add(out, 1.0, out=out)
+    np.log2(out, out=out)
+    np.multiply(out, wn, out=out)
+    return out
+
+
+def utility(rate_sum, n_ues, total_w, outgoing, eta, energy_weight, ici_weight):
+    # rate_sum is the users' summed rate in bit/s, total_w their summed
+    # power in watts and outgoing the slot's total cross-gain toward
+    # foreign UEs.  Plain arithmetic, so Python floats and numpy arrays
+    # (broadcast elementwise) give the same IEEE results.  Returns the
+    # utility and the leaked power chi in watts:
+    # utility = mean rate in Mbit/s - energy_weight * total power in mW
+    #           - ici_weight * leaked power in mW.
+    ici_w = eta * total_w * outgoing
+    # one expression, so numpy reuses its temporaries on a whole table
+    u = (rate_sum / n_ues) * 1e-6 - energy_weight * total_w * 1e3 - ici_weight * ici_w * 1e3
+    return u, ici_w

@@ -22,9 +22,10 @@ in Mbit/s, powers and chi in mW, and the weights carry the conversions:
     u = mean_n(r_n [Mbit/s]) - energy_weight * sum_n(x_n [mW])
         - interference_weight * (chi [mW])
 
-These formulas are computed only by :func:`vlcudn.kernels.action_utilities`,
-for every candidate power vector of a slot at once; the scalar reference
-the tests compare it with is in ``tests/oracles.py``.
+These formulas are computed only in :mod:`vlcudn.kernels`: the SINR and
+rate by ``level_rates``, for every slot, UE and power level of an episode
+at once, and chi and u by ``utility``, from the summed rates and powers;
+the scalar reference the tests compare them with is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

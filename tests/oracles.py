@@ -274,12 +274,17 @@ def joint_actions(levels, n_ues: int) -> np.ndarray:
     return np.array(list(itertools.product(levels, repeat=n_ues)))
 
 
-def greedy_joint_argmax(levels, n_ues: int, *slot_inputs) -> np.ndarray:
-    """The greedy choice by full scan: score every joint action in one
-    action_utilities call (slot_inputs are its arguments after powers) and
-    keep np.argmax's lowest-index maximiser."""
-    powers = joint_actions(levels, n_ues)
-    return powers[np.argmax(kernels.action_utilities(powers, *slot_inputs)[0])]
+def greedy_joint_argmax(levels, rate_rows, *utility_inputs) -> np.ndarray:
+    """The greedy choice by full scan: score every joint action of one slot,
+    with rate_rows[n, l] the rate of UE n at level l and utility_inputs the
+    slot's (outgoing, eta, energy_weight, ici_weight), and return the level
+    indices of np.argmax's lowest-index maximiser."""
+    n_ues = len(rate_rows)
+    choices = joint_actions(range(len(levels)), n_ues)
+    rates = np.asarray(rate_rows)[np.arange(n_ues), choices]
+    scores = kernels.utility(rates.sum(axis=1), n_ues, np.asarray(levels)[choices].sum(axis=1),
+                             *utility_inputs)[0]
+    return choices[np.argmax(scores)]
 
 
 def state_key(rates, gains, quant) -> str:

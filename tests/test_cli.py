@@ -108,16 +108,29 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "unknown policy" in result.output
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_metric_exits_3(self, runner, tmp_path):
         path = tmp_path / "abort.ini"
         path.write_text(render_config({
             **FAST,
             "experiment.policy": "fixed_max",
-            "utility.energy_weight_per_mw": "inf",
+            # finite, but the energy term overflows to inf
+            "utility.energy_weight_per_mw": "1e308",
         }))
         result = runner.invoke(main, ["simulate", "--config", str(path)])
         assert result.exit_code == 3
         assert "aborted" in result.output
+
+    @pytest.mark.parametrize("overrides", [
+        {"agent.sinr_cap": "nan"},
+        {"topology.ap_height_m": "1e-200", "mobility.ue_height_m": 0.0},
+    ], ids=["nan-sinr-cap", "ap-drop-squares-to-zero"])
+    def test_input_that_failed_mid_run_exits_2(self, runner, tmp_path, overrides):
+        path = tmp_path / "bad.ini"
+        path.write_text(render_config({**FAST, **overrides}))
+        result = runner.invoke(main, ["simulate", "--config", str(path), "--runs", "1"])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
 
 
 class TestSweep:

@@ -178,6 +178,9 @@ class TestCrossValidation:
         ("agent.gain_bins", 0),
         ("agent.sinr_cap", 0.0),
         ("agent.sinr_cap", "1e-300"),  # 1 + sinr_cap == 1: a zero-width rate grid
+        ("agent.sinr_cap", "nan"),  # NaN fails no bound comparison
+        ("topology.spacing_m", "inf"),
+        ("utility.energy_weight_per_mw", "nan"),
         ("agent.action_cap", 0),
         ("agent.replay_batch", 0),
         ("channel.fov_deg", 95.0),
@@ -198,6 +201,26 @@ class TestCrossValidation:
     def test_vanishing_sinr_cap_is_named(self, make_config):
         with pytest.raises(ConfigError, match="sinr_cap"):
             load_experiment(make_config({"agent.sinr_cap": "1e-17"}))
+
+    @pytest.mark.parametrize("dotted,value", [
+        ("agent.sinr_cap", "nan"),
+        ("topology.spacing_m", "inf"),
+        ("utility.energy_weight_per_mw", "-inf"),
+    ])
+    def test_non_finite_float_is_named(self, make_config, dotted, value):
+        key = dotted.split(".")[1]
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            load_experiment(make_config({dotted: value}))
+
+    @pytest.mark.parametrize("dotted,value", [
+        ("topology.ap_height_m", "1e-200"),  # the drop to the floor squares to 0
+        ("topology.ap_height_m", "1e200"),  # its square overflows
+        ("channel.semi_angle_deg", "1e-9"),  # its cosine rounds to 1: no Lambertian order
+    ])
+    def test_gain_grid_top_edge_must_be_finite_and_positive(self, make_config, dotted, value):
+        path = make_config({dotted: value, "mobility.ue_height_m": 0.0})
+        with pytest.raises(ConfigError, match="gain grid's top edge"):
+            load_experiment(path)
 
 
 class TestPolicyNames:

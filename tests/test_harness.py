@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
-from oracles import greedy_joint_argmax
+from oracles import (
+    PowerVector, SlotChannelSnapshot, achievable_rate, greedy_joint_argmax, sinr, total_ici,
+)
+from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
-from vlcudn.agent import enumerate_actions, quantize_state
-from vlcudn.config import ConfigError, load_experiment
+from vlcudn.agent import quantize_state
+from vlcudn.config import POLICIES, ConfigError, load_experiment
 from vlcudn.harness import (
     CSV_HEADER,
     SimulationAbort,
@@ -27,7 +30,7 @@ from vlcudn.harness import (
     write_metadata,
     write_series_csv,
 )
-from vlcudn.metrics import UtilityWeights
+from vlcudn.metrics import UtilityWeights, per_ue_bandwidth
 
 SHORT = {
     "agent.max_slots": 80,
@@ -71,6 +74,15 @@ class TestEpisode:
         with pytest.raises(SimulationAbort, match="non-finite"):
             run_episode(cfg, seed=1)
 
+    def test_non_finite_utility_stops_the_learner(self, make_config, monkeypatch):
+        cfg = load_experiment(make_config(SHORT))
+        cfg = dataclasses.replace(cfg, weights=UtilityWeights(0.0, float("inf")))
+        writes = []
+        monkeypatch.setattr(harness, "update_q", lambda *args: writes.append(args))
+        with pytest.raises(SimulationAbort, match="non-finite utility at slot 0 "):
+            run_episode(cfg, seed=1)
+        assert writes == []
+
     def test_no_foreign_ues_means_no_leakage_but_interference_remains(self, make_config):
         quiet = load_experiment(make_config({**SHORT, "experiment.policy": "fixed_max",
                                              "interference.neighbor_ues": 0}))
@@ -82,47 +94,66 @@ class TestEpisode:
         assert (episode.mean_rate_bps < undisturbed.mean_rate_bps).all()
 
 
+def recording(fn, calls):
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+    return wrapper
+
+
+def record_episode(cfg, seed, mp):
+    """Run one episode with its kernel calls and its batched record pass
+    (harness._score) recorded; returns the episode and the recorded calls."""
+    calls = {"level_rates": [], "utility": [], "score": []}
+    mp.setattr(kernels, "level_rates", recording(kernels.level_rates, calls["level_rates"]))
+    mp.setattr(kernels, "utility", recording(kernels.utility, calls["utility"]))
+    mp.setattr(harness, "_score", recording(harness._score, calls["score"]))
+    return run_episode(cfg, seed), calls
+
+
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     """One rpic episode and its per-slot trace, recorded from the calls the
-    loop makes each slot: quantize_state (the state from the previous rates
-    and the gains), warmup_policy or select_action (the chosen action) and
-    action_utilities (the scored rates and utility)."""
+    episode makes: the one level_rates call (the gains and the rate table),
+    per slot quantize_state (the state from the previous rates and the
+    gains), warmup_policy or select_action (the chosen action) and utility
+    (the utility the learner sees), and the batched _score pass (the chosen
+    level indices of every slot)."""
     from conftest import render_config
 
     path = tmp_path_factory.mktemp("trace") / "t.ini"
     path.write_text(render_config(SHORT))
     cfg = load_experiment(path)
-    quantized, warmups, picks, scored = [], [], [], []
-
-    def recording(fn, calls):
-        def wrapper(*args):
-            result = fn(*args)
-            calls.append((args, result))
-            return result
-        return wrapper
+    quantized, warmups, picks = [], [], []
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "quantize_state", recording(harness.quantize_state, quantized))
         mp.setattr(harness, "warmup_policy", recording(harness.warmup_policy, warmups))
         mp.setattr(harness, "select_action", recording(harness.select_action, picks))
-        mp.setattr(kernels, "action_utilities", recording(kernels.action_utilities, scored))
-        episode = run_episode(cfg, seed=7)
-    n_slots = cfg.agent.max_slots
-    assert len(quantized) == len(warmups) == len(scored) == n_slots
+        episode, calls = record_episode(cfg, 7, mp)
+    n_slots, n = cfg.agent.max_slots, cfg.ue_density
+    assert len(quantized) == len(warmups) == n_slots
     # select_action runs exactly in the slots where warmup_policy returned None
     picked = iter(action for _, action in picks)
     chosen = [action if action is not None else next(picked) for _, action in warmups]
     assert next(picked, None) is None
+    # one rate table and one record pass per episode; one utility per slot,
+    # on Python floats, before the record pass scores all slots at once
+    ((levels, serving, *_), table), = calls["level_rates"]
+    ((_, _, choice, *_), _), = calls["score"]
+    *per_slot, (batched, _) = calls["utility"]
+    assert len(per_slot) == n_slots and type(batched[0]) is np.ndarray
     actions = warmups[0][0][2]
     trace = [
         {"slot": k, "prev_rates": q_args[0], "quantized_gains": q_args[1], "state": state,
-         "serving_gains": s_args[1], "action": action, "powers": actions.decode(action),
-         "rates": rates[0], "utility": float(u[0])}
-        for k, ((q_args, state), action, (s_args, (u, rates, _, _)))
-        in enumerate(zip(quantized, chosen, scored))
+         "serving_gains": serving[k], "action": action, "powers": actions.decode(action),
+         "levels": choice[k], "rates": table[k, np.arange(n), choice[k]],
+         "utility": u_args, "u": u}
+        for k, ((q_args, state), action, (u_args, (u, _)))
+        in enumerate(zip(quantized, chosen, per_slot))
     ]
-    return cfg, episode, trace
+    return cfg, episode, trace, levels
 
 
 class TestPerfbenchReads:
@@ -146,6 +177,36 @@ class TestPerfbenchReads:
             assert not name.startswith("_") and inspect.isfunction(fn), key
             assert fn.__module__ == "vlcudn.agent", key
 
+    def test_tracer_runs_over_the_package(self, make_config, tmp_path):
+        """perfbench/child.py installs the tracer over every public vlcudn
+        function before a --trace 1 run; its work counters unpack the
+        arguments of the functions they are keyed to."""
+        import importlib.util
+        import sys
+
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py")
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        modules = [m for name, m in list(sys.modules.items())
+                   if name == "vlcudn" or name.startswith("vlcudn.")]
+        saved = [(m, dict(vars(m))) for m in modules]
+        tracer = tracer_mod.Tracer(str(tmp_path))
+        cfg = load_experiment(make_config(SHORT))
+        try:
+            tracer_mod.install(tracer)
+            for policy in ("rpic", "greedy_myopic"):
+                harness.run_episode(dataclasses.replace(cfg, policy=policy), 3)
+        finally:
+            for module, names in saved:
+                for name, value in names.items():
+                    setattr(module, name, value)
+        stats = tracer.stats
+        assert stats["harness.run_episode"][0] == 2
+        assert stats["kernels.level_rates"][0] == 2
+        assert stats["agent.quantize_state"][0] == cfg.agent.max_slots
+        assert tracer.counts["kernels.lambertian_gains.links"] > 0
+
     def test_run_episode_quantizes_once_per_slot(self, make_config, monkeypatch):
         cfg = load_experiment(make_config({**SHORT, "agent.replay": "true"}))
         calls = []
@@ -161,28 +222,72 @@ class TestPerfbenchReads:
 
 class TestSlotContract:
     def test_first_slot_sees_zero_rates(self, traced):
-        _, _, trace = traced
-        assert (trace[0]["prev_rates"] == 0.0).all()
+        cfg, _, trace, _ = traced
+        assert trace[0]["prev_rates"] == [0.0] * cfg.ue_density
 
     def test_state_uses_previous_rates_and_current_gains(self, traced):
-        cfg, episode, trace = traced
+        cfg, episode, trace, _ = traced
         for entry in trace[:30]:
-            assert (entry["quantized_gains"] == entry["serving_gains"]).all()
+            assert np.array_equal(entry["quantized_gains"], entry["serving_gains"])
             want = quantize_state(entry["prev_rates"], entry["serving_gains"], episode.quant)
             assert type(entry["state"]) is int and entry["state"] == want
 
     def test_rates_chain_across_slots(self, traced):
-        _, _, trace = traced
+        _, _, trace, _ = traced
         for prev, cur in zip(trace, trace[1:]):
-            assert (cur["prev_rates"] == prev["rates"]).all()
+            assert np.array_equal(cur["prev_rates"], prev["rates"])
 
     def test_recorded_metrics_match_trace(self, traced):
-        _, episode, trace = traced
+        cfg, episode, trace, levels = traced
         for k, entry in enumerate(trace):
             assert entry["slot"] == k
-            assert episode.utility[k] == entry["utility"]
+            # the recorded levels are the learner's action, and the recorded
+            # utility is the one it learned from, from the same rates
+            assert np.array_equal(levels[entry["levels"]], entry["powers"])
+            rate_sum, n_ues, total_w, *_ = entry["utility"]
+            assert n_ues == cfg.ue_density
+            assert rate_sum == pytest.approx(entry["rates"].sum(), rel=1e-12)
+            assert total_w == pytest.approx(entry["powers"].sum(), rel=1e-12)
+            assert episode.utility[k] == entry["u"]
             assert episode.energy_w[k] == pytest.approx(entry["powers"].sum(), rel=1e-12)
             assert episode.mean_rate_bps[k] == pytest.approx(entry["rates"].mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("density", [3, 8])
+    def test_learner_sees_the_recorded_utility(self, make_config, monkeypatch, density):
+        """With learning rate 1 and discount 0 every Q-value written is the
+        utility of the slot it was written for, so the learner's sums and
+        the recorded ones must agree bit for bit, at 8 UEs too, where numpy's
+        own add-reduce would switch to pairwise summation.  At 8 UEs about one
+        slot in a hundred tells the two orders apart in the last bit."""
+        cfg = load_experiment(make_config({
+            **SHORT, "agent.max_slots": 300, "experiment.ue_density": density,
+            "agent.power_levels": 1, "agent.learning_rate": 1, "agent.discount": 0,
+        }))
+        assert cfg.action_cap >= 2 ** 8
+        writes = []
+        monkeypatch.setattr(harness, "update_q", recording(harness.update_q, writes))
+        episode, calls = record_episode(cfg, 4, monkeypatch)
+        assert len(writes) == cfg.agent.max_slots - 1
+        last_write = {}
+        for k, ((_, state, action, u, *_), value) in enumerate(writes):
+            assert u == value == episode.utility[k], k
+            last_write[state, action] = k
+        qtable = episode.qtable
+        for (state, action), k in last_write.items():
+            assert qtable.value(state, action) == episode.utility[k]
+
+        ((levels, serving, incoming, *_), _), = calls["level_rates"]
+        ((_, _, choice, outgoing, *_), _), = calls["score"]
+        eta = cfg.channel.responsivity
+        x_nb = np.full((1, density), 1.0 / eta)  # one pseudo-neighbor: eta * x_nb * g ~ g
+        for k in range(cfg.agent.max_slots):
+            snapshot = SlotChannelSnapshot(serving[k], incoming[k][None], [[outgoing[k]]])
+            powers = PowerVector(levels[choice[k]], x_nb)
+            rates = [achievable_rate(per_ue_bandwidth(cfg.link, density),
+                                     sinr(n, powers, snapshot, cfg.link, eta))
+                     for n in range(density)]
+            want = oracle_utility(rates, powers, total_ici(powers, snapshot, eta), cfg.weights)
+            assert episode.utility[k] == pytest.approx(want, rel=1e-12), k
 
     def test_utility_recomposes_from_metric_columns(self, make_config):
         cfg = load_experiment(make_config({**SHORT, "experiment.policy": "random"}))
@@ -215,28 +320,32 @@ class TestPolicies:
             "utility.interference_weight_per_mw": weights[1],
             "link.squared_electrical_power": squared,
         }))
-        calls = []
-        real = kernels.action_utilities
-
-        def recording(powers, *slot_inputs):
-            calls.append((powers, slot_inputs))
-            return real(powers, *slot_inputs)
-
-        monkeypatch.setattr(kernels, "action_utilities", recording)
-        episode = run_episode(cfg, seed=5)
-        # per slot: the per-UE scoring call, then the chosen row
-        chosen = calls[1::2]
-        assert len(calls) == 2 * len(chosen) == 2 * cfg.agent.max_slots
-        levels = enumerate_actions(cfg.agent.power_levels, cfg.agent.max_power, density).levels
-        for k, (powers, slot_inputs) in enumerate(chosen):
-            want = greedy_joint_argmax(levels, density, *slot_inputs)
-            assert (powers == [want]).all(), k
-            assert episode.energy_w[k] == powers.sum()
+        episode, calls = record_episode(cfg, 5, monkeypatch)
+        # one rate table, one per-UE scoring of it and one record pass
+        ((levels, *_), table), = calls["level_rates"]
+        ((_, _, choice, outgoing, prices, _), _), = calls["score"]
+        assert len(calls["utility"]) == 2
+        assert choice.shape == (cfg.agent.max_slots, density)
+        for k in range(cfg.agent.max_slots):
+            want = greedy_joint_argmax(levels, table[k], outgoing[k], *prices)
+            assert (choice[k] == want).all(), k
+            assert episode.energy_w[k] == levels[choice[k]].sum()
         # Linear mode keeps some power at every weight here.  Squared mode at
         # these optics picks all-zero unless leakage is free and power
         # nearly so; the zero-weight cases make its comparison non-trivial.
         some_power = squared == "false" or weights[1] == "0"
         assert (episode.energy_w.max() > 0.0) == some_power
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_one_rate_table_and_no_per_slot_numpy_kernel(self, make_config, monkeypatch, policy):
+        cfg = load_experiment(make_config({**SHORT, "experiment.policy": policy}))
+        _, calls = record_episode(cfg, 2, monkeypatch)
+        assert len(calls["level_rates"]) == len(calls["score"]) == 1
+        on_floats = [args for args, _ in calls["utility"] if type(args[0]) is float]
+        on_arrays = [args for args, _ in calls["utility"] if type(args[0]) is np.ndarray]
+        assert len(on_floats) == (cfg.agent.max_slots if policy == "rpic" else 0)
+        assert len(on_arrays) == (2 if policy == "greedy_myopic" else 1)
+        assert len(on_floats) + len(on_arrays) == len(calls["utility"])
 
     def test_fixed_policies_hold_power_constant(self, make_config):
         # an even level count puts max_power/2 exactly on the grid

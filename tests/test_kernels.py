@@ -36,34 +36,35 @@ def test_lambertian_gains_matches_scalar_gain():
 
 
 @pytest.mark.parametrize("squared", [False, True])
-def test_link_rates_matches_metrics_ops(squared):
+def test_level_rates_matches_metrics_ops(squared):
     rng = np.random.default_rng(7)
-    n_ues, n_nb = 3, 4
-    serving = rng.uniform(1e-6, 8e-6, n_ues)
-    gamma = rng.uniform(0.0, 2e-6, (n_nb, n_ues))
-    x = rng.uniform(0.0, 4e-3, n_ues)
+    n_slots, n_ues, n_nb = 4, 3, 4
+    levels = np.arange(6) * (4e-3 / 5)
+    serving = rng.uniform(1e-6, 8e-6, (n_slots, n_ues))
+    gamma = rng.uniform(0.0, 2e-6, (n_slots, n_nb, n_ues))
     x_nb = np.full((n_nb, n_ues), 1.5e-3)
-    snapshot = SlotChannelSnapshot(serving, gamma, [np.empty(0)] * n_nb)
-    powers = PowerVector(x, x_nb)
     wn = per_ue_bandwidth(LINK, n_ues)
     eta = PARAMS.responsivity
 
     terms = eta * x_nb * gamma
     if squared:
         terms = terms * terms
-    interference = terms.sum(axis=0)
-    _, rates, _, _ = kernels.action_utilities(
-        x[None, :], serving, interference, wn, LINK.noise_psd, eta, squared, 0.0, 4.0, 1e6
-    )
-    assert rates.shape == (1, n_ues)
+    interference = terms.sum(axis=1)
+    rates = kernels.level_rates(levels, serving, interference, wn, LINK.noise_psd, eta, squared)
+    assert rates.shape == (n_slots, n_ues, levels.size)
 
-    for n in range(n_ues):
-        zeta = sinr(n, powers, snapshot, LINK, eta, squared=squared)
-        assert rates[0, n] == pytest.approx(achievable_rate(wn, zeta), rel=1e-12)
+    for k in range(n_slots):
+        snapshot = SlotChannelSnapshot(serving[k], gamma[k], [np.empty(0)] * n_nb)
+        for level, x in enumerate(levels):
+            powers = PowerVector(np.full(n_ues, x), x_nb)
+            for n in range(n_ues):
+                zeta = sinr(n, powers, snapshot, LINK, eta, squared=squared)
+                want = achievable_rate(wn, zeta)
+                assert rates[k, n, level] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("squared", [False, True])
-def test_action_utilities_matches_metrics_ops(squared):
+def test_utility_matches_metrics_ops(squared):
     rng = np.random.default_rng(11)
     n_ues, n_nb, n_foreign, n_actions = 2, 3, 2, 16
     serving = rng.uniform(1e-6, 8e-6, n_ues)
@@ -75,26 +76,25 @@ def test_action_utilities_matches_metrics_ops(squared):
     weights = UtilityWeights(energy_weight=4.0, interference_weight=1e6)
     wn = per_ue_bandwidth(LINK, n_ues)
     eta = PARAMS.responsivity
+    cross = snapshot.outgoing_sum()
 
-    terms = eta * x_nb * gamma
-    if squared:
-        terms = terms * terms
-    interference = terms.sum(axis=0)
-    got, _, power, leaked = kernels.action_utilities(
-        action_powers, serving, interference, wn, LINK.noise_psd, eta,
-        squared, snapshot.outgoing_sum(), weights.energy_weight,
-        weights.interference_weight,
-    )
+    rates = np.array([
+        [achievable_rate(wn, sinr(n, PowerVector(x, x_nb), snapshot, LINK, eta,
+                                  squared=squared)) for n in range(n_ues)]
+        for x in action_powers
+    ])
+    rate_sum = rates[:, 0] + rates[:, 1]
+    total_w = action_powers[:, 0] + action_powers[:, 1]
+    got, leaked = kernels.utility(rate_sum, n_ues, total_w, cross, eta,
+                                  weights.energy_weight, weights.interference_weight)
 
     for a in range(n_actions):
         powers = PowerVector(action_powers[a], x_nb)
-        rates = [
-            achievable_rate(wn, sinr(n, powers, snapshot, LINK, eta, squared=squared))
-            for n in range(n_ues)
-        ]
         chi = total_ici(powers, snapshot, eta)
-        want = utility(rates, powers, chi, weights)
+        want = utility(rates[a], powers, chi, weights)
         assert got[a] == pytest.approx(want, rel=1e-12)
-        assert power[a] == pytest.approx(powers.serving.sum(), rel=1e-12)
         assert leaked[a] == pytest.approx(chi, rel=1e-12)
-
+        # the learner's loop calls it on Python floats: the same bits
+        scalar = kernels.utility(float(rate_sum[a]), n_ues, float(total_w[a]), cross, eta,
+                                 weights.energy_weight, weights.interference_weight)
+        assert type(scalar[0]) is float and scalar == (got[a], leaked[a])
