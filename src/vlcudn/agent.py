@@ -1,4 +1,4 @@
-"""Tabular Q-learning pieces: state index, action set, selection, update.
+"""Tabular Q-learning pieces: state index, power grid, selection, update.
 
 The learner picks one joint power vector per slot.  Its state is the
 uniform bin of each UE's previous-slot rate and of each UE's current
@@ -23,6 +23,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AgentConfig:
+    """The learner's parameters, checked by the ExperimentConfig holding them."""
+
     power_levels: int  # L; the action grid has L+1 values including zero
     max_power: float  # watts
     learning_rate: float
@@ -32,28 +34,6 @@ class AgentConfig:
     epsilon_decay_slots: int
     warmup_slots: int
     max_slots: int
-
-    def __post_init__(self):
-        if self.power_levels < 1:
-            raise ValueError("power_levels must be at least 1")
-        if self.max_power <= 0.0:
-            raise ValueError("max_power must be positive")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        for name in ("epsilon_start", "epsilon_end"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.epsilon_start < self.epsilon_end:
-            raise ValueError("epsilon_start must be >= epsilon_end")
-        if self.epsilon_decay_slots < 0:
-            raise ValueError("epsilon_decay_slots must be non-negative")
-        if self.max_slots < 1:
-            raise ValueError("max_slots must be at least 1")
-        if not 0 <= self.warmup_slots < self.max_slots:
-            raise ValueError("warmup_slots must be in [0, max_slots)")
 
 
 @dataclass(frozen=True)
@@ -115,36 +95,16 @@ def parse_state_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return rates, gains, density
 
 
-@dataclass(frozen=True, eq=False)
-class ActionSet:
-    """The joint power vectors over the quantized per-UE grid, by index.
+def enumerate_actions(power_levels: int, max_power: float) -> np.ndarray:
+    """The (L+1,) per-UE power grid 0, X/L, ..., X = max_power, in watts.
 
-    levels holds the L+1 per-UE power values 0, X/L, ..., X.  Joint
-    actions are numbered in lexicographic order of per-UE level indices
-    with the first UE most significant: index 0 is all-zero, the last
-    index is all-max.  Rows are decoded on demand, never materialised.
+    A joint action of N UEs is a flat index into the (L+1)^N level
+    combinations in lexicographic order of per-UE level indices, first UE
+    most significant: np.unravel_index(index, (L+1,) * N) gives its levels.
+    Index 0 is all-zero, the last index is all-max.  The arguments arrive
+    checked, from a config or a QTable.load header.
     """
-
-    levels: np.ndarray  # (L+1,) watts
-    n_ues: int
-
-    @property
-    def n_actions(self) -> int:
-        return self.levels.size ** self.n_ues
-
-    def decode(self, index: int) -> np.ndarray:
-        """Per-UE powers (watts) of the joint action with this flat index."""
-        digits = np.unravel_index(index, (self.levels.size,) * self.n_ues)
-        return self.levels[np.array(digits)]
-
-
-def enumerate_actions(power_levels: int, max_power: float, n_ues: int) -> ActionSet:
-    """Action set of n_ues UEs, each on the grid 0, X/L, ..., X = max_power.
-
-    The arguments arrive checked, from a config or a QTable.load header.
-    """
-    levels = np.arange(power_levels + 1) * (max_power / power_levels)
-    return ActionSet(levels=levels, n_ues=n_ues)
+    return np.arange(power_levels + 1) * (max_power / power_levels)
 
 
 class QTable:
@@ -304,10 +264,10 @@ def epsilon_at(slot: int, config: AgentConfig) -> float:
 def warmup_policy(
     slot: int,
     config: AgentConfig,
-    actions: ActionSet,
+    n_actions: int,
     rng: np.random.Generator,
 ) -> int | None:
     """Uniform random action during the warmup slots, None afterwards."""
     if slot < config.warmup_slots:
-        return int(rng.integers(actions.n_actions))
+        return int(rng.integers(n_actions))
     return None

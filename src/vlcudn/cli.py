@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -15,9 +15,9 @@ from .config import ConfigError, load_experiment
 from .harness import (
     SimulationAbort,
     converged_means,
+    density_configs,
     run_experiment,
     save_experiment,
-    sweep_density,
 )
 
 
@@ -35,6 +35,28 @@ def _echo_summary(label: str, series) -> None:
         f"energy {c['energy_w'] * 1e3:.4g} mW, "
         f"ici {c['ici_w'] * 1e3:.4g} mW"
     )
+
+
+@contextmanager
+def _exit_codes():
+    """Exit 2 on bad input and 3 on an aborted run, with the reason."""
+    try:
+        yield
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
+    except SimulationAbort as exc:
+        click.echo(f"aborted: {exc}", err=True)
+        sys.exit(3)
+
+
+def _make_out_dir(out_dir) -> None:
+    """Create --out before any run, so that a path which cannot hold the
+    results fails (exit 2) before the compute is spent."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create --out: {exc}") from None
 
 
 @main.command()
@@ -63,17 +85,13 @@ def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run
     """Run one experiment and report its converged metrics."""
     if per_run and not out_dir:
         raise click.UsageError("--per-run needs --out")
-    try:
+    with _exit_codes():
         config = load_experiment(
             config_path, policy=policy, density=density, runs=runs, seed=seed
         )
+        if out_dir:
+            _make_out_dir(out_dir)
         series = run_experiment(config, workers=workers, keep_runs=per_run)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except SimulationAbort as exc:
-        click.echo(f"aborted: {exc}", err=True)
-        sys.exit(3)
     _echo_summary(
         f"policy={config.policy} density={config.ue_density} runs={config.runs}", series
     )
@@ -110,20 +128,14 @@ def sweep(config_path, densities, out_dir, runs, seed, workers):
         raise click.BadParameter(
             "must be comma-separated integers", param_hint="--densities"
         ) from None
-    try:
-        config = load_experiment(config_path, runs=runs, seed=seed)
-        series_list = sweep_density(config, parsed, workers=workers)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except SimulationAbort as exc:
-        click.echo(f"aborted: {exc}", err=True)
-        sys.exit(3)
-    for density, series in zip(parsed, series_list):
-        sub = os.path.join(out_dir, f"rho{density}")
-        config_d = dataclasses.replace(config, ue_density=density)
+    with _exit_codes():
+        configs = density_configs(load_experiment(config_path, runs=runs, seed=seed), parsed)
+        _make_out_dir(out_dir)
+        series_list = [run_experiment(config, workers=workers) for config in configs]
+    for config, series in zip(configs, series_list):
+        density = config.ue_density
         _echo_summary(f"policy={config.policy} density={density} runs={config.runs}", series)
-        for path in save_experiment(sub, config_d, series):
+        for path in save_experiment(os.path.join(out_dir, f"rho{density}"), config, series):
             click.echo(f"wrote {path}")
 
 
@@ -160,15 +172,16 @@ def inspect_q(qtable_path, top):
     click.echo(f"value range: [{stored.min():.6g}, {stored.max():.6g}]")
     click.echo("best states:")
     n_ues = parse_state_key(next(iter(rows)))[2]  # load allows one UE count per file
-    decoder = (enumerate_actions(meta["power_levels"], meta["max_power"], n_ues)
-               if "power_levels" in meta and "max_power" in meta else None)
+    levels = (enumerate_actions(meta["power_levels"], meta["max_power"])
+              if "power_levels" in meta and "max_power" in meta else None)
     ranked = sorted(rows, key=lambda s: rows[s].max(), reverse=True)[:top]
     for state in ranked:
         row = rows[state]
         best = int(np.argmax(row))
         line = f"  {state}  action={best}  q={row[best]:.6g}"
-        if decoder is not None:
-            mw = ", ".join("%.3g" % (p * 1e3) for p in decoder.decode(best))
+        if levels is not None:
+            digits = np.unravel_index(best, (levels.size,) * n_ues)
+            mw = ", ".join("%.3g" % (levels[d] * 1e3) for d in digits)
             line += f"  power_mw=({mw})"
         click.echo(line)
 

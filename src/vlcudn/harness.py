@@ -47,7 +47,6 @@ from .agent import (
     warmup_policy,
 )
 from .config import ConfigError, ExperimentConfig
-from .metrics import per_ue_bandwidth
 from .mobility import MobilityConfig, simulate_paths
 from .topology import cell_bounds, central_ap, co_channel_neighbors, make_grid
 
@@ -114,23 +113,22 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
     n = config.ue_density
     agent_cfg = config.agent
     n_slots = agent_cfg.max_slots
-    eta = config.channel.responsivity
+    eta = config.responsivity
     squared = config.squared_electrical_power
     # utility()'s arguments after the summed powers and the cross-gain
-    prices = (eta, config.weights.energy_weight, config.weights.interference_weight)
+    prices = (eta, config.energy_weight, config.interference_weight)
     topo = make_grid(config.rows, config.cols, config.spacing, config.ap_height)
     central = central_ap(topo)
     neighbors = co_channel_neighbors(
-        topo, central, config.reuse_mode, config.channel.fov_rad, config.ue_height
+        topo, central, config.reuse_mode, config.fov_rad, config.ue_height
     )
-    wn = per_ue_bandwidth(config.link, n)
+    wn = config.per_ue_bandwidth()
     rate_max = wn * math.log2(1.0 + config.sinr_cap)
     quant = StateQuantizer(config.rate_bins, config.gain_bins, rate_max, config.gain_max())
-    actions = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power, n)
-    levels = actions.levels
-    m_order = config.channel.lambertian_order
-    coef = (m_order + 1.0) * config.channel.detector_area / (2.0 * math.pi)
-    cos_fov = math.cos(config.channel.fov_rad)
+    levels = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power)
+    m_order = kernels.lambertian_order(config.semi_angle_half_intensity)
+    coef = (m_order + 1.0) * config.detector_area / (2.0 * math.pi)
+    cos_fov = math.cos(config.fov_rad)
     dz = config.ap_height - config.ue_height
 
     mob_ss, agent_ss = np.random.SeedSequence(seed).spawn(2)
@@ -167,7 +165,7 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
         incoming += term * term if squared else term
 
     rate_tab = kernels.level_rates(
-        levels, serving, incoming, wn, config.link.noise_psd, eta, squared
+        levels, serving, incoming, wn, config.noise_psd, eta, squared
     )  # (K, N, L+1)
     qtable = None
     if config.policy == "fixed_max":
@@ -183,17 +181,17 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
         choice = per_ue.argmax(axis=2)
     else:
         if config.policy == "random":
-            picks = agent_rng.integers(actions.n_actions, size=n_slots)
+            picks = agent_rng.integers(levels.size ** n, size=n_slots)
         else:
-            qtable = QTable(actions.n_actions)
-            picks = _learn(config, quant, actions, rate_tab, serving, outgoing, prices,
+            qtable = QTable(levels.size ** n)
+            picks = _learn(config, quant, levels, rate_tab, serving, outgoing, prices,
                            qtable, agent_rng)
         choice = np.stack(np.unravel_index(picks, (levels.size,) * n), axis=1)
 
     return EpisodeResult(*_score(rate_tab, levels, choice, outgoing, prices, seed), qtable, quant)
 
 
-def _learn(config, quant, actions, rate_tab, serving, outgoing, prices, qtable, rng):
+def _learn(config, quant, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     """The rpic slot loop: fills qtable and returns each slot's action.
 
     Python floats throughout: the chosen rates come from one slot's row of
@@ -205,8 +203,8 @@ def _learn(config, quant, actions, rate_tab, serving, outgoing, prices, qtable, 
     agent_cfg = config.agent
     alpha, beta = agent_cfg.learning_rate, agent_cfg.discount
     n = config.ue_density
-    n_levels = actions.levels.size
-    level_w = actions.levels.tolist()
+    n_levels = levels.size
+    level_w = levels.tolist()
     places = [n_levels ** (n - 1 - i) for i in range(n)]  # first UE most significant
     gains = serving.tolist()
     cross = outgoing.tolist()
@@ -216,7 +214,7 @@ def _learn(config, quant, actions, rate_tab, serving, outgoing, prices, qtable, 
     last = None  # the previous slot's (state, action, utility)
     for k in range(agent_cfg.max_slots):
         state = quantize_state(rates, gains[k], quant)
-        action = warmup_policy(k, agent_cfg, actions, rng)
+        action = warmup_policy(k, agent_cfg, qtable.n_actions, rng)
         if action is None:
             action = select_action(qtable, state, epsilon_at(k, agent_cfg), rng)
         picks.append(action)
@@ -259,15 +257,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, keep_runs: bool =
     )
 
 
-def sweep_density(config: ExperimentConfig, densities, workers: int = 1) -> list[RunSeries]:
-    """One experiment per density, everything else held fixed."""
+def density_configs(config: ExperimentConfig, densities) -> list[ExperimentConfig]:
+    """One config per density, everything else held fixed, all checked
+    before any of them runs."""
     densities = list(densities)
     if not densities:
         raise ConfigError("densities must be non-empty")
     if len(set(densities)) != len(densities):
         raise ConfigError(f"densities must be distinct, got {densities}")
-    configs = [dataclasses.replace(config, ue_density=int(d)) for d in densities]
-    return [run_experiment(config_d, workers=workers) for config_d in configs]
+    return [dataclasses.replace(config, ue_density=int(d)) for d in densities]
 
 
 def converged_means(series, window: int = 500) -> dict:

@@ -6,6 +6,8 @@ step, which the package computes only in
 per-UE greedy choice replaces; and the per-component state binning that
 the integer state index replaces.
 The tests hold the package to these; the package never imports them.
+Their parameter records are plain and check nothing: the package checks
+its inputs once, in ExperimentConfig.
 """
 
 from __future__ import annotations
@@ -17,28 +19,66 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from vlcudn import kernels, mobility
-from vlcudn.channel import ChannelParams
-from vlcudn.metrics import LinkParams, UtilityWeights, per_ue_bandwidth
 from vlcudn.mobility import _draw_point
 
 
+@dataclass(frozen=True)
+class Channel:
+    """Optical front end of every AP-UE link: detector area in m^2, LED
+    half-intensity semi-angle and photodiode FOV half-angle in degrees,
+    responsivity in A/W."""
+
+    detector_area: float
+    semi_angle_half_intensity: float
+    fov_angle: float
+    responsivity: float
+
+    @property
+    def lambertian_order(self) -> float:
+        return -1.0 / math.log2(math.cos(math.radians(self.semi_angle_half_intensity)))
+
+    @property
+    def fov_rad(self) -> float:
+        return math.radians(self.fov_angle)
+
+
 def channel_params_from_cm2(detector_area_cm2: float, semi_angle_deg: float,
-                            fov_deg: float, responsivity: float) -> ChannelParams:
+                            fov_deg: float, responsivity: float) -> Channel:
     """Build from a detector area given in cm^2 (the usual config unit)."""
-    return ChannelParams(detector_area_cm2 * 1e-4, semi_angle_deg, fov_deg, responsivity)
+    return Channel(detector_area_cm2 * 1e-4, semi_angle_deg, fov_deg, responsivity)
+
+
+@dataclass(frozen=True)
+class Link:
+    """Link budget: total bandwidth in Hz, noise PSD in A^2/Hz and the usable
+    share of the band.  An ExperimentConfig has the same fields."""
+
+    total_bandwidth: float
+    noise_psd: float
+    effective_bandwidth_factor: float = 1.0
+
+
+@dataclass(frozen=True)
+class Weights:
+    """Utility per mW spent and per mW leaked.  An ExperimentConfig has the
+    same fields."""
+
+    energy_weight: float
+    interference_weight: float
+
+
+def per_ue_bandwidth(params: Link, n_ues: int) -> float:
+    """Bandwidth share W_n of each of n equal users, in Hz."""
+    return params.effective_bandwidth_factor * params.total_bandwidth / n_ues
 
 
 @dataclass(frozen=True)
 class Pos3:
-    """A point in room coordinates, meters. z >= 0 (floor level is z = 0)."""
+    """A point in room coordinates, meters; floor level is z = 0."""
 
     x: float
     y: float
     z: float
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValueError(f"z must be >= 0 (inside the room), got {self.z}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +93,10 @@ class LinkGeometry:
 def link_geometry(ap: Pos3, ue: Pos3) -> LinkGeometry:
     """Distance and angles of the AP->UE link, both devices vertically aligned.
 
-    Requires the AP strictly above the UE plane; with that orientation the
+    The AP is strictly above the UE plane; with that orientation the
     irradiance and incidence angles coincide: arccos(dz / d).
     """
     dz = ap.z - ue.z
-    if dz <= 0:
-        raise ValueError(
-            f"degenerate geometry: AP height {ap.z} must exceed UE height {ue.z}"
-        )
     dx = ap.x - ue.x
     dy = ap.y - ue.y
     distance = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -76,7 +112,7 @@ def rect_fov(incidence_angle: float, fov_angle: float) -> int:
     return 1 if abs(incidence_angle) <= fov_angle else 0
 
 
-def channel_gain(ap: Pos3, ue: Pos3, params: ChannelParams) -> float:
+def channel_gain(ap: Pos3, ue: Pos3, params: Channel) -> float:
     """LoS Lambertian channel gain h between one AP and one UE (dimensionless).
 
     Zero whenever the incidence angle falls outside the photodiode FOV.
@@ -102,29 +138,13 @@ class SlotChannelSnapshot:
     """
 
     def __init__(self, serving_gains, interferer_gains, outgoing_gains):
-        serving = np.asarray(serving_gains, dtype=float)
-        inter = np.asarray(interferer_gains, dtype=float)
-        outgoing = [np.asarray(g, dtype=float) for g in outgoing_gains]
-        if serving.ndim != 1:
-            raise ValueError("serving_gains must be one-dimensional")
-        if inter.ndim != 2 or inter.shape[1] != serving.shape[0]:
-            raise ValueError("interferer_gains must have shape (J, N)")
-        if len(outgoing) != inter.shape[0]:
-            raise ValueError("outgoing_gains must have one entry per neighbor")
-        arrays = [serving, inter] + outgoing
-        if any((a < 0.0).any() for a in arrays):
-            raise ValueError("channel gains must be non-negative")
-        self.serving_gains = serving
-        self.interferer_gains = inter
-        self.outgoing_gains = outgoing
+        self.serving_gains = np.asarray(serving_gains, dtype=float)
+        self.interferer_gains = np.asarray(interferer_gains, dtype=float)
+        self.outgoing_gains = [np.asarray(g, dtype=float) for g in outgoing_gains]
 
     @property
     def n_ues(self) -> int:
         return self.serving_gains.shape[0]
-
-    @property
-    def n_neighbors(self) -> int:
-        return self.interferer_gains.shape[0]
 
     def outgoing_sum(self) -> float:
         """Total cross-gain toward all foreign UEs, sum_j sum_m g_{j,m}."""
@@ -135,33 +155,19 @@ class PowerVector:
     """Transmit powers for one slot: serving (N,) and interferer (J, N), watts."""
 
     def __init__(self, serving, interferer):
-        s = np.asarray(serving, dtype=float)
-        i = np.asarray(interferer, dtype=float)
-        if s.ndim != 1:
-            raise ValueError("serving powers must be one-dimensional")
-        if i.ndim != 2 or i.shape[1] != s.shape[0]:
-            raise ValueError("interferer powers must have shape (J, N)")
-        if (s < 0.0).any() or (i < 0.0).any():
-            raise ValueError("powers must be non-negative")
-        self.serving = s
-        self.interferer = i
+        self.serving = np.asarray(serving, dtype=float)
+        self.interferer = np.asarray(interferer, dtype=float)
 
 
 def sinr(
     n: int,
     powers: PowerVector,
     snapshot: SlotChannelSnapshot,
-    params: LinkParams,
+    params: Link,
     responsivity: float,
     squared: bool = False,
 ) -> float:
     """SINR zeta_n of UE n under the given powers and gains."""
-    if powers.serving.shape[0] != snapshot.n_ues:
-        raise ValueError("powers and snapshot disagree on the number of UEs")
-    if powers.interferer.shape[0] != snapshot.n_neighbors:
-        raise ValueError("powers and snapshot disagree on the number of neighbors")
-    if not 0 <= n < snapshot.n_ues:
-        raise ValueError(f"UE index {n} out of range")
     wn = per_ue_bandwidth(params, snapshot.n_ues)
     sig = responsivity * powers.serving[n] * snapshot.serving_gains[n]
     terms = responsivity * powers.interferer[:, n] * snapshot.interferer_gains[:, n]
@@ -173,29 +179,21 @@ def sinr(
 
 def achievable_rate(wn: float, zeta: float) -> float:
     """Shannon rate W_n log2(1 + zeta) in bit/s."""
-    if zeta < 0.0:
-        raise ValueError("zeta must be non-negative")
     return wn * math.log2(1.0 + zeta)
 
 
 def total_ici(powers: PowerVector, snapshot: SlotChannelSnapshot, responsivity: float) -> float:
     """Aggregate power chi leaked to all foreign UEs, in watts."""
-    if powers.serving.shape[0] != snapshot.n_ues:
-        raise ValueError("powers and snapshot disagree on the number of UEs")
     return responsivity * float(powers.serving.sum()) * snapshot.outgoing_sum()
 
 
-def utility(rates, powers: PowerVector, ici: float, weights: UtilityWeights) -> float:
+def utility(rates, powers: PowerVector, ici: float, weights: Weights) -> float:
     """Reward u for one slot.
 
     rates are in bit/s, powers and ici in watts; internally the rate term
-    is converted to Mbit/s and the power terms to mW (see vlcudn.metrics).
+    is converted to Mbit/s and the power terms to mW (see vlcudn.kernels.utility).
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.shape[0] != powers.serving.shape[0]:
-        raise ValueError("rates and powers disagree on the number of UEs")
-    if ici < 0.0:
-        raise ValueError("ici must be non-negative")
     mean_mbps = float(rates.mean()) * 1e-6
     energy_mw = float(powers.serving.sum()) * 1e3
     ici_mw = ici * 1e3

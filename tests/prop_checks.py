@@ -10,17 +10,15 @@ import math
 import numpy as np
 
 from oracles import (
-    PowerVector, Pos3, SlotChannelSnapshot, channel_gain, channel_params_from_cm2,
-    link_geometry, rect_fov, sinr, total_ici,
+    Channel, Link, PowerVector, Pos3, SlotChannelSnapshot, channel_gain,
+    channel_params_from_cm2, link_geometry, rect_fov, sinr, total_ici,
 )
 from vlcudn import kernels
 from vlcudn.agent import QTable, select_action
-from vlcudn.channel import ChannelParams
-from vlcudn.metrics import LinkParams
 from vlcudn.mobility import MobilityConfig, simulate_paths
 
 
-def _random_channel(rng) -> ChannelParams:
+def _random_channel(rng) -> Channel:
     return channel_params_from_cm2(
         detector_area_cm2=rng.uniform(0.2, 3.0),
         semi_angle_deg=rng.uniform(20.0, 80.0),
@@ -101,7 +99,7 @@ def check_ici_linearity(n_cases: int = 1000, seed: int = 103) -> int:
 def check_sinr_monotonicity(n_cases: int = 1000, seed: int = 104) -> int:
     """SINR rises with own power and falls as any interferer turns up."""
     rng = np.random.default_rng(seed)
-    link = LinkParams(20e6, 1e-21, 0.5)
+    link = Link(20e6, 1e-21, 0.5)
     for _ in range(n_cases):
         n = int(rng.integers(1, 4))
         j = int(rng.integers(1, 4))

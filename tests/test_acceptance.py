@@ -16,17 +16,16 @@ import pytest
 import prop_checks
 from conftest import render_config
 from oracles import (
-    PowerVector, Pos3, SlotChannelSnapshot, achievable_rate, channel_gain,
+    Link, PowerVector, Pos3, SlotChannelSnapshot, Weights, achievable_rate, channel_gain,
     channel_params_from_cm2, sinr, total_ici, utility,
 )
 from vlcudn.agent import QTable, select_action, update_q
-from vlcudn.channel import lambertian_order
 from vlcudn.config import load_experiment
 from vlcudn.harness import converged_means, run_experiment
-from vlcudn.metrics import LinkParams, UtilityWeights
+from vlcudn.kernels import lambertian_order
 
 CH = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
-LINK = LinkParams(20e6, 1e-21, 0.5)
+LINK = Link(20e6, 1e-21, 0.5)
 
 
 def _verdict(capsys, num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -84,7 +83,7 @@ def test_criterion_1_formula_oracles(capsys):
             [10e6, 20e6],
             PowerVector([2e-3, 2e-3], np.empty((0, 2))),
             1e-9,
-            UtilityWeights(1.0, 1e3),
+            Weights(1.0, 1e3),
         ),
         10.999,
     )

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from oracles import joint_actions
 from vlcudn.agent import (
-    ActionSet,
     AgentConfig,
     QTable,
     StateQuantizer,
@@ -19,6 +18,7 @@ from vlcudn.agent import (
     update_q,
     warmup_policy,
 )
+from vlcudn.config import ConfigError, load_experiment
 
 QUANT = StateQuantizer(rate_bins=4, gain_bins=4, rate_max=2.0**25, gain_max=8e-6)
 
@@ -136,38 +136,37 @@ class TestStateKey:
                 parse_state_key(text)
 
 
+def _decode(levels, n_ues: int, index: int) -> np.ndarray:
+    """Per-UE powers of a joint action index, by the call run_episode and
+    inspect-q use."""
+    return levels[np.array(np.unravel_index(index, (levels.size,) * n_ues))]
+
+
 class TestEnumerateActions:
     def test_level_values(self):
-        actions = enumerate_actions(5, 4e-3, 1)
+        levels = enumerate_actions(5, 4e-3)
         want = [0.0, 0.8e-3, 1.6e-3, 2.4e-3, 3.2e-3, 4e-3]
-        assert actions.levels == pytest.approx(want, rel=1e-12)
-        assert actions.levels[0] == 0.0
+        assert levels == pytest.approx(want, rel=1e-12)
+        assert levels[0] == 0.0
 
     def test_two_ue_lexicographic_order(self):
-        actions = enumerate_actions(1, 2e-3, 2)
-        assert actions.n_actions == 4
-        rows = [actions.decode(a).tolist() for a in range(actions.n_actions)]
+        levels = enumerate_actions(1, 2e-3)
+        assert levels.size ** 2 == 4
+        rows = [_decode(levels, 2, a).tolist() for a in range(4)]
         assert rows == [[0.0, 0.0], [0.0, 2e-3], [2e-3, 0.0], [2e-3, 2e-3]]
 
     def test_three_ue_count_and_endpoints(self):
-        actions = enumerate_actions(5, 4e-3, 3)
-        assert actions.n_actions == 216
-        assert actions.n_ues == 3
-        assert (actions.decode(0) == 0.0).all()
-        assert actions.decode(215) == pytest.approx([4e-3] * 3, rel=1e-12)
+        levels = enumerate_actions(5, 4e-3)
+        assert levels.size ** 3 == 216
+        assert (_decode(levels, 3, 0) == 0.0).all()
+        assert _decode(levels, 3, 215) == pytest.approx([4e-3] * 3, rel=1e-12)
 
     def test_decode_follows_joint_scan_order(self):
-        actions = enumerate_actions(5, 4e-3, 3)
-        rows = joint_actions(actions.levels, 3)
-        assert len(rows) == actions.n_actions
+        levels = enumerate_actions(5, 4e-3)
+        rows = joint_actions(levels, 3)
+        assert len(rows) == levels.size ** 3
         for a, row in enumerate(rows):
-            assert (actions.decode(a) == row).all()
-
-    def test_decode_rejects_out_of_range_index(self):
-        actions = enumerate_actions(5, 4e-3, 2)
-        for index in (-1, actions.n_actions):
-            with pytest.raises(ValueError):
-                actions.decode(index)
+            assert (_decode(levels, 3, a) == row).all()
 
 
 class TestQTable:
@@ -358,34 +357,36 @@ class TestSchedules:
 
     def test_warmup_boundary(self):
         cfg = _cfg(warmup_slots=20)
-        actions = enumerate_actions(5, 4e-3, 1)
         rng = np.random.default_rng(3)
         for slot in range(20):
-            pick = warmup_policy(slot, cfg, actions, rng)
-            assert pick is not None and 0 <= pick < actions.n_actions
-        assert warmup_policy(20, cfg, actions, rng) is None
+            pick = warmup_policy(slot, cfg, 6, rng)
+            assert pick is not None and 0 <= pick < 6
+        assert warmup_policy(20, cfg, 6, rng) is None
 
     def test_warmup_disabled(self):
         cfg = _cfg(warmup_slots=0)
-        actions = enumerate_actions(5, 4e-3, 1)
-        assert warmup_policy(0, cfg, actions, np.random.default_rng(0)) is None
+        assert warmup_policy(0, cfg, 6, np.random.default_rng(0)) is None
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(power_levels=0),
-    dict(max_power=0.0),
-    dict(learning_rate=0.0),
-    dict(learning_rate=1.1),
-    dict(discount=1.0),
-    dict(discount=-0.1),
-    dict(epsilon_start=1.2),
-    dict(epsilon_start=0.05),  # below epsilon_end
-    dict(epsilon_end=-0.1),
-    dict(epsilon_decay_slots=-1),
-    dict(warmup_slots=3000),  # not below max_slots
-    dict(warmup_slots=-1),
-    dict(max_slots=0),
-])
-def test_agent_config_validation(overrides):
-    with pytest.raises(ValueError):
-        _cfg(**overrides)
+# Each input in file units, through the config file; the ids are the
+# suite's stable names for these cases.  A single-key case names its
+# range; the other two break a rule between two keys.
+@pytest.mark.parametrize("key,value,message", [
+    ("power_levels", 0, "[agent] power_levels must be in [1, inf), got 0"),
+    ("max_power_mw", 0.0, "[agent] max_power_mw must be in (0, inf), got 0.0"),
+    ("learning_rate", 0.0, "[agent] learning_rate must be in (0, 1], got 0.0"),
+    ("learning_rate", 1.1, "[agent] learning_rate must be in (0, 1], got 1.1"),
+    ("discount", 1.0, "[agent] discount must be in [0, 1), got 1.0"),
+    ("discount", -0.1, "[agent] discount must be in [0, 1), got -0.1"),
+    ("epsilon_start", 1.2, "[agent] epsilon_start must be in [0, 1], got 1.2"),
+    ("epsilon_start", 0.05, "[agent] epsilon_start = 0.05 must not be below epsilon_end = 0.1"),
+    ("epsilon_end", -0.1, "[agent] epsilon_end must be in [0, 1], got -0.1"),
+    ("epsilon_decay_slots", -1, "[agent] epsilon_decay_slots must be in [0, inf), got -1"),
+    ("warmup_slots", 300, "[agent] warmup_slots = 300 must be below max_slots = 300"),
+    ("warmup_slots", -1, "[agent] warmup_slots must be in [0, inf), got -1"),
+    ("max_slots", 0, "[agent] max_slots must be in [1, inf), got 0"),
+], ids=[f"overrides{i}" for i in range(13)])
+def test_agent_config_validation(make_config, key, value, message):
+    with pytest.raises(ConfigError) as err:
+        load_experiment(make_config({f"agent.{key}": value}))
+    assert str(err.value) == message

@@ -9,7 +9,8 @@ import math
 import pytest
 
 from oracles import Pos3, channel_gain, channel_params_from_cm2, link_geometry, rect_fov
-from vlcudn.channel import lambertian_order
+from vlcudn.config import ConfigError, load_experiment
+from vlcudn.kernels import lambertian_order
 
 PARAMS = channel_params_from_cm2(
     detector_area_cm2=1.0, semi_angle_deg=60.0, fov_deg=70.0, responsivity=0.54
@@ -45,12 +46,6 @@ class TestLinkGeometry:
         # 2 m down, 2 m across: both angles are 45 degrees
         assert geom.irradiance_angle == pytest.approx(0.78539816339744831, rel=1e-12)
         assert geom.incidence_angle == geom.irradiance_angle
-
-    def test_transmitter_must_be_above_receiver(self):
-        with pytest.raises(ValueError):
-            link_geometry(Pos3(0.0, 0.0, 1.0), Pos3(0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            link_geometry(Pos3(0.0, 0.0, 1.0), Pos3(0.0, 0.0, 2.0))
 
 
 class TestRectFov:
@@ -94,35 +89,37 @@ class TestChannelGain:
 
 
 class TestChannelParams:
-    def test_from_cm2_converts_area(self):
-        assert PARAMS.detector_area == pytest.approx(1e-4, rel=1e-12)
+    """The [channel] keys of a config file, as the simulator reads them."""
 
-    def test_order_property_matches_function(self):
-        assert PARAMS.lambertian_order == lambertian_order(60.0)
+    def test_from_cm2_converts_area(self, make_config):
+        assert load_experiment(make_config()).detector_area == pytest.approx(1e-4, rel=1e-12)
 
-    def test_fov_rad(self):
-        assert PARAMS.fov_rad == pytest.approx(math.radians(70.0), rel=1e-12)
+    def test_order_property_matches_function(self, make_config):
+        # the gain grid's top edge is the gain under the AP, with the
+        # Lambertian order of the configured semi-angle
+        cfg = load_experiment(make_config({"channel.semi_angle_deg": 45.0}))
+        under_ap = channel_gain(Pos3(0.0, 0.0, cfg.ap_height), Pos3(0.0, 0.0, cfg.ue_height),
+                                channel_params_from_cm2(1.0, 45.0, 70.0, 0.54))
+        assert cfg.gain_max() == pytest.approx(under_ap, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"detector_area_cm2": 0.0},
-            {"detector_area_cm2": -1.0},
-            {"semi_angle_deg": 0.0},
-            {"semi_angle_deg": 90.0},
-            {"fov_deg": 0.0},
-            {"fov_deg": 91.0},
-            {"responsivity": 0.0},
-        ],
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        base = dict(
-            detector_area_cm2=1.0, semi_angle_deg=60.0, fov_deg=70.0, responsivity=0.54
-        )
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            channel_params_from_cm2(**base)
+    def test_fov_rad(self, make_config):
+        assert load_experiment(make_config()).fov_rad == pytest.approx(
+            math.radians(70.0), rel=1e-12)
 
-    def test_position_rejects_negative_height(self):
-        with pytest.raises(ValueError):
-            Pos3(0.0, 0.0, -0.1)
+    # Each input in file units; the ids are the suite's stable names for these cases.
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("detector_area_cm2", 0.0, id="kwargs0"),
+        pytest.param("detector_area_cm2", -1.0, id="kwargs1"),
+        pytest.param("semi_angle_deg", 0.0, id="kwargs2"),
+        pytest.param("semi_angle_deg", 90.0, id="kwargs3"),
+        pytest.param("fov_deg", 0.0, id="kwargs4"),
+        pytest.param("fov_deg", 91.0, id="kwargs5"),
+        pytest.param("responsivity_a_per_w", 0.0, id="kwargs6"),
+    ])
+    def test_rejects_bad_parameters(self, make_config, key, value):
+        with pytest.raises(ConfigError, match=rf"^\[channel\] {key} must be in "):
+            load_experiment(make_config({f"channel.{key}": value}))
+
+    def test_position_rejects_negative_height(self, make_config):
+        with pytest.raises(ConfigError, match=r"^\[mobility\] ue_height_m must be in "):
+            load_experiment(make_config({"mobility.ue_height_m": -0.1}))

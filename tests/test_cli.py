@@ -133,6 +133,27 @@ class TestSimulate:
         assert "config error" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--densities", "1,2"],
+])
+def test_out_that_cannot_be_created_exits_2_before_any_run(
+    runner, fast_config, tmp_path, monkeypatch, command
+):
+    import vlcudn.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran an experiment before creating --out")
+
+    monkeypatch.setattr(vlcudn.cli, "run_experiment", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(main, [
+        *command, "--config", str(fast_config), "--out", str(blocker / "sub"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "cannot create --out:" in result.output
+
+
 class TestSweep:
     def test_writes_one_directory_per_density(self, runner, fast_config, tmp_path):
         out = tmp_path / "sweep"

@@ -1,12 +1,16 @@
 """Strict INI loading: schema enforcement, unit conversion, overrides."""
 
 import dataclasses
+import re
 
 import pytest
 
+from vlcudn.agent import AgentConfig
 from vlcudn.config import (
+    _KEYS,
     POLICIES,
     ConfigError,
+    ExperimentConfig,
     canonical_policy,
     load_experiment,
 )
@@ -21,13 +25,13 @@ class TestReferenceConfig:
         assert cfg.spacing == 2.0
         assert cfg.ap_height == 3.0
         assert cfg.reuse_mode == "four_block"
-        assert cfg.channel.detector_area == pytest.approx(1e-4, rel=1e-12)
-        assert cfg.channel.semi_angle_half_intensity == 60.0
-        assert cfg.channel.fov_angle == 70.0
-        assert cfg.channel.responsivity == 0.54
-        assert cfg.link.total_bandwidth == 20e6
-        assert cfg.link.noise_psd == 1e-21
-        assert cfg.link.effective_bandwidth_factor == 0.5
+        assert cfg.detector_area == pytest.approx(1e-4, rel=1e-12)
+        assert cfg.semi_angle_half_intensity == 60.0
+        assert cfg.fov_angle == 70.0
+        assert cfg.responsivity == 0.54
+        assert cfg.total_bandwidth == 20e6
+        assert cfg.noise_psd == 1e-21
+        assert cfg.effective_bandwidth_factor == 0.5
         assert cfg.squared_electrical_power is False
         assert cfg.neighbor_power == pytest.approx(3e-6, rel=1e-12)  # 0.003 mW
         assert cfg.neighbor_ues is None
@@ -192,11 +196,39 @@ class TestCrossValidation:
         ("experiment.ue_density", 0),
         ("experiment.runs", 0),
         ("experiment.seed", -1),
+        ("link.total_bandwidth_hz", 0.0),
+        ("link.noise_psd_a2_per_hz", -1e-21),
+        ("link.effective_bandwidth_factor", 1.5),
+        ("utility.interference_weight_per_mw", -1.0),
     ])
     def test_rejected_values(self, make_config, dotted, value):
         path = make_config({dotted: value})
-        with pytest.raises(ConfigError):
+        section, key = dotted.split(".")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
             load_experiment(path)
+
+    @pytest.mark.parametrize("dotted,value,message", [
+        ("channel.fov_deg", 95, "[channel] fov_deg must be in (0, 90], got 95.0"),
+        ("channel.detector_area_cm2", -1,
+         "[channel] detector_area_cm2 must be in (0, inf), got -1.0"),
+        ("agent.max_power_mw", -4, "[agent] max_power_mw must be in (0, inf), got -4.0"),
+        ("utility.energy_weight_per_mw", -1,
+         "[utility] energy_weight_per_mw must be in [0, inf), got -1.0"),
+    ])
+    def test_domain_error_names_the_key_and_the_file_value(self, make_config, dotted, value,
+                                                          message):
+        with pytest.raises(ConfigError) as err:
+            load_experiment(make_config({dotted: value}))
+        assert str(err.value) == message
+
+    def test_every_field_has_one_key_with_a_domain(self):
+        filled = sorted(attr or key for _, key, _, _, attr, _ in _KEYS)
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "agent"]
+        fields += ["agent." + f.name for f in dataclasses.fields(AgentConfig)]
+        assert filled == sorted(fields)
+        interval = re.compile(r"[\[(]-?(inf|\d+(\.\d+)?), -?(inf|\d+(\.\d+)?)[\])]")
+        for *_, domain in _KEYS:
+            assert (isinstance(domain, tuple) and domain) or interval.fullmatch(domain), domain
 
     def test_vanishing_sinr_cap_is_named(self, make_config):
         with pytest.raises(ConfigError, match="sinr_cap"):
@@ -208,8 +240,9 @@ class TestCrossValidation:
         ("utility.energy_weight_per_mw", "-inf"),
     ])
     def test_non_finite_float_is_named(self, make_config, dotted, value):
-        key = dotted.split(".")[1]
-        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+        section, key = dotted.split(".")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} must be in ")
+                           + f".*, got {value}$"):
             load_experiment(make_config({dotted: value}))
 
     @pytest.mark.parametrize("dotted,value", [

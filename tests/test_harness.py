@@ -13,7 +13,8 @@ import pytest
 
 from conftest import REPO_ROOT
 from oracles import (
-    PowerVector, SlotChannelSnapshot, achievable_rate, greedy_joint_argmax, sinr, total_ici,
+    PowerVector, SlotChannelSnapshot, achievable_rate, greedy_joint_argmax, joint_actions,
+    per_ue_bandwidth, sinr, total_ici,
 )
 from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
@@ -23,14 +24,13 @@ from vlcudn.harness import (
     CSV_HEADER,
     SimulationAbort,
     converged_means,
+    density_configs,
     run_episode,
     run_experiment,
     save_experiment,
-    sweep_density,
     write_metadata,
     write_series_csv,
 )
-from vlcudn.metrics import UtilityWeights, per_ue_bandwidth
 
 SHORT = {
     "agent.max_slots": 80,
@@ -68,15 +68,19 @@ class TestEpisode:
         with pytest.raises(ConfigError, match="action_cap"):
             run_episode(load_experiment(path), seed=1)
 
+    # The weights below are finite; the energy term overflows: 1e308 per mW
+    # times the milliwatts of any non-zero action.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_utility_aborts(self, make_config):
-        cfg = load_experiment(make_config({**SHORT, "experiment.policy": "fixed_max"}))
-        cfg = dataclasses.replace(cfg, weights=UtilityWeights(float("inf"), 0.0))
+        cfg = load_experiment(make_config({**SHORT, "experiment.policy": "fixed_max",
+                                           "utility.energy_weight_per_mw": "1e308"}))
         with pytest.raises(SimulationAbort, match="non-finite"):
             run_episode(cfg, seed=1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_utility_stops_the_learner(self, make_config, monkeypatch):
-        cfg = load_experiment(make_config(SHORT))
-        cfg = dataclasses.replace(cfg, weights=UtilityWeights(0.0, float("inf")))
+        cfg = load_experiment(make_config({**SHORT, "utility.energy_weight_per_mw": "1e308",
+                                           "agent.max_power_mw": "1e3"}))
         writes = []
         monkeypatch.setattr(harness, "update_q", lambda *args: writes.append(args))
         with pytest.raises(SimulationAbort, match="non-finite utility at slot 0 "):
@@ -144,10 +148,10 @@ def traced(tmp_path_factory):
     ((_, _, choice, *_), _), = calls["score"]
     *per_slot, (batched, _) = calls["utility"]
     assert len(per_slot) == n_slots and type(batched[0]) is np.ndarray
-    actions = warmups[0][0][2]
+    joint = joint_actions(levels, n)  # the powers of each action index, independently
     trace = [
         {"slot": k, "prev_rates": q_args[0], "quantized_gains": q_args[1], "state": state,
-         "serving_gains": serving[k], "action": action, "powers": actions.decode(action),
+         "serving_gains": serving[k], "action": action, "powers": joint[action],
          "levels": choice[k], "rates": table[k, np.arange(n), choice[k]],
          "utility": u_args, "u": u}
         for k, ((q_args, state), action, (u_args, (u, _)))
@@ -278,15 +282,15 @@ class TestSlotContract:
 
         ((levels, serving, incoming, *_), _), = calls["level_rates"]
         ((_, _, choice, outgoing, *_), _), = calls["score"]
-        eta = cfg.channel.responsivity
+        eta = cfg.responsivity
         x_nb = np.full((1, density), 1.0 / eta)  # one pseudo-neighbor: eta * x_nb * g ~ g
         for k in range(cfg.agent.max_slots):
             snapshot = SlotChannelSnapshot(serving[k], incoming[k][None], [[outgoing[k]]])
             powers = PowerVector(levels[choice[k]], x_nb)
-            rates = [achievable_rate(per_ue_bandwidth(cfg.link, density),
-                                     sinr(n, powers, snapshot, cfg.link, eta))
+            rates = [achievable_rate(per_ue_bandwidth(cfg, density),
+                                     sinr(n, powers, snapshot, cfg, eta))
                      for n in range(density)]
-            want = oracle_utility(rates, powers, total_ici(powers, snapshot, eta), cfg.weights)
+            want = oracle_utility(rates, powers, total_ici(powers, snapshot, eta), cfg)
             assert episode.utility[k] == pytest.approx(want, rel=1e-12), k
 
     def test_utility_recomposes_from_metric_columns(self, make_config):
@@ -294,8 +298,8 @@ class TestSlotContract:
         episode = run_episode(cfg, seed=9)
         recomposed = (
             episode.mean_rate_bps * 1e-6
-            - cfg.weights.energy_weight * episode.energy_w * 1e3
-            - cfg.weights.interference_weight * episode.ici_w * 1e3
+            - cfg.energy_weight * episode.energy_w * 1e3
+            - cfg.interference_weight * episode.ici_w * 1e3
         )
         assert episode.utility == pytest.approx(recomposed, rel=1e-12)
 
@@ -427,8 +431,9 @@ class TestExperiment:
 
     def test_sweep_covers_each_density(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=1)
-        results = sweep_density(cfg, [1, 2])
-        assert len(results) == 2
+        configs = density_configs(cfg, [1, 2])
+        assert [c.ue_density for c in configs] == [1, 2]
+        results = [run_experiment(c) for c in configs]
         assert all(len(s.utility) == cfg.agent.max_slots for s in results)
         # denser cells split the band, so the single-UE run is faster per UE
         assert results[0].mean_rate_bps.mean() > results[1].mean_rate_bps.mean()
@@ -436,12 +441,16 @@ class TestExperiment:
     def test_sweep_validates_densities(self, make_config):
         cfg = load_experiment(make_config(SHORT))
         with pytest.raises(ConfigError):
-            sweep_density(cfg, [])
+            density_configs(cfg, [])
         with pytest.raises(ConfigError):
-            sweep_density(cfg, [2, 0])
+            density_configs(cfg, [2, 0])
 
-    def test_sweep_checks_every_density_before_running(self, make_config, monkeypatch):
-        cfg = load_experiment(make_config(SHORT), runs=1)
+    def test_sweep_checks_every_density_before_running(self, make_config, monkeypatch,
+                                                       tmp_path):
+        from click.testing import CliRunner
+
+        from vlcudn.cli import main
+
         calls = []
         real = harness.run_episode
 
@@ -450,11 +459,15 @@ class TestExperiment:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run_episode", counting)
-        with pytest.raises(ConfigError, match="action_cap"):
-            sweep_density(cfg, [1, 9])
-        with pytest.raises(ConfigError, match="distinct"):
-            sweep_density(cfg, [2, 1, 2])
+        config, out = make_config(SHORT), tmp_path / "out"
+        for densities, fragment in (("1,9", "action_cap"), ("2,1,2", "distinct")):
+            result = CliRunner().invoke(main, [
+                "sweep", "--config", str(config), "--densities", densities,
+                "--runs", "1", "--out", str(out),
+            ])
+            assert result.exit_code == 2 and fragment in result.output, result.output
         assert calls == []
+        assert not out.exists()
 
 
 class TestWriters:

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from oracles import (
-    PowerVector, Pos3, SlotChannelSnapshot, achievable_rate, channel_gain,
-    channel_params_from_cm2, sinr, total_ici, utility,
+    Channel, Link, PowerVector, Pos3, SlotChannelSnapshot, Weights, achievable_rate,
+    channel_gain, channel_params_from_cm2, per_ue_bandwidth, sinr, total_ici, utility,
 )
 from vlcudn import kernels
-from vlcudn.channel import ChannelParams
-from vlcudn.metrics import LinkParams, UtilityWeights, per_ue_bandwidth
 
 PARAMS = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
-LINK = LinkParams(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
+LINK = Link(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
 
 
-def _gain_args(params: ChannelParams):
-    m = params.lambertian_order
+def _gain_args(params: Channel):
+    m = kernels.lambertian_order(params.semi_angle_half_intensity)
     coef = (m + 1.0) * params.detector_area / (2.0 * np.pi)
     return m, coef, np.cos(params.fov_rad)
 
@@ -73,7 +71,7 @@ def test_utility_matches_metrics_ops(squared):
     snapshot = SlotChannelSnapshot(serving, gamma, outgoing)
     x_nb = np.full((n_nb, n_ues), 2e-3)
     action_powers = rng.uniform(0.0, 4e-3, (n_actions, n_ues))
-    weights = UtilityWeights(energy_weight=4.0, interference_weight=1e6)
+    weights = Weights(energy_weight=4.0, interference_weight=1e6)
     wn = per_ue_bandwidth(LINK, n_ues)
     eta = PARAMS.responsivity
     cross = snapshot.outgoing_sum()

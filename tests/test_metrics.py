@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import PowerVector, SlotChannelSnapshot, achievable_rate, sinr, total_ici, utility
+from oracles import (
+    Link, PowerVector, SlotChannelSnapshot, Weights, achievable_rate, joint_actions,
+    per_ue_bandwidth, sinr, total_ici, utility,
+)
 from vlcudn.agent import enumerate_actions
-from vlcudn.metrics import LinkParams, UtilityWeights, per_ue_bandwidth
+from vlcudn.config import load_experiment
 
-LINK = LinkParams(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
+LINK = Link(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
 ETA = 0.54
 
 
@@ -16,15 +19,20 @@ def _no_interference_snapshot(h: float) -> SlotChannelSnapshot:
 
 
 class TestPerUeBandwidth:
-    def test_single_ue_gets_effective_band(self):
-        assert per_ue_bandwidth(LINK, 1) == pytest.approx(10e6, rel=1e-12)
+    """ExperimentConfig.per_ue_bandwidth on the [link] keys (20 MHz, factor 0.5)."""
 
-    def test_four_ues_share_equally(self):
-        assert per_ue_bandwidth(LINK, 4) == pytest.approx(2.5e6, rel=1e-12)
+    def test_single_ue_gets_effective_band(self, make_config):
+        cfg = load_experiment(make_config({"experiment.ue_density": 1}))
+        assert cfg.per_ue_bandwidth() == pytest.approx(10e6, rel=1e-12)
 
-    def test_unit_factor(self):
-        link = LinkParams(20e6, 1e-21, 1.0)
-        assert per_ue_bandwidth(link, 2) == pytest.approx(10e6, rel=1e-12)
+    def test_four_ues_share_equally(self, make_config):
+        cfg = load_experiment(make_config({"experiment.ue_density": 4}))
+        assert cfg.per_ue_bandwidth() == pytest.approx(2.5e6, rel=1e-12)
+
+    def test_unit_factor(self, make_config):
+        cfg = load_experiment(make_config({"link.effective_bandwidth_factor": 1.0}))
+        assert cfg.per_ue_bandwidth() == pytest.approx(10e6, rel=1e-12)
+        assert cfg.per_ue_bandwidth() == per_ue_bandwidth(cfg, cfg.ue_density)
 
 
 class TestSinr:
@@ -62,13 +70,6 @@ class TestSinr:
             want, rel=1e-12
         )
 
-    def test_dimension_mismatch_rejected(self):
-        snap = SlotChannelSnapshot([1e-6, 2e-6], np.empty((0, 2)), [])
-        with pytest.raises(ValueError):
-            sinr(0, PowerVector([1e-3], np.empty((0, 1))), snap, LINK, ETA)
-        with pytest.raises(ValueError):
-            sinr(5, PowerVector([1e-3, 1e-3], np.empty((0, 2))), snap, LINK, ETA)
-
 
 class TestAchievableRate:
     def test_zero_sinr(self):
@@ -81,10 +82,6 @@ class TestAchievableRate:
         assert achievable_rate(10e6, 1718873.3853924696) == pytest.approx(
             207130326.8645367, rel=1e-9
         )
-
-    def test_rejects_negative_sinr(self):
-        with pytest.raises(ValueError):
-            achievable_rate(10e6, -0.1)
 
 
 class TestTotalIci:
@@ -110,7 +107,7 @@ class TestTotalIci:
 
 
 class TestUtility:
-    WEIGHTS = UtilityWeights(energy_weight=1.0, interference_weight=1e3)
+    WEIGHTS = Weights(energy_weight=1.0, interference_weight=1e3)
 
     def test_all_zero_is_zero(self):
         powers = PowerVector([0.0, 0.0], np.empty((0, 2)))
@@ -118,7 +115,7 @@ class TestUtility:
 
     def test_zero_weights_give_mean_rate_in_mbps(self):
         powers = PowerVector([2e-3, 2e-3], np.empty((0, 2)))
-        got = utility([10e6, 20e6], powers, 1e-9, UtilityWeights(0.0, 0.0))
+        got = utility([10e6, 20e6], powers, 1e-9, Weights(0.0, 0.0))
         assert got == pytest.approx(15.0, rel=1e-12)
 
     def test_mixed_unit_oracle(self):
@@ -127,51 +124,25 @@ class TestUtility:
         got = utility([10e6, 20e6], powers, 1e-9, self.WEIGHTS)
         assert got == pytest.approx(10.999, rel=1e-9)
 
-    def test_rejects_mismatched_rates(self):
-        powers = PowerVector([1e-3], np.empty((0, 1)))
-        with pytest.raises(ValueError):
-            utility([1e6, 2e6], powers, 0.0, self.WEIGHTS)
-
-    def test_rejects_negative_ici(self):
-        powers = PowerVector([1e-3], np.empty((0, 1)))
-        with pytest.raises(ValueError):
-            utility([1e6], powers, -1e-12, self.WEIGHTS)
-
 
 def test_full_power_maximizes_rate_only_utility():
     # with zero weights the best joint action is everyone at max power
     rng = np.random.default_rng(13)
-    actions = enumerate_actions(5, 4e-3, 2)
+    actions = joint_actions(enumerate_actions(5, 4e-3), 2)
     serving = rng.uniform(1e-6, 8e-6, 2)
     gamma = rng.uniform(0, 2e-6, (3, 2))
     snap = SlotChannelSnapshot(serving, gamma, [np.empty(0)] * 3)
     x_nb = np.full((3, 2), 2e-3)
     wn = per_ue_bandwidth(LINK, 2)
-    weights = UtilityWeights(0.0, 0.0)
+    weights = Weights(0.0, 0.0)
     best, best_u = None, -np.inf
-    for a in range(actions.n_actions):
-        powers = PowerVector(actions.decode(a), x_nb)
+    for a, row in enumerate(actions):
+        powers = PowerVector(row, x_nb)
         rates = [
             achievable_rate(wn, sinr(n, powers, snap, LINK, ETA)) for n in range(2)
         ]
         u = utility(rates, powers, total_ici(powers, snap, ETA), weights)
         if u > best_u:
             best, best_u = a, u
-    assert best == actions.n_actions - 1
+    assert best == len(actions) - 1
 
-
-def test_snapshot_and_powers_validation():
-    with pytest.raises(ValueError):
-        SlotChannelSnapshot([[1e-6]], np.empty((0, 1)), [])  # 2-D serving
-    with pytest.raises(ValueError):
-        SlotChannelSnapshot([1e-6], np.empty((2, 3)), [np.empty(0)] * 2)  # N mismatch
-    with pytest.raises(ValueError):
-        SlotChannelSnapshot([1e-6], np.empty((2, 1)), [np.empty(0)])  # J mismatch
-    with pytest.raises(ValueError):
-        SlotChannelSnapshot([-1e-6], np.empty((0, 1)), [])  # negative gain
-    with pytest.raises(ValueError):
-        PowerVector([-1e-3], np.empty((0, 1)))
-    with pytest.raises(ValueError):
-        PowerVector([1e-3, 2e-3], [[1e-3]])  # wrong interferer width
-    with pytest.raises(ValueError):
-        UtilityWeights(-1.0, 0.0)
