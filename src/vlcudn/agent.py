@@ -253,21 +253,17 @@ def update_q(q: QTable, state: int, action: int, utility: float, next_state: int
     return value
 
 
-def epsilon_at(slot: int, config: AgentConfig) -> float:
-    """Linearly decayed exploration rate, constant once decay completes."""
-    if slot >= config.epsilon_decay_slots:
-        return config.epsilon_end
-    frac = slot / config.epsilon_decay_slots
-    return config.epsilon_start + (config.epsilon_end - config.epsilon_start) * frac
+def epsilon_at(slot: int, start: float, end: float, decay_slots: int) -> float:
+    """Exploration rate decayed linearly from start to end over decay_slots,
+    constant once decay completes."""
+    if slot >= decay_slots:
+        return end
+    return start + (end - start) * (slot / decay_slots)
 
 
-def warmup_policy(
-    slot: int,
-    config: AgentConfig,
-    n_actions: int,
-    rng: np.random.Generator,
-) -> int | None:
+def warmup_policy(slot: int, warmup_slots: int, n_actions: int,
+                  rng: np.random.Generator) -> int | None:
     """Uniform random action during the warmup slots, None afterwards."""
-    if slot < config.warmup_slots:
+    if slot < warmup_slots:
         return int(rng.integers(n_actions))
     return None

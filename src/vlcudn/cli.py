@@ -27,16 +27,6 @@ def main():
     """Q-learning transmit-power control in a dense indoor optical network."""
 
 
-def _echo_summary(label: str, series) -> None:
-    c = converged_means(series)
-    click.echo(
-        f"{label}: converged utility {c['utility']:.4g}, "
-        f"rate {c['mean_rate_bps'] / 1e6:.4g} Mbit/s, "
-        f"energy {c['energy_w'] * 1e3:.4g} mW, "
-        f"ici {c['ici_w'] * 1e3:.4g} mW"
-    )
-
-
 @contextmanager
 def _exit_codes():
     """Exit 2 on bad input and 3 on an aborted run, with the reason."""
@@ -50,13 +40,30 @@ def _exit_codes():
         sys.exit(3)
 
 
-def _make_out_dir(out_dir) -> None:
-    """Create --out before any run, so that a path which cannot hold the
+def _run(jobs, workers: int, keep_runs: bool = False) -> None:
+    """Run each (config, result directory or None) pair, all through one
+    pool, then print each config's converged metrics and write its files.
+    Every directory is created first, so that a path which cannot hold the
     results fails (exit 2) before the compute is spent."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise click.UsageError(f"cannot create --out: {exc}") from None
+    for _, out_dir in jobs:
+        if out_dir:
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise click.UsageError(f"cannot create --out: {exc}") from None
+    results = run_experiment([config for config, _ in jobs], workers, keep_runs)
+    for (config, out_dir), series in zip(jobs, results):
+        c = converged_means(series)
+        click.echo(
+            f"policy={config.policy} density={config.ue_density} runs={config.runs}: "
+            f"converged utility {c['utility']:.4g}, "
+            f"rate {c['mean_rate_bps'] / 1e6:.4g} Mbit/s, "
+            f"energy {c['energy_w'] * 1e3:.4g} mW, "
+            f"ici {c['ici_w'] * 1e3:.4g} mW"
+        )
+        if out_dir:
+            for path in save_experiment(out_dir, config, series):
+                click.echo(f"wrote {path}")
 
 
 @main.command()
@@ -89,15 +96,7 @@ def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run
         config = load_experiment(
             config_path, policy=policy, density=density, runs=runs, seed=seed
         )
-        if out_dir:
-            _make_out_dir(out_dir)
-        series = run_experiment(config, workers=workers, keep_runs=per_run)
-    _echo_summary(
-        f"policy={config.policy} density={config.ue_density} runs={config.runs}", series
-    )
-    if out_dir:
-        for path in save_experiment(out_dir, config, series):
-            click.echo(f"wrote {path}")
+        _run([(config, out_dir)], workers, keep_runs=per_run)
 
 
 @main.command()
@@ -130,13 +129,7 @@ def sweep(config_path, densities, out_dir, runs, seed, workers):
         ) from None
     with _exit_codes():
         configs = density_configs(load_experiment(config_path, runs=runs, seed=seed), parsed)
-        _make_out_dir(out_dir)
-        series_list = [run_experiment(config, workers=workers) for config in configs]
-    for config, series in zip(configs, series_list):
-        density = config.ue_density
-        _echo_summary(f"policy={config.policy} density={density} runs={config.runs}", series)
-        for path in save_experiment(os.path.join(out_dir, f"rho{density}"), config, series):
-            click.echo(f"wrote {path}")
+        _run([(c, os.path.join(out_dir, f"rho{c.ue_density}")) for c in configs], workers)
 
 
 @main.command("inspect-q")

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .agent import AgentConfig
+from .agent import AgentConfig, StateQuantizer
 from .kernels import lambertian_order
 from .topology import REUSE_MODES
 
@@ -200,6 +200,12 @@ class ExperimentConfig:
         m_order = lambertian_order(self.semi_angle_half_intensity)
         return (m_order + 1.0) * self.detector_area / (2.0 * math.pi * dz ** 2)
 
+    def state_grid(self) -> StateQuantizer:
+        """The learner's state grid: rates up to the per-UE Shannon rate at
+        sinr_cap, gains up to gain_max()."""
+        rate_max = self.per_ue_bandwidth() * math.log2(1.0 + self.sinr_cap)
+        return StateQuantizer(self.rate_bins, self.gain_bins, rate_max, self.gain_max())
+
     def n_neighbor_ues(self) -> int:
         return self.ue_density if self.neighbor_ues is None else self.neighbor_ues
 
@@ -260,8 +266,8 @@ def _read_sections(path) -> dict[str, dict[str, str]]:
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
     try:
-        loaded = parser.read(path)
-    except configparser.Error as exc:
+        loaded = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not loaded:
         raise ConfigError(f"cannot read config file {path}")

@@ -17,7 +17,8 @@ Each run derives two independent random streams from its seed, one for
 movement and one for the agent, and run i of an experiment uses seed
 base_seed + i.  Averaging across runs is an ordered reduction over the
 run index, so serial and process-parallel execution give byte-identical
-outputs.
+outputs.  run_experiment runs every run of every config it is given
+through one process pool.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
+from itertools import islice
 from operator import add
 
 import numpy as np
@@ -38,7 +41,6 @@ import numpy as np
 from . import __version__, kernels
 from .agent import (
     QTable,
-    StateQuantizer,
     enumerate_actions,
     epsilon_at,
     quantize_state,
@@ -51,6 +53,7 @@ from .mobility import MobilityConfig, simulate_paths
 from .topology import cell_bounds, central_ap, co_channel_neighbors, make_grid
 
 CSV_HEADER = "slot,utility,mean_rate_bps,energy_w,ici_w"
+METRICS = ("utility", "mean_rate_bps", "energy_w", "ici_w")
 
 
 class SimulationAbort(RuntimeError):
@@ -58,28 +61,17 @@ class SimulationAbort(RuntimeError):
 
 
 @dataclass
-class EpisodeResult:
-    utility: np.ndarray
-    mean_rate_bps: np.ndarray
-    energy_w: np.ndarray
-    ici_w: np.ndarray
-    qtable: QTable | None
-    quant: StateQuantizer
-
-
-@dataclass
-class RunSeries:
-    """Per-slot metrics averaged over all runs of one experiment."""
+class Series:
+    """Per-slot metrics of one episode, or their mean over an experiment's
+    runs; qtable is the (first) run's learned table, per_run the runs when
+    kept."""
 
     utility: np.ndarray
     mean_rate_bps: np.ndarray
     energy_w: np.ndarray
     ici_w: np.ndarray
-    runs: int
-    seed: int
-    qtable: QTable | None
-    quant: StateQuantizer
-    per_run: list[EpisodeResult] | None = None
+    qtable: QTable | None = None
+    per_run: list[Series] | None = None
 
 
 def _left_sum(terms):
@@ -108,7 +100,7 @@ def _score(rate_tab, levels, choice, outgoing, prices, seed: int):
     return u, mean_rate, total_w, ici
 
 
-def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
+def run_episode(config: ExperimentConfig, seed: int) -> Series:
     """One learning episode with its own seed; returns per-slot metrics."""
     n = config.ue_density
     agent_cfg = config.agent
@@ -123,8 +115,6 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
         topo, central, config.reuse_mode, config.fov_rad, config.ue_height
     )
     wn = config.per_ue_bandwidth()
-    rate_max = wn * math.log2(1.0 + config.sinr_cap)
-    quant = StateQuantizer(config.rate_bins, config.gain_bins, rate_max, config.gain_max())
     levels = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power)
     m_order = kernels.lambertian_order(config.semi_angle_half_intensity)
     coef = (m_order + 1.0) * config.detector_area / (2.0 * math.pi)
@@ -184,14 +174,14 @@ def run_episode(config: ExperimentConfig, seed: int) -> EpisodeResult:
             picks = agent_rng.integers(levels.size ** n, size=n_slots)
         else:
             qtable = QTable(levels.size ** n)
-            picks = _learn(config, quant, levels, rate_tab, serving, outgoing, prices,
-                           qtable, agent_rng)
+            picks = _learn(config, levels, rate_tab, serving, outgoing, prices, qtable,
+                           agent_rng)
         choice = np.stack(np.unravel_index(picks, (levels.size,) * n), axis=1)
 
-    return EpisodeResult(*_score(rate_tab, levels, choice, outgoing, prices, seed), qtable, quant)
+    return Series(*_score(rate_tab, levels, choice, outgoing, prices, seed), qtable)
 
 
-def _learn(config, quant, levels, rate_tab, serving, outgoing, prices, qtable, rng):
+def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     """The rpic slot loop: fills qtable and returns each slot's action.
 
     Python floats throughout: the chosen rates come from one slot's row of
@@ -202,6 +192,8 @@ def _learn(config, quant, levels, rate_tab, serving, outgoing, prices, qtable, r
     """
     agent_cfg = config.agent
     alpha, beta = agent_cfg.learning_rate, agent_cfg.discount
+    decay = (agent_cfg.epsilon_start, agent_cfg.epsilon_end, agent_cfg.epsilon_decay_slots)
+    quant = config.state_grid()
     n = config.ue_density
     n_levels = levels.size
     level_w = levels.tolist()
@@ -214,9 +206,9 @@ def _learn(config, quant, levels, rate_tab, serving, outgoing, prices, qtable, r
     last = None  # the previous slot's (state, action, utility)
     for k in range(agent_cfg.max_slots):
         state = quantize_state(rates, gains[k], quant)
-        action = warmup_policy(k, agent_cfg, qtable.n_actions, rng)
+        action = warmup_policy(k, agent_cfg.warmup_slots, qtable.n_actions, rng)
         if action is None:
-            action = select_action(qtable, state, epsilon_at(k, agent_cfg), rng)
+            action = select_action(qtable, state, epsilon_at(k, *decay), rng)
         picks.append(action)
         digits = [action // p % n_levels for p in places]
         rates = [row[d] for row, d in zip(rate_tab[k].tolist(), digits)]
@@ -235,24 +227,24 @@ def _learn(config, quant, levels, rate_tab, serving, outgoing, prices, qtable, r
     return picks
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1, keep_runs: bool = False) -> RunSeries:
-    """Average config.runs episodes, seeded seed, seed+1, ..."""
-    seeds = range(config.seed, config.seed + config.runs)
-    workers = min(workers, config.runs)  # the pool starts all its processes up front
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            episodes = list(pool.map(run_episode, repeat(config), seeds))
-    else:
-        episodes = [run_episode(config, s) for s in seeds]
-    return RunSeries(
-        utility=np.mean(np.stack([e.utility for e in episodes]), axis=0),
-        mean_rate_bps=np.mean(np.stack([e.mean_rate_bps for e in episodes]), axis=0),
-        energy_w=np.mean(np.stack([e.energy_w for e in episodes]), axis=0),
-        ici_w=np.mean(np.stack([e.ici_w for e in episodes]), axis=0),
-        runs=config.runs,
-        seed=config.seed,
+def run_experiment(configs: list[ExperimentConfig], workers: int = 1,
+                   keep_runs: bool = False) -> list[Series]:
+    """One Series per config: the mean of its config.runs episodes, seeded
+    seed, seed+1, ...  Every run of every config goes through one pool of
+    up to `workers` processes; 1 runs serially."""
+    jobs = [(config, seed) for config in configs
+            for seed in range(config.seed, config.seed + config.runs)]
+    workers = min(workers, len(jobs))  # the pool starts all its processes up front
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # Both maps yield in job order, so each config's runs arrive in run order.
+        episodes = (pool.map if pool else map)(run_episode, *zip(*jobs))
+        return [_mean(list(islice(episodes, config.runs)), keep_runs) for config in configs]
+
+
+def _mean(episodes: list[Series], keep_runs: bool) -> Series:
+    return Series(
+        *(np.mean(np.stack([getattr(e, name) for e in episodes]), axis=0) for name in METRICS),
         qtable=episodes[0].qtable,
-        quant=episodes[0].quant,
         per_run=episodes if keep_runs else None,
     )
 
@@ -268,15 +260,9 @@ def density_configs(config: ExperimentConfig, densities) -> list[ExperimentConfi
     return [dataclasses.replace(config, ue_density=int(d)) for d in densities]
 
 
-def converged_means(series, window: int = 500) -> dict:
-    """Means of each metric over the last `window` slots."""
-    window = min(window, len(series.utility))
-    return {
-        "utility": float(series.utility[-window:].mean()),
-        "mean_rate_bps": float(series.mean_rate_bps[-window:].mean()),
-        "energy_w": float(series.energy_w[-window:].mean()),
-        "ici_w": float(series.ici_w[-window:].mean()),
-    }
+def converged_means(series: Series) -> dict:
+    """Means of each metric over the last 500 slots, or all of them if fewer."""
+    return {name: float(getattr(series, name)[-500:].mean()) for name in METRICS}
 
 
 def write_series_csv(path, series) -> None:
@@ -306,14 +292,14 @@ def _git_describe() -> str | None:
     return proc.stdout.strip()
 
 
-def write_metadata(path, config: ExperimentConfig, series: RunSeries) -> None:
+def write_metadata(path, config: ExperimentConfig, series: Series) -> None:
     meta = {
         "config": config.resolved(),
         "config_sha256": config.fingerprint(),
         "policy": config.policy,
         "ue_density": config.ue_density,
-        "runs": series.runs,
-        "seed": series.seed,
+        "runs": config.runs,
+        "seed": config.seed,
         "package_version": __version__,
         "git_describe": _git_describe(),
         "frame_definition": "1 frame = 1 slot",
@@ -324,9 +310,12 @@ def write_metadata(path, config: ExperimentConfig, series: RunSeries) -> None:
         fh.write("\n")
 
 
-def save_experiment(out_dir, config: ExperimentConfig, series: RunSeries) -> list[str]:
+def save_experiment(out_dir, config: ExperimentConfig, series: Series) -> list[str]:
     """Write metrics.csv, the metadata sidecar, per-run CSVs when kept,
-    and the learned Q-table for the first run of an RPIC experiment."""
+    and the learned Q-table for the first run of an RPIC experiment.
+    A qtable.tsv or runNNNN.csv that an earlier save left in out_dir and
+    this one did not write is removed, so every file there is from this
+    experiment."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     csv_path = os.path.join(out_dir, "metrics.csv")
@@ -344,7 +333,7 @@ def save_experiment(out_dir, config: ExperimentConfig, series: RunSeries) -> lis
         q_path = os.path.join(out_dir, "qtable.tsv")
         series.qtable.save(
             q_path,
-            series.quant,
+            config.state_grid(),
             config.ue_density,
             extra={
                 "power_levels": config.agent.power_levels,
@@ -352,4 +341,8 @@ def save_experiment(out_dir, config: ExperimentConfig, series: RunSeries) -> lis
             },
         )
         written.append(q_path)
+    names = {os.path.basename(path) for path in written}
+    for name in os.listdir(out_dir):
+        if re.fullmatch(r"qtable\.tsv|run[0-9]{4}\.csv", name) and name not in names:
+            os.remove(os.path.join(out_dir, name))
     return written

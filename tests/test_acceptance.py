@@ -1,12 +1,14 @@
 """Release gates for the full simulator, one printed verdict per criterion.
 
 Heavy fixtures (100-run experiments at 3000 slots) are session scoped and
-shared across criteria; the whole module runs in a few minutes on one core.
+shared across criteria; they run through one process pool on every CPU
+this process may use.
 Each criterion prints `criterion N (...): PASS|FAIL [detail]` through the
 capture plug so the verdict lines always reach the console log.
 """
 
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -46,18 +48,24 @@ def reference_cfg(reference_config_path):
 
 
 @pytest.fixture(scope="session")
-def rpic_by_density(reference_cfg):
-    """100-run averaged learning series for 1, 2 and 3 users per cell."""
-    return {
-        rho: run_experiment(dataclasses.replace(reference_cfg, ue_density=rho))
-        for rho in (1, 2, 3)
-    }
+def reference_series(reference_cfg):
+    """The four 100-run series the criteria read: rpic at 1, 2 and 3 users
+    per cell, then fixed_half at 3, through one pool on every CPU this
+    process may use."""
+    configs = [dataclasses.replace(reference_cfg, ue_density=rho) for rho in (1, 2, 3)]
+    configs.append(dataclasses.replace(reference_cfg, policy="fixed_half", ue_density=3))
+    return run_experiment(configs, workers=len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture(scope="session")
-def fixed_half_rho3(reference_cfg):
-    cfg = dataclasses.replace(reference_cfg, policy="fixed_half", ue_density=3)
-    return run_experiment(cfg)
+def rpic_by_density(reference_series):
+    """100-run averaged learning series for 1, 2 and 3 users per cell."""
+    return dict(zip((1, 2, 3), reference_series))
+
+
+@pytest.fixture(scope="session")
+def fixed_half_rho3(reference_series):
+    return reference_series[3]
 
 
 def test_criterion_1_formula_oracles(capsys):

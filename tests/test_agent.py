@@ -6,7 +6,6 @@ import pytest
 import oracles
 from oracles import joint_actions
 from vlcudn.agent import (
-    AgentConfig,
     QTable,
     StateQuantizer,
     enumerate_actions,
@@ -26,22 +25,6 @@ QUANT = StateQuantizer(rate_bins=4, gain_bins=4, rate_max=2.0**25, gain_max=8e-6
 def _key(rates, gains):
     """The rendered key of quantize_state on QUANT."""
     return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
-
-
-def _cfg(**overrides):
-    base = dict(
-        power_levels=5,
-        max_power=4e-3,
-        learning_rate=0.9,
-        discount=0.3,
-        epsilon_start=0.9,
-        epsilon_end=0.1,
-        epsilon_decay_slots=1000,
-        warmup_slots=20,
-        max_slots=3000,
-    )
-    base.update(overrides)
-    return AgentConfig(**base)
 
 
 class TestQuantizeState:
@@ -337,35 +320,32 @@ class TestUpdateQ:
 
 
 class TestSchedules:
+    DECAY = (0.9, 0.1, 1000)  # epsilon start, end and decay slots
+
     def test_epsilon_endpoints(self):
-        cfg = _cfg()
-        assert epsilon_at(0, cfg) == 0.9
-        assert epsilon_at(1000, cfg) == 0.1
-        assert epsilon_at(2999, cfg) == 0.1
+        assert epsilon_at(0, *self.DECAY) == 0.9
+        assert epsilon_at(1000, *self.DECAY) == 0.1
+        assert epsilon_at(2999, *self.DECAY) == 0.1
 
     def test_epsilon_midpoint(self):
-        assert epsilon_at(500, _cfg()) == pytest.approx(0.5, rel=1e-12)
+        assert epsilon_at(500, *self.DECAY) == pytest.approx(0.5, rel=1e-12)
 
     def test_epsilon_monotone_nonincreasing(self):
-        cfg = _cfg()
-        values = [epsilon_at(k, cfg) for k in range(0, 1200, 7)]
+        values = [epsilon_at(k, *self.DECAY) for k in range(0, 1200, 7)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_zero_decay_jumps_to_end(self):
-        cfg = _cfg(epsilon_decay_slots=0)
-        assert epsilon_at(0, cfg) == 0.1
+        assert epsilon_at(0, 0.9, 0.1, 0) == 0.1
 
     def test_warmup_boundary(self):
-        cfg = _cfg(warmup_slots=20)
         rng = np.random.default_rng(3)
         for slot in range(20):
-            pick = warmup_policy(slot, cfg, 6, rng)
+            pick = warmup_policy(slot, 20, 6, rng)
             assert pick is not None and 0 <= pick < 6
-        assert warmup_policy(20, cfg, 6, rng) is None
+        assert warmup_policy(20, 20, 6, rng) is None
 
     def test_warmup_disabled(self):
-        cfg = _cfg(warmup_slots=0)
-        assert warmup_policy(0, cfg, 6, np.random.default_rng(0)) is None
+        assert warmup_policy(0, 0, 6, np.random.default_rng(0)) is None
 
 
 # Each input in file units, through the config file; the ids are the

@@ -82,6 +82,18 @@ class TestSimulate:
         assert result.exit_code == 0
         assert (out / "run0000.csv").exists() and (out / "run0001.csv").exists()
 
+    def test_rerun_removes_files_it_did_not_write(self, runner, fast_config, tmp_path):
+        out = tmp_path / "out"
+        for extra in (["--per-run"], ["--per-run", "--runs", "1"], ["--policy", "fixed_max"]):
+            result = runner.invoke(
+                main, ["simulate", "--config", str(fast_config), "--out", str(out), *extra]
+            )
+            assert result.exit_code == 0, result.output
+            written = sorted(os.path.basename(line[len("wrote "):])
+                             for line in result.output.splitlines() if line.startswith("wrote "))
+            assert sorted(p.name for p in out.iterdir()) == written
+        assert written == ["metrics.csv", "metrics.meta.json"]
+
     def test_per_run_without_out_exits_2(self, runner, fast_config, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = runner.invoke(main, ["simulate", "--config", str(fast_config), "--per-run"])
@@ -117,9 +129,19 @@ class TestSimulate:
             # finite, but the energy term overflows to inf
             "utility.energy_weight_per_mw": "1e308",
         }))
+        for workers in ("1", "2"):
+            result = runner.invoke(main, ["simulate", "--config", str(path),
+                                          "--workers", workers])
+            assert result.exit_code == 3, workers
+            assert "aborted" in result.output
+
+    def test_config_that_is_not_utf8_exits_2(self, runner, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(render_config(FAST).replace("[agent]", "# caf\xe9\n[agent]")
+                         .encode("latin-1"))
         result = runner.invoke(main, ["simulate", "--config", str(path)])
-        assert result.exit_code == 3
-        assert "aborted" in result.output
+        assert result.exit_code == 2, result.output
+        assert f"config error: cannot parse {path}: 'utf-8' codec can't decode" in result.output
 
     @pytest.mark.parametrize("overrides", [
         {"agent.sinr_cap": "nan"},
@@ -154,6 +176,26 @@ def test_out_that_cannot_be_created_exits_2_before_any_run(
     assert "cannot create --out:" in result.output
 
 
+def test_density_directory_that_cannot_be_created_exits_2_before_any_run(
+    runner, fast_config, tmp_path, monkeypatch
+):
+    import vlcudn.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran an experiment before creating every rho<N>")
+
+    monkeypatch.setattr(vlcudn.cli, "run_experiment", no_run)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "rho2").write_text("")
+    result = runner.invoke(main, [
+        "sweep", "--config", str(fast_config), "--densities", "1,2", "--out", str(out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "cannot create --out:" in result.output
+    assert [p for p in out.rglob("*") if p.is_file()] == [out / "rho2"]
+
+
 class TestSweep:
     def test_writes_one_directory_per_density(self, runner, fast_config, tmp_path):
         out = tmp_path / "sweep"
@@ -166,6 +208,21 @@ class TestSweep:
             assert (out / rho / "metrics.csv").exists()
             meta = json.loads((out / rho / "metrics.meta.json").read_text())
             assert meta["ue_density"] == int(rho[-1])
+
+    def test_worker_count_does_not_change_the_tree(self, runner, fast_config, tmp_path):
+        trees, outputs = [], []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            result = runner.invoke(main, [
+                "sweep", "--config", str(fast_config), "--densities", "1,2,3",
+                "--runs", "2", "--workers", workers, "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+            outputs.append(result.output.replace(str(out), "OUT"))
+        assert len(trees[0]) == 9 and trees[0] == trees[1]
+        assert outputs[0] == outputs[1]
 
     def test_rejects_malformed_density_list(self, runner, fast_config, tmp_path):
         result = runner.invoke(main, [

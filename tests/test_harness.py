@@ -22,6 +22,7 @@ from vlcudn.agent import quantize_state
 from vlcudn.config import POLICIES, ConfigError, load_experiment
 from vlcudn.harness import (
     CSV_HEADER,
+    Series,
     SimulationAbort,
     converged_means,
     density_configs,
@@ -233,7 +234,7 @@ class TestSlotContract:
         cfg, episode, trace, _ = traced
         for entry in trace[:30]:
             assert np.array_equal(entry["quantized_gains"], entry["serving_gains"])
-            want = quantize_state(entry["prev_rates"], entry["serving_gains"], episode.quant)
+            want = quantize_state(entry["prev_rates"], entry["serving_gains"], cfg.state_grid())
             assert type(entry["state"]) is int and entry["state"] == want
 
     def test_rates_chain_across_slots(self, traced):
@@ -369,14 +370,14 @@ class TestPolicies:
 class TestExperiment:
     def test_single_run_equals_episode(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=1)
-        series = run_experiment(cfg)
+        series = run_experiment([cfg])[0]
         episode = run_episode(cfg, seed=cfg.seed)
         assert np.array_equal(series.utility, episode.utility)
         assert np.array_equal(series.ici_w, episode.ici_w)
 
     def test_average_is_ordered_mean_of_seeded_runs(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=3, seed=5)
-        series = run_experiment(cfg)
+        series = run_experiment([cfg])[0]
         manual = np.mean(
             np.stack([run_episode(cfg, s).utility for s in (5, 6, 7)]), axis=0
         )
@@ -384,27 +385,30 @@ class TestExperiment:
 
     def test_repeat_call_is_identical(self, make_config):
         cfg = load_experiment(make_config(SHORT))
-        a, b = run_experiment(cfg), run_experiment(cfg)
+        a, b = run_experiment([cfg])[0], run_experiment([cfg])[0]
         assert np.array_equal(a.utility, b.utility)
         assert np.array_equal(a.mean_rate_bps, b.mean_rate_bps)
 
     def test_seed_changes_output(self, make_config):
         cfg = load_experiment(make_config(SHORT))
-        a = run_experiment(cfg)
-        b = run_experiment(dataclasses.replace(cfg, seed=123))
+        a = run_experiment([cfg])[0]
+        b = run_experiment([dataclasses.replace(cfg, seed=123)])[0]
         assert not np.array_equal(a.utility, b.utility)
 
     def test_parallel_equals_serial(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=2)
-        serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=2)
+        serial = run_experiment([cfg], workers=1)[0]
+        parallel = run_experiment([cfg], workers=2)[0]
         for field in ("utility", "mean_rate_bps", "energy_w", "ici_w"):
             assert np.array_equal(getattr(serial, field), getattr(parallel, field)), field
 
-    def test_pool_is_no_larger_than_the_run_count(self, make_config, monkeypatch):
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """The size of each pool run_experiment opens; the pools run their
+        maps in this process."""
         sizes = []
 
-        class RecordingPool:  # runs the map in this process
+        class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -418,22 +422,42 @@ class TestExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_is_no_larger_than_the_run_count(self, make_config, pool_sizes):
         cfg = load_experiment(make_config(SHORT), runs=2)
-        run_experiment(cfg, workers=8)
-        run_experiment(dataclasses.replace(cfg, runs=1), workers=8)
-        assert sizes == [2]
+        run_experiment([cfg], workers=8)
+        run_experiment([dataclasses.replace(cfg, runs=1)], workers=8)
+        assert pool_sizes == [2]
+        # several configs share one pool, as large as their three runs allow
+        configs = [cfg, dataclasses.replace(cfg, runs=1, seed=9)]
+        run_experiment(configs, workers=8)
+        run_experiment(configs, workers=2)
+        assert pool_sizes == [2, 3, 2]
+
+    def test_sweep_opens_one_pool(self, make_config, pool_sizes, tmp_path):
+        from click.testing import CliRunner
+
+        from vlcudn.cli import main
+
+        result = CliRunner().invoke(main, [
+            "sweep", "--config", str(make_config(SHORT)), "--densities", "1,2,3",
+            "--runs", "2", "--workers", "4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert pool_sizes == [4]
 
     def test_keep_runs(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=2)
-        series = run_experiment(cfg, keep_runs=True)
+        series = run_experiment([cfg], keep_runs=True)[0]
         assert len(series.per_run) == 2
-        assert run_experiment(cfg).per_run is None
+        assert run_experiment([cfg])[0].per_run is None
 
     def test_sweep_covers_each_density(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=1)
         configs = density_configs(cfg, [1, 2])
         assert [c.ue_density for c in configs] == [1, 2]
-        results = [run_experiment(c) for c in configs]
+        results = [run_experiment([c])[0] for c in configs]
         assert all(len(s.utility) == cfg.agent.max_slots for s in results)
         # denser cells split the band, so the single-UE run is faster per UE
         assert results[0].mean_rate_bps.mean() > results[1].mean_rate_bps.mean()
@@ -474,7 +498,7 @@ class TestWriters:
     @pytest.fixture()
     def small_series(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=2)
-        return cfg, run_experiment(cfg, keep_runs=True)
+        return cfg, run_experiment([cfg], keep_runs=True)[0]
 
     def test_csv_layout(self, tmp_path, small_series):
         cfg, series = small_series
@@ -537,18 +561,21 @@ class TestWriters:
         cfg = load_experiment(
             make_config({**SHORT, "experiment.policy": "random"}), runs=1
         )
-        series = run_experiment(cfg)
+        series = run_experiment([cfg])[0]
         out = tmp_path / "out"
         save_experiment(out, cfg, series)
         names = sorted(p.name for p in out.iterdir())
         assert names == ["metrics.csv", "metrics.meta.json"]
 
     def test_converged_means_window(self, small_series):
-        _, series = small_series
-        full = converged_means(series, window=10_000)
+        _, series = small_series  # 80 slots: the mean of all of them
+        full = converged_means(series)
         assert full["utility"] == pytest.approx(series.utility.mean(), rel=1e-12)
-        tail = converged_means(series, window=10)
-        assert tail["energy_w"] == pytest.approx(series.energy_w[-10:].mean(), rel=1e-12)
+        rng = np.random.default_rng(0)
+        long = Series(*(rng.random(700) for _ in range(4)))
+        tail = converged_means(long)
+        assert tail["energy_w"] == pytest.approx(long.energy_w[-500:].mean(), rel=1e-12)
+        assert tail["energy_w"] != pytest.approx(long.energy_w.mean(), rel=1e-12)
 
 
 # The greedy rows set weights that leave greedy_myopic some power: at the
@@ -603,7 +630,7 @@ def test_golden_bytes(make_config, tmp_path, policy, density, overrides, csv_sha
     cfg = load_experiment(make_config({
         "experiment.policy": policy, "experiment.ue_density": density, **overrides,
     }))
-    save_experiment(tmp_path, cfg, run_experiment(cfg))
+    save_experiment(tmp_path, cfg, run_experiment([cfg])[0])
 
     def digest(name):
         path = tmp_path / name
