@@ -49,8 +49,8 @@ from .agent import (
     warmup_policy,
 )
 from .config import ConfigError, ExperimentConfig
-from .mobility import MobilityConfig, simulate_paths
-from .topology import cell_bounds, central_ap, co_channel_neighbors, make_grid
+from .mobility import simulate_paths
+from .topology import episode_cells
 
 CSV_HEADER = "slot,utility,mean_rate_bps,energy_w,ici_w"
 METRICS = ("utility", "mean_rate_bps", "energy_w", "ici_w")
@@ -109,49 +109,46 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
     squared = config.squared_electrical_power
     # utility()'s arguments after the summed powers and the cross-gain
     prices = (eta, config.energy_weight, config.interference_weight)
-    topo = make_grid(config.rows, config.cols, config.spacing, config.ap_height)
-    central = central_ap(topo)
-    neighbors = co_channel_neighbors(
-        topo, central, config.reuse_mode, config.fov_rad, config.ue_height
-    )
+    (cx, cy), *neighbors = episode_cells(config)
     wn = config.per_ue_bandwidth()
     levels = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power)
     m_order = kernels.lambertian_order(config.semi_angle_half_intensity)
     coef = (m_order + 1.0) * config.detector_area / (2.0 * math.pi)
     cos_fov = math.cos(config.fov_rad)
     dz = config.ap_height - config.ue_height
+    half = config.spacing / 2.0
 
     mob_ss, agent_ss = np.random.SeedSequence(seed).spawn(2)
     mob_rng = np.random.default_rng(mob_ss)
     agent_rng = np.random.default_rng(agent_ss)
 
-    def walk(count: int, ap: int) -> np.ndarray:
-        bounds = cell_bounds(topo, ap)
-        mob = MobilityConfig(config.v_min, config.v_max, config.slot_duration, bounds)
-        return simulate_paths(count, mob, n_slots, mob_rng)
+    def walk(count: int, x: float, y: float) -> np.ndarray:
+        """Paths of count UEs in the square cell of the AP at x, y."""
+        return simulate_paths(count, (x - half, x + half, y - half, y + half), config.v_min,
+                              config.v_max, config.slot_duration, n_slots, mob_rng)
 
-    def gain_grid(ap: int, paths: np.ndarray) -> np.ndarray:
-        """Gains from AP ap to a (n_slots, n_ues, 2) position array."""
-        dx = paths[:, :, 0] - topo.positions[ap, 0]
-        dy = paths[:, :, 1] - topo.positions[ap, 1]
+    def gain_grid(x: float, y: float, paths: np.ndarray) -> np.ndarray:
+        """Gains from the AP at x, y to a (n_slots, n_ues, 2) position array."""
+        dx = paths[:, :, 0] - x
+        dy = paths[:, :, 1] - y
         flat = kernels.lambertian_gains(dx.ravel(), dy.ravel(), dz, m_order, coef, cos_fov)
         return flat.reshape(paths.shape[:2])
 
     # Trajectories: local UEs first, then each neighbor's UEs in index order.
-    local_paths = walk(n, central)
-    serving = gain_grid(central, local_paths)  # (K, N)
+    local_paths = walk(n, cx, cy)
+    serving = gain_grid(cx, cy, local_paths)  # (K, N)
 
     # Total cross-gain toward foreign UEs per slot; each neighbor's paths
     # are dropped once summed.
     n_foreign = config.n_neighbor_ues()
     outgoing = np.zeros(n_slots)
-    for j in neighbors if n_foreign else ():
-        outgoing += gain_grid(central, walk(n_foreign, int(j))).sum(axis=1)
+    for x, y in neighbors if n_foreign else ():
+        outgoing += gain_grid(cx, cy, walk(n_foreign, x, y)).sum(axis=1)
 
     # Incoming interference per slot and UE, already in denominator form.
     incoming = np.zeros((n_slots, n))
-    for j in neighbors:
-        term = eta * config.neighbor_power * gain_grid(int(j), local_paths)
+    for x, y in neighbors:
+        term = eta * config.neighbor_power * gain_grid(x, y, local_paths)
         incoming += term * term if squared else term
 
     rate_tab = kernels.level_rates(
@@ -237,8 +234,17 @@ def run_experiment(configs: list[ExperimentConfig], workers: int = 1,
     workers = min(workers, len(jobs))  # the pool starts all its processes up front
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # Both maps yield in job order, so each config's runs arrive in run order.
-        episodes = (pool.map if pool else map)(run_episode, *zip(*jobs))
+        episodes = (pool.map if pool else map)(_run, *zip(*jobs))
         return [_mean(list(islice(episodes, config.runs)), keep_runs) for config in configs]
+
+
+def _run(config: ExperimentConfig, seed: int) -> Series:
+    """run_episode without the Q-table of any run after the first: only the
+    first run's table is written, and a pooled run would ship it back."""
+    episode = run_episode(config, seed)
+    if seed != config.seed:
+        episode.qtable = None
+    return episode
 
 
 def _mean(episodes: list[Series], keep_runs: bool) -> Series:

@@ -17,46 +17,32 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
-
-Bounds = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
-
-
-@dataclass(frozen=True)
-class MobilityConfig:
-    v_min: float
-    v_max: float
-    slot_duration: float
-    bounds: Bounds
-
-
-def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float, float]:
-    xmin, xmax, ymin, ymax = config.bounds
-    x = rng.uniform(xmin, xmax)
-    y = rng.uniform(ymin, ymax)
-    return x, y
 
 
 def simulate_paths(
     n_ues: int,
-    config: MobilityConfig,
+    bounds: tuple[float, float, float, float],
+    v_min: float,
+    v_max: float,
+    slot_duration: float,
     n_slots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Trajectories of a group of UEs: positions of shape (n_slots, n_ues, 2).
+    """Trajectories of a group of UEs in the cell bounds (xmin, xmax, ymin,
+    ymax): positions of shape (n_slots, n_ues, 2).
 
     Row k holds all UE positions after the move of slot k.  The initial
     placement (position, waypoint, speed per UE) is drawn first but is
     not part of the returned array.
     """
-    v_min, v_max, slot = config.v_min, config.v_max, config.slot_duration
+    xmin, xmax, ymin, ymax = bounds
     ues = []  # per UE: [x, y, waypoint x, waypoint y, distance per slot]
     for _ in range(n_ues):
-        x, y = _draw_point(config, rng)
-        wx, wy = _draw_point(config, rng)
-        ues.append([x, y, wx, wy, rng.uniform(v_min, v_max) * slot])
+        x, y = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+        wx, wy = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+        ues.append([x, y, wx, wy, rng.uniform(v_min, v_max) * slot_duration])
 
     # Slot-major, so arrivals draw in (slot, UE) order.  8 bytes per
     # coordinate, as the returned float64 array holds them.
@@ -69,8 +55,8 @@ def simulate_paths(
             dist = math.sqrt(dx * dx + dy * dy)
             if step >= dist:
                 x, y = wx, wy
-                ue[2], ue[3] = _draw_point(config, rng)
-                ue[4] = rng.uniform(v_min, v_max) * slot
+                ue[2], ue[3] = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+                ue[4] = rng.uniform(v_min, v_max) * slot_duration
             else:
                 frac = step / dist
                 x = x + dx * frac

@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vlcudn import kernels, mobility
-from vlcudn.mobility import _draw_point
+from vlcudn import kernels
 
 
 @dataclass(frozen=True)
@@ -201,15 +200,28 @@ def utility(rates, powers: PowerVector, ici: float, weights: Weights) -> float:
 
 
 @dataclass(frozen=True)
-class MobilityConfig(mobility.MobilityConfig):
-    """The package's mobility config plus the receiver height of the 3-D
-    UE positions below (the batched paths are planar)."""
+class MobilityConfig:
+    """Speeds in m/s, slot length in s, the cell's (xmin, xmax, ymin, ymax)
+    and the receiver height of the 3-D UE positions below (the batched
+    paths are planar)."""
 
+    v_min: float
+    v_max: float
+    slot_duration: float
+    bounds: tuple[float, float, float, float]
     ue_height: float
 
     def __post_init__(self):
         if self.ue_height < 0.0:
             raise ValueError("ue_height must be non-negative")
+
+
+def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float, float]:
+    """A uniform point in the cell: x first, then y."""
+    xmin, xmax, ymin, ymax = config.bounds
+    x = rng.uniform(xmin, xmax)
+    y = rng.uniform(ymin, ymax)
+    return x, y
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from oracles import (
 )
 from vlcudn import kernels
 from vlcudn.agent import QTable, select_action
-from vlcudn.mobility import MobilityConfig, simulate_paths
+from vlcudn.mobility import simulate_paths
 
 
 def _random_channel(rng) -> Channel:
@@ -150,15 +150,11 @@ def check_mobility_confinement(n_cases: int = 1000, seed: int = 106) -> int:
         y0 = rng.uniform(-10, 10)
         bounds = (x0, x0 + rng.uniform(0.5, 6.0), y0, y0 + rng.uniform(0.5, 6.0))
         v_min = rng.uniform(0.0, 1.0)
-        config = MobilityConfig(
-            v_min=v_min,
-            v_max=v_min + rng.uniform(0.0, 2.0),
-            slot_duration=rng.uniform(0.02, 0.5),
-            bounds=bounds,
-        )
+        v_max = v_min + rng.uniform(0.0, 2.0)
+        slot_duration = rng.uniform(0.02, 0.5)
         n_ues = int(rng.integers(1, 4))
         n_slots = int(rng.integers(5, 40))
-        paths = simulate_paths(n_ues, config, n_slots, rng)
+        paths = simulate_paths(n_ues, bounds, v_min, v_max, slot_duration, n_slots, rng)
         eps = 1e-9
         assert (paths[:, :, 0] >= bounds[0] - eps).all()
         assert (paths[:, :, 0] <= bounds[1] + eps).all()

@@ -146,7 +146,8 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides", [
         {"agent.sinr_cap": "nan"},
         {"topology.ap_height_m": "1e-200", "mobility.ue_height_m": 0.0},
-    ], ids=["nan-sinr-cap", "ap-drop-squares-to-zero"])
+        {"topology.spacing_m": "5e307"},  # the outer cells' edges overflow to inf
+    ], ids=["nan-sinr-cap", "ap-drop-squares-to-zero", "grid-extent-overflows"])
     def test_input_that_failed_mid_run_exits_2(self, runner, tmp_path, overrides):
         path = tmp_path / "bad.ini"
         path.write_text(render_config({**FAST, **overrides}))

@@ -184,6 +184,7 @@ class TestCrossValidation:
         ("agent.sinr_cap", "1e-300"),  # 1 + sinr_cap == 1: a zero-width rate grid
         ("agent.sinr_cap", "nan"),  # NaN fails no bound comparison
         ("topology.spacing_m", "inf"),
+        ("topology.spacing_m", "5e307"),  # 5 x 5e307 overflows: the grid's extent
         ("utility.energy_weight_per_mw", "nan"),
         ("agent.action_cap", 0),
         ("agent.replay_batch", 0),

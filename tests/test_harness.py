@@ -20,6 +20,7 @@ from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
 from vlcudn.agent import quantize_state
 from vlcudn.config import POLICIES, ConfigError, load_experiment
+from vlcudn.topology import episode_cells
 from vlcudn.harness import (
     CSV_HEADER,
     Series,
@@ -211,6 +212,13 @@ class TestPerfbenchReads:
         assert stats["kernels.level_rates"][0] == 2
         assert stats["agent.quantize_state"][0] == cfg.agent.max_slots
         assert tracer.counts["kernels.lambertian_gains.links"] > 0
+        # each episode walks N local UEs and N_foreign UEs in each of the J
+        # neighbour cells for every slot
+        n_neighbors = len(episode_cells(cfg)) - 1
+        per_episode = cfg.agent.max_slots * (cfg.ue_density
+                                             + n_neighbors * cfg.n_neighbor_ues())
+        assert n_neighbors > 0
+        assert tracer.counts["mobility.ue_slots"] == 2 * per_episode
 
     def test_run_episode_quantizes_once_per_slot(self, make_config, monkeypatch):
         cfg = load_experiment(make_config({**SHORT, "agent.replay": "true"}))
@@ -453,6 +461,22 @@ class TestExperiment:
         assert len(series.per_run) == 2
         assert run_experiment([cfg])[0].per_run is None
 
+    def test_only_the_first_run_returns_its_qtable(self, make_config, tmp_path):
+        cfg = load_experiment(make_config(SHORT), runs=3)
+        serial = run_experiment([cfg], keep_runs=True)[0]
+        pooled = run_experiment([cfg], workers=2, keep_runs=True)[0]
+        for series in (serial, pooled):
+            assert [run.qtable is None for run in series.per_run] == [False, True, True]
+            assert series.qtable is series.per_run[0].qtable
+
+        def saved(qtable):
+            qtable.save(tmp_path / "q.tsv", cfg.state_grid(), cfg.ue_density)
+            return (tmp_path / "q.tsv").read_bytes()
+
+        assert len(pooled.qtable) > 0
+        assert saved(pooled.qtable) == saved(serial.qtable)
+        assert saved(serial.qtable) == saved(run_episode(cfg, cfg.seed).qtable)
+
     def test_sweep_covers_each_density(self, make_config):
         cfg = load_experiment(make_config(SHORT), runs=1)
         configs = density_configs(cfg, [1, 2])
@@ -612,6 +636,17 @@ GOLDEN = {
                                             "utility.interference_weight_per_mw": "0"},
                        "32dfaf2a67a291ad4d958bf80a4044ab8127805132c5e640abbf450752ccbe4d",
                        None),
+    # an even grid: four APs tie for the center and the lowest index, 5,
+    # wins; its seven two_block neighbours walk in index order.  2 x 3
+    # four_block: APs 1 and 4 tie, and AP 1 has no co-channel neighbour.
+    "rpic-4x4-two-block": ("rpic", 3, {"topology.rows": 4, "topology.cols": 4,
+                                       "topology.reuse_mode": "two_block"},
+                           "4143d3177d976bde5a635939741a0aca4901391d193fdddbedf7c87b790951f2",
+                           "dbb6928f406ae05a81ca1cdb1a4c50c84535ed7218509fc69d6521c56ab2b40b"),
+    "random-2x3-four-block": ("random", 3, {"topology.rows": 2, "topology.cols": 3,
+                                            "topology.reuse_mode": "four_block"},
+                              "e0a415e1e8d3a918fe0e279b541be10162ef0960d08547c6e2e19e68baeb8e28",
+                              None),
 }
 
 

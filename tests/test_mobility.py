@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oracles import MobilityConfig, Pos3, UeState, init_ues, rwp_step
-from vlcudn import mobility
 from vlcudn.mobility import simulate_paths
 
 CFG = MobilityConfig(
@@ -70,7 +69,8 @@ def test_init_ues_inside_bounds_with_valid_speeds():
 )
 def test_batched_paths_match_per_ue_reference_exactly(cfg, n_ues, n_slots):
     rng = np.random.default_rng(17)
-    batched = simulate_paths(n_ues, cfg, n_slots, rng)
+    batched = simulate_paths(n_ues, cfg.bounds, cfg.v_min, cfg.v_max, cfg.slot_duration,
+                             n_slots, rng)
     assert batched.shape == (n_slots, n_ues, 2) and batched.dtype == np.float64
 
     ref_rng = np.random.default_rng(17)
@@ -99,8 +99,8 @@ class _Scripted:
 
 
 # Each UE draws x, y, waypoint x, waypoint y and speed, and draws waypoint
-# x, y and speed again on arrival.
-UNIT_SLOT = mobility.MobilityConfig(0.0, 10.0, 1.0, (0.0, 5.0, 0.0, 5.0))
+# x, y and speed again on arrival.  Speeds 0-10 m/s, 1 s slots, a 5 m cell.
+UNIT_SLOT = ((0.0, 5.0, 0.0, 5.0), 0.0, 10.0, 1.0)
 
 
 def test_arrival_lands_exactly_on_waypoint():
@@ -110,22 +110,21 @@ def test_arrival_lands_exactly_on_waypoint():
         0.3, 0.4, 0.3, 0.4, 0.0,  # on the waypoint with zero step
         *[2.0, 2.0, 1.0] * 3,  # all three redraw
     ])
-    paths = simulate_paths(3, UNIT_SLOT, 1, rng)
+    paths = simulate_paths(3, *UNIT_SLOT, 1, rng)
     assert paths[0].tolist() == [[3.0, 4.0], [1.0, 1.0], [0.3, 0.4]]
     assert rng.exhausted()
 
 
 def test_partial_move_is_collinear():
     rng = _Scripted([0.0, 0.0, 3.0, 4.0, 1.0])  # no arrival, so no redraw
-    paths = simulate_paths(1, UNIT_SLOT, 2, rng)
+    paths = simulate_paths(1, *UNIT_SLOT, 2, rng)
     # unit steps along the (3, 4) / 5 direction
     assert paths[:, 0] == pytest.approx(np.array([[0.6, 0.8], [1.2, 1.6]]), rel=1e-12)
     assert rng.exhausted()
 
 
 def test_zero_speed_keeps_ues_static():
-    cfg = mobility.MobilityConfig(0.0, 0.0, 0.1, (4.0, 6.0, 4.0, 6.0))
-    paths = simulate_paths(3, cfg, 50, np.random.default_rng(4))
+    paths = simulate_paths(3, (4.0, 6.0, 4.0, 6.0), 0.0, 0.0, 0.1, 50, np.random.default_rng(4))
     for k in range(1, 50):
         assert np.array_equal(paths[k], paths[0])
 
