@@ -111,8 +111,7 @@ class QTable:
     """Sparse state -> action-value-row map with implicit zero rows.
 
     The learner keys rows by state index.  A table read back by load is
-    keyed by the file's state keys, since a file need not record the grid
-    that the indices were taken on.
+    keyed by the file's state keys, the text that inspect-q prints.
     """
 
     def __init__(self, n_actions: int):
@@ -132,12 +131,6 @@ class QTable:
             return existing
         return np.zeros(self.n_actions)
 
-    def value(self, state, action: int) -> float:
-        return float(self.row(state)[action])
-
-    def max_value(self, state) -> float:
-        return float(self.row(state).max())
-
     def set(self, state, action: int, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError("q-values must be finite")
@@ -147,20 +140,19 @@ class QTable:
             self._rows[state] = existing
         existing[action] = value
 
-    def save(self, path, quant: StateQuantizer, density: int, extra: dict | None = None) -> None:
+    def save(self, path, quant: StateQuantizer, density: int, power_levels: int,
+             max_power: float) -> None:
         """Write tab-separated state-key/action/value lines, in key order.
 
-        The header row records the binning grid and action count needed
-        to interpret the keys; extra appends further key=value pairs
-        (for example the power grid behind the action indices).
+        The header row records the binning grid behind the keys, the action
+        count and the power grid behind the actions: seven fields, all needed.
         """
         header = (
             "# rate_bins=%d gain_bins=%d rate_max=%.17g gain_max=%.17g n_actions=%d"
-            % (quant.rate_bins, quant.gain_bins, quant.rate_max, quant.gain_max, self.n_actions)
+            " power_levels=%d max_power=%.17g"
+            % (quant.rate_bins, quant.gain_bins, quant.rate_max, quant.gain_max,
+               self.n_actions, power_levels, max_power)
         )
-        for key, value in (extra or {}).items():
-            part = "%.17g" % value if isinstance(value, float) else str(value)
-            header += f" {key}={part}"
         keys = {state_key(state, quant, density): state for state in self._rows}
         with open(path, "w") as fh:
             fh.write(header + "\n")
@@ -173,10 +165,11 @@ class QTable:
     def load(cls, path) -> tuple["QTable", dict]:
         """A saved table keyed by its state keys, and the header's pairs.
 
-        Every check on a q-table file is made here: an integer n_actions >= 1,
-        actions below it, one UE count N over all keys, bins inside the header's
-        rate_bins/gain_bins grid if any, and a power grid, if any, with integer
-        L = power_levels >= 1, max_power > 0 and (L + 1)**N == n_actions.
+        Every check on a q-table file is made here: all seven header fields,
+        integers n_actions, rate_bins and gain_bins >= 1, actions below
+        n_actions, one UE count N over all keys, bins inside the header's
+        grid, and a power grid with integer L = power_levels >= 1, a finite
+        max_power > 0 and (L + 1)**N == n_actions.
         """
         with open(path) as fh:
             header = fh.readline()
@@ -189,10 +182,15 @@ class QTable:
                     meta[key] = int(raw)
                 except ValueError:
                     meta[key] = float(raw)
-            n_actions = meta.get("n_actions")
-            if not isinstance(n_actions, int) or n_actions < 1:
-                raise ValueError(f"n_actions must be an integer >= 1, got {n_actions!r}")
-            grid = (meta.get("rate_bins"), meta.get("gain_bins"))
+            missing = [field for field in ("rate_bins", "gain_bins", "rate_max", "gain_max",
+                                           "n_actions", "power_levels", "max_power")
+                       if field not in meta]
+            if missing:
+                raise ValueError(f"header lacks {', '.join(missing)}")
+            for field in ("n_actions", "rate_bins", "gain_bins"):
+                if not isinstance(meta[field], int) or meta[field] < 1:
+                    raise ValueError(f"{field} must be an integer >= 1, got {meta[field]!r}")
+            n_actions, grid = meta["n_actions"], (meta["rate_bins"], meta["gain_bins"])
             table = cls(n_actions=n_actions)
             ue_counts = set()
             for line in fh:
@@ -205,19 +203,18 @@ class QTable:
                     raise ValueError(f"action {action} outside [0, {n_actions})")
                 rates, gains, density = parse_state_key(key)
                 for bins, n_bins in zip((rates, gains), grid):
-                    if n_bins is not None and not all(0 <= b < n_bins for b in bins):
+                    if not all(0 <= b < n_bins for b in bins):
                         raise ValueError(f"state key {key!r} has a bin outside the header's grid")
                 ue_counts.add(density)
                 table.set(_key_text(rates, gains, density), action, float(value))
         if len(ue_counts) > 1:
             raise ValueError(f"state keys mix UE counts {sorted(ue_counts)}")
-        n_levels, max_power = meta.get("power_levels"), meta.get("max_power")
+        n_levels, max_power = meta["power_levels"], meta["max_power"]
         # 2**N <= (L+1)**N: the bit-length test keeps a huge N from a huge power
-        if n_levels is not None and max_power is not None and not (
-            isinstance(n_levels, int) and 1 <= n_levels < n_actions and max_power > 0
-            and all(n <= n_actions.bit_length() and (n_levels + 1) ** n == n_actions
-                    for n in ue_counts)
-        ):
+        if not (isinstance(n_levels, int) and 1 <= n_levels < n_actions
+                and 0 < max_power < math.inf
+                and all(n <= n_actions.bit_length() and (n_levels + 1) ** n == n_actions
+                        for n in ue_counts)):
             raise ValueError(f"power grid power_levels={n_levels} max_power={max_power}"
                              f" does not fit n_actions={n_actions}")
         return table, meta
@@ -247,8 +244,8 @@ def update_q(q: QTable, state: int, action: int, utility: float, next_state: int
 
     Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
     """
-    old = q.value(state, action)
-    value = (1.0 - alpha) * old + alpha * (utility + beta * q.max_value(next_state))
+    old = float(q.row(state)[action])
+    value = (1.0 - alpha) * old + alpha * (utility + beta * float(q.row(next_state).max()))
     q.set(state, action, value)
     return value
 

@@ -152,8 +152,7 @@ def inspect_q(qtable_path, top):
     click.echo(f"actions: {table.n_actions}")
     click.echo(
         "state grid: rate_bins=%s gain_bins=%s rate_max=%s gain_max=%s"
-        % (meta.get("rate_bins"), meta.get("gain_bins"),
-           meta.get("rate_max"), meta.get("gain_max"))
+        % (meta["rate_bins"], meta["gain_bins"], meta["rate_max"], meta["gain_max"])
     )
     click.echo(f"states: {len(table)}")
     if not len(table):
@@ -165,18 +164,14 @@ def inspect_q(qtable_path, top):
     click.echo(f"value range: [{stored.min():.6g}, {stored.max():.6g}]")
     click.echo("best states:")
     n_ues = parse_state_key(next(iter(rows)))[2]  # load allows one UE count per file
-    levels = (enumerate_actions(meta["power_levels"], meta["max_power"])
-              if "power_levels" in meta and "max_power" in meta else None)
+    levels = enumerate_actions(meta["power_levels"], meta["max_power"])
     ranked = sorted(rows, key=lambda s: rows[s].max(), reverse=True)[:top]
     for state in ranked:
         row = rows[state]
         best = int(np.argmax(row))
-        line = f"  {state}  action={best}  q={row[best]:.6g}"
-        if levels is not None:
-            digits = np.unravel_index(best, (levels.size,) * n_ues)
-            mw = ", ".join("%.3g" % (levels[d] * 1e3) for d in digits)
-            line += f"  power_mw=({mw})"
-        click.echo(line)
+        digits = np.unravel_index(best, (levels.size,) * n_ues)
+        mw = ", ".join("%.3g" % (levels[d] * 1e3) for d in digits)
+        click.echo(f"  {state}  action={best}  q={row[best]:.6g}  power_mw=({mw})")
 
 
 if __name__ == "__main__":

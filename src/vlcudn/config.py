@@ -151,14 +151,14 @@ class ExperimentConfig:
                 domain = "in " + domain
             raise ConfigError(f"[{section}] {key} must be {domain}, got {value!r}")
         agent = self.agent
-        try:  # AP positions and cell edges reach rows * spacing and cols * spacing
+        try:  # cell edges reach max(rows, cols) * spacing; the central-AP search squares it
             extent = max(self.rows, self.cols) * self.spacing
         except OverflowError:
             extent = math.inf
         for ok, message in (
-            (extent < math.inf,
+            (extent * extent < math.inf,
              f"[topology] spacing_m = {self.spacing!r} times rows = {self.rows!r} or"
-             f" cols = {self.cols!r} must be finite"),
+             f" cols = {self.cols!r}, and its square, must be finite"),
             (self.ue_height < self.ap_height,
              f"[mobility] ue_height_m = {self.ue_height!r} must be below"
              f" [topology] ap_height_m = {self.ap_height!r}"),

@@ -337,15 +337,8 @@ def save_experiment(out_dir, config: ExperimentConfig, series: Series) -> list[s
             written.append(run_path)
     if series.qtable is not None:
         q_path = os.path.join(out_dir, "qtable.tsv")
-        series.qtable.save(
-            q_path,
-            config.state_grid(),
-            config.ue_density,
-            extra={
-                "power_levels": config.agent.power_levels,
-                "max_power": config.agent.max_power,
-            },
-        )
+        series.qtable.save(q_path, config.state_grid(), config.ue_density,
+                           config.agent.power_levels, config.agent.max_power)
         written.append(q_path)
     names = {os.path.basename(path) for path in written}
     for name in os.listdir(out_dir):

@@ -211,10 +211,6 @@ class MobilityConfig:
     bounds: tuple[float, float, float, float]
     ue_height: float
 
-    def __post_init__(self):
-        if self.ue_height < 0.0:
-            raise ValueError("ue_height must be non-negative")
-
 
 def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float, float]:
     """A uniform point in the cell: x first, then y."""

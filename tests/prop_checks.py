@@ -1,8 +1,10 @@
-"""Randomized invariant checks shared by the property and acceptance suites.
+"""Randomized invariant checks of acceptance criterion 9.
 
 Each function runs `n_cases` independent random trials, raises AssertionError
 on the first violation, and returns the number of cases exercised so callers
-can enforce a minimum.
+can enforce a minimum.  Where a check draws its cases through the scalar
+references in ``oracles``, it asserts the same invariant on the package kernel
+that computes the quantity in a run.
 """
 
 import math
@@ -11,11 +13,17 @@ import numpy as np
 
 from oracles import (
     Channel, Link, PowerVector, Pos3, SlotChannelSnapshot, channel_gain,
-    channel_params_from_cm2, link_geometry, rect_fov, sinr, total_ici,
+    channel_params_from_cm2, link_geometry, per_ue_bandwidth, rect_fov, sinr, total_ici,
 )
 from vlcudn import kernels
 from vlcudn.agent import QTable, select_action
 from vlcudn.mobility import simulate_paths
+
+
+def _kernel_gain_args(params: Channel):
+    """lambertian_gains' m_order, coef and cos_fov for params."""
+    m = params.lambertian_order
+    return m, (m + 1) * params.detector_area / (2 * math.pi), math.cos(params.fov_rad)
 
 
 def _random_channel(rng) -> Channel:
@@ -42,12 +50,8 @@ def check_fov_cutoff(n_cases: int = 1000, seed: int = 101) -> int:
         assert (g > 0.0) == inside, (geo.incidence_angle, params.fov_rad)
         # vectorized kernel applies the same cutoff
         gk = kernels.lambertian_gains(
-            np.array([ue.x - ap.x]),
-            np.array([ue.y - ap.y]),
-            ap.z - ue.z,
-            params.lambertian_order,
-            (params.lambertian_order + 1) * params.detector_area / (2 * math.pi),
-            math.cos(params.fov_rad),
+            np.array([ue.x - ap.x]), np.array([ue.y - ap.y]), ap.z - ue.z,
+            *_kernel_gain_args(params),
         )[0]
         assert (gk > 0.0) == inside
     return n_cases
@@ -65,9 +69,13 @@ def check_gain_monotonicity(n_cases: int = 1000, seed: int = 102) -> int:
         phi = rng.uniform(0.0, 2 * math.pi)
         g1 = channel_gain(ap, Pos3(r1 * math.cos(phi), r1 * math.sin(phi), height), params)
         g2 = channel_gain(ap, Pos3(r2 * math.cos(phi), r2 * math.sin(phi), height), params)
-        assert g1 >= g2, (r1, r2, g1, g2)
-        if g2 > 0.0:  # both inside the field of view: strictly decreasing
-            assert g1 > g2
+        r = np.array([r1, r2])
+        gk1, gk2 = kernels.lambertian_gains(r * math.cos(phi), r * math.sin(phi),
+                                            ap.z - height, *_kernel_gain_args(params))
+        for near, far in ((g1, g2), (gk1, gk2)):
+            assert near >= far, (r1, r2, near, far)
+            if far > 0.0:  # both inside the field of view: strictly decreasing
+                assert near > far
     return n_cases
 
 
@@ -87,12 +95,15 @@ def check_ici_linearity(n_cases: int = 1000, seed: int = 103) -> int:
         x = rng.uniform(0, 4e-3, n)
         y = rng.uniform(0, 4e-3, n)
         c = rng.uniform(0.01, 100.0)
-        chi_x = total_ici(PowerVector(x, zeros), snap, eta)
-        chi_y = total_ici(PowerVector(y, zeros), snap, eta)
-        chi_cx = total_ici(PowerVector(c * x, zeros), snap, eta)
-        chi_xy = total_ici(PowerVector(x + y, zeros), snap, eta)
-        assert math.isclose(chi_cx, c * chi_x, rel_tol=1e-12, abs_tol=1e-300)
-        assert math.isclose(chi_xy, chi_x + chi_y, rel_tol=1e-12, abs_tol=1e-300)
+        outgoing = snap.outgoing_sum()
+        for leak in (
+            lambda p: total_ici(PowerVector(p, zeros), snap, eta),
+            # the leaked power of kernels.utility, on the summed powers
+            lambda p: kernels.utility(0.0, n, float(p.sum()), outgoing, eta, 1.0, 1.0)[1],
+        ):
+            chi_x, chi_y, chi_cx, chi_xy = leak(x), leak(y), leak(c * x), leak(x + y)
+            assert math.isclose(chi_cx, c * chi_x, rel_tol=1e-12, abs_tol=1e-300)
+            assert math.isclose(chi_xy, chi_x + chi_y, rel_tol=1e-12, abs_tol=1e-300)
     return n_cases
 
 
@@ -120,6 +131,17 @@ def check_sinr_monotonicity(n_cases: int = 1000, seed: int = 104) -> int:
         noisier = xi.copy()
         noisier[int(rng.integers(j)), target] += rng.uniform(1e-4, 4e-3)
         assert sinr(target, PowerVector(x, noisier), snap, link, eta, squared) < base
+        # kernels.level_rates: the rate rises along the power grid 0 < x < boosted,
+        # and falls from the first slot's interference to the second's
+        terms = eta * np.stack((xi, noisier)) * snap.interferer_gains
+        rates = kernels.level_rates(
+            np.array([0.0, x[target], boosted[target]]),
+            np.tile(snap.serving_gains, (2, 1)),
+            (terms * terms if squared else terms).sum(axis=1),
+            per_ue_bandwidth(link, n), link.noise_psd, eta, squared,
+        )[:, target]
+        assert (np.diff(rates, axis=1) > 0.0).all(), rates
+        assert (rates[1, 1:] < rates[0, 1:]).all(), rates
     return n_cases
 
 

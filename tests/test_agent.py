@@ -22,6 +22,12 @@ from vlcudn.config import ConfigError, load_experiment
 QUANT = StateQuantizer(rate_bins=4, gain_bins=4, rate_max=2.0**25, gain_max=8e-6)
 
 
+def _header(n_actions):
+    """A full qtable.tsv header, 4 x 4 bins, for one UE and n_actions levels."""
+    return (f"# rate_bins=4 gain_bins=4 rate_max=1 gain_max=1 n_actions={n_actions}"
+            f" power_levels={n_actions - 1} max_power=1")
+
+
 def _key(rates, gains):
     """The rendered key of quantize_state on QUANT."""
     return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
@@ -158,16 +164,13 @@ class TestQTable:
 
     def test_reads_do_not_insert(self):
         q = QTable(4)
-        assert q.value(self.S0, 2) == 0.0
-        assert q.max_value(self.S0) == 0.0
         assert (q.row(self.S0) == 0.0).all()
         assert len(q) == 0
 
     def test_set_and_read_back(self):
         q = QTable(4)
         q.set(self.S0, 2, -1.5)
-        assert q.value(self.S0, 2) == -1.5
-        assert q.max_value(self.S0) == 0.0  # other entries still zero
+        assert q.row(self.S0).tolist() == [0.0, 0.0, -1.5, 0.0]  # other entries still zero
         assert len(q) == 1
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -186,12 +189,12 @@ class TestQTable:
         for (state, action), value in entries.items():
             q.set(state, action, value)
         path = tmp_path / "q.tsv"
-        q.save(path, QUANT, 1, extra={"power_levels": 5, "max_power": 4e-3})
+        q.save(path, QUANT, 1, 5, 4e-3)
         loaded, meta = QTable.load(path)
         assert loaded.n_actions == 6
         assert set(loaded.states()) == {"0|0|1", "1|0|1"}
         for (state, action), value in entries.items():
-            assert loaded.value(state_key(state, QUANT, 1), action) == value
+            assert loaded.row(state_key(state, QUANT, 1))[action] == value
         assert meta["rate_bins"] == 4
         assert meta["gain_bins"] == 4
         assert meta["rate_max"] == QUANT.rate_max
@@ -204,9 +207,11 @@ class TestQTable:
         q.set(self.S0, 1, 2.0)
         q.set(self.S0, 2, 0.0)
         path = tmp_path / "q.tsv"
-        q.save(path, QUANT, 1)
+        q.save(path, QUANT, 1, 2, 4e-3)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
+        assert lines[0] == ("# rate_bins=4 gain_bins=4 rate_max=33554432"
+                            " gain_max=7.9999999999999996e-06 n_actions=3"
+                            " power_levels=2 max_power=0.0040000000000000001")
         assert lines[1:] == ["0|0|1\t1\t2"]
 
     def test_save_orders_rows_by_key_string(self, tmp_path):
@@ -215,13 +220,13 @@ class TestQTable:
         for index in (2 * 11, 10 * 11 + 7, 10 * 11):  # "2|0|1", "10|7|1", "10|0|1"
             q.set(index, 0, 1.0)
         path = tmp_path / "q.tsv"
-        q.save(path, quant, 1)
+        q.save(path, quant, 1, 1, 1.0)
         keys = [line.split("\t")[0] for line in path.read_text().splitlines()[1:]]
         assert keys == ["10|0|1", "10|7|1", "2|0|1"]
 
     def test_load_keys_rows_by_canonical_state_key(self, tmp_path):
         path = tmp_path / "q.tsv"
-        path.write_text("# n_actions=2\n01|0|1\t0\t1.5\n1|00|1\t1\t2.5\n")
+        path.write_text(f"{_header(2)}\n01|0|1\t0\t1.5\n1|00|1\t1\t2.5\n")
         loaded, _ = QTable.load(path)
         assert list(loaded.states()) == ["1|0|1"]
         assert loaded.row("1|0|1").tolist() == [1.5, 2.5]
@@ -232,16 +237,28 @@ class TestQTable:
         with pytest.raises(ValueError):
             QTable.load(path)
 
-    def test_load_requires_action_count(self, tmp_path):
+    @staticmethod
+    def _load_without(tmp_path, field):
+        """Load a full one-row table whose header lacks field."""
+        tokens = [t for t in _header(4).split() if not t.startswith(field + "=")]
+        assert len(tokens) == 7
         path = tmp_path / "bad.tsv"
-        path.write_text("# rate_bins=4\n")
-        with pytest.raises(ValueError):
+        path.write_text(" ".join(tokens) + "\n0|0|1\t1\t2.0\n")
+        with pytest.raises(ValueError, match=f"header lacks {field}$"):
             QTable.load(path)
+
+    def test_load_requires_action_count(self, tmp_path):
+        self._load_without(tmp_path, "n_actions")
+
+    @pytest.mark.parametrize("field", ["rate_bins", "gain_bins", "rate_max", "gain_max",
+                                       "power_levels", "max_power"])
+    def test_load_requires_the_grid_and_power_fields(self, tmp_path, field):
+        self._load_without(tmp_path, field)
 
     @pytest.mark.parametrize("action", [-1, 4])
     def test_load_rejects_out_of_range_action(self, tmp_path, action):
         path = tmp_path / "bad.tsv"
-        path.write_text(f"# n_actions=4\n0|0|1\t{action}\t2.0\n")
+        path.write_text(f"{_header(4)}\n0|0|1\t{action}\t2.0\n")
         with pytest.raises(ValueError, match="outside"):
             QTable.load(path)
 
@@ -296,7 +313,7 @@ class TestUpdateQ:
         got = update_q(q, self.S0, 0, 4.0, self.S1, alpha=0.9, beta=0.5)
         # (1 - 0.9) * 1 + 0.9 * (4 + 0.5 * 1) = 4.15
         assert got == pytest.approx(4.15, rel=1e-12)
-        assert q.value(self.S0, 0) == got
+        assert q.row(self.S0)[0] == got
 
     def test_full_rate_no_discount_copies_reward(self):
         q = QTable(2)
@@ -307,7 +324,7 @@ class TestUpdateQ:
         q = QTable(2)
         got = update_q(q, self.S0, 0, 0.0, self.S1, alpha=0.9, beta=0.5)
         assert got == 0.0
-        assert q.value(self.S0, 0) == 0.0
+        assert q.row(self.S0)[0] == 0.0
 
     def test_only_target_entry_changes(self):
         q = QTable(3)
@@ -315,7 +332,7 @@ class TestUpdateQ:
         q.set(self.S1, 0, -1.0)
         before_s1 = q.row(self.S1).copy()
         update_q(q, self.S0, 0, 1.0, self.S1, alpha=0.5, beta=0.5)
-        assert q.value(self.S0, 2) == 7.0
+        assert q.row(self.S0)[2] == 7.0
         assert (q.row(self.S1) == before_s1).all()
 
 

@@ -23,6 +23,8 @@ FAST = {
     "agent.epsilon_decay_slots": 20,
     "experiment.runs": 2,
 }
+# The state-grid half of a qtable.tsv header, for hand-written tables.
+GRID = "rate_bins=3 gain_bins=3 rate_max=1 gain_max=1"
 
 
 @pytest.fixture()
@@ -147,7 +149,11 @@ class TestSimulate:
         {"agent.sinr_cap": "nan"},
         {"topology.ap_height_m": "1e-200", "mobility.ue_height_m": 0.0},
         {"topology.spacing_m": "5e307"},  # the outer cells' edges overflow to inf
-    ], ids=["nan-sinr-cap", "ap-drop-squares-to-zero", "grid-extent-overflows"])
+        # the squared distances to the grid centre overflow: AP 0 became the centre
+        {"topology.rows": 4, "topology.cols": 4, "topology.reuse_mode": "two_block",
+         "topology.spacing_m": "1e160"},
+    ], ids=["nan-sinr-cap", "ap-drop-squares-to-zero", "grid-extent-overflows",
+            "central-ap-distances-overflow"])
     def test_input_that_failed_mid_run_exits_2(self, runner, tmp_path, overrides):
         path = tmp_path / "bad.ini"
         path.write_text(render_config({**FAST, **overrides}))
@@ -268,30 +274,61 @@ class TestInspectQ:
         assert "best states:" in result.output
         assert "power_mw=(" in result.output
 
-    @pytest.mark.parametrize("contents", [
-        "not a table\n",
-        "# n_actions=216\n0|0|1\t-1\t1.0\n",
-        "# n_actions=216\n0|0|1\t999\t1.0\n",
-        "# n_actions=216 power_levels=2 max_power=0.004\n0,0,0|0,0,0|3\t100\t1.0\n",
-        "# n_actions=2.5\n0|0|1\t1\t1.0\n",
-        "# rate_bins=3 gain_bins=3 rate_max=1 gain_max=1 n_actions=4\n7|0|1\t0\t1.0\n",
-        "# n_actions=4\n0|0|1\t1\t1.0\n0,0|0,0|2\t1\t1.0\n",
-        "# n_actions=1 power_levels=0 max_power=0.004\n0|0|1\t0\t1.0\n",
-        "# n_actions=6 power_levels=5 max_power=0\n0|0|1\t1\t1.0\n",
-        "# n_actions=0\n0|0|1\t0\t1.0\n",
+    def test_prints_header_values_as_written(self, runner, tmp_path):
+        """sinr_cap = 1 at one UE puts the rate grid's top edge at W log2(2)
+        = 10 MHz exactly, which the header writes, and inspect-q prints, as
+        an integer."""
+        config, out = tmp_path / "c.ini", tmp_path / "out"
+        config.write_text(render_config({**FAST, "agent.sinr_cap": 1,
+                                         "experiment.ue_density": 1}))
+        assert runner.invoke(main, ["simulate", "--config", str(config), "--runs", "1",
+                                    "--out", str(out)]).exit_code == 0
+        result = runner.invoke(main, ["inspect-q", "--qtable", str(out / "qtable.tsv")])
+        assert result.exit_code == 0, result.output
+        assert "rate_max=10000000 gain_max=" in result.output
+
+    @pytest.mark.parametrize("contents,reason", [
+        ("not a table\n", "missing header row"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t-1\t1.0\n",
+         "action -1 outside [0, 6)"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t999\t1.0\n",
+         "action 999 outside [0, 6)"),
+        (f"# {GRID} n_actions=216 power_levels=2 max_power=0.004\n0,0,0|0,0,0|3\t100\t1.0\n",
+         "power grid power_levels=2 max_power=0.004 does not fit n_actions=216"),
+        (f"# {GRID} n_actions=2.5 power_levels=1 max_power=0.004\n0|0|1\t1\t1.0\n",
+         "n_actions must be an integer >= 1, got 2.5"),
+        (f"# {GRID} n_actions=4 power_levels=3 max_power=0.004\n7|0|1\t0\t1.0\n",
+         "state key '7|0|1' has a bin outside the header's grid"),
+        (f"# {GRID} n_actions=4 power_levels=3 max_power=0.004\n"
+         "0|0|1\t1\t1.0\n0,0|0,0|2\t1\t1.0\n", "state keys mix UE counts [1, 2]"),
+        (f"# {GRID} n_actions=1 power_levels=0 max_power=0.004\n0|0|1\t0\t1.0\n",
+         "power grid power_levels=0 max_power=0.004 does not fit n_actions=1"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0\n0|0|1\t1\t1.0\n",
+         "power grid power_levels=5 max_power=0 does not fit n_actions=6"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=inf\n0|0|1\t1\t1.0\n",
+         "power grid power_levels=5 max_power=inf does not fit n_actions=6"),
+        (f"# {GRID} n_actions=0 power_levels=1 max_power=0.004\n0|0|1\t0\t1.0\n",
+         "n_actions must be an integer >= 1, got 0"),
+        ("# n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t1\t1.0\n",
+         "header lacks rate_bins, gain_bins, rate_max, gain_max"),
+        (f"# {GRID} n_actions=6\n0|0|1\t1\t1.0\n", "header lacks power_levels, max_power"),
     ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree",
             "fractional-action-count", "bins-outside-grid", "mixed-ue-counts",
-            "power-levels-zero", "max-power-zero", "zero-action-count"])
-    def test_rejects_garbage_file(self, runner, tmp_path, contents):
+            "power-levels-zero", "max-power-zero", "max-power-inf", "zero-action-count",
+            "missing-grid", "missing-power-grid"])
+    def test_rejects_garbage_file(self, runner, tmp_path, contents, reason):
+        """Each input has a full header unless the header is its defect, and
+        fails for that defect alone."""
         path = tmp_path / "junk.tsv"
         path.write_text(contents)
         result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
         assert result.exit_code == 2
-        assert "cannot read q-table" in result.output
+        assert f"cannot read q-table: {reason}" in result.output
 
     def test_decodes_best_action_first_ue_most_significant(self, runner, tmp_path):
         path = tmp_path / "q.tsv"  # 100 = 2*36 + 4*6 + 4 on a 6-level grid
-        path.write_text("# n_actions=216 power_levels=5 max_power=0.004\n0,0,0|0,0,0|3\t100\t1\n")
+        path.write_text(f"# {GRID} n_actions=216 power_levels=5 max_power=0.004\n"
+                        "0,0,0|0,0,0|3\t100\t1\n")
         result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
         assert result.exit_code == 0, result.output
         assert "action=100  q=1  power_mw=(1.6, 3.2, 3.2)" in result.output
@@ -306,7 +343,7 @@ def test_out_of_range_integer_option_exits_2(
     runner, fast_config, tmp_path, command, option, value
 ):
     qtable = tmp_path / "q.tsv"
-    qtable.write_text("# n_actions=4\n0|0|1\t1\t2.0\n")
+    qtable.write_text(f"# {GRID} n_actions=4 power_levels=3 max_power=0.004\n0|0|1\t1\t2.0\n")
     out = tmp_path / "out"
     args = {
         "simulate": ["--config", str(fast_config), "--out", str(out)],

@@ -185,6 +185,7 @@ class TestCrossValidation:
         ("agent.sinr_cap", "nan"),  # NaN fails no bound comparison
         ("topology.spacing_m", "inf"),
         ("topology.spacing_m", "5e307"),  # 5 x 5e307 overflows: the grid's extent
+        ("topology.spacing_m", "1e160"),  # (5 x 1e160)**2 overflows: the central-AP search
         ("utility.energy_weight_per_mw", "nan"),
         ("agent.action_cap", 0),
         ("agent.replay_batch", 0),

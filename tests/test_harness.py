@@ -287,7 +287,7 @@ class TestSlotContract:
             last_write[state, action] = k
         qtable = episode.qtable
         for (state, action), k in last_write.items():
-            assert qtable.value(state, action) == episode.utility[k]
+            assert qtable.row(state)[action] == episode.utility[k]
 
         ((levels, serving, incoming, *_), _), = calls["level_rates"]
         ((_, _, choice, outgoing, *_), _), = calls["score"]
@@ -470,7 +470,8 @@ class TestExperiment:
             assert series.qtable is series.per_run[0].qtable
 
         def saved(qtable):
-            qtable.save(tmp_path / "q.tsv", cfg.state_grid(), cfg.ue_density)
+            qtable.save(tmp_path / "q.tsv", cfg.state_grid(), cfg.ue_density,
+                        cfg.agent.power_levels, cfg.agent.max_power)
             return (tmp_path / "q.tsv").read_bytes()
 
         assert len(pooled.qtable) > 0

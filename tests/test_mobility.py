@@ -127,13 +127,3 @@ def test_zero_speed_keeps_ues_static():
     paths = simulate_paths(3, (4.0, 6.0, 4.0, 6.0), 0.0, 0.0, 0.1, 50, np.random.default_rng(4))
     for k in range(1, 50):
         assert np.array_equal(paths[k], paths[0])
-
-
-@pytest.mark.parametrize("kwargs", [pytest.param({"ue_height": -1.0}, id="kwargs3")])
-def test_config_validation(kwargs):
-    base = dict(
-        v_min=0.1, v_max=1.0, slot_duration=0.1, ue_height=1.0, bounds=(4.0, 6.0, 4.0, 6.0)
-    )
-    base.update(kwargs)
-    with pytest.raises(ValueError):
-        MobilityConfig(**base)

@@ -64,6 +64,17 @@ def test_episode_cells_match_brute_force(make_config, rows, cols, mode):
     assert _cells(make_config, rows, cols, mode).tolist() == _brute_force_cells(rows, cols, mode)
 
 
+@pytest.mark.filterwarnings("error")
+def test_central_ap_at_the_largest_spacing_the_config_accepts(make_config):
+    """At 1e150 m the squared distances to the grid centre stay finite, so
+    the 4 x 4 grid's central AP is (1, 1), not AP 0; 1e160 is a config error."""
+    cfg = load_experiment(make_config({
+        "topology.rows": 4, "topology.cols": 4, "topology.reuse_mode": "two_block",
+        "topology.spacing_m": "1e150",
+    }))
+    assert episode_cells(cfg)[0].tolist() == pytest.approx([1.5e150, 1.5e150])
+
+
 def test_two_block_checkerboard():
     assert reuse_blocks(2, 2, "two_block").tolist() == [0, 1, 1, 0]
 
