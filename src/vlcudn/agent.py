@@ -166,10 +166,10 @@ class QTable:
         """A saved table keyed by its state keys, and the header's pairs.
 
         Every check on a q-table file is made here: all seven header fields,
-        integers n_actions, rate_bins and gain_bins >= 1, actions below
-        n_actions, one UE count N over all keys, bins inside the header's
-        grid, and a power grid with integer L = power_levels >= 1, a finite
-        max_power > 0 and (L + 1)**N == n_actions.
+        integers n_actions, rate_bins and gain_bins >= 1, finite rate_max and
+        gain_max > 0, actions below n_actions, one UE count N over all keys,
+        bins inside the header's grid, and a power grid with integer
+        L = power_levels >= 1, a finite max_power > 0 and (L + 1)**N == n_actions.
         """
         with open(path) as fh:
             header = fh.readline()
@@ -190,6 +190,9 @@ class QTable:
             for field in ("n_actions", "rate_bins", "gain_bins"):
                 if not isinstance(meta[field], int) or meta[field] < 1:
                     raise ValueError(f"{field} must be an integer >= 1, got {meta[field]!r}")
+            for field in ("rate_max", "gain_max"):
+                if not 0 < meta[field] < math.inf:
+                    raise ValueError(f"{field} must be finite and > 0, got {meta[field]!r}")
             n_actions, grid = meta["n_actions"], (meta["rate_bins"], meta["gain_bins"])
             table = cls(n_actions=n_actions)
             ue_counts = set()

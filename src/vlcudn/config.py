@@ -91,9 +91,6 @@ _KEYS = (
 
 _SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
 
 def _inside(value, domain) -> bool:
     """Whether a file-unit value lies in a _KEYS domain; NaN lies in none."""
@@ -201,8 +198,8 @@ class ExperimentConfig:
         return self.effective_bandwidth_factor * self.total_bandwidth / self.ue_density
 
     def gain_max(self) -> float:
-        """The gain directly under the AP, where both angles are zero: the
-        top edge of the state's gain grid."""
+        """The gain directly under the AP, the top edge of the state's gain
+        grid, in closed form: through lambertian_gains its last bit moves."""
         dz = self.ap_height - self.ue_height
         m_order = lambertian_order(self.semi_angle_half_intensity)
         return (m_order + 1.0) * self.detector_area / (2.0 * math.pi * dz ** 2)
@@ -253,9 +250,9 @@ def _parse(section: str, key: str, kind, raw: str):
         except ConfigError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
     if kind is bool:
-        if word not in _BOOLEANS:
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ConfigError(f"[{section}] {key}: expected a boolean, got {word!r}")
-        return _BOOLEANS[word]
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
     if kind == "match|int":
         if word == "match":
             return None

@@ -112,10 +112,8 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
     (cx, cy), *neighbors = episode_cells(config)
     wn = config.per_ue_bandwidth()
     levels = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power)
-    m_order = kernels.lambertian_order(config.semi_angle_half_intensity)
-    coef = (m_order + 1.0) * config.detector_area / (2.0 * math.pi)
-    cos_fov = math.cos(config.fov_rad)
-    dz = config.ap_height - config.ue_height
+    gain_args = (config.ap_height - config.ue_height, config.semi_angle_half_intensity,
+                 config.detector_area, config.fov_angle)
     half = config.spacing / 2.0
 
     mob_ss, agent_ss = np.random.SeedSequence(seed).spawn(2)
@@ -131,23 +129,21 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
         """Gains from the AP at x, y to a (n_slots, n_ues, 2) position array."""
         dx = paths[:, :, 0] - x
         dy = paths[:, :, 1] - y
-        flat = kernels.lambertian_gains(dx.ravel(), dy.ravel(), dz, m_order, coef, cos_fov)
+        flat = kernels.lambertian_gains(dx.ravel(), dy.ravel(), *gain_args)
         return flat.reshape(paths.shape[:2])
 
     # Trajectories: local UEs first, then each neighbor's UEs in index order.
     local_paths = walk(n, cx, cy)
     serving = gain_grid(cx, cy, local_paths)  # (K, N)
 
-    # Total cross-gain toward foreign UEs per slot; each neighbor's paths
-    # are dropped once summed.
+    # Per slot the cross-gain toward all foreign UEs, and per slot and UE
+    # the incoming interference in denominator form.
     n_foreign = config.n_neighbor_ues()
     outgoing = np.zeros(n_slots)
-    for x, y in neighbors if n_foreign else ():
-        outgoing += gain_grid(cx, cy, walk(n_foreign, x, y)).sum(axis=1)
-
-    # Incoming interference per slot and UE, already in denominator form.
     incoming = np.zeros((n_slots, n))
     for x, y in neighbors:
+        if n_foreign:
+            outgoing += gain_grid(cx, cy, walk(n_foreign, x, y)).sum(axis=1)
         term = eta * config.neighbor_power * gain_grid(x, y, local_paths)
         incoming += term * term if squared else term
 

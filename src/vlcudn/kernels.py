@@ -29,7 +29,7 @@ def lambertian_order(semi_angle_half_intensity: float) -> float:
     return -1.0 / math.log2(math.cos(math.radians(semi_angle_half_intensity)))
 
 
-def lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
+def lambertian_gains(dx, dy, dz, semi_angle_deg, detector_area, fov_deg):
     """Line-of-sight gains of a ceiling AP seen by receivers at offsets dx, dy.
 
     The downlink gain of an LED transmitter seen by a photodiode is
@@ -43,9 +43,13 @@ def lambertian_gains(dx, dy, dz, m_order, coef, cos_fov):
     and the photodiode face vertically (LED down, detector up), so
     phi == theta.  Distances are in meters.
 
-    coef = (m + 1) * A_R / (2 * pi); dz > 0 is the vertical drop from the
-    transmitter plane to the receiver plane, shared by all links.
+    dx, dy are arrays; dz > 0 is the drop to the receiver plane, shared by
+    all links.  The optics come as configured: the LED semi-angle and the
+    FOV half-angle in degrees, the detector area A_R in m^2.
     """
+    m_order = lambertian_order(semi_angle_deg)
+    coef = (m_order + 1.0) * detector_area / (2.0 * math.pi)
+    cos_fov = math.cos(math.radians(fov_deg))
     d2 = dx * dx + dy * dy + dz * dz
     cos_t = dz / np.sqrt(d2)
     gains = (coef / d2) * cos_t ** (m_order + 1.0)

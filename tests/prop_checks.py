@@ -20,12 +20,6 @@ from vlcudn.agent import QTable, select_action
 from vlcudn.mobility import simulate_paths
 
 
-def _kernel_gain_args(params: Channel):
-    """lambertian_gains' m_order, coef and cos_fov for params."""
-    m = params.lambertian_order
-    return m, (m + 1) * params.detector_area / (2 * math.pi), math.cos(params.fov_rad)
-
-
 def _random_channel(rng) -> Channel:
     return channel_params_from_cm2(
         detector_area_cm2=rng.uniform(0.2, 3.0),
@@ -51,7 +45,7 @@ def check_fov_cutoff(n_cases: int = 1000, seed: int = 101) -> int:
         # vectorized kernel applies the same cutoff
         gk = kernels.lambertian_gains(
             np.array([ue.x - ap.x]), np.array([ue.y - ap.y]), ap.z - ue.z,
-            *_kernel_gain_args(params),
+            params.semi_angle_half_intensity, params.detector_area, params.fov_angle,
         )[0]
         assert (gk > 0.0) == inside
     return n_cases
@@ -70,8 +64,9 @@ def check_gain_monotonicity(n_cases: int = 1000, seed: int = 102) -> int:
         g1 = channel_gain(ap, Pos3(r1 * math.cos(phi), r1 * math.sin(phi), height), params)
         g2 = channel_gain(ap, Pos3(r2 * math.cos(phi), r2 * math.sin(phi), height), params)
         r = np.array([r1, r2])
-        gk1, gk2 = kernels.lambertian_gains(r * math.cos(phi), r * math.sin(phi),
-                                            ap.z - height, *_kernel_gain_args(params))
+        gk1, gk2 = kernels.lambertian_gains(r * math.cos(phi), r * math.sin(phi), ap.z - height,
+                                            params.semi_angle_half_intensity,
+                                            params.detector_area, params.fov_angle)
         for near, far in ((g1, g2), (gk1, gk2)):
             assert near >= far, (r1, r2, near, far)
             if far > 0.0:  # both inside the field of view: strictly decreasing

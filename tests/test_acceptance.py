@@ -21,10 +21,10 @@ from oracles import (
     Link, PowerVector, Pos3, SlotChannelSnapshot, Weights, achievable_rate, channel_gain,
     channel_params_from_cm2, sinr, total_ici, utility,
 )
+from vlcudn import kernels
 from vlcudn.agent import QTable, select_action, update_q
 from vlcudn.config import load_experiment
 from vlcudn.harness import converged_means, run_experiment
-from vlcudn.kernels import lambertian_order
 
 CH = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
 LINK = Link(20e6, 1e-21, 0.5)
@@ -69,23 +69,35 @@ def fixed_half_rho3(reference_series):
 
 
 def test_criterion_1_formula_oracles(capsys):
+    """Each frozen value, through the scalar reference and through the
+    package kernel that computes it in a run."""
+    gain_axial, gain_offset = 7.9577471545947668e-6, 1.9894367886486917e-6
+    rate, ici, u = 207130326.8645367, 2.16e-9, 10.999
+    kernel_gains = kernels.lambertian_gains(
+        np.array([0.0, 2.0]), np.array([0.0, 0.0]), 2.0,
+        CH.semi_angle_half_intensity, CH.detector_area, CH.fov_angle,
+    )
     errs = {
-        "gain_axial": _rel(
-            channel_gain(Pos3(0, 0, 3), Pos3(0, 0, 1), CH), 7.9577471545947668e-6
-        ),
-        "gain_offset": _rel(
-            channel_gain(Pos3(0, 0, 3), Pos3(2, 0, 1), CH), 1.9894367886486917e-6
-        ),
+        "gain_axial": _rel(channel_gain(Pos3(0, 0, 3), Pos3(0, 0, 1), CH), gain_axial),
+        "gain_offset": _rel(channel_gain(Pos3(0, 0, 3), Pos3(2, 0, 1), CH), gain_offset),
+        "kernel_gain_axial": _rel(kernel_gains[0], gain_axial),
+        "kernel_gain_offset": _rel(kernel_gains[1], gain_offset),
     }
-    snap = SlotChannelSnapshot([7.9577471545947668e-6], np.empty((0, 1)), [])
+    snap = SlotChannelSnapshot([gain_axial], np.empty((0, 1)), [])
     powers = PowerVector([4e-3], np.empty((0, 1)))
     zeta = sinr(0, powers, snap, LINK, CH.responsivity)
     errs["sinr"] = _rel(zeta, 1718873.3853924696)
-    errs["rate"] = _rel(achievable_rate(10e6, zeta), 207130326.8645367)
+    errs["rate"] = _rel(achievable_rate(10e6, zeta), rate)
+    # one slot, one UE at 4 mW, no interference, on the 10 MHz share
+    kernel_rate = kernels.level_rates(np.array([4e-3]), np.array([[gain_axial]]),
+                                      np.zeros((1, 1)), 10e6, LINK.noise_psd,
+                                      CH.responsivity, False)[0, 0, 0]
+    errs["kernel_rate"] = _rel(kernel_rate, rate)
     leak_snap = SlotChannelSnapshot([1e-6], [[0.0]], [np.array([1e-6])])
-    errs["ici"] = _rel(
-        total_ici(PowerVector([4e-3], [[0.0]]), leak_snap, CH.responsivity), 2.16e-9
-    )
+    errs["ici"] = _rel(total_ici(PowerVector([4e-3], [[0.0]]), leak_snap, CH.responsivity), ici)
+    # 4 mW toward one foreign UE through a 1e-6 cross-gain
+    errs["kernel_ici"] = _rel(kernels.utility(0.0, 1, 4e-3, 1e-6, CH.responsivity, 1.0, 1e3)[1],
+                              ici)
     errs["utility"] = _rel(
         utility(
             [10e6, 20e6],
@@ -93,8 +105,12 @@ def test_criterion_1_formula_oracles(capsys):
             1e-9,
             Weights(1.0, 1e3),
         ),
-        10.999,
+        u,
     )
+    # 10 and 20 Mbit/s at 2 mW each, leaking 1e-9 W: 4 mW times a 2.5e-7
+    # cross-gain at unit responsivity
+    errs["kernel_utility"] = _rel(kernels.utility(10e6 + 20e6, 2, 4e-3, 2.5e-7, 1.0, 1.0, 1e3)[0],
+                                  u)
     worst = max(errs.values())
     ok = worst <= 1e-9
     _verdict(capsys, 1, "formula oracles", ok, f"max rel err {worst:.2e}")
@@ -102,8 +118,8 @@ def test_criterion_1_formula_oracles(capsys):
 
 
 def test_criterion_2_lambertian_order(capsys):
-    e60 = _rel(lambertian_order(60.0), 1.0)
-    e45 = _rel(lambertian_order(45.0), 2.0)
+    e60 = _rel(kernels.lambertian_order(60.0), 1.0)
+    e45 = _rel(kernels.lambertian_order(45.0), 2.0)
     ok = max(e60, e45) <= 1e-12
     _verdict(capsys, 2, "lambertian order", ok, f"m(60) err {e60:.1e}, m(45) err {e45:.1e}")
     assert ok

@@ -289,18 +289,6 @@ class TestSelectAction:
         assert (counts > 0).all()
         assert np.abs(counts / 8000 - 0.25).max() < 0.03
 
-    def test_explore_probability_split(self):
-        q = self._table([0.0, 5.0, 0.0, 0.0])
-        rng = np.random.default_rng(2)
-        n = 30000
-        counts = np.zeros(4)
-        for _ in range(n):
-            counts[select_action(q, self.S, 0.4, rng)] += 1
-        freq = counts / n
-        assert freq[1] == pytest.approx(0.6, abs=0.015)
-        for a in (0, 2, 3):
-            assert freq[a] == pytest.approx(0.4 / 3, abs=0.01)
-
 
 class TestUpdateQ:
     S0 = 0

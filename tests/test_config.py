@@ -1,10 +1,12 @@
 """Strict INI loading: schema enforcement, unit conversion, overrides."""
 
 import dataclasses
+import math
 import re
 
 import pytest
 
+from oracles import Pos3, channel_gain, channel_params_from_cm2
 from vlcudn.agent import AgentConfig
 from vlcudn.config import (
     _KEYS,
@@ -317,3 +319,37 @@ class TestFingerprint:
         assert load_experiment(reference_config_path).fingerprint() == (
             "6c6f72971b74e6399e7084b4185d6246964182a712e05a6b9fce2d42d7acf4f8"
         )
+
+
+class TestChannelParams:
+    """The [channel] keys of a config file, as the simulator reads them."""
+
+    def test_order_property_matches_function(self, make_config):
+        # the gain grid's top edge is the gain under the AP, with the
+        # Lambertian order of the configured semi-angle
+        cfg = load_experiment(make_config({"channel.semi_angle_deg": 45.0}))
+        under_ap = channel_gain(Pos3(0.0, 0.0, cfg.ap_height), Pos3(0.0, 0.0, cfg.ue_height),
+                                channel_params_from_cm2(1.0, 45.0, 70.0, 0.54))
+        assert cfg.gain_max() == pytest.approx(under_ap, rel=1e-12)
+
+    def test_fov_rad(self, make_config):
+        assert load_experiment(make_config()).fov_rad == pytest.approx(
+            math.radians(70.0), rel=1e-12)
+
+    # Each input in file units; the ids are the suite's stable names for these cases.
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("detector_area_cm2", 0.0, id="kwargs0"),
+        pytest.param("detector_area_cm2", -1.0, id="kwargs1"),
+        pytest.param("semi_angle_deg", 0.0, id="kwargs2"),
+        pytest.param("semi_angle_deg", 90.0, id="kwargs3"),
+        pytest.param("fov_deg", 0.0, id="kwargs4"),
+        pytest.param("fov_deg", 91.0, id="kwargs5"),
+        pytest.param("responsivity_a_per_w", 0.0, id="kwargs6"),
+    ])
+    def test_rejects_bad_parameters(self, make_config, key, value):
+        with pytest.raises(ConfigError, match=rf"^\[channel\] {key} must be in "):
+            load_experiment(make_config({f"channel.{key}": value}))
+
+    def test_position_rejects_negative_height(self, make_config):
+        with pytest.raises(ConfigError, match=r"^\[mobility\] ue_height_m must be in "):
+            load_experiment(make_config({"mobility.ue_height_m": -0.1}))

@@ -1,35 +1,44 @@
-"""The vectorized kernels must agree with the scalar reference code."""
+"""The vectorized kernels must agree with the scalar reference code, and the
+reference code with hand values.
+
+Numeric expectations in the reference-code tests were computed independently
+with 40-digit arithmetic from the closed-form expressions, then frozen here.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
 from oracles import (
-    Channel, Link, PowerVector, Pos3, SlotChannelSnapshot, Weights, achievable_rate,
-    channel_gain, channel_params_from_cm2, per_ue_bandwidth, sinr, total_ici, utility,
+    Link, PowerVector, Pos3, SlotChannelSnapshot, Weights, achievable_rate, channel_gain,
+    channel_params_from_cm2, link_geometry, per_ue_bandwidth, rect_fov, sinr, total_ici,
+    utility,
 )
 from vlcudn import kernels
+from vlcudn.kernels import lambertian_order
 
 PARAMS = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
 LINK = Link(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
 
 
-def _gain_args(params: Channel):
-    m = kernels.lambertian_order(params.semi_angle_half_intensity)
-    coef = (m + 1.0) * params.detector_area / (2.0 * np.pi)
-    return m, coef, np.cos(params.fov_rad)
-
-
-def test_lambertian_gains_matches_scalar_gain():
+@pytest.mark.parametrize("area_cm2,semi_deg,fov_deg,dz", [
+    pytest.param(1.0, 60.0, 70.0, 2.0, id="1cm2-60deg-fov70-2m"),
+    pytest.param(0.5, 45.0, 60.0, 2.15, id="0.5cm2-45deg-fov60-2.15m"),
+    pytest.param(3.0, 20.0, 89.0, 0.5, id="3cm2-20deg-fov89-0.5m"),
+    pytest.param(0.2, 80.0, 30.0, 3.0, id="0.2cm2-80deg-fov30-3m"),
+    pytest.param(2.0, 10.0, 90.0, 1.0, id="2cm2-10deg-fov90-1m"),
+])
+def test_lambertian_gains_matches_scalar_gain(area_cm2, semi_deg, fov_deg, dz):
+    params = channel_params_from_cm2(area_cm2, semi_deg, fov_deg, 0.54)
     rng = np.random.default_rng(42)
     n = 400
-    dx = rng.uniform(-8.0, 8.0, n)  # wide enough to cross the FOV edge
+    dx = rng.uniform(-8.0, 8.0, n)  # wide enough to cross the FOV edge of the narrower fields
     dy = rng.uniform(-8.0, 8.0, n)
-    dz = 2.0
-    m, coef, cos_fov = _gain_args(PARAMS)
-    got = kernels.lambertian_gains(dx, dy, dz, m, coef, cos_fov)
-    ap = Pos3(0.0, 0.0, 3.0)
+    got = kernels.lambertian_gains(dx, dy, dz, semi_deg, params.detector_area, fov_deg)
+    ap = Pos3(0.0, 0.0, dz)
     for i in range(n):
-        want = channel_gain(ap, Pos3(dx[i], dy[i], 1.0), PARAMS)
+        want = channel_gain(ap, Pos3(dx[i], dy[i], 0.0), params)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
@@ -96,3 +105,65 @@ def test_utility_matches_metrics_ops(squared):
         scalar = kernels.utility(float(rate_sum[a]), n_ues, float(total_w[a]), cross, eta,
                                  weights.energy_weight, weights.interference_weight)
         assert type(scalar[0]) is float and scalar == (got[a], leaked[a])
+
+
+# The reference code the checks above rely on: the Lambertian order, gain
+# geometry and field of view, SINR, rate, leakage and utility.  A frozen
+# value that release gate 1 pins at the same or a looser bound is not
+# repeated here.
+
+class TestLambertianOrder:
+    def test_thirty_degrees(self):
+        assert lambertian_order(30.0) == pytest.approx(4.818841679306418, rel=1e-12)
+
+    @pytest.mark.parametrize("angle", [120.0])
+    def test_rejects_angles_outside_open_interval(self, angle):
+        with pytest.raises(ValueError):
+            lambertian_order(angle)
+
+
+class TestLinkGeometry:
+    def test_vertical_link(self):
+        geom = link_geometry(Pos3(2.0, 3.0, 3.0), Pos3(2.0, 3.0, 1.0))
+        assert geom.distance == pytest.approx(2.0, rel=1e-12)
+        assert geom.irradiance_angle == 0.0
+        assert geom.incidence_angle == 0.0
+
+    def test_offset_link(self):
+        geom = link_geometry(Pos3(5.0, 5.0, 3.0), Pos3(7.0, 5.0, 1.0))
+        assert geom.distance == pytest.approx(math.sqrt(8.0), rel=1e-12)
+        # 2 m down, 2 m across: both angles are 45 degrees
+        assert geom.irradiance_angle == pytest.approx(0.78539816339744831, rel=1e-12)
+        assert geom.incidence_angle == geom.irradiance_angle
+
+
+class TestRectFov:
+    def test_inside(self):
+        assert rect_fov(0.5, 1.0) == 1
+
+    def test_boundary_counts_as_inside(self):
+        assert rect_fov(1.0, 1.0) == 1
+
+    def test_outside(self):
+        assert rect_fov(1.0000001, 1.0) == 0
+
+    def test_symmetric_in_sign(self):
+        assert rect_fov(-0.9, 1.0) == rect_fov(0.9, 1.0)
+
+
+class TestChannelGain:
+    def test_zero_outside_fov(self):
+        # 6 m across, 2 m down: incidence 71.57 deg > 70 deg
+        assert channel_gain(Pos3(5.0, 5.0, 3.0), Pos3(11.0, 5.0, 1.0), PARAMS) == 0.0
+
+    def test_positive_just_inside_fov(self):
+        r = 2.0 * math.tan(math.radians(69.9))
+        gain = channel_gain(Pos3(0.0, 0.0, 3.0), Pos3(r, 0.0, 1.0), PARAMS)
+        assert gain > 0.0
+
+    def test_gain_drops_with_offset(self):
+        gains = [
+            channel_gain(Pos3(0.0, 0.0, 3.0), Pos3(r, 0.0, 1.0), PARAMS)
+            for r in (0.0, 0.5, 1.0, 2.0, 4.0)
+        ]
+        assert gains == sorted(gains, reverse=True)
