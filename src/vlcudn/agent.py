@@ -112,11 +112,19 @@ class QTable:
 
     The learner keys rows by state index.  A table read back by load is
     keyed by the file's state keys, the text that inspect-q prints.
+
+    Beside each row sits its maximum, the count of actions that reach it
+    and, when that count is 1, the maximizer's index (best), so the
+    learner reads them without scanning the row.  set is the only writer
+    of rows and of that cache: the arrays row() returns must not be
+    written to.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
         self._rows: dict[int | str, np.ndarray] = {}
+        self._best: dict[int | str, tuple[float, int, int | None]] = {}
+        self._unseen = (0.0, n_actions, 0 if n_actions == 1 else None)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -131,14 +139,38 @@ class QTable:
             return existing
         return np.zeros(self.n_actions)
 
+    def best(self, state) -> tuple[float, int, int | None]:
+        """The row's maximum, how many actions reach it, and the maximizer
+        when it is the only one (else None); an unseen row is all zeros.
+
+        The maximum equals row(state).max(), though a 0.0 may stand for a
+        -0.0 there or the other way round.
+        """
+        return self._best.get(state, self._unseen)
+
     def set(self, state, action: int, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError("q-values must be finite")
-        existing = self._rows.get(state)
-        if existing is None:
-            existing = np.zeros(self.n_actions)
-            self._rows[state] = existing
-        existing[action] = value
+        value = float(value)
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = np.zeros(self.n_actions)
+        top, count, sole = self._best.get(state, self._unseen)
+        old = row.item(action)
+        row[action] = value
+        if value > top:
+            self._best[state] = (value, 1, int(action))
+        elif value == top:
+            if old != top:
+                self._best[state] = (top, count + 1, None)
+        elif old == top:  # a maximizer fell
+            if count > 2:
+                self._best[state] = (top, count - 1, None)
+            else:
+                if count == 1:  # it was the only one: rescan the row
+                    top = row.max().item()
+                hits = (row == top).nonzero()[0]
+                self._best[state] = (top, hits.size, int(hits[0]) if hits.size == 1 else None)
 
     def save(self, path, quant: StateQuantizer, density: int, power_levels: int,
              max_power: float) -> None:
@@ -230,14 +262,26 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
     Q(state, .).  Otherwise: a uniform draw among the non-maximizers, so
     each carries probability epsilon / (n_actions - 1) when the maximizer
     is unique.  If every action is a maximizer the two branches coincide.
+
+    The generator sees rng.random(), then rng.integers(pool size), for
+    every pick.  The row's cached maximum (QTable.best) spares the row
+    scan unless some but not all actions tie: when all tie (an unseen
+    state) the pool is every action; a sole maximizer is the greedy pick,
+    whose integers(1) draws nothing and is skipped, and the j-th of the
+    others is j + (j >= sole).
     """
+    top, count, sole = q.best(state)
+    explore = rng.random() < epsilon
+    n_actions = q.n_actions
+    if count == n_actions:
+        return int(rng.integers(n_actions))
+    if count == 1:
+        if not explore:
+            return sole
+        j = int(rng.integers(n_actions - 1))
+        return j + (j >= sole)
     row = q.row(state)
-    top = row.max()
-    pool = np.flatnonzero(row == top)
-    if rng.random() < epsilon:
-        others = np.flatnonzero(row != top)
-        if others.size:
-            pool = others
+    pool = (row != top if explore else row == top).nonzero()[0]
     return int(pool[rng.integers(pool.size)])
 
 
@@ -247,8 +291,8 @@ def update_q(q: QTable, state: int, action: int, utility: float, next_state: int
 
     Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
     """
-    old = float(q.row(state)[action])
-    value = (1.0 - alpha) * old + alpha * (utility + beta * float(q.row(next_state).max()))
+    old = q.row(state).item(action)
+    value = (1.0 - alpha) * old + alpha * (utility + beta * q.best(next_state)[0])
     q.set(state, action, value)
     return value
 

@@ -1,0 +1,115 @@
+"""Hash every output of a fixed matrix of CLI runs into a manifest.
+
+Run by hand, not by pytest, on two source trees, and compare the manifests:
+
+    python tests/bytegate.py --src /path/to/parent/src --out parent.sha256
+    python tests/bytegate.py --src src --out change.sha256
+    cmp parent.sha256 change.sha256
+
+Each line is "<sha256>  <case>/<file>".  The files are every metrics.csv and
+qtable.tsv, every metrics.meta.json without its git_describe line (the only
+field that names the checkout), and the text of `inspect-q --top 10` on
+every qtable.tsv.  The matrix: configs/reference.ini at its 100 runs, serial
+and with 2 workers; all five policies at rho=3; `sweep --densities 1,2,3`;
+rpic with replay = true; rpic at rho=4; and rpic, greedy_myopic and random
+on non-default optics, linear and squared.  It takes a few minutes on 2
+cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs",
+                         "reference.ini")
+POLICIES = ("fixed_max", "fixed_half", "greedy_myopic", "random", "rpic")
+OPTICS = {"channel": {"detector_area_cm2": "0.5", "semi_angle_deg": "45.0", "fov_deg": "60.0"},
+          "mobility": {"ue_height_m": "0.85"}}
+
+
+def _variant(tmp, name, overrides):
+    """configs/reference.ini with overrides {section: {key: value}}, written
+    to tmp/name.ini."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read(REFERENCE)
+    for section, pairs in overrides.items():
+        for key, value in pairs.items():
+            parser[section][key] = value
+    path = os.path.join(tmp, name + ".ini")
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+def _cases(tmp):
+    """(case name, vlcudn arguments without --out) of the matrix."""
+    ref = os.path.abspath(REFERENCE)
+    cases = [("reference-serial", ["simulate", "--config", ref]),
+             ("reference-workers2", ["simulate", "--config", ref, "--workers", "2"])]
+    for policy in POLICIES:
+        cases.append((f"rho3-{policy}", ["simulate", "--config", ref, "--policy", policy,
+                                         "--density", "3", "--workers", "2"]))
+    cases.append(("sweep", ["sweep", "--config", ref, "--densities", "1,2,3",
+                            "--workers", "2"]))
+    replay = _variant(tmp, "replay", {"agent": {"replay": "true"}})
+    cases.append(("rpic-replay", ["simulate", "--config", replay, "--runs", "20",
+                                  "--workers", "2"]))
+    cases.append(("rpic-rho4", ["simulate", "--config", ref, "--density", "4",
+                                "--workers", "2"]))
+    for squared in ("false", "true"):
+        optics = _variant(tmp, f"optics-{squared}",
+                          {**OPTICS, "link": {"squared_electrical_power": squared}})
+        for policy in ("rpic", "greedy_myopic", "random"):
+            cases.append((f"optics-squared-{squared}-{policy}",
+                          ["simulate", "--config", optics, "--policy", policy, "--runs", "30",
+                           "--workers", "2"]))
+    return cases
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="Source tree holding the vlcudn package.")
+    parser.add_argument("--out", required=True, help="Manifest file to write.")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    vlcudn = [sys.executable, "-m", "vlcudn.cli"]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command in _cases(tmp):
+            out_dir = os.path.join(tmp, name)
+            subprocess.run(vlcudn + command + ["--out", out_dir], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            for root, _, files in sorted(os.walk(out_dir)):
+                for file in sorted(files):
+                    path = os.path.join(root, file)
+                    rel = os.path.relpath(path, tmp)
+                    with open(path, "rb") as fh:
+                        data = fh.read()
+                    if file == "metrics.meta.json":
+                        data = b"".join(line for line in data.splitlines(keepends=True)
+                                        if not line.lstrip().startswith(b'"git_describe":'))
+                    lines.append(f"{_digest(data)}  {rel}")
+                    if file == "qtable.tsv":
+                        text = subprocess.run(vlcudn + ["inspect-q", "--qtable", path,
+                                                        "--top", "10"],
+                                              env=env, check=True, capture_output=True).stdout
+                        lines.append(f"{_digest(text)}  {rel}:inspect-q")
+            print(f"{name}: done", file=sys.stderr)
+    with open(args.out, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"{len(lines)} digests written to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,8 +3,9 @@ package computes only in :mod:`vlcudn.kernels`: the Lambertian gain, SINR
 and Shannon rate, leaked ICI and the slot utility; the random-waypoint
 step, which the package computes only in
 :func:`vlcudn.mobility.simulate_paths`; the joint-action scan that the
-per-UE greedy choice replaces; and the per-component state binning that
-the integer state index replaces.
+per-UE greedy choice replaces; the per-component state binning that the
+integer state index replaces; and the row-scanning epsilon-greedy pick
+that the Q-table's cached row maximum replaces.
 The tests hold the package to these; the package never imports them.
 Their parameter records are plain and check nothing: the package checks
 its inputs once, in ExperimentConfig.
@@ -291,6 +292,19 @@ def greedy_joint_argmax(levels, rate_rows, *utility_inputs) -> np.ndarray:
     scores = kernels.utility(rates.sum(axis=1), n_ues, np.asarray(levels)[choices].sum(axis=1),
                              *utility_inputs)[0]
     return choices[np.argmax(scores)]
+
+
+def select_action(row, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy pick over one value row, by scanning it: rng.random()
+    chooses the branch, then rng.integers draws from the maximizers (greedy)
+    or the non-maximizers (explore; all actions if every one ties)."""
+    top = row.max()
+    pool = np.flatnonzero(row == top)
+    if rng.random() < epsilon:
+        others = np.flatnonzero(row != top)
+        if others.size:
+            pool = others
+    return int(pool[rng.integers(pool.size)])
 
 
 def state_key(rates, gains, quant) -> str:

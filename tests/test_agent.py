@@ -33,6 +33,16 @@ def _key(rates, gains):
     return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
 
 
+def _assert_cache(q, state):
+    """QTable.best(state) agrees with a scan of the row."""
+    row = q.row(state)
+    top, count, sole = q.best(state)
+    hits = np.flatnonzero(row == row.max())
+    assert top == row.max()
+    assert count == np.count_nonzero(row == row.max()) == hits.size
+    assert sole == (hits[0] if hits.size == 1 else None)
+
+
 class TestQuantizeState:
     def test_zeros_land_in_bin_zero(self):
         assert quantize_state([0.0, 0.0], [0.0, 0.0], QUANT) == 0
@@ -179,6 +189,56 @@ class TestQTable:
         with pytest.raises(ValueError):
             q.set(self.S0, 0, bad)
 
+    def test_cache_follows_each_kind_of_write(self):
+        q = QTable(4)
+        _assert_cache(q, self.S0)  # unseen: all four tie at zero
+        steps = [
+            (1, 2.0),  # [0, 2, 0, 0]: a sole maximizer
+            (3, 2.0),  # [0, 2, 0, 2]: raised to a tie
+            (1, 1.0),  # [0, 1, 0, 2]: one of two tied maxima lowered; 3 is sole
+            (3, -0.0),  # [0, 1, 0, -0]: the sole maximizer lowered; rescan finds 1
+            (1, 0.0),  # [0, 0, 0, -0]: again; 0.0 and -0.0 tie four ways
+            (0, -0.0),  # [-0, 0, 0, -0]: -0.0 over 0.0 changes nothing
+            (2, -1.0),  # [-0, 0, -1, -0]: one of four tied maxima lowered
+            (1, -3.0),  # [-0, -3, -1, -0]: two left
+            (0, -2.0),  # [-2, -3, -1, -0]: one left, 3
+            (3, -2.0),  # [-2, -3, -1, -2]: all negative, sole maximizer 2
+            (2, -2.0),  # [-2, -3, -2, -2]: the sole maximizer lowered into a tie
+            (0, -2.5),  # [-2.5, -3, -2, -2]
+            (3, -2.75),  # [-2.5, -3, -2, -2.75]: 2 is sole
+        ]
+        for action, value in steps:
+            q.set(self.S0, action, value)
+            _assert_cache(q, self.S0)
+        assert q.best(self.S0) == (-2.0, 1, 2)
+        assert q.best(self.S1) == (0.0, 4, None)
+
+    @pytest.mark.parametrize("n_actions", [1, 2, 5, 216])
+    def test_cache_matches_a_row_scan_after_random_sets(self, n_actions):
+        rng = np.random.default_rng(n_actions)
+        values = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]  # few values, so ties are common
+        q = QTable(n_actions)
+        for _ in range(3000):
+            state = int(rng.integers(3))
+            action = int(rng.integers(n_actions))
+            if rng.random() < 0.8:
+                value = values[rng.integers(len(values))]
+            else:
+                value = float(rng.normal(0.0, 2.0))
+            q.set(state, action, value)
+            _assert_cache(q, state)
+
+    def test_cache_of_rows_read_back_by_load(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"{_header(4)}\n0|0|1\t1\t2.5\n0|0|1\t3\t2.5\n"
+                        "1|0|1\t0\t-1\n2|0|1\t2\t4\n2|0|1\t0\t-0\n")
+        loaded, _ = QTable.load(path)
+        for key in ("0|0|1", "1|0|1", "2|0|1", "3|0|1"):
+            _assert_cache(loaded, key)
+        assert loaded.best("0|0|1") == (2.5, 2, None)
+        assert loaded.best("1|0|1") == (0.0, 3, None)
+        assert loaded.best("2|0|1") == (4.0, 1, 2)
+
     def test_save_load_roundtrip_is_exact(self, tmp_path):
         q = QTable(6)
         entries = {
@@ -288,6 +348,33 @@ class TestSelectAction:
         # every action is a maximizer, so the split should be near 1/4 each
         assert (counts > 0).all()
         assert np.abs(counts / 8000 - 0.25).max() < 0.03
+
+    ROWS = {
+        "unseen": None,
+        "unique": [0.0, 2.0, -1.0, 0.5, 0.0],
+        "unique-first": [3.0, 2.0, -1.0, 0.5, 0.0],
+        "unique-last": [0.0, 2.0, -1.0, 0.5, 2.5],
+        "tie-positive": [1.0, 3.0, 3.0, -2.0, 3.0],
+        "tie-zero": [0.0, -1.0, -0.0, -0.5, -2.0],
+        "tie-negative": [-1.0, -3.0, -1.0, -2.0, -1.5],
+        "all-negative": [-1.0, -3.0, -0.25, -2.0, -1.5],
+        "all-equal": [2.0, 2.0, 2.0, 2.0, 2.0],
+    }
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4, 1.0])
+    def test_draws_as_the_row_scanning_oracle(self, epsilon):
+        """Same pick and same generator state after every call: the cached
+        paths skip only draws that consume nothing."""
+        for seed, (name, values) in enumerate(self.ROWS.items()):
+            q = QTable(5)
+            for action, value in enumerate(values or ()):
+                q.set(self.S, action, value)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                pick = select_action(q, self.S, epsilon, ours)
+                assert pick == oracles.select_action(q.row(self.S), epsilon, theirs), name
+                assert type(pick) is int
+                assert ours.bit_generator.state == theirs.bit_generator.state, name
 
 
 class TestUpdateQ:

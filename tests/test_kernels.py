@@ -12,14 +12,16 @@ import pytest
 
 from oracles import (
     Link, PowerVector, Pos3, SlotChannelSnapshot, Weights, achievable_rate, channel_gain,
-    channel_params_from_cm2, link_geometry, per_ue_bandwidth, rect_fov, sinr, total_ici,
-    utility,
+    channel_params_from_cm2, joint_actions, link_geometry, per_ue_bandwidth, rect_fov, sinr,
+    total_ici, utility,
 )
 from vlcudn import kernels
+from vlcudn.agent import enumerate_actions
 from vlcudn.kernels import lambertian_order
 
 PARAMS = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
 LINK = Link(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
+ETA = 0.54
 
 
 @pytest.mark.parametrize("area_cm2,semi_deg,fov_deg,dz", [
@@ -40,6 +42,16 @@ def test_lambertian_gains_matches_scalar_gain(area_cm2, semi_deg, fov_deg, dz):
     for i in range(n):
         want = channel_gain(ap, Pos3(dx[i], dy[i], 0.0), params)
         assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_lambertian_gains_keeps_a_receiver_exactly_on_the_fov_edge():
+    # 3 m across, 4 m down: cos(theta) is exactly 4/5, and so is the cosine
+    # of this FOV; the edge counts as inside
+    fov_deg = 36.86989764584401
+    assert math.cos(math.radians(fov_deg)) == 4.0 / math.sqrt(25.0) == 0.8
+    gains = kernels.lambertian_gains(np.array([3.0, 0.0, 3.0 + 1e-9]), np.array([0.0, 3.0, 0.0]),
+                                     4.0, 60.0, 1e-4, fov_deg)
+    assert gains[0] > 0.0 and gains[1] == gains[0] and gains[2] == 0.0
 
 
 @pytest.mark.parametrize("squared", [False, True])
@@ -167,3 +179,101 @@ class TestChannelGain:
             for r in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert gains == sorted(gains, reverse=True)
+
+
+def _no_interference_snapshot(h: float) -> SlotChannelSnapshot:
+    return SlotChannelSnapshot([h], np.empty((0, 1)), [])
+
+
+class TestSinr:
+    def test_zero_power_gives_zero(self):
+        snap = _no_interference_snapshot(7.9577471545947668e-6)
+        powers = PowerVector([0.0], np.empty((0, 1)))
+        assert sinr(0, powers, snap, LINK, ETA) == 0.0
+
+    def test_interference_equal_to_noise_halves_sinr(self):
+        h = 5e-6
+        snap_free = _no_interference_snapshot(h)
+        free = sinr(0, PowerVector([2e-3], np.empty((0, 1))), snap_free, LINK, ETA)
+        # one interferer whose received term equals the noise term
+        noise_term = per_ue_bandwidth(LINK, 1) * LINK.noise_psd
+        gamma = 1e-6
+        x_j = noise_term / (ETA * gamma)
+        snap = SlotChannelSnapshot([h], [[gamma]], [np.empty(0)])
+        halved = sinr(0, PowerVector([2e-3], [[x_j]]), snap, LINK, ETA)
+        assert halved == pytest.approx(free / 2.0, rel=1e-12)
+
+    def test_squared_mode(self):
+        h, x, gamma, x_j = 5e-6, 2e-3, 1e-6, 1.5e-3
+        snap = SlotChannelSnapshot([h], [[gamma]], [np.empty(0)])
+        powers = PowerVector([x], [[x_j]])
+        wn = per_ue_bandwidth(LINK, 1)
+        want = (ETA * x * h) ** 2 / (wn * LINK.noise_psd + (ETA * x_j * gamma) ** 2)
+        assert sinr(0, powers, snap, LINK, ETA, squared=True) == pytest.approx(
+            want, rel=1e-12
+        )
+
+
+class TestAchievableRate:
+    def test_zero_sinr(self):
+        assert achievable_rate(10e6, 0.0) == 0.0
+
+    def test_unit_sinr_doubles_capacity_argument(self):
+        assert achievable_rate(10e6, 1.0) == pytest.approx(10e6, rel=1e-12)
+
+
+class TestTotalIci:
+    def test_zero_powers(self):
+        snap = SlotChannelSnapshot([1e-6], [[1e-6]], [np.array([1e-6])])
+        assert total_ici(PowerVector([0.0], [[1e-3]]), snap, ETA) == 0.0
+
+    def test_single_term_oracle(self):
+        snap = SlotChannelSnapshot([1e-6], [[0.0]], [np.array([1e-6])])
+        got = total_ici(PowerVector([4e-3], [[0.0]]), snap, ETA)
+        assert got == pytest.approx(2.16e-9, rel=1e-12)
+
+    def test_doubling_powers_doubles_leakage(self):
+        rng = np.random.default_rng(8)
+        outgoing = [rng.uniform(0, 2e-6, 3) for _ in range(2)]
+        snap = SlotChannelSnapshot(
+            rng.uniform(1e-6, 8e-6, 2), rng.uniform(0, 2e-6, (2, 2)), outgoing
+        )
+        x = rng.uniform(0, 4e-3, 2)
+        base = total_ici(PowerVector(x, np.zeros((2, 2))), snap, ETA)
+        double = total_ici(PowerVector(2 * x, np.zeros((2, 2))), snap, ETA)
+        assert double == pytest.approx(2 * base, rel=1e-12)
+
+
+class TestUtility:
+    WEIGHTS = Weights(energy_weight=1.0, interference_weight=1e3)
+
+    def test_all_zero_is_zero(self):
+        powers = PowerVector([0.0, 0.0], np.empty((0, 2)))
+        assert utility([0.0, 0.0], powers, 0.0, self.WEIGHTS) == 0.0
+
+    def test_zero_weights_give_mean_rate_in_mbps(self):
+        powers = PowerVector([2e-3, 2e-3], np.empty((0, 2)))
+        got = utility([10e6, 20e6], powers, 1e-9, Weights(0.0, 0.0))
+        assert got == pytest.approx(15.0, rel=1e-12)
+
+
+def test_full_power_maximizes_rate_only_utility():
+    # with zero weights the best joint action is everyone at max power
+    rng = np.random.default_rng(13)
+    actions = joint_actions(enumerate_actions(5, 4e-3), 2)
+    serving = rng.uniform(1e-6, 8e-6, 2)
+    gamma = rng.uniform(0, 2e-6, (3, 2))
+    snap = SlotChannelSnapshot(serving, gamma, [np.empty(0)] * 3)
+    x_nb = np.full((3, 2), 2e-3)
+    wn = per_ue_bandwidth(LINK, 2)
+    weights = Weights(0.0, 0.0)
+    best, best_u = None, -np.inf
+    for a, row in enumerate(actions):
+        powers = PowerVector(row, x_nb)
+        rates = [
+            achievable_rate(wn, sinr(n, powers, snap, LINK, ETA)) for n in range(2)
+        ]
+        u = utility(rates, powers, total_ici(powers, snap, ETA), weights)
+        if u > best_u:
+            best, best_u = a, u
+    assert best == len(actions) - 1

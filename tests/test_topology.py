@@ -9,10 +9,14 @@ from vlcudn import harness
 from vlcudn.config import load_experiment
 from vlcudn.topology import co_channel_neighbors, episode_cells, reuse_blocks
 
-FOV = math.radians(70.0)
-# (ap_height - ue_height) * tan(fov) + half the diagonal of a 2 m cell, at
-# the desk-scale heights 3 m and 1 m
-RADIUS = 2.0 * math.tan(FOV) + math.sqrt(2.0)
+
+def _radius(fov_deg):
+    """(ap_height - ue_height) * tan(fov) + half the diagonal of a 2 m cell,
+    at the desk-scale heights 3 m and 1 m."""
+    return 2.0 * math.tan(math.radians(fov_deg)) + math.sqrt(2.0)
+
+
+RADIUS = _radius(70.0)
 
 
 def _grid(rows, cols):
@@ -21,15 +25,17 @@ def _grid(rows, cols):
     return np.array([(2.0 * j + 1.0, 2.0 * i + 1.0) for i in range(rows) for j in range(cols)])
 
 
-def _cells(make_config, rows, cols, mode):
+def _cells(make_config, rows, cols, mode, fov_deg=70.0):
     return episode_cells(load_experiment(make_config({
         "topology.rows": rows, "topology.cols": cols, "topology.reuse_mode": mode,
+        "channel.fov_deg": fov_deg,
     })))
 
 
-def _brute_force_cells(rows, cols, mode):
+def _brute_force_cells(rows, cols, mode, fov_deg=70.0):
     """The central AP (nearest the grid center, lowest index among ties),
-    then each same-block AP within RADIUS of it, in index order."""
+    then each same-block AP within _radius(fov_deg) of it, in index order."""
+    radius = _radius(fov_deg)
     positions = _grid(rows, cols)
     center = (cols * 1.0, rows * 1.0)
     dists = [math.dist(p, center) for p in positions]
@@ -38,7 +44,7 @@ def _brute_force_cells(rows, cols, mode):
     return [positions[central].tolist()] + [
         p.tolist() for ap, p in enumerate(positions)
         if ap != central and blocks[ap] == blocks[central]
-        and math.dist(p, positions[central]) <= RADIUS
+        and math.dist(p, positions[central]) <= radius
     ]
 
 
@@ -62,6 +68,23 @@ def test_row_major_indexing(make_config):
 ])
 def test_episode_cells_match_brute_force(make_config, rows, cols, mode):
     assert _cells(make_config, rows, cols, mode).tolist() == _brute_force_cells(rows, cols, mode)
+
+
+@pytest.mark.parametrize("rows,cols,mode", [
+    (4, 4, "two_block"), (6, 5, "two_block"), (2, 3, "four_block"), (6, 6, "four_block"),
+    (3, 1, "four_block"),
+])
+def test_episode_cells_match_brute_force_at_fov_54(make_config, rows, cols, mode):
+    assert (_cells(make_config, rows, cols, mode, fov_deg=54.0).tolist()
+            == _brute_force_cells(rows, cols, mode, fov_deg=54.0))
+
+
+def test_four_block_center_has_four_neighbors_at_fov_54(make_config):
+    """At 54 degrees the FOV term is 2.75 m: the APs 4 m away in the same
+    block are neighbours only through the half cell diagonal, 1.41 m."""
+    cells = _cells(make_config, 5, 5, "four_block", fov_deg=54.0)
+    assert cells.tolist() == _brute_force_cells(5, 5, "four_block", fov_deg=54.0)
+    assert len(cells) == 1 + 4
 
 
 @pytest.mark.filterwarnings("error")
@@ -114,6 +137,12 @@ def test_two_block_center_matches_brute_force(make_config):
     cells = _cells(make_config, 5, 5, "two_block")
     assert cells.tolist() == _brute_force_cells(5, 5, "two_block")
     assert len(cells) == 1 + 12
+
+
+def test_same_block_ap_exactly_at_the_radius_is_a_neighbor():
+    # hypot(3, 4) is exactly 5.0 in floats
+    positions = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0 + 1e-9]])
+    assert co_channel_neighbors(positions, np.zeros(3, dtype=int), 0, 5.0).tolist() == [1]
 
 
 def test_single_ap_has_no_neighbors():
