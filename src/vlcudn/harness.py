@@ -4,14 +4,16 @@ One episode simulates the central AP serving N mobile UEs for max_slots
 slots while co-channel neighbor APs transmit a fixed power to their own
 users.  Trajectories and all channel gains are action-independent, and a
 UE's rate depends only on its own power level, so the episode first
-precomputes the paths, the gains and the rate of every (slot, UE, power
-level) in one table.  Each policy then picks a level per slot and UE:
-the fixed ones a constant, greedy_myopic each UE's best level from the
-table, random one batch of draws.  Only the learner keeps a slot loop,
-in this order: form the state from the previous slot's rates plus the
-current gains, pick an action, read its rates from the table and compute
-the utility, apply the learning update.  One batched pass then records
-every policy's per-slot utility, mean rate, energy and leakage.
+precomputes the paths of every cell's UEs in one walk, the gains, and
+the rate of every (slot, UE, power level) in one table; the paths are
+dropped once the gains are summed.  Each policy then picks a level per
+slot and UE: the fixed ones a constant, greedy_myopic each UE's best
+level from the table, random one batch of draws.  Only the learner keeps
+a slot loop, in this order: form the state from the previous slot's
+rates plus the current gains, pick an action, read its rates from the
+table and compute the utility, apply the learning update.  One batched
+pass then records every policy's per-slot utility, mean rate, energy and
+leakage.
 
 Each run derives two independent random streams from its seed, one for
 movement and one for the agent, and run i of an experiment uses seed
@@ -120,11 +122,6 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
     mob_rng = np.random.default_rng(mob_ss)
     agent_rng = np.random.default_rng(agent_ss)
 
-    def walk(count: int, x: float, y: float) -> np.ndarray:
-        """Paths of count UEs in the square cell of the AP at x, y."""
-        return simulate_paths(count, (x - half, x + half, y - half, y + half), config.v_min,
-                              config.v_max, config.slot_duration, n_slots, mob_rng)
-
     def gain_grid(x: float, y: float, paths: np.ndarray) -> np.ndarray:
         """Gains from the AP at x, y to a (n_slots, n_ues, 2) position array."""
         dx = paths[:, :, 0] - x
@@ -132,20 +129,30 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
         flat = kernels.lambertian_gains(dx.ravel(), dy.ravel(), *gain_args)
         return flat.reshape(paths.shape[:2])
 
-    # Trajectories: local UEs first, then each neighbor's UEs in index order.
-    local_paths = walk(n, cx, cy)
+    def cell(x: float, y: float) -> tuple[float, float, float, float]:
+        """Bounds of the square cell of the AP at x, y."""
+        return (x - half, x + half, y - half, y + half)
+
+    # Trajectories in one walk: the local UEs first, then each neighbor's
+    # UEs in index order.
+    n_foreign = config.n_neighbor_ues()
+    groups = [(n, cell(cx, cy))] + [(n_foreign, cell(x, y)) for x, y in neighbors]
+    paths = simulate_paths(groups, config.v_min, config.v_max, config.slot_duration, n_slots,
+                           mob_rng)
+    local_paths = paths[:, :n]
     serving = gain_grid(cx, cy, local_paths)  # (K, N)
 
     # Per slot the cross-gain toward all foreign UEs, and per slot and UE
     # the incoming interference in denominator form.
-    n_foreign = config.n_neighbor_ues()
     outgoing = np.zeros(n_slots)
     incoming = np.zeros((n_slots, n))
-    for x, y in neighbors:
+    for g, (x, y) in enumerate(neighbors):
         if n_foreign:
-            outgoing += gain_grid(cx, cy, walk(n_foreign, x, y)).sum(axis=1)
+            first = n + g * n_foreign
+            outgoing += gain_grid(cx, cy, paths[:, first:first + n_foreign]).sum(axis=1)
         term = eta * config.neighbor_power * gain_grid(x, y, local_paths)
         incoming += term * term if squared else term
+    del paths, local_paths
 
     rate_tab = kernels.level_rates(
         levels, serving, incoming, wn, config.noise_psd, eta, squared

@@ -1,0 +1,188 @@
+"""Run Tier-1 against each of a fixed list of one-line mutants of the package.
+
+Run by hand from the repository root, not by pytest:
+
+    python tests/mutants.py                 # every mutant, about 30 s each on 2 cores
+    python tests/mutants.py --only NAME ...
+    python tests/mutants.py --list
+
+Each mutant is one or more edits, each a file under src/vlcudn, an exact
+old text and its new text; the old text must occur exactly once.  The
+script copies the repository (without .git) to a temporary directory, and
+for each mutant applies its edits there, runs the Tier-1 command with -x
+and prints killed, with the first failing test, or survived.  It exits 1
+if a mutant survives that EQUIVALENT does not list, and 2 if an old text
+does not occur exactly once.  The list only grows: a mutant removed is a
+weaker check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+TIMEOUT_S = 900
+
+# name -> [(file under src/vlcudn, old text, new text), ...]
+MUTANTS = {
+    # The geometry that decides which APs interfere and which links a
+    # receiver sees.
+    "neighbor-radius-strict": [("topology.py", "(dist <= radius)", "(dist < radius)")],
+    "neighbor-radius-half-side": [("topology.py", "radius += spacing * math.sqrt(2.0) / 2.0",
+                                   "radius += spacing / 2.0")],
+    "fov-edge-excluded": [("kernels.py", "np.where(cos_t >= cos_fov, gains, 0.0)",
+                           "np.where(cos_t > cos_fov, gains, 0.0)")],
+    # Schedules, state, learner and policies.
+    "epsilon-decays-upward": [("agent.py", "return start + (end - start) * (slot / decay_slots)",
+                               "return start - (end - start) * (slot / decay_slots)")],
+    "quantize-rounds": [("agent.py", "min(max(int(v * scale), 0), top)",
+                         "min(max(round(v * scale), 0), top)")],
+    "warmup-one-slot-longer": [("agent.py", "if slot < warmup_slots:",
+                                "if slot <= warmup_slots:")],
+    "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * q.best(next_state)[0])",
+                                  "alpha * (utility - beta * q.best(next_state)[0])")],
+    "explore-on-high-draw": [("agent.py", "explore = rng.random() < epsilon",
+                              "explore = rng.random() > epsilon")],
+    "greedy-takes-worst-level": [("harness.py", "choice = per_ue.argmax(axis=2)",
+                                  "choice = per_ue.argmin(axis=2)")],
+    "fixed-half-farthest-level": [("harness.py",
+                                   "np.argmin(np.abs(levels - agent_cfg.max_power / 2.0))",
+                                   "np.argmax(np.abs(levels - agent_cfg.max_power / 2.0))")],
+    "csv-ten-digits": [("harness.py", '"%d,%.12g,%.12g,%.12g,%.12g\\n"',
+                        '"%d,%.10g,%.12g,%.12g,%.12g\\n"')],
+    "mean-rate-is-sum": [("harness.py", "mean_rate = rate_sum / n", "mean_rate = rate_sum")],
+    "rate-log-of-sinr-plus-two": [("kernels.py", "np.add(out, 1.0, out=out)",
+                                   "np.add(out, 2.0, out=out)")],
+    "inspect-q-microwatts": [("cli.py", '"%.3g" % (levels[d] * 1e3)',
+                              '"%.3g" % (levels[d] * 1e6)')],
+    "speed-not-scaled-by-slot": [("mobility.py", "step = (v_min + v_range * draw()) * slot_duration",
+                                  "step = v_min + v_range * draw()")],
+    "bandwidth-factor-dropped": [("config.py",
+                                  "return self.effective_bandwidth_factor * self.total_bandwidth",
+                                  "return self.total_bandwidth")],
+    # Kernel formulas.
+    "lambertian-order-plus-two": [("kernels.py", "coef = (m_order + 1.0) * detector_area",
+                                   "coef = (m_order + 2.0) * detector_area")],
+    "rates-natural-log": [("kernels.py", "np.log2(out, out=out)", "np.log(out, out=out)")],
+    "levels-reversed": [("kernels.py", "np.multiply(eta * levels, serving",
+                         "np.multiply(eta * levels[::-1], serving")],
+    "interference-subtracted": [("kernels.py", "(wn * noise_psd + interference)",
+                                 "(wn * noise_psd - interference)")],
+    "gain-times-d2": [("kernels.py", "gains = (coef / d2)", "gains = (coef * d2)")],
+    "leakage-quadratic": [("kernels.py", "ici_w = eta * total_w * outgoing",
+                           "ici_w = eta * total_w * total_w * outgoing")],
+    # One extra path row that the harness slices off again: same bytes, but
+    # mobility.ue_slots, as perfbench counts it, moves.
+    "mobility-extra-row": [
+        ("mobility.py", "return out.reshape(n_slots, n_total, 2), hits",
+         "return np.concatenate([out, out[-n_total:]]).reshape(-1, n_total, 2), hits"),
+        ("harness.py", "    local_paths = paths[:, :n]\n",
+         "    paths = paths[:n_slots]\n    local_paths = paths[:, :n]\n"),
+    ],
+    # The Q-table's per-state maximum cache.
+    "cache-skips-past-sole": [("agent.py", "return j + (j >= sole)", "return j + (j > sole)")],
+    "cache-counts-every-tie": [("agent.py", "if old != top:", "if True:")],
+    "cache-raises-on-equal": [("agent.py", "if value > top:", "if value >= top:")],
+    "update-reads-own-maximum": [("agent.py", "beta * q.best(next_state)[0]",
+                                  "beta * q.best(state)[0]")],
+    # The two-phase waypoint walk.
+    "walk-guess-one-late": [("mobility.py", "return math.ceil(dist / step) - 1",
+                             "return math.ceil(dist / step)")],
+    "walk-reach-count-dropped": [("mobility.py",
+                                  "return out.reshape(n_slots, n_total, 2), hits == "
+                                  "np.count_nonzero(lands)",
+                                  "return out.reshape(n_slots, n_total, 2), True")],
+    "walk-landing-check-dropped": [("mobility.py", "if m_land and not reached[m - m_land:].all():",
+                                    "if False:")],
+    "walk-generator-not-advanced": [("mobility.py", "    rng.random(used)", "    pass")],
+}
+
+# name -> why it cannot change any result.  Empty: every mutant must die.
+EQUIVALENT: dict[str, str] = {}
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _write(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _apply(tree, edits):
+    """Apply edits in tree; returns {path: original text} to restore."""
+    originals = {}
+    for file, old, new in edits:
+        path = os.path.join(tree, "src", "vlcudn", file)
+        text = _read(path)
+        originals.setdefault(path, text)
+        if text.count(old) != 1:
+            _restore(originals)
+            raise LookupError(f"{file}: old text occurs {text.count(old)} times: {old!r}")
+        _write(path, text.replace(old, new))
+    return originals
+
+
+def _restore(originals):
+    for path, text in originals.items():
+        _write(path, text)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="Run only these mutants.")
+    parser.add_argument("--list", action="store_true", help="Print the mutant names and exit.")
+    args = parser.parse_args(argv)
+    if args.list:
+        print("\n".join(MUTANTS))
+        return 0
+    names = args.only or list(MUTANTS)
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = os.path.join(tmp, "repo")
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".bench_build", "*.egg-info"))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        for name in names:
+            try:
+                originals = _apply(tree, MUTANTS[name])
+            except LookupError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                return 2
+            start = time.perf_counter()
+            try:
+                proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True,
+                                      timeout=TIMEOUT_S)
+                failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+                verdict = ("survived" if proc.returncode == 0 else
+                           "killed by " + (failed.group(1) if failed else f"exit {proc.returncode}"))
+            except subprocess.TimeoutExpired:
+                verdict = f"killed by a {TIMEOUT_S} s timeout"
+            finally:
+                _restore(originals)
+            if verdict == "survived":
+                verdict += f" (equivalent: {EQUIVALENT[name]})" if name in EQUIVALENT else ""
+                if name not in EQUIVALENT:
+                    survivors.append(name)
+            print(f"{name}: {verdict} [{time.perf_counter() - start:.0f} s]", flush=True)
+    print(f"{len(names) - len(survivors)} of {len(names)} mutants killed or equivalent")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,11 @@
 """Scalar references, one link or UE at a time, for the formulas that the
 package computes only in :mod:`vlcudn.kernels`: the Lambertian gain, SINR
 and Shannon rate, leaked ICI and the slot utility; the random-waypoint
-step, which the package computes only in
-:func:`vlcudn.mobility.simulate_paths`; the joint-action scan that the
-per-UE greedy choice replaces; the per-component state binning that the
-integer state index replaces; and the row-scanning epsilon-greedy pick
-that the Q-table's cached row maximum replaces.
+step, which the package computes only in :mod:`vlcudn.mobility`; the
+joint-action scan that the per-UE greedy choice replaces; the
+per-component state binning that the integer state index replaces; and
+the row-scanning epsilon-greedy pick that the Q-table's cached row
+maximum replaces.
 The tests hold the package to these; the package never imports them.
 Their parameter records are plain and check nothing: the package checks
 its inputs once, in ExperimentConfig.

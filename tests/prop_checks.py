@@ -171,7 +171,7 @@ def check_mobility_confinement(n_cases: int = 1000, seed: int = 106) -> int:
         slot_duration = rng.uniform(0.02, 0.5)
         n_ues = int(rng.integers(1, 4))
         n_slots = int(rng.integers(5, 40))
-        paths = simulate_paths(n_ues, bounds, v_min, v_max, slot_duration, n_slots, rng)
+        paths = simulate_paths([(n_ues, bounds)], v_min, v_max, slot_duration, n_slots, rng)
         eps = 1e-9
         assert (paths[:, :, 0] >= bounds[0] - eps).all()
         assert (paths[:, :, 0] <= bounds[1] + eps).all()

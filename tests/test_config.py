@@ -1,4 +1,5 @@
-"""Strict INI loading: schema enforcement, unit conversion, overrides."""
+"""Strict INI loading: schema enforcement, unit conversion, overrides, and
+the per-UE bandwidth the [link] keys give."""
 
 import dataclasses
 import math
@@ -6,7 +7,7 @@ import re
 
 import pytest
 
-from oracles import Pos3, channel_gain, channel_params_from_cm2
+from oracles import Pos3, channel_gain, channel_params_from_cm2, per_ue_bandwidth
 from vlcudn.agent import AgentConfig
 from vlcudn.config import (
     _KEYS,
@@ -353,3 +354,20 @@ class TestChannelParams:
     def test_position_rejects_negative_height(self, make_config):
         with pytest.raises(ConfigError, match=r"^\[mobility\] ue_height_m must be in "):
             load_experiment(make_config({"mobility.ue_height_m": -0.1}))
+
+
+class TestPerUeBandwidth:
+    """ExperimentConfig.per_ue_bandwidth on the [link] keys (20 MHz, factor 0.5)."""
+
+    def test_single_ue_gets_effective_band(self, make_config):
+        cfg = load_experiment(make_config({"experiment.ue_density": 1}))
+        assert cfg.per_ue_bandwidth() == pytest.approx(10e6, rel=1e-12)
+
+    def test_four_ues_share_equally(self, make_config):
+        cfg = load_experiment(make_config({"experiment.ue_density": 4}))
+        assert cfg.per_ue_bandwidth() == pytest.approx(2.5e6, rel=1e-12)
+
+    def test_unit_factor(self, make_config):
+        cfg = load_experiment(make_config({"link.effective_bandwidth_factor": 1.0}))
+        assert cfg.per_ue_bandwidth() == pytest.approx(10e6, rel=1e-12)
+        assert cfg.per_ue_bandwidth() == per_ue_bandwidth(cfg, cfg.ue_density)

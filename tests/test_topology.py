@@ -178,14 +178,14 @@ def test_four_block_cochannel_distance_at_least_two_spacings():
 
 @pytest.fixture()
 def walked_bounds(make_config, monkeypatch):
-    """The cell bounds run_episode hands simulate_paths, one per call, for
+    """The cell bounds run_episode hands simulate_paths, one per group, for
     a desk-scale 5 x 5 four_block episode."""
     seen = []
     simulate = harness.simulate_paths
 
-    def recording(n_ues, bounds, *args):
-        seen.append(bounds)
-        return simulate(n_ues, bounds, *args)
+    def recording(groups, *args):
+        seen.extend(bounds for _, bounds in groups)
+        return simulate(groups, *args)
 
     monkeypatch.setattr(harness, "simulate_paths", recording)
     harness.run_episode(load_experiment(make_config({"agent.max_slots": 30,
