@@ -22,21 +22,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class AgentConfig:
-    """The learner's parameters, checked by the ExperimentConfig holding them."""
-
-    power_levels: int  # L; the action grid has L+1 values including zero
-    max_power: float  # watts
-    learning_rate: float
-    discount: float
-    epsilon_start: float
-    epsilon_end: float
-    epsilon_decay_slots: int
-    warmup_slots: int
-    max_slots: int
-
-
-@dataclass(frozen=True)
 class StateQuantizer:
     """Uniform binning grids for the continuous state components.
 

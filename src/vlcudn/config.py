@@ -4,8 +4,10 @@ The file format is plain INI with fixed sections.  Every known key must
 be present and no other keys are accepted, so a config file is always a
 complete, unambiguous record of an experiment.  Quantities carry their
 unit in the key name (mW, Hz, meters); they are converted to SI here and
-nowhere else.  Each key's valid range is declared in its _KEYS row, and
-ExperimentConfig checks every row and the rules that tie keys together
+nowhere else.  Each key is declared once, on the ExperimentConfig or
+AgentConfig field it fills, with its section, SI factor and valid range;
+_KEYS lists them in declaration order, which is the file's.
+ExperimentConfig checks every key and the rules that tie keys together
 on construction, so every ExperimentConfig (dataclasses.replace too) is
 valid and the simulator takes its values as given.
 """
@@ -13,13 +15,14 @@ valid and the simulator takes its values as given.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
 import operator
 from dataclasses import dataclass
 
-from .agent import AgentConfig, StateQuantizer
+from .agent import StateQuantizer
 from .kernels import lambertian_order
 from .topology import REUSE_MODES
 
@@ -39,104 +42,69 @@ def canonical_policy(name: str) -> str:
     raise ConfigError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
 
 
-# One row per INI key: section, key, kind, SI factor (None: the file unit
-# is SI), the ExperimentConfig attribute the key fills (None: the
-# attribute has the key's name; "agent." names a field of AgentConfig),
-# and the valid values in file units: an interval whose bounds are each
-# open or closed, or a tuple of the allowed values.  Kinds are int,
-# float, bool and str, plus "match|int" (the word "match" reads as None
-# and is always valid) and canonical_policy (any policy alias it accepts).
-_KEYS = (
-    ("topology", "rows", int, None, None, "[1, inf)"),
-    ("topology", "cols", int, None, None, "[1, inf)"),
-    ("topology", "spacing_m", float, None, "spacing", "(0, inf)"),
-    ("topology", "ap_height_m", float, None, "ap_height", "(0, inf)"),
-    ("topology", "reuse_mode", str, None, None, REUSE_MODES),
-    ("channel", "detector_area_cm2", float, 1e-4, "detector_area", "(0, inf)"),
-    ("channel", "semi_angle_deg", float, None, "semi_angle_half_intensity", "(0, 90)"),
-    ("channel", "fov_deg", float, None, "fov_angle", "(0, 90]"),
-    ("channel", "responsivity_a_per_w", float, None, "responsivity", "(0, inf)"),
-    ("link", "total_bandwidth_hz", float, None, "total_bandwidth", "(0, inf)"),
-    ("link", "noise_psd_a2_per_hz", float, None, "noise_psd", "(0, inf)"),
-    ("link", "effective_bandwidth_factor", float, None, None, "(0, 1]"),
-    ("link", "squared_electrical_power", bool, None, None, (False, True)),
-    ("mobility", "v_min_mps", float, None, "v_min", "[0, inf)"),
-    ("mobility", "v_max_mps", float, None, "v_max", "[0, inf)"),
-    ("mobility", "slot_duration_s", float, None, "slot_duration", "(0, inf)"),
-    ("mobility", "ue_height_m", float, None, "ue_height", "[0, inf)"),
-    ("interference", "neighbor_power_mw", float, 1e-3, "neighbor_power", "[0, inf)"),
-    ("interference", "neighbor_ues", "match|int", None, None, "[0, inf)"),
-    ("agent", "power_levels", int, None, "agent.power_levels", "[1, inf)"),
-    ("agent", "max_power_mw", float, 1e-3, "agent.max_power", "(0, inf)"),
-    ("agent", "learning_rate", float, None, "agent.learning_rate", "(0, 1]"),
-    ("agent", "discount", float, None, "agent.discount", "[0, 1)"),
-    ("agent", "epsilon_start", float, None, "agent.epsilon_start", "[0, 1]"),
-    ("agent", "epsilon_end", float, None, "agent.epsilon_end", "[0, 1]"),
-    ("agent", "epsilon_decay_slots", int, None, "agent.epsilon_decay_slots", "[0, inf)"),
-    ("agent", "warmup_slots", int, None, "agent.warmup_slots", "[0, inf)"),
-    ("agent", "max_slots", int, None, "agent.max_slots", "[1, inf)"),
-    ("agent", "rate_bins", int, None, None, "[1, inf)"),
-    ("agent", "gain_bins", int, None, None, "[1, inf)"),
-    ("agent", "sinr_cap", float, None, None, "(0, inf)"),
-    ("agent", "action_cap", int, None, None, "[1, inf)"),
-    ("agent", "replay", bool, None, None, (False, True)),
-    ("agent", "replay_batch", int, None, None, "[1, inf)"),
-    ("utility", "energy_weight_per_mw", float, None, "energy_weight", "[0, inf)"),
-    ("utility", "interference_weight_per_mw", float, None, "interference_weight", "[0, inf)"),
-    ("experiment", "policy", canonical_policy, None, None, POLICIES),
-    ("experiment", "ue_density", int, None, None, "[1, inf)"),
-    ("experiment", "runs", int, None, None, "[1, inf)"),
-    ("experiment", "seed", int, None, None, "[0, inf)"),
-)
-
-_SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
+def _key(section: str, key: str, domain, factor: float | None = None, kind=None):
+    """The field that INI key [section] key fills.  domain holds its valid
+    values in file units: an interval whose bounds are each open or closed,
+    or a tuple of the allowed values.  A file value times factor is the
+    field's SI value (None: the file unit is SI).  The field's annotation
+    gives the parser, unless kind names one."""
+    return dataclasses.field(
+        metadata=dict(section=section, key=key, domain=domain, factor=factor, kind=kind))
 
 
-def _inside(value, domain) -> bool:
-    """Whether a file-unit value lies in a _KEYS domain; NaN lies in none."""
-    if isinstance(domain, tuple):
-        return value in domain
-    low, high = (float(bound) for bound in domain[1:-1].split(","))
-    return ((low <= value if domain[0] == "[" else low < value)
-            and (value <= high if domain[-1] == "]" else value < high))
+@dataclass(frozen=True)
+class AgentConfig:
+    """The learner's parameters, checked by the ExperimentConfig holding them."""
+
+    power_levels: int = _key("agent", "power_levels", "[1, inf)")  # L; L+1 levels with zero
+    max_power: float = _key("agent", "max_power_mw", "(0, inf)", 1e-3)  # watts
+    learning_rate: float = _key("agent", "learning_rate", "(0, 1]")
+    discount: float = _key("agent", "discount", "[0, 1)")
+    epsilon_start: float = _key("agent", "epsilon_start", "[0, 1]")
+    epsilon_end: float = _key("agent", "epsilon_end", "[0, 1]")
+    epsilon_decay_slots: int = _key("agent", "epsilon_decay_slots", "[0, inf)")
+    warmup_slots: int = _key("agent", "warmup_slots", "[0, inf)")
+    max_slots: int = _key("agent", "max_slots", "[1, inf)")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment parameters, SI units throughout."""
 
-    rows: int
-    cols: int
-    spacing: float
-    ap_height: float
-    reuse_mode: str
-    detector_area: float  # m^2
-    semi_angle_half_intensity: float  # LED half-intensity semi-angle, degrees
-    fov_angle: float  # photodiode field-of-view half-angle, degrees
-    responsivity: float  # A/W
-    total_bandwidth: float  # Hz
-    noise_psd: float  # A^2/Hz
-    effective_bandwidth_factor: float
-    squared_electrical_power: bool
-    v_min: float
-    v_max: float
-    slot_duration: float
-    ue_height: float
-    neighbor_power: float  # watts per neighbor AP
-    neighbor_ues: int | None  # None means: match ue_density
+    rows: int = _key("topology", "rows", "[1, inf)")
+    cols: int = _key("topology", "cols", "[1, inf)")
+    spacing: float = _key("topology", "spacing_m", "(0, inf)")
+    ap_height: float = _key("topology", "ap_height_m", "(0, inf)")
+    reuse_mode: str = _key("topology", "reuse_mode", REUSE_MODES)
+    detector_area: float = _key("channel", "detector_area_cm2", "(0, inf)", 1e-4)  # m^2
+    semi_angle_half_intensity: float = _key("channel", "semi_angle_deg", "(0, 90)")  # LED, degrees
+    fov_angle: float = _key("channel", "fov_deg", "(0, 90]")  # photodiode FOV half-angle, degrees
+    responsivity: float = _key("channel", "responsivity_a_per_w", "(0, inf)")  # A/W
+    total_bandwidth: float = _key("link", "total_bandwidth_hz", "(0, inf)")  # Hz
+    noise_psd: float = _key("link", "noise_psd_a2_per_hz", "(0, inf)")  # A^2/Hz
+    effective_bandwidth_factor: float = _key("link", "effective_bandwidth_factor", "(0, 1]")
+    squared_electrical_power: bool = _key("link", "squared_electrical_power", (False, True))
+    v_min: float = _key("mobility", "v_min_mps", "[0, inf)")
+    v_max: float = _key("mobility", "v_max_mps", "[0, inf)")
+    slot_duration: float = _key("mobility", "slot_duration_s", "(0, inf)")
+    ue_height: float = _key("mobility", "ue_height_m", "[0, inf)")
+    # watts per neighbor AP; neighbor_ues None means: match ue_density
+    neighbor_power: float = _key("interference", "neighbor_power_mw", "[0, inf)", 1e-3)
+    neighbor_ues: int | None = _key("interference", "neighbor_ues", "[0, inf)")
     agent: AgentConfig
-    rate_bins: int
-    gain_bins: int
-    sinr_cap: float
-    action_cap: int
-    replay: bool
-    replay_batch: int
-    energy_weight: float  # utility per mW spent
-    interference_weight: float  # utility per mW leaked
-    policy: str
-    ue_density: int
-    runs: int
-    seed: int
+    rate_bins: int = _key("agent", "rate_bins", "[1, inf)")
+    gain_bins: int = _key("agent", "gain_bins", "[1, inf)")
+    sinr_cap: float = _key("agent", "sinr_cap", "(0, inf)")
+    action_cap: int = _key("agent", "action_cap", "[1, inf)")
+    replay: bool = _key("agent", "replay", (False, True))
+    replay_batch: int = _key("agent", "replay_batch", "[1, inf)")
+    # utility per mW spent and per mW leaked
+    energy_weight: float = _key("utility", "energy_weight_per_mw", "[0, inf)")
+    interference_weight: float = _key("utility", "interference_weight_per_mw", "[0, inf)")
+    policy: str = _key("experiment", "policy", POLICIES, kind=canonical_policy)
+    ue_density: int = _key("experiment", "ue_density", "[1, inf)")
+    runs: int = _key("experiment", "runs", "[1, inf)")
+    seed: int = _key("experiment", "seed", "[0, inf)")
 
     def __post_init__(self):
         for (section, key, kind, *_, domain), value in self._file_values():
@@ -189,10 +157,6 @@ class ExperimentConfig:
                 f" exceeds action_cap = {self.action_cap}; lower ue_density or power_levels"
             )
 
-    @property
-    def fov_rad(self) -> float:
-        return math.radians(self.fov_angle)
-
     def per_ue_bandwidth(self) -> float:
         """Bandwidth share W_n of each of the ue_density equal users, in Hz."""
         return self.effective_bandwidth_factor * self.total_bandwidth / self.ue_density
@@ -216,8 +180,8 @@ class ExperimentConfig:
     def _file_values(self):
         """Each _KEYS row with its value in the file's units."""
         for row in _KEYS:
-            _, key, kind, factor, attr, _ = row
-            value = operator.attrgetter(attr or key)(self)
+            _, _, kind, factor, attr, _ = row
+            value = operator.attrgetter(attr)(self)
             if factor is not None:
                 # 1 / 1e-4 and 1 / 1e-3 equal 1e4 and 1e3 exactly; dividing
                 # by the factor would change the last bit of some values,
@@ -237,6 +201,35 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         canon = json.dumps(self.resolved(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "int | None": "match|int"}
+
+
+def _rows(cls, prefix=""):
+    """One row per INI key of cls's fields, in declaration order: section,
+    key, kind, SI factor, attribute path from ExperimentConfig, domain.
+    The kind "match|int" reads the word "match" as None, always valid."""
+    for f in dataclasses.fields(cls):
+        if f.name == "agent":
+            yield from _rows(AgentConfig, "agent.")
+            continue
+        m = f.metadata
+        yield (m["section"], m["key"], m["kind"] or _KINDS[f.type], m["factor"],
+               prefix + f.name, m["domain"])
+
+
+_KEYS = tuple(_rows(ExperimentConfig))
+_SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
+
+
+def _inside(value, domain) -> bool:
+    """Whether a file-unit value lies in a _KEYS domain; NaN lies in none."""
+    if isinstance(domain, tuple):
+        return value in domain
+    low, high = (float(bound) for bound in domain[1:-1].split(","))
+    return ((low <= value if domain[0] == "[" else low < value)
+            and (value <= high if domain[-1] == "]" else value < high))
 
 
 def _parse(section: str, key: str, kind, raw: str):
@@ -309,7 +302,7 @@ def load_experiment(
         value = _parse(section, key, kind, sections[section][key])
         if factor is not None:
             value *= factor
-        owner, _, name = (attr or key).rpartition(".")
+        owner, _, name = attr.rpartition(".")
         (agent if owner else fields)[name] = value
     fields["agent"] = AgentConfig(**agent)
 

@@ -286,10 +286,16 @@ def write_series_csv(path, series) -> None:
 
 
 def _git_describe() -> str | None:
+    """The commit of the checkout the package runs from (src/vlcudn), or
+    None.  The search stops above that checkout's root, so an installed
+    copy does not name a repository it happens to sit in."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    ceiling = os.path.dirname(os.path.dirname(os.path.dirname(package)))
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            cwd=package,
+            env=dict(os.environ, GIT_CEILING_DIRECTORIES=ceiling),
             capture_output=True,
             text=True,
             timeout=10,

@@ -51,7 +51,7 @@ def episode_cells(config) -> np.ndarray:
     d2 = (positions[:, 0] - cols * spacing / 2.0) ** 2 + (
         positions[:, 1] - rows * spacing / 2.0) ** 2
     central = int(np.argmin(d2))
-    radius = (config.ap_height - config.ue_height) * math.tan(config.fov_rad)
+    radius = (config.ap_height - config.ue_height) * math.tan(math.radians(config.fov_angle))
     radius += spacing * math.sqrt(2.0) / 2.0
     blocks = reuse_blocks(rows, cols, config.reuse_mode)
     return positions[[central, *co_channel_neighbors(positions, blocks, central, radius)]]

@@ -104,6 +104,21 @@ MUTANTS = {
     "walk-landing-check-dropped": [("mobility.py", "if m_land and not reached[m - m_land:].all():",
                                     "if False:")],
     "walk-generator-not-advanced": [("mobility.py", "    rng.random(used)", "    pass")],
+    # One end of a declared key domain flipped between open and closed.
+    "rate-bins-lower-open": [("config.py", '"rate_bins", "[1, inf)"', '"rate_bins", "(1, inf)"')],
+    "gain-bins-lower-open": [("config.py", '"gain_bins", "[1, inf)"', '"gain_bins", "(1, inf)"')],
+    "action-cap-lower-open": [("config.py", '"action_cap", "[1, inf)"',
+                               '"action_cap", "(1, inf)"')],
+    "replay-batch-lower-open": [("config.py", '"replay_batch", "[1, inf)"',
+                                 '"replay_batch", "(1, inf)"')],
+    "seed-lower-open": [("config.py", '"seed", "[0, inf)"', '"seed", "(0, inf)"')],
+    "ap-height-lower-closed": [("config.py", '"ap_height_m", "(0, inf)"',
+                                '"ap_height_m", "[0, inf)"')],
+    "noise-psd-lower-closed": [("config.py", '"noise_psd_a2_per_hz", "(0, inf)"',
+                                '"noise_psd_a2_per_hz", "[0, inf)"')],
+    "bandwidth-factor-lower-closed": [("config.py", '"effective_bandwidth_factor", "(0, 1]"',
+                                       '"effective_bandwidth_factor", "[0, 1]"')],
+    "sinr-cap-lower-closed": [("config.py", '"sinr_cap", "(0, inf)"', '"sinr_cap", "[0, inf)"')],
 }
 
 # name -> why it cannot change any result.  Empty: every mutant must die.

@@ -5,8 +5,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import re
+import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -571,6 +574,27 @@ class TestWriters:
         path = tmp_path / "metrics.meta.json"
         write_metadata(path, cfg, series)
         assert json.loads(path.read_text())["git_describe"] is None
+
+    @pytest.mark.parametrize("layout,names_the_repo", [
+        ("src", True),  # a checkout: src/vlcudn under the repository root
+        ("venv/lib/site-packages", False),  # an install inside some other repository
+    ])
+    def test_git_describe_stops_at_the_checkout_root(self, tmp_path, layout, names_the_repo):
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        (tmp_path / "README").write_text("outer\n")
+        subprocess.run(git + ["add", "README"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "outer"], check=True)
+        head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                              capture_output=True, text=True).stdout.strip()
+        site = tmp_path / layout
+        shutil.copytree(REPO_ROOT / "src" / "vlcudn", site / "vlcudn",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from vlcudn.harness import _git_describe as d; print(d())"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(site)),
+            check=True, capture_output=True, text=True)
+        assert proc.stdout.strip() == (head if names_the_repo else "None")
 
     def test_save_experiment_layout(self, tmp_path, small_series):
         cfg, series = small_series
