@@ -5,8 +5,11 @@ uniform bin of each UE's previous-slot rate and of each UE's current
 serving gain, held as one integer: a mixed-radix number whose digits are
 the N rate bins, then the N gain bins, first UE most significant.  The
 index is a plain Python int, so it stays exact past 2**63 at large bin
-counts.  The Q-table is a sparse map with implicit zeros, so the huge
-nominal state space costs nothing until states are actually visited.
+counts.  bin_values is the one place a value is binned: quantize_state
+builds the index of one slot, or of every row of a (K, N) pair, on it,
+and the learner bins a whole episode's rate table with it at once.  The
+Q-table is a sparse map with implicit zeros, so the huge nominal state
+space costs nothing until states are actually visited.
 
 qtable.tsv spells a state as "r1,..,rN|g1,..,gN|N" (state_key) and lists
 the rows in string order of that key, which differs from index order once
@@ -37,18 +40,28 @@ class StateQuantizer:
     gain_max: float
 
 
-def quantize_state(rates, gains, quant: StateQuantizer) -> int:
-    """State index of one slot's per-UE rates and gains (module docstring)."""
+def bin_values(values, n_bins: int, upper: float) -> np.ndarray:
+    """The int64 bin of each value on a grid of n_bins equal half-open bins
+    over [0, upper): the scaled value clipped into [0, n_bins - 1], then
+    truncated.  Clipping first puts anything below 0 in bin 0 and anything
+    at or above upper, inf included, in the top bin; the bins are exact for
+    n_bins up to 2**53, the most a config accepts."""
+    return np.clip(np.multiply(values, n_bins / upper), 0, n_bins - 1).astype(np.int64)
+
+
+def quantize_state(rates, gains, quant: StateQuantizer):
+    """State index of one slot's per-UE rates and gains (module docstring).
+
+    (K, N) rates and gains give the index of each of the K rows, as an
+    object array of Python ints.
+    """
     index = 0
     for values, n_bins, upper in (
         (rates, quant.rate_bins, quant.rate_max),
         (gains, quant.gain_bins, quant.gain_max),
     ):
-        scale = n_bins / upper
-        top = n_bins - 1
-        for v in values:
-            # int() truncates: floor for v >= 0, and any v < 0 still clamps to 0
-            index = index * n_bins + min(max(int(v * scale), 0), top)
+        for digit in bin_values(values, n_bins, upper).astype(object).T:
+            index = index * n_bins + digit
     return index
 
 

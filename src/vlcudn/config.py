@@ -92,8 +92,9 @@ class ExperimentConfig:
     neighbor_power: float = _key("interference", "neighbor_power_mw", "[0, inf)", 1e-3)
     neighbor_ues: int | None = _key("interference", "neighbor_ues", "[0, inf)")
     agent: AgentConfig
-    rate_bins: int = _key("agent", "rate_bins", "[1, inf)")
-    gain_bins: int = _key("agent", "gain_bins", "[1, inf)")
+    # 2**53 bins at most: agent.bin_values keeps them exact up to there
+    rate_bins: int = _key("agent", "rate_bins", "[1, 9007199254740992]")
+    gain_bins: int = _key("agent", "gain_bins", "[1, 9007199254740992]")
     sinr_cap: float = _key("agent", "sinr_cap", "(0, inf)")
     action_cap: int = _key("agent", "action_cap", "[1, inf)")
     replay: bool = _key("agent", "replay", (False, True))

@@ -9,11 +9,13 @@ the rate of every (slot, UE, power level) in one table; the paths are
 dropped once the gains are summed.  Each policy then picks a level per
 slot and UE: the fixed ones a constant, greedy_myopic each UE's best
 level from the table, random one batch of draws.  Only the learner keeps
-a slot loop, in this order: form the state from the previous slot's
-rates plus the current gains, pick an action, read its rates from the
-table and compute the utility, apply the learning update.  One batched
-pass then records every policy's per-slot utility, mean rate, energy and
-leakage.
+a slot loop.  Before it, numpy bins every rate of the table and turns
+every slot's gains into that slot's gain part of the state index.  Then,
+per slot and in this order: form the state from the previous action's
+rate bins of the previous slot plus the current gain part, pick an
+action, read its rates from the table and compute the utility, apply the
+learning update.  One batched pass then records every policy's per-slot
+utility, mean rate, energy and leakage.
 
 Each run derives two independent random streams from its seed, one for
 movement and one for the agent, and run i of an experiment uses seed
@@ -43,6 +45,7 @@ import numpy as np
 from . import __version__, kernels
 from .agent import (
     QTable,
+    bin_values,
     enumerate_actions,
     epsilon_at,
     quantize_state,
@@ -184,11 +187,18 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
 def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     """The rpic slot loop: fills qtable and returns each slot's action.
 
-    Python floats throughout: the chosen rates come from one slot's row of
-    the rate table, and the utility from the same kernel, operations and
-    summation order as _score, so the learner sees the recorded utility.
-    A non-finite utility ends the loop early, and _score stops the run at
-    that slot.
+    Everything that does not depend on the chosen action is done once, in
+    numpy, before the loop: the bin of every rate in the table, and each
+    slot's gain part of the state index (quantize_state over every slot's
+    gains with zero rates).  The loop reads the rates and their bins
+    through memoryviews, as Python floats and ints.  Per slot the state is
+    the previous action's rate bins in the previous slot, one Horner sum on
+    Python ints, times gain_bins**N, plus this slot's gain part.  An
+    action's columns in a flattened table row and its total power are
+    worked out the first time it is chosen.  The utility comes from the
+    same kernel, operations and summation order as _score, so the learner
+    sees the recorded utility.  A non-finite utility ends the loop early,
+    and _score stops the run at that slot.
     """
     agent_cfg = config.agent
     alpha, beta = agent_cfg.learning_rate, agent_cfg.discount
@@ -198,24 +208,39 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     n_levels = levels.size
     level_w = levels.tolist()
     places = [n_levels ** (n - 1 - i) for i in range(n)]  # first UE most significant
-    gains = serving.tolist()
+    rate_radix = quant.rate_bins
+    gain_radix = quant.gain_bins ** n
+    # (slot, column i * (L+1) + level of UE i) views that read Python scalars
+    n_slots = len(rate_tab)
+    rates = memoryview(rate_tab.reshape(n_slots, -1))
+    rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max)
+                           .reshape(n_slots, -1))
+    gain_keys = quantize_state(np.zeros_like(serving), serving, quant).tolist()
     cross = outgoing.tolist()
+    columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
     pool: list[tuple[int, int, float, int]] = []  # (state, action, utility, next state)
     picks = []
-    rates = [0.0] * n
+    rate_key = 0  # the first slot sees zero rates, all in bin 0
     last = None  # the previous slot's (state, action, utility)
     for k in range(agent_cfg.max_slots):
-        state = quantize_state(rates, gains[k], quant)
+        state = rate_key * gain_radix + gain_keys[k]
         action = warmup_policy(k, agent_cfg.warmup_slots, qtable.n_actions, rng)
         if action is None:
             action = select_action(qtable, state, epsilon_at(k, *decay), rng)
         picks.append(action)
-        digits = [action // p % n_levels for p in places]
-        rates = [row[d] for row, d in zip(rate_tab[k].tolist(), digits)]
-        total_w = _left_sum([level_w[d] for d in digits])
-        u = kernels.utility(_left_sum(rates), n, total_w, cross[k], *prices)[0]
+        known = columns.get(action)
+        if known is None:
+            digits = [action // p % n_levels for p in places]
+            known = columns[action] = ([i * n_levels + d for i, d in enumerate(digits)],
+                                       _left_sum([level_w[d] for d in digits]))
+        cols, total_w = known
+        u = kernels.utility(_left_sum([rates[k, c] for c in cols]), n, total_w, cross[k],
+                            *prices)[0]
         if not math.isfinite(u):
             break
+        rate_key = 0
+        for c in cols:
+            rate_key = rate_key * rate_radix + rate_bins[k, c]
         if last is not None:
             step = (*last, state)
             update_q(qtable, *step, alpha, beta)

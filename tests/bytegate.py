@@ -11,8 +11,10 @@ qtable.tsv, every metrics.meta.json without its git_describe line (the only
 field that names the checkout), and the text of `inspect-q --top 10` on
 every qtable.tsv.  The matrix: configs/reference.ini at its 100 runs, serial
 and with 2 workers; all five policies at rho=3; `sweep --densities 1,2,3`;
-rpic with replay = true; rpic at rho=4; and rpic, greedy_myopic and random
-on non-default optics, linear and squared.  It takes a few minutes on 2
+rpic with replay = true; rpic at rho=4; rpic at rho=4 on 1000 rate and
+gain bins with one power level, whose state indices pass 2**63; rpic with
+no warm-up and no epsilon decay; and rpic, greedy_myopic and random on
+non-default optics, linear and squared.  It takes a few minutes on 2
 cores.
 """
 
@@ -62,6 +64,15 @@ def _cases(tmp):
                                   "--workers", "2"]))
     cases.append(("rpic-rho4", ["simulate", "--config", ref, "--density", "4",
                                 "--workers", "2"]))
+    # rate and gain keys on a 1000-bin grid: qtable.tsv keys of indices past 2**63
+    bins1000 = _variant(tmp, "bins1000", {"agent": {"rate_bins": "1000", "gain_bins": "1000",
+                                                    "power_levels": "1"}})
+    cases.append(("rpic-bins1000-rho4", ["simulate", "--config", bins1000, "--density", "4",
+                                         "--runs", "20", "--workers", "2"]))
+    nowarmup = _variant(tmp, "nowarmup", {"agent": {"warmup_slots": "0",
+                                                    "epsilon_decay_slots": "0"}})
+    cases.append(("rpic-nowarmup", ["simulate", "--config", nowarmup, "--runs", "20",
+                                    "--workers", "2"]))
     for squared in ("false", "true"):
         optics = _variant(tmp, f"optics-{squared}",
                           {**OPTICS, "link": {"squared_electrical_power": squared}})

@@ -44,8 +44,8 @@ MUTANTS = {
     # Schedules, state, learner and policies.
     "epsilon-decays-upward": [("agent.py", "return start + (end - start) * (slot / decay_slots)",
                                "return start - (end - start) * (slot / decay_slots)")],
-    "quantize-rounds": [("agent.py", "min(max(int(v * scale), 0), top)",
-                         "min(max(round(v * scale), 0), top)")],
+    "quantize-rounds": [("agent.py", "np.clip(np.multiply(values, n_bins / upper), 0",
+                         "np.clip(np.rint(np.multiply(values, n_bins / upper)), 0")],
     "warmup-one-slot-longer": [("agent.py", "if slot < warmup_slots:",
                                 "if slot <= warmup_slots:")],
     "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * q.best(next_state)[0])",
@@ -94,6 +94,23 @@ MUTANTS = {
     "cache-raises-on-equal": [("agent.py", "if value > top:", "if value >= top:")],
     "update-reads-own-maximum": [("agent.py", "beta * q.best(next_state)[0]",
                                   "beta * q.best(state)[0]")],
+    # The learner's per-episode bin tables and its per-action cache.
+    "bins-cast-before-clip": [("agent.py",
+                               "np.clip(np.multiply(values, n_bins / upper), 0, n_bins - 1)"
+                               ".astype(np.int64)",
+                               "np.clip(np.multiply(values, n_bins / upper).astype(np.int64), 0,"
+                               " n_bins - 1)")],
+    "gain-key-one-slot-late": [("harness.py", "state = rate_key * gain_radix + gain_keys[k]",
+                                "state = rate_key * gain_radix + gain_keys[k - 1]")],
+    "rate-key-from-current-slot": [("harness.py", "rate_key * rate_radix + rate_bins[k, c]",
+                                    "rate_key * rate_radix"
+                                    " + rate_bins[min(k + 1, n_slots - 1), c]")],
+    "rate-key-drops-first-ue": [("harness.py", "rate_key = 0\n        for c in cols:",
+                                 "rate_key = 0\n        for c in cols[1:]:")],
+    "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
+                                "[d for i, d in enumerate(digits)]")],
+    "gain-bins-unbounded": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
+                             '"gain_bins", "[1, inf)"')],
     # The two-phase waypoint walk.
     "walk-guess-one-late": [("mobility.py", "return math.ceil(dist / step) - 1",
                              "return math.ceil(dist / step)")],
@@ -105,8 +122,10 @@ MUTANTS = {
                                     "if False:")],
     "walk-generator-not-advanced": [("mobility.py", "    rng.random(used)", "    pass")],
     # One end of a declared key domain flipped between open and closed.
-    "rate-bins-lower-open": [("config.py", '"rate_bins", "[1, inf)"', '"rate_bins", "(1, inf)"')],
-    "gain-bins-lower-open": [("config.py", '"gain_bins", "[1, inf)"', '"gain_bins", "(1, inf)"')],
+    "rate-bins-lower-open": [("config.py", '"rate_bins", "[1, 9007199254740992]"',
+                              '"rate_bins", "(1, 9007199254740992]"')],
+    "gain-bins-lower-open": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
+                              '"gain_bins", "(1, 9007199254740992]"')],
     "action-cap-lower-open": [("config.py", '"action_cap", "[1, inf)"',
                                '"action_cap", "(1, inf)"')],
     "replay-batch-lower-open": [("config.py", '"replay_batch", "[1, inf)"',

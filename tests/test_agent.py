@@ -8,6 +8,7 @@ from oracles import joint_actions
 from vlcudn.agent import (
     QTable,
     StateQuantizer,
+    bin_values,
     enumerate_actions,
     epsilon_at,
     parse_state_key,
@@ -104,6 +105,52 @@ class TestQuantizeState:
             gains = rng.uniform(0.0, 1.2 * quant.gain_max, density)
             index = quantize_state(rates, gains, quant)
             assert state_key(index, quant, density) == oracles.state_key(rates, gains, quant)
+
+
+    def test_rows_give_each_rows_index(self):
+        rng = np.random.default_rng(109)
+        for quant in (QUANT, StateQuantizer(1000, 1000, 7.5e7, 8e-6)):
+            rates = rng.uniform(0.0, 1.2 * quant.rate_max, (50, 4))
+            gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 4))
+            rows = quantize_state(rates, gains, quant).tolist()
+            assert rows == [quantize_state(r, g, quant) for r, g in zip(rates, gains)]
+            assert all(type(index) is int for index in rows)
+        assert max(rows) > 2**63
+
+
+class TestBinValues:
+    """bin_values on a (K, N, L+1) table, against the scalar rule."""
+
+    @staticmethod
+    def scalar(v: float, n_bins: int, upper: float) -> int:
+        return min(max(int(v * (n_bins / upper)), 0), n_bins - 1)
+
+    @pytest.mark.parametrize("n_bins,upper", [(4, 2.0**25), (3, 7.5e7), (12, 8e-6),
+                                              (1000, 7.5e7), (1, 1.0)])
+    def test_matches_the_scalar_rule(self, n_bins, upper):
+        edges = [k * upper / n_bins for k in range(n_bins + 1)]  # the top edge included
+        values = (edges + [np.nextafter(e, 0.0) for e in edges]
+                  + [2 * upper, 0.0, -0.0, -1.0, -upper])
+        table = np.resize(np.array(values), (-(-len(values) // 18), 3, 6))
+        got = bin_values(table, n_bins, upper)
+        assert got.shape == table.shape and got.dtype == np.int64
+        want = [self.scalar(v, n_bins, upper) for v in table.ravel().tolist()]
+        assert got.ravel().tolist() == want
+        assert set(want) == set(range(n_bins))
+
+    def test_exact_interior_edges_open_their_bin(self):
+        # 2^23 * (4 / 2^25) is exactly 1.0: each edge starts the bin above it
+        edges = np.array([[[0.0, 2.0**23, 2.0**24, 3 * 2.0**23, 2.0**25]]])
+        assert bin_values(edges, 4, 2.0**25).tolist() == [[[0, 1, 2, 3, 3]]]
+        below = np.nextafter(edges, 0.0)
+        assert bin_values(below, 4, 2.0**25).tolist() == [[[0, 0, 1, 2, 3]]]
+
+    @pytest.mark.parametrize("n_bins", [3, 1000])
+    def test_huge_values_land_in_the_top_bin(self, n_bins):
+        # the scalar rule cannot take inf, and tests/oracles.state_key casts
+        # before it clips, so the top bin is asserted directly
+        table = np.array([[[1e300, np.inf, np.finfo(float).max]], [[-1e300, -np.inf, -0.0]]])
+        assert bin_values(table, n_bins, 7.5e7).tolist() == [[[n_bins - 1] * 3], [[0] * 3]]
 
 
 class TestStateKey:

@@ -32,7 +32,8 @@ DOMAINS = {
     "agent": {"power_levels": "[1, inf)", "max_power_mw": "(0, inf)", "learning_rate": "(0, 1]",
               "discount": "[0, 1)", "epsilon_start": "[0, 1]", "epsilon_end": "[0, 1]",
               "epsilon_decay_slots": "[0, inf)", "warmup_slots": "[0, inf)",
-              "max_slots": "[1, inf)", "rate_bins": "[1, inf)", "gain_bins": "[1, inf)",
+              "max_slots": "[1, inf)", "rate_bins": "[1, 9007199254740992]",
+              "gain_bins": "[1, 9007199254740992]",
               "sinr_cap": "(0, inf)", "action_cap": "[1, inf)", "replay": (False, True),
               "replay_batch": "[1, inf)"},
     "utility": {"energy_weight_per_mw": "[0, inf)", "interference_weight_per_mw": "[0, inf)"},
@@ -203,6 +204,8 @@ class TestCrossValidation:
         ("interference.neighbor_ues", -2),
         ("agent.rate_bins", 0),
         ("agent.gain_bins", 0),
+        ("agent.rate_bins", 2**53 + 1),  # past the bins agent.bin_values keeps exact
+        ("agent.gain_bins", 2**53 + 1),
         ("agent.sinr_cap", 0.0),
         ("agent.sinr_cap", "1e-300"),  # 1 + sinr_cap == 1: a zero-width rate grid
         ("agent.sinr_cap", "nan"),  # NaN fails no bound comparison

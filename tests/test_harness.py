@@ -21,7 +21,7 @@ from oracles import (
 )
 from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
-from vlcudn.agent import quantize_state
+from vlcudn.agent import parse_state_key, quantize_state, state_key
 from vlcudn.config import POLICIES, ConfigError, load_experiment
 from vlcudn.topology import episode_cells
 from vlcudn.harness import (
@@ -121,32 +121,51 @@ def record_episode(cfg, seed, mp):
     return run_episode(cfg, seed), calls
 
 
-@pytest.fixture(scope="module")
-def traced(tmp_path_factory):
+TRACED = {
+    "reference-bins": SHORT,
+    # 16 actions; rate and gain keys on a 1000-bin grid pass 2**63 together
+    "bins1000-rho4": {**SHORT, "agent.rate_bins": 1000, "agent.gain_bins": 1000,
+                      "experiment.ue_density": 4, "agent.power_levels": 1},
+    "replay": {**SHORT, "agent.replay": "true"},
+}
+
+
+@pytest.fixture(scope="module", params=list(TRACED))
+def traced(request, tmp_path_factory):
     """One rpic episode and its per-slot trace, recorded from the calls the
     episode makes: the one level_rates call (the gains and the rate table),
-    per slot quantize_state (the state from the previous rates and the
-    gains), warmup_policy or select_action (the chosen action) and utility
-    (the utility the learner sees), and the batched _score pass (the chosen
-    level indices of every slot)."""
+    per slot warmup_policy or select_action (the chosen action), utility
+    (the utility the learner sees) and, from the second slot on, update_q
+    (the first update's state is slot 0's, update k-1's next_state is slot
+    k's), and the batched _score pass (the chosen level indices of every
+    slot)."""
     from conftest import render_config
 
     path = tmp_path_factory.mktemp("trace") / "t.ini"
-    path.write_text(render_config(SHORT))
+    path.write_text(render_config(TRACED[request.param]))
     cfg = load_experiment(path)
-    quantized, warmups, picks = [], [], []
+    warmups, picks, updates = [], [], []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "quantize_state", recording(harness.quantize_state, quantized))
         mp.setattr(harness, "warmup_policy", recording(harness.warmup_policy, warmups))
         mp.setattr(harness, "select_action", recording(harness.select_action, picks))
+        mp.setattr(harness, "update_q", recording(harness.update_q, updates))
         episode, calls = record_episode(cfg, 7, mp)
     n_slots, n = cfg.agent.max_slots, cfg.ue_density
-    assert len(quantized) == len(warmups) == n_slots
+    assert len(warmups) == n_slots
     # select_action runs exactly in the slots where warmup_policy returned None
-    picked = iter(action for _, action in picks)
-    chosen = [action if action is not None else next(picked) for _, action in warmups]
+    picked = iter(picks)
+    chosen, selected_in = [], {}
+    for k, (_, action) in enumerate(warmups):
+        if action is None:
+            (_, selected_in[k], *_), action = next(picked)
+        chosen.append(action)
     assert next(picked, None) is None
+    # each slot after the first makes one update, then replay_batch replayed ones
+    stride = 1 + cfg.replay_batch if cfg.replay else 1
+    assert len(updates) == (n_slots - 1) * stride
+    steps = [tuple(args[1:5]) for args, _ in updates[::stride]]  # (s, x, u, s')
+    states = [steps[0][0]] + [step[3] for step in steps]
     # one rate table and one record pass per episode; one utility per slot,
     # on Python floats, before the record pass scores all slots at once
     ((levels, serving, *_), table), = calls["level_rates"]
@@ -155,12 +174,11 @@ def traced(tmp_path_factory):
     assert len(per_slot) == n_slots and type(batched[0]) is np.ndarray
     joint = joint_actions(levels, n)  # the powers of each action index, independently
     trace = [
-        {"slot": k, "prev_rates": q_args[0], "quantized_gains": q_args[1], "state": state,
-         "serving_gains": serving[k], "action": action, "powers": joint[action],
-         "levels": choice[k], "rates": table[k, np.arange(n), choice[k]],
-         "utility": u_args, "u": u}
-        for k, ((q_args, state), action, (u_args, (u, _)))
-        in enumerate(zip(quantized, chosen, per_slot))
+        {"slot": k, "state": states[k], "selected_in": selected_in.get(k),
+         "step": steps[k - 1] if k else None, "serving_gains": serving[k],
+         "action": action, "powers": joint[action], "levels": choice[k],
+         "rates": table[k, np.arange(n), choice[k]], "utility": u_args, "u": u}
+        for k, (action, (u_args, (u, _))) in enumerate(zip(chosen, per_slot))
     ]
     return cfg, episode, trace, levels
 
@@ -213,7 +231,7 @@ class TestPerfbenchReads:
         stats = tracer.stats
         assert stats["harness.run_episode"][0] == 2
         assert stats["kernels.level_rates"][0] == 2
-        assert stats["agent.quantize_state"][0] == cfg.agent.max_slots
+        assert stats["agent.quantize_state"][0] == 1  # the rpic episode's gain keys
         assert tracer.counts["kernels.lambertian_gains.links"] > 0
         # each episode walks N local UEs and N_foreign UEs in each of the J
         # neighbour cells for every slot
@@ -223,7 +241,8 @@ class TestPerfbenchReads:
         assert n_neighbors > 0
         assert tracer.counts["mobility.ue_slots"] == 2 * per_episode
 
-    def test_run_episode_quantizes_once_per_slot(self, make_config, monkeypatch):
+    def test_run_episode_quantizes_once_per_episode(self, make_config, monkeypatch):
+        """The learner bins every slot's gains in one call, with zero rates."""
         cfg = load_experiment(make_config({**SHORT, "agent.replay": "true"}))
         calls = []
 
@@ -233,25 +252,35 @@ class TestPerfbenchReads:
 
         monkeypatch.setattr(harness, "quantize_state", counting)
         run_episode(cfg, seed=2)
-        assert len(calls) == cfg.agent.max_slots
+        (rates, gains, grid), = calls
+        assert gains.shape == rates.shape == (cfg.agent.max_slots, cfg.ue_density)
+        assert not rates.any() and grid == cfg.state_grid()
 
 
 class TestSlotContract:
     def test_first_slot_sees_zero_rates(self, traced):
         cfg, _, trace, _ = traced
-        assert trace[0]["prev_rates"] == [0.0] * cfg.ue_density
+        n, grid, first = cfg.ue_density, cfg.state_grid(), trace[0]
+        assert parse_state_key(state_key(first["state"], grid, n))[0] == (0,) * n
+        assert first["state"] == quantize_state([0.0] * n, first["serving_gains"], grid)
 
-    def test_state_uses_previous_rates_and_current_gains(self, traced):
-        cfg, episode, trace, _ = traced
-        for entry in trace[:30]:
-            assert np.array_equal(entry["quantized_gains"], entry["serving_gains"])
-            want = quantize_state(entry["prev_rates"], entry["serving_gains"], cfg.state_grid())
-            assert type(entry["state"]) is int and entry["state"] == want
+    def test_every_state_is_previous_rates_and_current_gains(self, traced):
+        cfg, _, trace, _ = traced
+        prev_rates = np.zeros(cfg.ue_density)
+        for entry in trace:
+            want = quantize_state(prev_rates, entry["serving_gains"], cfg.state_grid())
+            assert type(entry["state"]) is int and entry["state"] == want, entry["slot"]
+            assert entry["selected_in"] in (None, entry["state"])
+            prev_rates = entry["rates"]
+        big = max(entry["state"] for entry in trace) > 2**63
+        assert big == (cfg.rate_bins == 1000)
 
     def test_rates_chain_across_slots(self, traced):
+        """Slot k's update writes slot k-1's state, action and utility, and
+        takes slot k's state, formed from slot k-1's rates, as the next one."""
         _, _, trace, _ = traced
         for prev, cur in zip(trace, trace[1:]):
-            assert np.array_equal(cur["prev_rates"], prev["rates"])
+            assert cur["step"] == (prev["state"], prev["action"], prev["u"], cur["state"])
 
     def test_recorded_metrics_match_trace(self, traced):
         cfg, episode, trace, levels = traced
