@@ -113,15 +113,21 @@ class QTable:
 
     Beside each row sits its maximum, the count of actions that reach it
     and, when that count is 1, the maximizer's index (best), so the
-    learner reads them without scanning the row.  set is the only writer
-    of rows and of that cache: the arrays row() returns must not be
-    written to.
+    learner reads them without scanning the row.  A row with one
+    maximizer also keeps a runner-up bound: a value no other action
+    exceeds, the old maximum when another action rises past it, raised
+    by each write to a non-maximal action.  So set scans a row only when
+    a tie is broken down to one maximizer, or when the only maximizer
+    falls to or below the bound; that scan then finds the exact
+    runner-up.  set is the only writer of rows and of that cache: the
+    arrays row() returns must not be written to.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
         self._rows: dict[int | str, np.ndarray] = {}
         self._best: dict[int | str, tuple[float, int, int | None]] = {}
+        self._runner_up: dict[int | str, float] = {}
         self._unseen = (0.0, n_actions, 0 if n_actions == 1 else None)
 
     def __len__(self) -> int:
@@ -142,7 +148,9 @@ class QTable:
         when it is the only one (else None); an unseen row is all zeros.
 
         The maximum equals row(state).max(), though a 0.0 may stand for a
-        -0.0 there or the other way round.
+        -0.0 there or the other way round.  A maximizer that is the only one
+        stays so, with no scan, while set lowers it to a value strictly
+        above the row's runner-up bound (class docstring).
         """
         return self._best.get(state, self._unseen)
 
@@ -157,18 +165,32 @@ class QTable:
         old = row.item(action)
         row[action] = value
         if value > top:
+            if action != sole:  # every other action is at most the old maximum
+                self._runner_up[state] = top
             self._best[state] = (value, 1, int(action))
         elif value == top:
             if old != top:
                 self._best[state] = (top, count + 1, None)
         elif old == top:  # a maximizer fell
-            if count > 2:
+            if count == 1 and value > self._runner_up.get(state, -math.inf):
+                self._best[state] = (value, 1, sole)  # still above every other action
+            elif count > 2:
                 self._best[state] = (top, count - 1, None)
             else:
-                if count == 1:  # it was the only one: rescan the row
+                if count == 1:  # it fell to or below the bound: rescan the row
                     top = row.max().item()
                 hits = (row == top).nonzero()[0]
-                self._best[state] = (top, hits.size, int(hits[0]) if hits.size == 1 else None)
+                if hits.size == 1:
+                    sole = int(hits[0])
+                    held = row.item(sole)
+                    row[sole] = -math.inf
+                    self._runner_up[state] = row.max().item()
+                    row[sole] = held
+                    self._best[state] = (top, 1, sole)
+                else:
+                    self._best[state] = (top, hits.size, None)
+        elif value > self._runner_up.get(state, -math.inf):
+            self._runner_up[state] = value
 
     def save(self, path, quant: StateQuantizer, density: int, power_levels: int,
              max_power: float) -> None:

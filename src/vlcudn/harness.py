@@ -36,7 +36,7 @@ import subprocess
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from operator import add
 
@@ -310,10 +310,12 @@ def write_series_csv(path, series) -> None:
             )
 
 
+@cache
 def _git_describe() -> str | None:
     """The commit of the checkout the package runs from (src/vlcudn), or
     None.  The search stops above that checkout's root, so an installed
-    copy does not name a repository it happens to sit in."""
+    copy does not name a repository it happens to sit in.  It runs git
+    once per process: a sweep's saves share the answer."""
     package = os.path.dirname(os.path.abspath(__file__))
     ceiling = os.path.dirname(os.path.dirname(os.path.dirname(package)))
     try:

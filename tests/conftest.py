@@ -99,3 +99,14 @@ def make_config(tmp_path):
 @pytest.fixture(scope="session")
 def reference_config_path() -> Path:
     return REFERENCE_CONFIG
+
+
+@pytest.fixture
+def fresh_git_describe():
+    """Empty the per-process cache of harness._git_describe before and after
+    the test, so the test's own subprocess.run answers it."""
+    from vlcudn.harness import _git_describe
+
+    _git_describe.cache_clear()
+    yield
+    _git_describe.cache_clear()

@@ -94,6 +94,16 @@ MUTANTS = {
     "cache-raises-on-equal": [("agent.py", "if value > top:", "if value >= top:")],
     "update-reads-own-maximum": [("agent.py", "beta * q.best(next_state)[0]",
                                   "beta * q.best(state)[0]")],
+    # The runner-up bound beside a sole maximizer.
+    "runner-up-fall-on-equal": [("agent.py",
+                                 "if count == 1 and value > self._runner_up.get(state, -math.inf):",
+                                 "if count == 1 and value >= self._runner_up.get(state,"
+                                 " -math.inf):")],
+    "runner-up-not-raised": [("agent.py", "self._runner_up[state] = value", "pass")],
+    "runner-up-kept-on-new-top": [("agent.py", "self._runner_up[state] = top", "pass")],
+    "runner-up-reset-on-own-rise": [("agent.py", "if action != sole:  #", "if True:  #")],
+    "runner-up-scan-keeps-maximizer": [("agent.py", "row[sole] = -math.inf", "pass")],
+    "runner-up-scan-leaves-minus-inf": [("agent.py", "row[sole] = held", "pass")],
     # The learner's per-episode bin tables and its per-action cache.
     "bins-cast-before-clip": [("agent.py",
                                "np.clip(np.multiply(values, n_bins / upper), 0, n_bins - 1)"

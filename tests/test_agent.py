@@ -215,6 +215,25 @@ class TestEnumerateActions:
             assert (_decode(levels, 3, a) == row).all()
 
 
+def _count_scans(q, state):
+    """Swap state's stored row for a view that counts the max() and nonzero()
+    calls made on it and on the arrays derived from it; returns the count,
+    a one-item list that the calls bump."""
+    scans = [0]
+
+    class CountingRow(np.ndarray):
+        def max(self, *args, **kwargs):
+            scans[0] += 1
+            return np.asarray(self).max(*args, **kwargs)
+
+        def nonzero(self):
+            scans[0] += 1
+            return np.asarray(self).nonzero()
+
+    q._rows[state] = q._rows[state].view(CountingRow)
+    return scans
+
+
 class TestQTable:
     S0 = 0
     S1 = 4  # rate bin 1, gain bin 0 on QUANT
@@ -274,6 +293,109 @@ class TestQTable:
                 value = float(rng.normal(0.0, 2.0))
             q.set(state, action, value)
             _assert_cache(q, state)
+
+    def _runner_up_row(self):
+        """[0, 3, 1, 0]: 1 is the sole maximizer, and 2's write raised the
+        runner-up bound to 1.0; the returned count starts there."""
+        q = QTable(4)
+        q.set(self.S0, 1, 3.0)
+        q.set(self.S0, 2, 1.0)
+        return q, _count_scans(q, self.S0)
+
+    def test_sole_maximizer_falling_above_the_runner_up_scans_nothing(self):
+        q, scans = self._runner_up_row()
+        for value in (2.0, 1.5, 1.0 + 2.0**-40):
+            q.set(self.S0, 1, value)
+            assert q.best(self.S0) == (value, 1, 1)
+        q.set(self.S0, 1, 5.0)  # the sole maximizer rises: the bound stays 1.0
+        q.set(self.S0, 1, 1.25)
+        assert q.best(self.S0) == (1.25, 1, 1)
+        assert scans[0] == 0
+        _assert_cache(q, self.S0)
+
+    def test_sole_maximizer_falling_onto_the_runner_up_ties_with_it(self):
+        q, scans = self._runner_up_row()
+        q.set(self.S0, 1, 1.0)
+        assert scans[0] > 0
+        assert q.best(self.S0) == (1.0, 2, None)
+        _assert_cache(q, self.S0)
+
+    def test_sole_maximizer_falling_below_the_runner_up_hands_it_the_top(self):
+        q, scans = self._runner_up_row()
+        q.set(self.S0, 1, 0.5)  # [0, 0.5, 1, 0]: the scan also finds the runner-up 0.5
+        assert scans[0] > 0
+        assert q.best(self.S0) == (1.0, 1, 2)
+        scans[0] = 0
+        q.set(self.S0, 2, 0.75)
+        assert (q.best(self.S0), scans[0]) == ((0.75, 1, 2), 0)
+        q.set(self.S0, 2, 0.5)
+        assert q.best(self.S0) == (0.5, 2, None)
+        _assert_cache(q, self.S0)
+
+    def test_a_new_maximizer_bounds_the_others_by_the_old_maximum(self):
+        q, scans = self._runner_up_row()
+        q.set(self.S0, 3, 4.0)  # [0, 3, 1, 4]: the bound becomes 3.0
+        q.set(self.S0, 3, 3.5)
+        assert (q.best(self.S0), scans[0]) == ((3.5, 1, 3), 0)
+        q.set(self.S0, 3, 3.0)
+        assert q.best(self.S0) == (3.0, 2, None)
+        _assert_cache(q, self.S0)
+
+    def test_stale_bound_costs_one_scan_that_renews_it(self):
+        q, scans = self._runner_up_row()
+        q.set(self.S0, 2, -1.0)  # [0, 3, -1, 0]: the runner-up fell; the bound stays 1.0
+        assert (q.best(self.S0), scans[0]) == ((3.0, 1, 1), 0)
+        q.set(self.S0, 1, 0.5)  # between the true runner-up 0.0 and the stale bound
+        assert scans[0] > 0
+        assert q.best(self.S0) == (0.5, 1, 1)
+        scans[0] = 0
+        q.set(self.S0, 1, 0.25)  # above the renewed, exact bound 0.0
+        assert (q.best(self.S0), scans[0]) == ((0.25, 1, 1), 0)
+        q.set(self.S0, 1, -0.0)
+        assert q.best(self.S0) == (0.0, 3, None)
+        _assert_cache(q, self.S0)
+
+    def test_single_action_rows_never_scan(self):
+        q = QTable(1)
+        assert q.best(self.S0) == (0.0, 1, 0)
+        q.set(self.S0, 0, 2.0)
+        scans = _count_scans(q, self.S0)
+        for value in (-1.0, -5.0, 3.0, -0.0, 0.0, -7.5):
+            q.set(self.S0, 0, value)
+            assert q.best(self.S0) == (value, 1, 0)
+        assert scans[0] == 0
+        q.set(self.S1, 0, -3.0)  # an unseen row's only action falls from zero
+        assert q.best(self.S1) == (-3.0, 1, 0)
+
+    @pytest.mark.parametrize("n_actions", [1, 2, 5, 216])
+    def test_cache_matches_a_row_scan_when_writes_cluster_at_the_top(self, n_actions):
+        """Values on a coarse grid at or below the row's maximum, written
+        mostly to the sole maximizer: it falls above, onto and below the
+        runner-up, each many times."""
+        rng = np.random.default_rng(100 + n_actions)
+        q = QTable(n_actions)
+        falls = {"above": 0, "onto": 0, "below": 0}
+        for _ in range(4000):
+            state = int(rng.integers(3))
+            top, _, sole = q.best(state)
+            row = q.row(state).copy()
+            if rng.random() < 0.1:  # some entry's value, often an exact tie
+                action = int(rng.integers(n_actions))
+                value = float(row[rng.integers(n_actions)])
+            elif sole is not None and rng.random() < 0.6:
+                action = sole
+                value = top + 0.25 * float(rng.integers(-2, 2))
+            else:
+                action = int(rng.integers(n_actions))
+                value = top + 0.25 * float(rng.integers(-10, 2))
+            if action == sole and value < top and n_actions > 1:
+                runner_up = np.delete(row, sole).max()
+                falls["above" if value > runner_up else
+                      "onto" if value == runner_up else "below"] += 1
+            q.set(state, action, value)
+            _assert_cache(q, state)
+        if n_actions > 1:
+            assert min(falls.values()) >= 40, falls
 
     def test_cache_of_rows_read_back_by_load(self, tmp_path):
         path = tmp_path / "q.tsv"

@@ -231,6 +231,28 @@ class TestSweep:
         assert len(trees[0]) == 9 and trees[0] == trees[1]
         assert outputs[0] == outputs[1]
 
+    def test_runs_git_once_for_every_density(self, runner, fast_config, tmp_path, monkeypatch,
+                                             fresh_git_describe):
+        import vlcudn.harness
+
+        calls = []
+
+        def fake_git(cmd, **kwargs):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n", stderr="")
+
+        monkeypatch.setattr(vlcudn.harness.subprocess, "run", fake_git)
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "sweep", "--config", str(fast_config), "--densities", "1,2,3",
+            "--out", str(out), "--runs", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        assert calls == [["git", "describe", "--always", "--dirty"]]
+        for rho in ("rho1", "rho2", "rho3"):
+            meta = json.loads((out / rho / "metrics.meta.json").read_text())
+            assert meta["git_describe"] == "abc1234"
+
     def test_rejects_malformed_density_list(self, runner, fast_config, tmp_path):
         result = runner.invoke(main, [
             "sweep", "--config", str(fast_config), "--densities", "1,two",

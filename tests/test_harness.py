@@ -594,7 +594,8 @@ class TestWriters:
         }
         assert meta["config"]["experiment"]["seed"] == cfg.seed
 
-    def test_metadata_survives_git_timeout(self, tmp_path, small_series, monkeypatch):
+    def test_metadata_survives_git_timeout(self, tmp_path, small_series, monkeypatch,
+                                           fresh_git_describe):
         def hung_git(cmd, **kwargs):
             raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
 
