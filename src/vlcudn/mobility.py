@@ -1,44 +1,45 @@
 """Random-waypoint movement of receivers inside their cells.
 
 :func:`simulate_paths` generates the trajectories of every UE of an
-episode, cell group after cell group.  Each UE heads for its waypoint at
-its speed; a move that reaches or overshoots the waypoint lands exactly
-on it, and the UE then draws a new waypoint and speed.  The random stream
-is consumed in a fixed order: group by group, first each UE's position,
-waypoint and speed, then one waypoint x, waypoint y and speed per arrival
-in (slot, UE) order.  That is the order of the per-UE scalar reference in
-``tests/oracles.py`` walking the groups one after the other, so for a
-given seed both produce the same paths and leave the generator in the
-same state.
+episode.  Each UE heads for its waypoint at its speed; a move that
+reaches or overshoots the waypoint lands exactly on it, and the UE then
+takes its next waypoint and speed.
 
-A UE's path between two arrivals (a segment) depends only on its start,
-waypoint and step, so the walk has two phases:
+The random stream is consumed in a fixed layout, part of what a seed
+means.  UEs are numbered group after group (their columns in the
+result).  First each UE, in column order, draws its start x and y, then
+a block of _BLOCK = 128 legs (waypoint x, waypoint y, speed) that it
+walks in order.  A UE whose legs run out before the last slot is short;
+round after round, every UE still short draws one more block, in column
+order, until none is.  Legs that start after the last slot are drawn but
+not walked.  Each value is ``low + (high - low) * u`` for a double u of
+``rng.random``, bit for bit ``Generator.uniform(low, high)``.  The
+per-UE scalar reference in ``tests/oracles.py`` deals the same blocks,
+so for a given seed both produce the same paths and leave the generator
+in the same state.
 
-1. Schedule.  A heap of (arrival slot, UE) per group hands out the draws
-   in (slot, UE) order.  Each segment's arrival is guessed in closed form
-   as ``ceil(dist / step) - 1`` moves after its start.  The doubles come
-   from ``rng.random`` in chunks, and ``low + (high - low) * u`` is bit
-   for bit what ``Generator.uniform(low, high)`` returns; afterwards the
-   generator is reset and advanced by exactly the doubles used.
+The walk has two phases:
+
+1. Schedule.  The legs of a block are known once it is drawn, so all
+   their arrivals are guessed at once: ``ceil(dist / step) - 1`` moves
+   after the leg's start, 0 if ``step >= dist``, and not before the last
+   slot if the step is too small.  Start slots are their cumulative sum.
 2. Walk.  The float recurrence (``dx, dy, sqrt, step / dist,
-   x + dx * frac``) runs for every segment of the episode at once, one
-   numpy step per move offset.  It then checks that each segment reached
-   its waypoint on its guessed move and on no other.  A rounding case
-   where a guess is off sends the schedule round again with each arrival
-   found by the scalar recurrence (:func:`_exact`), so the paths and the
-   draws always are those of the scalar walk.
+   x + dx * frac``) runs for every leg of the episode at once, one numpy
+   step per move offset.  It then checks that each leg reached its
+   waypoint on its guessed move and on no other.  A guess off by rounding
+   sends the schedule round again from the same generator state, with
+   each arrival found by the scalar recurrence (:func:`_exact`), so the
+   paths and draws always are those of the scalar walk.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from array import array
-from itertools import chain
 
 import numpy as np
 
-_CHUNK = 4096  # doubles drawn from the generator at a time by the schedule
+_BLOCK = 128  # legs a UE draws at a time: a constant of the stream layout
 
 
 def simulate_paths(
@@ -53,106 +54,105 @@ def simulate_paths(
     in their cell bounds: positions of shape (n_slots, total UEs, 2), the
     groups' UEs side by side in list order.
 
-    Row k holds all UE positions after the move of slot k.  The initial
-    placement (position, waypoint, speed per UE) is drawn first but is
-    not part of the returned array.
+    Row k holds all UE positions after the move of slot k.  The start
+    positions are drawn but are not part of the returned array.
     """
     n_total = sum(n for n, _ in groups)
     state = rng.bit_generator.state
-    for guess in (_guess, _exact):
-        segments, used = _schedule(groups, v_min, v_max, slot_duration, n_slots, rng, guess)
-        paths, exact = _walk(segments, n_slots, n_total)
-        rng.bit_generator.state = state
+    for arrivals in (_guess, _exact):
+        legs = _schedule(groups, v_min, v_max, slot_duration, n_slots, rng, arrivals)
+        paths, exact = _walk(legs, n_slots, n_total)
         if exact:
-            break
-    else:
-        raise RuntimeError("the waypoint walk disagrees with its own arrival slots")
-    rng.random(used)  # the generator ends past exactly the draws used
-    return paths
+            return paths
+        rng.bit_generator.state = state
+    raise RuntimeError("the waypoint walk disagrees with its own arrival slots")
 
 
-def _guess(x, y, wx, wy, step, horizon):
-    """Offset of the move that reaches (wx, wy) from (x, y) at step per
-    move, in closed form; horizon or more if none of the next horizon
-    moves does."""
-    dx = wx - x
-    dy = wy - y
-    dist = math.sqrt(dx * dx + dy * dy)
-    if step >= dist:
-        return 0
-    if step * horizon < dist:  # zero and tiny steps included
-        return horizon
-    return math.ceil(dist / step) - 1
+def _guess(src, way, step, n_slots, first):
+    """Offsets of the moves on which the legs of a block reach their
+    waypoints, in closed form.  src and way are (UEs, _BLOCK, 2), step is
+    (UEs, _BLOCK), and first holds each UE's first start slot; a leg that
+    cannot arrive in the slots left after first gets n_slots - first."""
+    d = way - src
+    sq = d * d
+    dist = np.sqrt(sq[..., 0] + sq[..., 1])
+    left = (n_slots - first)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero steps never use it
+        moves = np.ceil(dist / step) - 1
+    return np.where(step >= dist, 0, np.where(step * left < dist, left, moves)).astype(np.int64)
 
 
-def _exact(x, y, wx, wy, step, horizon):
-    """_guess by the walk's own recurrence: always right, one move at a time."""
-    for j in range(horizon):
-        dx = wx - x
-        dy = wy - y
-        dist = math.sqrt(dx * dx + dy * dy)
-        if step >= dist:
-            return j
-        frac = step / dist
-        x = x + dx * frac
-        y = y + dy * frac
-    return horizon
+def _exact(src, way, step, n_slots, first):
+    """_guess by the walk's own recurrence, one move at a time: always
+    right.  Each UE's legs are walked in turn from its first start slot;
+    legs that start after the last slot are left at 0."""
+    out = np.zeros(step.shape, np.int64)
+    start = first.tolist()
+    for (i, t), s in np.ndenumerate(step):  # each UE's legs in order
+        (x, y), (wx, wy), s = src[i, t].tolist(), way[i, t].tolist(), float(s)
+        j = 0
+        while j < n_slots - start[i]:
+            dx = wx - x
+            dy = wy - y
+            dist = math.sqrt(dx * dx + dy * dy)
+            if s >= dist:
+                break
+            x = x + dx * (s / dist)
+            y = y + dy * (s / dist)
+            j += 1
+        out[i, t] = j
+        start[i] += j + 1
+    return out
 
 
-def _schedule(groups, v_min, v_max, slot_duration, n_slots, rng, guess):
-    """Phase 1: draw every segment of the episode in the scalar walk's order.
+def _schedule(groups, v_min, v_max, slot_duration, n_slots, rng, arrivals):
+    """Phase 1: draw every leg of the episode in the module's layout and
+    find its arrival with arrivals (_guess or _exact).
 
-    Returns the segments and the number of doubles they took from rng.
-    Segments are rows of two flat columns: floats (x, y, waypoint x,
-    waypoint y, step) and ints (UE column, first slot, guessed arrival
-    offset from guess).  A UE's start is drawn as an arrival before slot
-    0; a segment that would start after the last slot only takes its
-    draws.
-    """
-    draw = chain.from_iterable(iter(lambda: rng.random(_CHUNK).tolist(), None)).__next__
-    floats, ints = array("d"), array("q")
+    Returns the legs that start before the last slot as flat columns:
+    start point and waypoint (legs, 2), step, UE column, start slot and
+    arrival offset."""
+    low = np.concatenate([np.tile((xmin, ymin), (n, 1)) for n, (xmin, _, ymin, _) in groups])
+    span = np.concatenate([np.tile((xmax - xmin, ymax - ymin), (n, 1))
+                           for n, (xmin, xmax, ymin, ymax) in groups])
     v_range = v_max - v_min
-    pops = col = 0
-    for n_ues, bounds in groups:
-        xmin, xmax, ymin, ymax = map(float, bounds)
-        x_range, y_range = xmax - xmin, ymax - ymin
-        waypoints = [None] * n_ues
-        heap = [(-1, i) for i in range(n_ues)]  # sorted, so already a heap
-        while heap:
-            k, i = heapq.heappop(heap)
-            pops += 1
-            x, y = waypoints[i] or (xmin + x_range * draw(), ymin + y_range * draw())
-            wx, wy = xmin + x_range * draw(), ymin + y_range * draw()
-            step = (v_min + v_range * draw()) * slot_duration
-            waypoints[i] = (wx, wy)
-            start = k + 1
-            if start < n_slots:
-                j = guess(x, y, wx, wy, step, n_slots - start)
-                floats.extend((x, y, wx, wy, step))
-                ints.extend((col + i, start, j))
-                if start + j < n_slots:
-                    heapq.heappush(heap, (start + j, i))
-        col += n_ues
-    segments = (np.frombuffer(floats).reshape(-1, 5), np.frombuffer(ints, np.int64).reshape(-1, 3))
-    return segments, 2 * col + 3 * pops
+    cols = np.arange(len(low))
+    draws = rng.random(len(cols) * (2 + 3 * _BLOCK)).reshape(len(cols), -1)
+    pos = low + span * draws[:, :2]
+    draws = draws[:, 2:]
+    first = np.zeros(len(cols), np.int64)
+    legs = []
+    while True:
+        triples = draws.reshape(len(cols), _BLOCK, 3)
+        way = low[cols, None] + span[cols, None] * triples[..., :2]
+        step = (v_min + v_range * triples[..., 2]) * slot_duration
+        src = np.concatenate([pos[:, None], way[:, :-1]], axis=1)
+        moves = arrivals(src, way, step, n_slots, first) + 1
+        ends = first[:, None] + np.cumsum(moves, axis=1)
+        starts = ends - moves
+        walked = starts < n_slots
+        legs.append((src[walked], way[walked], step[walked], cols.repeat(walked.sum(axis=1)),
+                     starts[walked], moves[walked] - 1))
+        short = ends[:, -1] < n_slots
+        if not short.any():
+            return [np.concatenate(column) for column in zip(*legs)]
+        cols, pos, first = cols[short], way[short, -1], ends[short, -1]
+        draws = rng.random(len(cols) * 3 * _BLOCK)
 
 
-def _walk(segments, n_slots, n_total):
-    """Phase 2: every segment's moves at once; returns the (n_slots,
-    n_total, 2) positions and whether each segment reached its waypoint on
-    its guessed move and on no other."""
-    floats, ints = segments
-    col, start, guess = ints.T
+def _walk(legs, n_slots, n_total):
+    """Phase 2: every leg's moves at once; returns the (n_slots, n_total,
+    2) positions and whether each leg reached its waypoint on its guessed
+    move and on no other."""
+    src, way, step, col, start, guess = legs
     length = np.minimum(guess, n_slots - 1 - start) + 1  # moves within the episode
     lands = guess < n_slots - start
-    # Longest first, and among equal lengths the landing segments last, so
-    # the segments still moving at offset j are a prefix, and those that
-    # land on it the tail of that prefix.
+    # Longest first, and among equal lengths the landing legs last, so the
+    # legs still moving at offset j are a prefix, and those that land on
+    # it the tail of that prefix.
     order = np.lexsort((lands, -length))
     length = length[order]
-    pos = floats[order, 0:2]
-    way = floats[order, 2:4]
-    step = floats[order, 4]
+    pos, way, step = src[order], way[order], step[order]
     dest = (start * n_total + col)[order]  # flat (slot, UE) row of each first move
 
     top = int(length[0]) if len(length) else 0
@@ -174,6 +174,6 @@ def _walk(segments, n_slots, n_total):
             cur += d
             cur[m - m_land:] = way[m - m_land:m]
             out[dest[:m] + j * n_total] = cur
-    # Every landing segment reached its waypoint on its last move, so any
-    # other reach is one more.
+    # Every landing leg reached its waypoint on its last move, so any other
+    # reach is one more.
     return out.reshape(n_slots, n_total, 2), hits == np.count_nonzero(lands)

@@ -13,8 +13,9 @@ every qtable.tsv.  The matrix: configs/reference.ini at its 100 runs, serial
 and with 2 workers; all five policies at rho=3; `sweep --densities 1,2,3`;
 rpic with replay = true; rpic at rho=4; rpic at rho=4 on 1000 rate and
 gain bins with one power level, whose state indices pass 2**63; rpic with
-no warm-up and no epsilon decay; and rpic, greedy_myopic and random on
-non-default optics, linear and squared.  It takes a few minutes on 2
+no warm-up and no epsilon decay; rpic with UEs at 5-6 m/s, whose walks
+take many top-up blocks of waypoints; and rpic, greedy_myopic and random
+on non-default optics, linear and squared.  It takes a few minutes on 2
 cores.
 """
 
@@ -73,6 +74,10 @@ def _cases(tmp):
                                                     "epsilon_decay_slots": "0"}})
     cases.append(("rpic-nowarmup", ["simulate", "--config", nowarmup, "--runs", "20",
                                     "--workers", "2"]))
+    # a leg every two or three slots: about 1,260 legs per UE, ten blocks each
+    fast = _variant(tmp, "fast", {"mobility": {"v_min_mps": "5", "v_max_mps": "6"}})
+    cases.append(("rpic-fast-movers", ["simulate", "--config", fast, "--runs", "20",
+                                       "--workers", "2"]))
     for squared in ("false", "true"):
         optics = _variant(tmp, f"optics-{squared}",
                           {**OPTICS, "link": {"squared_electrical_power": squared}})

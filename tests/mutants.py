@@ -10,10 +10,12 @@ Each mutant is one or more edits, each a file under src/vlcudn, an exact
 old text and its new text; the old text must occur exactly once.  The
 script copies the repository (without .git) to a temporary directory, and
 for each mutant applies its edits there, runs the Tier-1 command with -x
-and prints killed, with the first failing test, or survived.  It exits 1
-if a mutant survives that EQUIVALENT does not list, and 2 if an old text
-does not occur exactly once.  The list only grows: a mutant removed is a
-weaker check.
+and prints killed, with the first failing test, or survived.  Each
+process of a run may map at most MEMORY_CAP bytes, so a mutant that
+allocates without bound dies of a MemoryError, and counts as killed,
+before it exhausts the host's memory.  It exits 1 if a mutant survives
+that EQUIVALENT does not list, and 2 if an old text does not occur
+exactly once.  The list only grows: a mutant removed is a weaker check.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -31,6 +34,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 900
+MEMORY_CAP = 3 * 2 ** 30  # address space of each process of a Tier-1 run, in bytes
 
 # name -> [(file under src/vlcudn, old text, new text), ...]
 MUTANTS = {
@@ -64,8 +68,9 @@ MUTANTS = {
                                    "np.add(out, 2.0, out=out)")],
     "inspect-q-microwatts": [("cli.py", '"%.3g" % (levels[d] * 1e3)',
                               '"%.3g" % (levels[d] * 1e6)')],
-    "speed-not-scaled-by-slot": [("mobility.py", "step = (v_min + v_range * draw()) * slot_duration",
-                                  "step = v_min + v_range * draw()")],
+    "speed-not-scaled-by-slot": [("mobility.py",
+                                  "step = (v_min + v_range * triples[..., 2]) * slot_duration",
+                                  "step = v_min + v_range * triples[..., 2]")],
     "bandwidth-factor-dropped": [("config.py",
                                   "return self.effective_bandwidth_factor * self.total_bandwidth",
                                   "return self.total_bandwidth")],
@@ -122,15 +127,33 @@ MUTANTS = {
     "gain-bins-unbounded": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
                              '"gain_bins", "[1, inf)"')],
     # The two-phase waypoint walk.
-    "walk-guess-one-late": [("mobility.py", "return math.ceil(dist / step) - 1",
-                             "return math.ceil(dist / step)")],
+    "walk-guess-one-late": [("mobility.py", "moves = np.ceil(dist / step) - 1",
+                             "moves = np.ceil(dist / step)")],
     "walk-reach-count-dropped": [("mobility.py",
                                   "return out.reshape(n_slots, n_total, 2), hits == "
                                   "np.count_nonzero(lands)",
                                   "return out.reshape(n_slots, n_total, 2), True")],
     "walk-landing-check-dropped": [("mobility.py", "if m_land and not reached[m - m_land:].all():",
                                     "if False:")],
-    "walk-generator-not-advanced": [("mobility.py", "    rng.random(used)", "    pass")],
+    # The generator is put back after the walk too, so it ends where it began.
+    "walk-generator-not-advanced": [("mobility.py",
+                                     "        if exact:\n            return paths\n"
+                                     "        rng.bit_generator.state = state\n",
+                                     "        rng.bit_generator.state = state\n"
+                                     "        if exact:\n            return paths\n")],
+    # The per-UE blocks of legs and their top-up rounds.
+    "top-up-stops-one-leg-short": [("mobility.py", "short = ends[:, -1] < n_slots",
+                                    "short = ends[:, -1] < n_slots - 1")],
+    "block-dealt-to-next-column": [("mobility.py",
+                                    "triples = draws.reshape(len(cols), _BLOCK, 3)",
+                                    "triples = np.roll(draws.reshape(len(cols), _BLOCK, 3), 1,"
+                                    " axis=0)")],
+    "top-up-leaves-from-the-start": [("mobility.py", "pos, first = cols[short], way[short, -1],",
+                                      "pos, first = cols[short], pos[short],")],
+    "arrival-on-first-move-rule-dropped": [("mobility.py",
+                                            "np.where(step >= dist, 0, np.where(step * left < dist,"
+                                            " left, moves))",
+                                            "np.where(step * left < dist, left, moves)")],
     # One end of a declared key domain flipped between open and closed.
     "rate-bins-lower-open": [("config.py", '"rate_bins", "[1, 9007199254740992]"',
                               '"rate_bins", "(1, 9007199254740992]"')],
@@ -152,6 +175,10 @@ MUTANTS = {
 
 # name -> why it cannot change any result.  Empty: every mutant must die.
 EQUIVALENT: dict[str, str] = {}
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def _read(path):
@@ -211,7 +238,7 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             try:
                 proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True,
-                                      timeout=TIMEOUT_S)
+                                      timeout=TIMEOUT_S, preexec_fn=_cap_memory)
                 failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
                 verdict = ("survived" if proc.returncode == 0 else
                            "killed by " + (failed.group(1) if failed else f"exit {proc.returncode}"))

@@ -225,49 +225,54 @@ def _draw_point(config: MobilityConfig, rng: np.random.Generator) -> tuple[float
 class UeState:
     id: int
     position: Pos3
-    waypoint: Pos3
+    waypoint: Pos3 | None  # None after an arrival that used up the legs
     speed: float
     serving_ap: int = -1
+    legs: tuple = ()  # (waypoint x, waypoint y, speed) of the legs still to walk
 
 
-def init_ues(n: int, config: MobilityConfig, rng: np.random.Generator) -> list[UeState]:
-    """Place n UEs uniformly in bounds with fresh waypoints and speeds."""
+def draw_legs(n: int, config: MobilityConfig, rng: np.random.Generator) -> tuple:
+    """n legs (waypoint x, waypoint y, speed), each drawn in that order."""
+    return tuple((*_draw_point(config, rng), rng.uniform(config.v_min, config.v_max))
+                 for _ in range(n))
+
+
+def _next_leg(ue: UeState, config: MobilityConfig) -> UeState:
+    (wx, wy, speed), *rest = ue.legs
+    return replace(ue, waypoint=Pos3(wx, wy, config.ue_height), speed=speed, legs=tuple(rest))
+
+
+def init_ues(n: int, config: MobilityConfig, rng: np.random.Generator,
+             block: int) -> list[UeState]:
+    """Place n UEs uniformly in bounds, one after another: each draws its
+    start x and y, then block legs, and heads for the first."""
     ues = []
     for i in range(n):
         px, py = _draw_point(config, rng)
-        wx, wy = _draw_point(config, rng)
-        speed = rng.uniform(config.v_min, config.v_max)
-        ues.append(
-            UeState(
-                id=i,
-                position=Pos3(px, py, config.ue_height),
-                waypoint=Pos3(wx, wy, config.ue_height),
-                speed=speed,
-            )
-        )
+        ue = UeState(id=i, position=Pos3(px, py, config.ue_height), waypoint=None, speed=0.0,
+                     legs=draw_legs(block, config, rng))
+        ues.append(_next_leg(ue, config))
     return ues
 
 
-def rwp_step(ue: UeState, config: MobilityConfig, rng: np.random.Generator) -> UeState:
+def rwp_step(ue: UeState, config: MobilityConfig) -> UeState:
     """Advance one slot toward the waypoint.
 
     If the move would reach or overshoot the waypoint, the UE lands
-    exactly on it and draws a new waypoint and speed for the next slot.
+    exactly on it and heads for its next leg; if it has none left, it has
+    no waypoint, and must be dealt more legs before its next step.
     """
+    if ue.waypoint is None:
+        ue = _next_leg(ue, config)
     step = ue.speed * config.slot_duration
     dx = ue.waypoint.x - ue.position.x
     dy = ue.waypoint.y - ue.position.y
     # same float ops as simulate_paths so both paths agree bit for bit
     dist = math.sqrt(dx * dx + dy * dy)
     if step >= dist:
-        wx, wy = _draw_point(config, rng)
-        speed = rng.uniform(config.v_min, config.v_max)
-        return replace(
-            ue,
-            position=Pos3(ue.waypoint.x, ue.waypoint.y, config.ue_height),
-            waypoint=Pos3(wx, wy, config.ue_height),
-            speed=speed,
-        )
+        landed = replace(ue, position=Pos3(ue.waypoint.x, ue.waypoint.y, config.ue_height),
+                         waypoint=None)
+        return _next_leg(landed, config) if landed.legs else landed
     frac = step / dist
     return replace(
         ue,

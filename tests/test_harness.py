@@ -665,42 +665,42 @@ GREEDY_SOME_POWER = {"utility.energy_weight_per_mw": "0.1",
 SQUARED = {"link.squared_electrical_power": "true"}
 GOLDEN = {
     "rpic": ("rpic", 3, {},
-             "2884b695f19ae33ff8d370465bbddaffcc053b6b121e4f6f5ac8284b5ae0c653",
-             "b4a077e5d63ab20a2498e195b5bd10a78c5bd4f5224ec0d934a94ddc0ac573d8"),
+             "37cc083050e2d3a61c2f7a04e6342c5aa0cc6a3871ccfe5a267bb066c2d31782",
+             "d08f474f39490d6e52ca5484eb657dbae6932b258342ed01ffd87e78684a515d"),
     "fixed_max": ("fixed_max", 3, {},
-                  "bb0e0ec0c67a90288b35fc80f5bfb7fbd2c4c12020ab0a5fd74ade69beca796c", None),
+                  "73073d76007f719a377a1f64d9be420a21ac74c1f43a43de8d5b54e0e8bd5dd1", None),
     "fixed_half": ("fixed_half", 3, {},
-                   "d6860dee7cb0227d8f5851dbd3ac94f322de1f87bff3db744b9ba713fc3ca614", None),
+                   "cb4865778e162b7ebe87497ffcebc892c7b2498c35c7e0f8eaaae8eee4d6f70b", None),
     "random": ("random", 3, {},
-               "745717526573e534174add45780c69c53cbd2bf3ec9ecb285f0e6d94829faf47", None),
+               "932152bf7bfa739da048c4ef1b3eabf1aa0ecaf367a4a9cea7ff590720a8edbd", None),
     "greedy": ("greedy_myopic", 3, {},
-               "310008a6c736e9b46b5401b5d392c09d13698c84c0ff1eba79c6dfb5a99bb2dc", None),
+               "31ffe0587bf32e4a0e69cc466cdbb392b36d5eece782d3db850b69568cab8ce3", None),
     "greedy-rho5": ("greedy_myopic", 5, GREEDY_SOME_POWER,
-                    "17c994e143d405cdb23bbbd939d4dd22635d903bd858ba81530b18c9caf798ec", None),
+                    "be191544690873cd6e73293220a9f8d81b5a613e61b0b305dec76dbebf39ee70", None),
     "rpic-replay": ("rpic", 3, {"agent.replay": "true"},
-                    "fdd3c1ed4917e0581fdba8edfe91f26462fa48b7df8157f837d6b662daf1deaa",
-                    "949fb057552aff1a4fa7203ac77d57e8dc75993e1ba62c224eb476884a8c60cf"),
+                    "e468b03fdbdbd418b542a9801932b845ea495f24607640a9a715d3681e20e162",
+                    "d547331fa7ce74888724a6117e06252c4c43f19c6e3dfed63ede222a15f68e8b"),
     # 12 and 11 bins: key-string order differs from state-index order
     "rpic-bins12": ("rpic", 3, {"agent.rate_bins": 12, "agent.gain_bins": 11},
-                    "1c1846dd5760d10b37bac78088a45b87034f3b431b4d41edac2ce43cd8ba8dd2",
-                    "5073b52817c8c86542ef077689ad2d38123ed99d7657d6fe6f2c8fded3964702"),
+                    "9274f5aa7633067ff746c7df773bfd175c03781245e0ac267f9b1e5d581f6979",
+                    "4dd9e14615b16bb6f483ecc1fb0053b67b1cd782238c4e6f3bf3b4dcceba7a70"),
     "rpic-squared": ("rpic", 3, SQUARED,
-                     "4ed61f64d3834375e7770013726e65d8d6496f37c3f1460fceb482108cbe1da6",
-                     "971e2d0ff78b33505abfe8d8738ba4acd8a3f1c6d00cc914ee772c4ab7cc9f07"),
+                     "925628ddb29b3a821693fa2d92e9580df6585b8cba36fb87804b14dfe2be256c",
+                     "b2d9d23c9339523705a1758556a72d2e8a1fe82f1bb5943cef42650d57da48b4"),
     "greedy-squared": ("greedy_myopic", 3, {**SQUARED, "utility.energy_weight_per_mw": "1e-4",
                                             "utility.interference_weight_per_mw": "0"},
-                       "32dfaf2a67a291ad4d958bf80a4044ab8127805132c5e640abbf450752ccbe4d",
+                       "dfe655a35b1f15ede23c6c6f150bd32e456c05340dd1e9a165ce5e1b285ea239",
                        None),
     # an even grid: four APs tie for the center and the lowest index, 5,
     # wins; its seven two_block neighbours walk in index order.  2 x 3
     # four_block: APs 1 and 4 tie, and AP 1 has no co-channel neighbour.
     "rpic-4x4-two-block": ("rpic", 3, {"topology.rows": 4, "topology.cols": 4,
                                        "topology.reuse_mode": "two_block"},
-                           "4143d3177d976bde5a635939741a0aca4901391d193fdddbedf7c87b790951f2",
-                           "dbb6928f406ae05a81ca1cdb1a4c50c84535ed7218509fc69d6521c56ab2b40b"),
+                           "a20965af0b6226dcb7f2891c35ee4aba24066df36df28d9e51da2ec1f7679b9c",
+                           "19c9c773a38d9a5d96115c4bd03075f63a4680a83e3ac77a9e420ac24cb9326d"),
     "random-2x3-four-block": ("random", 3, {"topology.rows": 2, "topology.cols": 3,
                                             "topology.reuse_mode": "four_block"},
-                              "e0a415e1e8d3a918fe0e279b541be10162ef0960d08547c6e2e19e68baeb8e28",
+                              "175f4e654f90bc4832cd4a2511503170f3785384c557a57594b199cf861521f4",
                               None),
 }
 

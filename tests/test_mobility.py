@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import MobilityConfig, Pos3, UeState, init_ues, rwp_step
+from oracles import MobilityConfig, Pos3, UeState, draw_legs, init_ues, rwp_step
 from vlcudn import mobility
 from vlcudn.mobility import simulate_paths
 
@@ -15,64 +15,107 @@ CFG = MobilityConfig(
 )
 
 
+BLOCK = mobility._BLOCK
+
+
 def _ue(px, py, wx, wy, speed):
+    """A UE heading for (wx, wy), with one more leg to walk after it."""
     return UeState(
         id=0,
         position=Pos3(px, py, 1.0),
         waypoint=Pos3(wx, wy, 1.0),
         speed=speed,
+        legs=((4.2, 5.8, 0.3),),
     )
 
 
 def test_straight_step_kinematics():
     ue = _ue(4.5, 5.0, 5.5, 5.0, 1.0)
-    out = rwp_step(ue, CFG, np.random.default_rng(0))
+    out = rwp_step(ue, CFG)
     assert out.position.x == pytest.approx(4.6, rel=1e-12)
     assert out.position.y == pytest.approx(5.0, rel=1e-12)
-    assert out.waypoint == ue.waypoint  # no redraw before arrival
+    assert out.waypoint == ue.waypoint  # no next leg before arrival
     assert out.speed == ue.speed
+    assert out.legs == ue.legs
 
 
-def test_exactly_at_waypoint_redraws_without_moving():
+def test_exactly_at_waypoint_takes_the_next_leg_without_moving():
     ue = _ue(5.0, 5.0, 5.0, 5.0, 0.7)
-    out = rwp_step(ue, CFG, np.random.default_rng(1))
+    out = rwp_step(ue, CFG)
     assert (out.position.x, out.position.y) == (5.0, 5.0)
-    assert (out.waypoint.x, out.waypoint.y) != (5.0, 5.0)
-    assert CFG.v_min <= out.speed <= CFG.v_max
+    assert (out.waypoint.x, out.waypoint.y, out.speed) == (4.2, 5.8, 0.3)
+    assert out.legs == ()
+    # with no leg left, the UE has no waypoint until it is dealt more
+    last = rwp_step(UeState(0, Pos3(4.2, 5.8, 1.0), Pos3(4.2, 5.8, 1.0), 0.3), CFG)
+    assert last.waypoint is None and (last.position.x, last.position.y) == (4.2, 5.8)
 
 
 def test_overshoot_lands_on_waypoint():
     ue = _ue(4.5, 5.0, 4.55, 5.0, 1.0)  # step 0.1 > distance 0.05
-    out = rwp_step(ue, CFG, np.random.default_rng(2))
+    out = rwp_step(ue, CFG)
     assert (out.position.x, out.position.y) == (4.55, 5.0)
-    assert (out.waypoint.x, out.waypoint.y) != (4.55, 5.0)
+    assert (out.waypoint.x, out.waypoint.y) == (4.2, 5.8)
 
 
 def test_init_ues_inside_bounds_with_valid_speeds():
     rng = np.random.default_rng(3)
-    ues = init_ues(50, CFG, rng)
+    ues = init_ues(50, CFG, rng, 4)
     assert [u.id for u in ues] == list(range(50))
     for u in ues:
         assert 4.0 <= u.position.x <= 6.0 and 4.0 <= u.position.y <= 6.0
         assert 4.0 <= u.waypoint.x <= 6.0 and 4.0 <= u.waypoint.y <= 6.0
         assert CFG.v_min <= u.speed <= CFG.v_max
         assert u.position.z == CFG.ue_height
+        assert len(u.legs) == 3
+        for wx, wy, speed in u.legs:
+            assert 4.0 <= wx <= 6.0 and 4.0 <= wy <= 6.0 and CFG.v_min <= speed <= CFG.v_max
 
 
-@pytest.mark.parametrize(
-    "cfg, n_ues, n_slots",
-    [
-        (CFG, 3, 3000),
-        (dataclasses.replace(CFG, v_min=0.0, v_max=0.0), 3, 200),
-        # steps of 0.1-1 m in a 1 cm cell: nearly every move overshoots
-        (dataclasses.replace(CFG, slot_duration=1.0, bounds=(4.0, 4.01, 4.0, 4.01)), 5, 300),
-        # 5-6 m steps in a cell 2.9 m across: every move arrives and draws
-        (dataclasses.replace(CFG, v_min=5.0, v_max=6.0, slot_duration=1.0), 4, 100),
-        # steps of about 1e-300 m: each first segment outlasts the episode
-        (dataclasses.replace(CFG, v_min=1e-299, v_max=2e-299), 3, 200),
-    ],
-    ids=["reference-cell", "zero-speed", "overshoot", "arrive-every-slot", "near-zero-speed"],
-)
+def _oracle_paths(groups, cfg, n_slots, rng):
+    """The per-UE reference on one generator, side by side as simulate_paths
+    returns them: every UE of the groups [(n_ues, bounds), ...], in group
+    then column order, placed with its first block of legs; each UE then
+    walked alone until the last slot or until its legs run out; and, round
+    after round, every UE still short dealt one more block, in column
+    order, and walked on, until none is short."""
+    configs, ues = [], []
+    for n_ues, bounds in groups:
+        group_cfg = dataclasses.replace(cfg, bounds=bounds)
+        configs += [group_cfg] * n_ues
+        ues += init_ues(n_ues, group_cfg, rng, BLOCK)
+    rows = [[] for _ in ues]
+    short = range(len(ues))
+    while short:
+        for c in short:
+            while len(rows[c]) < n_slots and (ues[c].waypoint is not None or ues[c].legs):
+                ues[c] = rwp_step(ues[c], configs[c])
+                rows[c].append((ues[c].position.x, ues[c].position.y))
+        short = [c for c in range(len(ues)) if len(rows[c]) < n_slots]
+        for c in short:
+            ues[c] = dataclasses.replace(ues[c], legs=draw_legs(BLOCK, configs[c], rng))
+    return np.array(rows).reshape(len(ues), n_slots, 2).transpose(1, 0, 2)
+
+
+# (config, UEs, slots) of one cell, each walked on seed 17
+CASES = {
+    "reference-cell": (CFG, 3, 3000),
+    "zero-speed": (dataclasses.replace(CFG, v_min=0.0, v_max=0.0), 3, 200),
+    # steps of 0.1-1 m in a 1 cm cell: nearly every move overshoots
+    "overshoot": (dataclasses.replace(CFG, slot_duration=1.0, bounds=(4.0, 4.01, 4.0, 4.01)), 5,
+                  300),
+    # 5-6 m steps in a cell 2.9 m across: every move arrives, so each UE
+    # walks a leg per slot and takes a block every BLOCK slots
+    "arrive-every-slot": (dataclasses.replace(CFG, v_min=5.0, v_max=6.0, slot_duration=1.0), 4,
+                          1000),
+    # steps of about 1e-300 m: each first leg outlasts the episode
+    "near-zero-speed": (dataclasses.replace(CFG, v_min=1e-299, v_max=2e-299), 3, 200),
+    # 0.1-0.2 m steps: about 400 legs per UE, so top-up blocks whose legs
+    # start from where the block before ended
+    "top-ups": (dataclasses.replace(CFG, v_min=1.0, v_max=2.0), 3, 3000),
+}
+
+
+@pytest.mark.parametrize("cfg, n_ues, n_slots", list(CASES.values()), ids=list(CASES))
 def test_batched_paths_match_per_ue_reference_exactly(cfg, n_ues, n_slots):
     rng = np.random.default_rng(17)
     batched = simulate_paths([(n_ues, cfg.bounds)], cfg.v_min, cfg.v_max, cfg.slot_duration,
@@ -80,30 +123,14 @@ def test_batched_paths_match_per_ue_reference_exactly(cfg, n_ues, n_slots):
     assert batched.shape == (n_slots, n_ues, 2) and batched.dtype == np.float64
 
     ref_rng = np.random.default_rng(17)
-    ues = init_ues(n_ues, cfg, ref_rng)
+    walked = _oracle_paths([(n_ues, cfg.bounds)], cfg, n_slots, ref_rng)
     for k in range(n_slots):
-        ues = [rwp_step(u, cfg, ref_rng) for u in ues]
-        for i, u in enumerate(ues):
-            assert batched[k, i, 0] == u.position.x
-            assert batched[k, i, 1] == u.position.y
+        for i in range(n_ues):
+            assert batched[k, i, 0] == walked[k, i, 0]
+            assert batched[k, i, 1] == walked[k, i, 1]
     # Cell groups share one generator: a draw too many or too few would
     # shift every later group's paths.
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def _oracle_paths(groups, cfg, n_slots, rng):
-    """The per-UE reference walking each group of [(n_ues, bounds), ...] in
-    turn on one generator, side by side as simulate_paths returns them."""
-    walked = []
-    for n_ues, bounds in groups:
-        group_cfg = dataclasses.replace(cfg, bounds=bounds)
-        ues = init_ues(n_ues, group_cfg, rng)
-        rows = []
-        for _ in range(n_slots):
-            ues = [rwp_step(u, group_cfg, rng) for u in ues]
-            rows.append([(u.position.x, u.position.y) for u in ues])
-        walked.append(np.array(rows).reshape(n_slots, n_ues, 2))
-    return np.concatenate(walked, axis=1)
 
 
 def _assert_walks_as_oracle(groups, cfg, n_slots, seed):
@@ -125,19 +152,21 @@ def test_groups_share_one_generator_as_the_oracle_walks_them(seed):
     _assert_walks_as_oracle(GROUPS, CFG, 1500, seed)
 
 
-# Shifts of the closed-form guess per call, the last one repeating: every
-# guess one move early, every guess one move late, or the first segment
-# early and the second late, whose miss and extra reach even out in count.
+# Shifts of the closed-form guesses, leg by leg in the order they are
+# guessed, the last one repeating: every guess one move early, every guess
+# one move late, or the first leg early and the second late, whose miss
+# and extra reach even out in count.
 @pytest.mark.parametrize("shifts", [[-1], [1], [-1, 1, 0]],
                          ids=["early", "late", "one-early-one-late"])
 def test_wrong_arrival_guesses_replay_to_the_exact_walk(shifts, monkeypatch):
     guess, exact = mobility._guess, mobility._exact
-    guessed, calls = [], []
+    guessed, calls = [0], []
 
     def shifted(*args):
-        shift = shifts[min(len(guessed), len(shifts) - 1)]
-        guessed.append(args)
-        return max(guess(*args) + shift, 0)
+        moves = guess(*args)
+        nth = guessed[0] + np.arange(moves.size).reshape(moves.shape)
+        guessed[0] += moves.size
+        return np.maximum(moves + np.asarray(shifts)[np.minimum(nth, len(shifts) - 1)], 0)
 
     def counted(*args):
         calls.append(args)
@@ -162,14 +191,50 @@ def test_closed_form_guesses_need_no_replay(monkeypatch):
                        np.random.default_rng(seed))
 
 
-def test_every_slot_of_every_ue_is_walked_exactly_once():
-    n_slots = 700
-    (_, ints), _ = mobility._schedule(GROUPS, CFG.v_min, CFG.v_max, CFG.slot_duration, n_slots,
-                                      np.random.default_rng(11), mobility._guess)
-    walked = np.zeros((n_slots, 10), dtype=int)
-    for col, start, arrival in ints.tolist():
-        walked[start:start + arrival + 1, col] += 1  # a segment moves up to its arrival
+@pytest.mark.parametrize("groups, cfg, n_slots", [
+    (GROUPS, CFG, 700),
+    # every move arrives: each UE takes seven top-up blocks
+    ([(4, CFG.bounds)], CASES["arrive-every-slot"][0], 1000),
+], ids=["groups", "many-top-ups"])
+def test_every_slot_of_every_ue_is_walked_exactly_once(groups, cfg, n_slots):
+    *_, cols, starts, arrivals = mobility._schedule(groups, cfg.v_min, cfg.v_max,
+                                                    cfg.slot_duration, n_slots,
+                                                    np.random.default_rng(11), mobility._guess)
+    walked = np.zeros((n_slots, sum(n for n, _ in groups)), dtype=int)
+    for col, start, arrival in zip(cols.tolist(), starts.tolist(), arrivals.tolist()):
+        walked[start:start + arrival + 1, col] += 1  # a leg moves up to its arrival
     assert (walked == 1).all()
+
+
+class _Counted:
+    """A generator that records the size of each random() call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("case, top_ups", [("arrive-every-slot", 7), ("top-ups", None),
+                                           ("zero-speed", 0), ("near-zero-speed", 0)])
+def test_top_up_rounds_deal_one_block_to_each_short_ue(case, top_ups):
+    cfg, n_ues, n_slots = CASES[case]
+    rng = _Counted(17)
+    simulate_paths([(n_ues, cfg.bounds)], cfg.v_min, cfg.v_max, cfg.slot_duration, n_slots, rng)
+    first, *rounds = rng.sizes
+    assert first == n_ues * (2 + 3 * BLOCK)
+    assert all(size % (3 * BLOCK) == 0 and 0 < size <= n_ues * 3 * BLOCK for size in rounds)
+    # a round deals to no more UEs than the one before it
+    assert rounds == sorted(rounds, reverse=True)
+    if top_ups is None:
+        assert rounds
+    else:
+        # every UE walks a leg per slot: all are short together, round after round
+        assert rounds == [n_ues * 3 * BLOCK] * top_ups
 
 
 class _Scripted:
@@ -191,47 +256,78 @@ class _Scripted:
         return self.bit_generator.state == len(self.values)
 
 
-# Each UE draws x, y, waypoint x, waypoint y and speed, and draws waypoint
-# x, y and speed again on arrival.  Speeds 0-10 m/s, 1 s slots, a 5 m cell.
+# Each UE draws x and y, then a block of legs: waypoint x, waypoint y and
+# speed.  Speeds 0-10 m/s, 1 s slots, a 5 m cell.
 UNIT_SLOT = ((0.0, 5.0, 0.0, 5.0), 0.0, 10.0, 1.0)
 
 
-def _place(x, y, wx, wy, speed):
-    """A UE's first unit draws in UNIT_SLOT: coordinates over 5 m, speed
-    over 10 m/s (each value comes back exactly)."""
-    return [x / 5.0, y / 5.0, wx / 5.0, wy / 5.0, speed / 10.0]
+def _block(*legs):
+    """The unit draws of a block in UNIT_SLOT that starts with legs
+    (waypoint x, waypoint y, speed) and is filled up with legs to (2, 2) at
+    1 m/s: coordinates over 5 m, speed over 10 m/s (each value comes back
+    exactly)."""
+    legs = [*legs] + [(2.0, 2.0, 1.0)] * (BLOCK - len(legs))
+    return [v for wx, wy, speed in legs for v in (wx / 5.0, wy / 5.0, speed / 10.0)]
 
 
-def _redraw(wx, wy, speed):
-    """The unit draws of one arrival in UNIT_SLOT."""
-    return [wx / 5.0, wy / 5.0, speed / 10.0]
+def _place(x, y, *legs):
+    """A UE's first unit draws in UNIT_SLOT: its start, then its first block."""
+    return [x / 5.0, y / 5.0, *_block(*legs)]
+
+
+def _shuttle(n):
+    """n legs of 1 m at 1 m/s from (0, 0), to (1, 0), (2, 0), (1, 0) and
+    so on: one move each."""
+    return [(1.0 + t % 2, 0.0, 1.0) for t in range(n)]
 
 
 def test_arrival_lands_exactly_on_waypoint():
     rng = _Scripted([
-        *_place(0.0, 0.0, 3.0, 4.0, 10.0),  # step 10 m overshoots a 5 m leg
-        *_place(1.0, 1.0, 1.0, 1.0, 0.5),  # already on the waypoint
-        *_place(0.3, 0.4, 0.3, 0.4, 0.0),  # on the waypoint with zero step
-        *_redraw(2.0, 2.0, 1.0) * 3,  # all three redraw
+        *_place(0.0, 0.0, (3.0, 4.0, 10.0)),  # step 10 m overshoots a 5 m leg
+        *_place(1.0, 1.0, (1.0, 1.0, 0.5)),  # already on the waypoint
+        *_place(0.3, 0.4, (0.3, 0.4, 0.0)),  # on the waypoint with zero step
     ])
     paths = simulate_paths([(3, UNIT_SLOT[0])], *UNIT_SLOT[1:], 1, rng)
     assert paths[0].tolist() == [[3.0, 4.0], [1.0, 1.0], [0.3, 0.4]]
     assert rng.exhausted()
 
 
-def test_arrival_on_the_last_slot_still_draws():
+def test_arrival_on_the_last_slot_needs_no_top_up():
     # unit steps along x: 1, 2 and 3 m are exact, and the fourth move lands
-    rng = _Scripted([*_place(0.0, 0.0, 4.0, 0.0, 1.0), *_redraw(2.0, 2.0, 1.0)])
+    rng = _Scripted(_place(0.0, 0.0, (4.0, 0.0, 1.0)))
     paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], 4, rng)
     assert paths[:, 0].tolist() == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]
     assert rng.exhausted()
 
 
 def test_partial_move_is_collinear():
-    rng = _Scripted(_place(0.0, 0.0, 3.0, 4.0, 1.0))  # no arrival, so no redraw
+    rng = _Scripted(_place(0.0, 0.0, (3.0, 4.0, 1.0)))  # no arrival, so no top-up
     paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], 2, rng)
     # unit steps along the (3, 4) / 5 direction
     assert paths[:, 0] == pytest.approx(np.array([[0.6, 0.8], [1.2, 1.6]]), rel=1e-12)
+    assert rng.exhausted()
+
+
+def test_a_first_block_that_just_covers_the_last_slot_draws_nothing_more():
+    rng = _Scripted(_place(0.0, 0.0, *_shuttle(BLOCK)))
+    paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], BLOCK, rng)
+    assert paths[:, 0].tolist() == [[1.0, 0.0], [2.0, 0.0]] * (BLOCK // 2)
+    assert rng.exhausted()
+
+
+def test_ues_one_leg_short_draw_exactly_one_more_block_each_in_column_order():
+    rng = _Scripted([
+        *_place(0.0, 0.0, *_shuttle(BLOCK)),  # short by one leg
+        *_place(4.0, 4.0, (4.0, 0.0, 10.0)),  # covers the last slot
+        *_place(0.0, 0.0, *_shuttle(BLOCK)),  # short by one leg
+        # the top-ups, first UE's then third UE's: a quarter and half of a
+        # 4 m leg on from (2, 0), the last waypoint
+        *_block((2.0, 4.0, 1.0)),
+        *_block((2.0, 4.0, 2.0)),
+    ])
+    paths = simulate_paths([(3, UNIT_SLOT[0])], *UNIT_SLOT[1:], BLOCK + 1, rng)
+    assert paths[BLOCK - 1].tolist() == [[2.0, 0.0], [2.0, 2.0], [2.0, 0.0]]
+    assert paths[BLOCK].tolist() == [[2.0, 1.0], [2.0, 2.0], [2.0, 2.0]]
     assert rng.exhausted()
 
 
@@ -240,3 +336,16 @@ def test_zero_speed_keeps_ues_static():
                            np.random.default_rng(4))
     for k in range(1, 50):
         assert np.array_equal(paths[k], paths[0])
+
+
+def test_a_ue_on_its_waypoint_arrives_by_the_closed_form_guess(monkeypatch):
+    """A leg of zero length arrives on its first move without a replay,
+    whether the step is positive or zero."""
+
+    def replay(*args):
+        raise AssertionError("a closed-form arrival guess was wrong")
+
+    monkeypatch.setattr(mobility, "_exact", replay)
+    rng = _Scripted([*_place(1.0, 1.0, (1.0, 1.0, 0.5), (1.0, 1.0, 0.0))])
+    paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], 2, rng)
+    assert paths[:, 0].tolist() == [[1.0, 1.0], [1.0, 1.0]]
