@@ -301,13 +301,10 @@ def converged_means(series: Series) -> dict:
 
 def write_series_csv(path, series) -> None:
     """Fixed-format CSV; %.12g keeps identical inputs byte-identical."""
+    rows = zip(range(len(series.utility)), *(getattr(series, m).tolist() for m in METRICS))
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for k in range(len(series.utility)):
-            fh.write(
-                "%d,%.12g,%.12g,%.12g,%.12g\n"
-                % (k, series.utility[k], series.mean_rate_bps[k], series.energy_w[k], series.ici_w[k])
-            )
+        fh.write("".join("%d,%.12g,%.12g,%.12g,%.12g\n" % row for row in rows))
 
 
 @cache

@@ -26,7 +26,8 @@ The walk has two phases:
    slot if the step is too small.  Start slots are their cumulative sum.
 2. Walk.  The float recurrence (``dx, dy, sqrt, step / dist,
    x + dx * frac``) runs for every leg of the episode at once, one numpy
-   step per move offset.  It then checks that each leg reached its
+   step per move offset, with x and y stepped by the same recurrence as
+   separate contiguous arrays.  It then checks that each leg reached its
    waypoint on its guessed move and on no other.  A guess off by rounding
    sends the schedule round again from the same generator state, with
    each arrival found by the scalar recurrence (:func:`_exact`), so the
@@ -152,28 +153,40 @@ def _walk(legs, n_slots, n_total):
     # it the tail of that prefix.
     order = np.lexsort((lands, -length))
     length = length[order]
-    pos, way, step = src[order], way[order], step[order]
+    # x and y apart, each contiguous: the position and waypoint of every leg
+    x, y, wx, wy = (coord[order] for coord in (*src.T, *way.T))
+    step = step[order]
     dest = (start * n_total + col)[order]  # flat (slot, UE) row of each first move
 
     top = int(length[0]) if len(length) else 0
     moving = len(length) - np.cumsum(np.bincount(length, minlength=top + 1))  # [j]: length > j
     landing = np.bincount(length[lands[order]], minlength=top + 1)[1:]  # [j]: land at j
     out = np.empty((n_slots * n_total, 2))
+    out_x, out_y = out[:, 0], out[:, 1]
+    scratch = np.empty((4, len(length)))  # dx, dy, dist and a temporary, per leg
     hits = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only on landing moves
         for j, (m, m_land) in enumerate(zip(moving[:-1].tolist(), landing.tolist())):
-            cur = pos[:m]
-            d = way[:m] - cur
-            sq = d * d
-            dist = np.sqrt(sq[:, 0] + sq[:, 1])
-            reached = step[:m] >= dist
+            px, py, s = x[:m], y[:m], step[:m]  # the legs still moving
+            dx, dy, dist, tmp = scratch[:, :m]
+            np.subtract(wx[:m], px, out=dx)
+            np.subtract(wy[:m], py, out=dy)
+            np.multiply(dx, dx, out=dist)
+            np.multiply(dy, dy, out=tmp)
+            np.sqrt(np.add(dist, tmp, out=dist), out=dist)
+            reached = s >= dist
             hits += np.count_nonzero(reached)
             if m_land and not reached[m - m_land:].all():
                 return out, False
-            d *= (step[:m] / dist)[:, None]
-            cur += d
-            cur[m - m_land:] = way[m - m_land:m]
-            out[dest[:m] + j * n_total] = cur
+            np.divide(s, dist, out=tmp)
+            np.add(px, np.multiply(dx, tmp, out=dx), out=px)
+            np.add(py, np.multiply(dy, tmp, out=dy), out=py)
+            if m_land:
+                px[m - m_land:] = wx[m - m_land:m]
+                py[m - m_land:] = wy[m - m_land:m]
+            rows = dest[:m] + j * n_total
+            out_x[rows] = px
+            out_y[rows] = py
     # Every landing leg reached its waypoint on its last move, so any other
     # reach is one more.
     return out.reshape(n_slots, n_total, 2), hits == np.count_nonzero(lands)

@@ -135,6 +135,13 @@ MUTANTS = {
                                   "return out.reshape(n_slots, n_total, 2), True")],
     "walk-landing-check-dropped": [("mobility.py", "if m_land and not reached[m - m_land:].all():",
                                     "if False:")],
+    # The walk's x and y, stepped as separate arrays.
+    "walk-y-stepped-by-dx": [("mobility.py", "np.add(py, np.multiply(dy, tmp, out=dy), out=py)",
+                              "np.add(py, np.multiply(dx, tmp, out=dy), out=py)")],
+    "walk-landing-snaps-x-only": [("mobility.py", "py[m - m_land:] = wy[m - m_land:m]", "pass")],
+    "walk-distance-x-twice": [("mobility.py", "np.multiply(dy, dy, out=tmp)",
+                               "np.multiply(dx, dx, out=tmp)")],
+    "walk-y-scattered-to-x": [("mobility.py", "out_y[rows] = py", "out_x[rows] = py")],
     # The generator is put back after the walk too, so it ends where it began.
     "walk-generator-not-advanced": [("mobility.py",
                                      "        if exact:\n            return paths\n"

@@ -112,6 +112,8 @@ CASES = {
     # 0.1-0.2 m steps: about 400 legs per UE, so top-up blocks whose legs
     # start from where the block before ended
     "top-ups": (dataclasses.replace(CFG, v_min=1.0, v_max=2.0), 3, 3000),
+    # one move per UE: the walk's loop runs once
+    "one-slot": (CFG, 4, 1),
 }
 
 
@@ -150,6 +152,14 @@ GROUPS = [(3, (4.0, 6.0, 4.0, 6.0)), (1, (0.0, 2.0, 0.0, 2.0)), (4, (8.0, 10.5, 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_groups_share_one_generator_as_the_oracle_walks_them(seed):
     _assert_walks_as_oracle(GROUPS, CFG, 1500, seed)
+
+
+def test_calls_of_other_sizes_in_one_process_walk_as_the_oracle():
+    """The walk's scratch arrays belong to one call: a smaller call after a
+    larger one, and a larger one after that, walk as the oracle does."""
+    _assert_walks_as_oracle(GROUPS, CFG, 900, 7)
+    _assert_walks_as_oracle(GROUPS[:2], CASES["top-ups"][0], 300, 8)
+    _assert_walks_as_oracle(GROUPS + [(5, CFG.bounds)], CFG, 1200, 9)
 
 
 # Shifts of the closed-form guesses, leg by leg in the order they are
