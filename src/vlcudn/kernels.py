@@ -5,10 +5,9 @@ its formula: the Lambertian gain, the SINR/rate of every (slot, UE, power
 level) of an episode, and the leakage and utility of summed rates and
 powers, on the learner's Python floats or on whole arrays of slots.  The
 scalar code in ``tests/oracles.py`` is the reference the tests hold these
-kernels to.  The random-waypoint move is not a kernel: its recurrence is
-written in :mod:`vlcudn.mobility`, which steps every path segment of an
-episode at once in numpy and keeps a scalar copy for the rare segment
-whose closed-form arrival guess is off.
+kernels to.  The random-waypoint move is not a kernel: its closed form
+is written once, in :mod:`vlcudn.mobility`, which places every move of
+an episode at once in numpy.
 """
 
 from __future__ import annotations

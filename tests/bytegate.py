@@ -25,6 +25,7 @@ import argparse
 import configparser
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -88,6 +89,21 @@ def _cases(tmp):
     return cases
 
 
+def _run(command, env, stdout=subprocess.DEVNULL) -> bytes:
+    """subprocess.run(command, check=True) in a session of its own, whose
+    every process (pool workers too) is killed if this script is stopped."""
+    proc = subprocess.Popen(command, env=env, stdout=stdout, start_new_session=True)
+    try:
+        out = proc.communicate()[0]
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, command)
+    return out
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -98,13 +114,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="Manifest file to write.")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    # SIGTERM unwinds like Ctrl-C, so the running child is stopped and the
+    # temporary directory removed on the way out.
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     vlcudn = [sys.executable, "-m", "vlcudn.cli"]
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, command in _cases(tmp):
             out_dir = os.path.join(tmp, name)
-            subprocess.run(vlcudn + command + ["--out", out_dir], env=env, check=True,
-                           stdout=subprocess.DEVNULL)
+            _run(vlcudn + command + ["--out", out_dir], env)
             for root, _, files in sorted(os.walk(out_dir)):
                 for file in sorted(files):
                     path = os.path.join(root, file)
@@ -116,9 +134,8 @@ def main(argv=None) -> int:
                                         if not line.lstrip().startswith(b'"git_describe":'))
                     lines.append(f"{_digest(data)}  {rel}")
                     if file == "qtable.tsv":
-                        text = subprocess.run(vlcudn + ["inspect-q", "--qtable", path,
-                                                        "--top", "10"],
-                                              env=env, check=True, capture_output=True).stdout
+                        text = _run(vlcudn + ["inspect-q", "--qtable", path, "--top", "10"],
+                                    env, stdout=subprocess.PIPE)
                         lines.append(f"{_digest(text)}  {rel}:inspect-q")
             print(f"{name}: done", file=sys.stderr)
     with open(args.out, "w") as fh:

@@ -229,6 +229,8 @@ class UeState:
     speed: float
     serving_ap: int = -1
     legs: tuple = ()  # (waypoint x, waypoint y, speed) of the legs still to walk
+    origin: Pos3 | None = None  # where the leg to the waypoint started
+    moves: int = 0  # moves made on that leg
 
 
 def draw_legs(n: int, config: MobilityConfig, rng: np.random.Generator) -> tuple:
@@ -239,7 +241,8 @@ def draw_legs(n: int, config: MobilityConfig, rng: np.random.Generator) -> tuple
 
 def _next_leg(ue: UeState, config: MobilityConfig) -> UeState:
     (wx, wy, speed), *rest = ue.legs
-    return replace(ue, waypoint=Pos3(wx, wy, config.ue_height), speed=speed, legs=tuple(rest))
+    return replace(ue, origin=ue.position, moves=0, waypoint=Pos3(wx, wy, config.ue_height),
+                   speed=speed, legs=tuple(rest))
 
 
 def init_ues(n: int, config: MobilityConfig, rng: np.random.Generator,
@@ -258,25 +261,31 @@ def init_ues(n: int, config: MobilityConfig, rng: np.random.Generator,
 def rwp_step(ue: UeState, config: MobilityConfig) -> UeState:
     """Advance one slot toward the waypoint.
 
-    If the move would reach or overshoot the waypoint, the UE lands
-    exactly on it and heads for its next leg; if it has none left, it has
-    no waypoint, and must be dealt more legs before its next step.
+    With q = dist / step from the leg's origin, move m of the leg
+    (counted from 1) lands exactly on the waypoint if m >= q, and the
+    first move does if step >= dist; the UE then heads for its next leg,
+    and if it has none left, it has no waypoint and must be dealt more
+    legs before its next step.  Until then, move m puts it at
+    origin + (waypoint - origin) * (m / q).
     """
     if ue.waypoint is None:
         ue = _next_leg(ue, config)
     step = ue.speed * config.slot_duration
-    dx = ue.waypoint.x - ue.position.x
-    dy = ue.waypoint.y - ue.position.y
+    dx = ue.waypoint.x - ue.origin.x
+    dy = ue.waypoint.y - ue.origin.y
     # same float ops as simulate_paths so both paths agree bit for bit
     dist = math.sqrt(dx * dx + dy * dy)
-    if step >= dist:
+    q = dist / step if step else math.inf  # numpy's x / 0.0 for x > 0
+    move = ue.moves + 1
+    if step >= dist or move >= q:
         landed = replace(ue, position=Pos3(ue.waypoint.x, ue.waypoint.y, config.ue_height),
-                         waypoint=None)
+                         waypoint=None, moves=move)
         return _next_leg(landed, config) if landed.legs else landed
-    frac = step / dist
+    frac = move / q
     return replace(
         ue,
-        position=Pos3(ue.position.x + dx * frac, ue.position.y + dy * frac, config.ue_height),
+        position=Pos3(ue.origin.x + dx * frac, ue.origin.y + dy * frac, config.ue_height),
+        moves=move,
     )
 
 

@@ -39,6 +39,7 @@ import argparse
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -151,15 +152,23 @@ def main(argv=None) -> int:
     if len(args.src) != 2:
         parser.error("give --src twice: tree A, then tree B")
 
+    # SIGTERM unwinds like Ctrl-C, so the children are stopped and the
+    # temporary directory is removed on the way out.
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         procs, outs = [], []
-        for label, src in zip("AB", args.src):
-            outs.append(os.path.join(tmp, label + ".npz"))
-            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-            procs.append(subprocess.Popen([sys.executable, os.path.abspath(__file__),
-                                           "--child", label, outs[-1]], env=env))
-        if any([proc.wait() for proc in procs]):
+        try:
+            for label, src in zip("AB", args.src):
+                outs.append(os.path.join(tmp, label + ".npz"))
+                env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+                procs.append(subprocess.Popen([sys.executable, os.path.abspath(__file__),
+                                               "--child", label, outs[-1]], env=env))
+            failed = any([proc.wait() for proc in procs])
+        finally:
+            for proc in procs:
+                proc.kill()  # a no-op for a child already waited for
+        if failed:
             print("a tree failed to run", file=sys.stderr)
             return 2
         with np.load(outs[0]) as fa, np.load(outs[1]) as fb:

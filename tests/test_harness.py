@@ -665,12 +665,12 @@ GREEDY_SOME_POWER = {"utility.energy_weight_per_mw": "0.1",
 SQUARED = {"link.squared_electrical_power": "true"}
 GOLDEN = {
     "rpic": ("rpic", 3, {},
-             "37cc083050e2d3a61c2f7a04e6342c5aa0cc6a3871ccfe5a267bb066c2d31782",
-             "d08f474f39490d6e52ca5484eb657dbae6932b258342ed01ffd87e78684a515d"),
+             "619b53134c73946e4594d4ca1f07c81217cdc471c264433e29dc14fc21a4d2ad",
+             "44e8f1901d84d5f8bde44a2b7665a44944f36c50a787b7a93b6c4c9ffbb221aa"),
     "fixed_max": ("fixed_max", 3, {},
                   "73073d76007f719a377a1f64d9be420a21ac74c1f43a43de8d5b54e0e8bd5dd1", None),
     "fixed_half": ("fixed_half", 3, {},
-                   "cb4865778e162b7ebe87497ffcebc892c7b2498c35c7e0f8eaaae8eee4d6f70b", None),
+                   "213f5697af0920852933a948cc60981d8f887ec8f322b8527b78904a9e590083", None),
     "random": ("random", 3, {},
                "932152bf7bfa739da048c4ef1b3eabf1aa0ecaf367a4a9cea7ff590720a8edbd", None),
     "greedy": ("greedy_myopic", 3, {},
@@ -678,15 +678,15 @@ GOLDEN = {
     "greedy-rho5": ("greedy_myopic", 5, GREEDY_SOME_POWER,
                     "be191544690873cd6e73293220a9f8d81b5a613e61b0b305dec76dbebf39ee70", None),
     "rpic-replay": ("rpic", 3, {"agent.replay": "true"},
-                    "e468b03fdbdbd418b542a9801932b845ea495f24607640a9a715d3681e20e162",
-                    "d547331fa7ce74888724a6117e06252c4c43f19c6e3dfed63ede222a15f68e8b"),
+                    "d6179721cc26bb30fa61518aa7fdffcd6193483b45c430691b60db1071606b30",
+                    "7c4a92ea9390f2dfe17d3033e43a891ffaa9781af2763498029e7ac01e6a62cc"),
     # 12 and 11 bins: key-string order differs from state-index order
     "rpic-bins12": ("rpic", 3, {"agent.rate_bins": 12, "agent.gain_bins": 11},
-                    "9274f5aa7633067ff746c7df773bfd175c03781245e0ac267f9b1e5d581f6979",
-                    "4dd9e14615b16bb6f483ecc1fb0053b67b1cd782238c4e6f3bf3b4dcceba7a70"),
+                    "b5d18a624bf0d8bc9cbbcabe27d8764f0dc42331d0045508458737a4650b3583",
+                    "d393085250212ec4952730e3179fd5cc08d4dc0cf23931e5d3c44b4b47e7353a"),
     "rpic-squared": ("rpic", 3, SQUARED,
                      "925628ddb29b3a821693fa2d92e9580df6585b8cba36fb87804b14dfe2be256c",
-                     "b2d9d23c9339523705a1758556a72d2e8a1fe82f1bb5943cef42650d57da48b4"),
+                     "b5af65d750245ef47bcd7f0a7f78b8ac8df783ff5a0c671dfd9eec044752fef7"),
     "greedy-squared": ("greedy_myopic", 3, {**SQUARED, "utility.energy_weight_per_mw": "1e-4",
                                             "utility.interference_weight_per_mw": "0"},
                        "dfe655a35b1f15ede23c6c6f150bd32e456c05340dd1e9a165ce5e1b285ea239",
@@ -696,8 +696,8 @@ GOLDEN = {
     # four_block: APs 1 and 4 tie, and AP 1 has no co-channel neighbour.
     "rpic-4x4-two-block": ("rpic", 3, {"topology.rows": 4, "topology.cols": 4,
                                        "topology.reuse_mode": "two_block"},
-                           "a20965af0b6226dcb7f2891c35ee4aba24066df36df28d9e51da2ec1f7679b9c",
-                           "19c9c773a38d9a5d96115c4bd03075f63a4680a83e3ac77a9e420ac24cb9326d"),
+                           "005eb585e3a1163c85ae521166ef57ee6cb5d5960cd385b9ffea678526c31f4c",
+                           "4239da5dfe91f89bd5a8da4fb2aa658a4c2d6154da1671ca58aaa2377bd41a28"),
     "random-2x3-four-block": ("random", 3, {"topology.rows": 2, "topology.cols": 3,
                                             "topology.reuse_mode": "four_block"},
                               "175f4e654f90bc4832cd4a2511503170f3785384c557a57594b199cf861521f4",

@@ -26,6 +26,7 @@ def _ue(px, py, wx, wy, speed):
         waypoint=Pos3(wx, wy, 1.0),
         speed=speed,
         legs=((4.2, 5.8, 0.3),),
+        origin=Pos3(px, py, 1.0),
     )
 
 
@@ -46,7 +47,8 @@ def test_exactly_at_waypoint_takes_the_next_leg_without_moving():
     assert (out.waypoint.x, out.waypoint.y, out.speed) == (4.2, 5.8, 0.3)
     assert out.legs == ()
     # with no leg left, the UE has no waypoint until it is dealt more
-    last = rwp_step(UeState(0, Pos3(4.2, 5.8, 1.0), Pos3(4.2, 5.8, 1.0), 0.3), CFG)
+    here = Pos3(4.2, 5.8, 1.0)
+    last = rwp_step(UeState(0, here, here, 0.3, origin=here), CFG)
     assert last.waypoint is None and (last.position.x, last.position.y) == (4.2, 5.8)
 
 
@@ -112,7 +114,7 @@ CASES = {
     # 0.1-0.2 m steps: about 400 legs per UE, so top-up blocks whose legs
     # start from where the block before ended
     "top-ups": (dataclasses.replace(CFG, v_min=1.0, v_max=2.0), 3, 3000),
-    # one move per UE: the walk's loop runs once
+    # one move per UE: each leg's first move is also its last in the episode
     "one-slot": (CFG, 4, 1),
 }
 
@@ -155,50 +157,11 @@ def test_groups_share_one_generator_as_the_oracle_walks_them(seed):
 
 
 def test_calls_of_other_sizes_in_one_process_walk_as_the_oracle():
-    """The walk's scratch arrays belong to one call: a smaller call after a
+    """Nothing of one call carries over to the next: a smaller call after a
     larger one, and a larger one after that, walk as the oracle does."""
     _assert_walks_as_oracle(GROUPS, CFG, 900, 7)
     _assert_walks_as_oracle(GROUPS[:2], CASES["top-ups"][0], 300, 8)
     _assert_walks_as_oracle(GROUPS + [(5, CFG.bounds)], CFG, 1200, 9)
-
-
-# Shifts of the closed-form guesses, leg by leg in the order they are
-# guessed, the last one repeating: every guess one move early, every guess
-# one move late, or the first leg early and the second late, whose miss
-# and extra reach even out in count.
-@pytest.mark.parametrize("shifts", [[-1], [1], [-1, 1, 0]],
-                         ids=["early", "late", "one-early-one-late"])
-def test_wrong_arrival_guesses_replay_to_the_exact_walk(shifts, monkeypatch):
-    guess, exact = mobility._guess, mobility._exact
-    guessed, calls = [0], []
-
-    def shifted(*args):
-        moves = guess(*args)
-        nth = guessed[0] + np.arange(moves.size).reshape(moves.shape)
-        guessed[0] += moves.size
-        return np.maximum(moves + np.asarray(shifts)[np.minimum(nth, len(shifts) - 1)], 0)
-
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
-
-    monkeypatch.setattr(mobility, "_guess", shifted)
-    monkeypatch.setattr(mobility, "_exact", counted)
-    _assert_walks_as_oracle(GROUPS, CFG, 400, 5)
-    assert calls  # the walk caught the wrong guesses and scheduled again
-
-
-def test_closed_form_guesses_need_no_replay(monkeypatch):
-    """The scalar recurrence is only the fallback: on reference-scale cells
-    and speeds the closed-form arrival is right for every segment."""
-
-    def replay(*args):
-        raise AssertionError("a closed-form arrival guess was wrong")
-
-    monkeypatch.setattr(mobility, "_exact", replay)
-    for seed in range(3):
-        simulate_paths(GROUPS, CFG.v_min, CFG.v_max, CFG.slot_duration, 3000,
-                       np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("groups, cfg, n_slots", [
@@ -209,7 +172,7 @@ def test_closed_form_guesses_need_no_replay(monkeypatch):
 def test_every_slot_of_every_ue_is_walked_exactly_once(groups, cfg, n_slots):
     *_, cols, starts, arrivals = mobility._schedule(groups, cfg.v_min, cfg.v_max,
                                                     cfg.slot_duration, n_slots,
-                                                    np.random.default_rng(11), mobility._guess)
+                                                    np.random.default_rng(11))
     walked = np.zeros((n_slots, sum(n for n, _ in groups)), dtype=int)
     for col, start, arrival in zip(cols.tolist(), starts.tolist(), arrivals.tolist()):
         walked[start:start + arrival + 1, col] += 1  # a leg moves up to its arrival
@@ -269,6 +232,8 @@ class _Scripted:
 # Each UE draws x and y, then a block of legs: waypoint x, waypoint y and
 # speed.  Speeds 0-10 m/s, 1 s slots, a 5 m cell.
 UNIT_SLOT = ((0.0, 5.0, 0.0, 5.0), 0.0, 10.0, 1.0)
+UNIT_SLOT_CFG = MobilityConfig(v_min=0.0, v_max=10.0, slot_duration=1.0, ue_height=1.0,
+                               bounds=UNIT_SLOT[0])
 
 
 def _block(*legs):
@@ -348,14 +313,49 @@ def test_zero_speed_keeps_ues_static():
         assert np.array_equal(paths[k], paths[0])
 
 
-def test_a_ue_on_its_waypoint_arrives_by_the_closed_form_guess(monkeypatch):
-    """A leg of zero length arrives on its first move without a replay,
-    whether the step is positive or zero."""
-
-    def replay(*args):
-        raise AssertionError("a closed-form arrival guess was wrong")
-
-    monkeypatch.setattr(mobility, "_exact", replay)
+def test_a_ue_on_its_waypoint_lands_on_its_first_move():
+    """A leg of zero length lands on its first move, whether the step is
+    positive or zero (q = 0 / step is 0 or nan)."""
     rng = _Scripted([*_place(1.0, 1.0, (1.0, 1.0, 0.5), (1.0, 1.0, 0.0))])
     paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], 2, rng)
     assert paths[:, 0].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
+def test_a_leg_one_ulp_longer_than_whole_moves_lands_on_the_move_after():
+    """q = dist / step one ulp above 5: five moves stay short of the
+    waypoint, however close the fifth comes, and the sixth lands on it."""
+    step = np.nextafter(1.0, 0.0)  # 5 / step rounds to 5 + ulp
+    rng = _Scripted(_place(0.0, 0.0, (3.0, 4.0, step)))
+    paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], 6, rng)[:, 0]
+    assert rng.exhausted()
+    origin = Pos3(0.0, 0.0, 1.0)
+    ue = UeState(0, origin, Pos3(3.0, 4.0, 1.0), float(step), legs=((2.0, 2.0, 1.0),),
+                 origin=origin)
+    walked = []
+    for _ in range(6):
+        ue = rwp_step(ue, UNIT_SLOT_CFG)
+        walked.append([ue.position.x, ue.position.y])
+    assert paths.tolist() == walked
+    assert (paths[:5] < (3.0, 4.0)).all()
+    assert paths[5].tolist() == [3.0, 4.0]
+
+
+def test_a_leg_cut_one_move_before_landing_stays_short():
+    # unit steps along x to 4 m, and the episode ends after the third
+    rng = _Scripted(_place(0.0, 0.0, (4.0, 0.0, 1.0)))
+    paths = simulate_paths([(1, UNIT_SLOT[0])], *UNIT_SLOT[1:], 3, rng)
+    assert paths[:, 0].tolist() == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+    assert rng.exhausted()
+
+
+@pytest.mark.parametrize("groups, cfg, n_slots, seed", [
+    *[([(n_ues, cfg.bounds)], cfg, n_slots, 17) for cfg, n_ues, n_slots in CASES.values()],
+    *[(GROUPS, CFG, 1500, seed) for seed in (0, 1, 2)],
+], ids=[*CASES, "groups-0", "groups-1", "groups-2"])
+def test_every_position_lies_in_its_cell(groups, cfg, n_slots, seed):
+    paths = simulate_paths(groups, cfg.v_min, cfg.v_max, cfg.slot_duration, n_slots,
+                           np.random.default_rng(seed))
+    bounds = np.array([b for n, b in groups for _ in range(n)])  # (UEs, 4)
+    x, y = paths[..., 0], paths[..., 1]
+    assert ((bounds[:, 0] <= x) & (x <= bounds[:, 1])).all()
+    assert ((bounds[:, 2] <= y) & (y <= bounds[:, 3])).all()
