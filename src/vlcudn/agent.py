@@ -116,11 +116,13 @@ class QTable:
     learner reads them without scanning the row.  A row with one
     maximizer also keeps a runner-up bound: a value no other action
     exceeds, the old maximum when another action rises past it, raised
-    by each write to a non-maximal action.  So set scans a row only when
-    a tie is broken down to one maximizer, or when the only maximizer
-    falls to or below the bound; that scan then finds the exact
-    runner-up.  set is the only writer of rows and of that cache: the
-    arrays row() returns must not be written to.
+    by each write to a non-maximal action.  So a write scans a row only
+    when a tie is broken down to one maximizer, or when the only
+    maximizer falls to or below the bound; that scan then finds the
+    exact runner-up.  _write is the only writer of rows and of that
+    cache; set and update_q call it with the entry's old value, and the
+    arrays row() returns must not be written to.  select_action and
+    update_q, in this module, read the rows and the cache directly.
     """
 
     def __init__(self, n_actions: int):
@@ -149,21 +151,24 @@ class QTable:
 
         The maximum equals row(state).max(), though a 0.0 may stand for a
         -0.0 there or the other way round.  A maximizer that is the only one
-        stays so, with no scan, while set lowers it to a value strictly
+        stays so, with no scan, while a write lowers it to a value strictly
         above the row's runner-up bound (class docstring).
         """
         return self._best.get(state, self._unseen)
 
     def set(self, state, action: int, value: float) -> None:
+        row = self._rows.get(state)
+        self._write(state, row, action, 0.0 if row is None else row.item(action), float(value))
+
+    def _write(self, state, row, action: int, old: float, value: float) -> None:
+        """Write value at (state, action) of row, the state's row or None if
+        it has none yet, whose entry there was old, and keep the cache."""
         if not math.isfinite(value):
             raise ValueError("q-values must be finite")
-        value = float(value)
-        row = self._rows.get(state)
         if row is None:
             row = self._rows[state] = np.zeros(self.n_actions)
-        top, count, sole = self._best.get(state, self._unseen)
-        old = row.item(action)
         row[action] = value
+        top, count, sole = self._best.get(state, self._unseen)
         if value > top:
             if action != sole:  # every other action is at most the old maximum
                 self._runner_up[state] = top
@@ -290,7 +295,7 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
     whose integers(1) draws nothing and is skipped, and the j-th of the
     others is j + (j >= sole).
     """
-    top, count, sole = q.best(state)
+    top, count, sole = q._best.get(state, q._unseen)
     explore = rng.random() < epsilon
     n_actions = q.n_actions
     if count == n_actions:
@@ -300,7 +305,7 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
             return sole
         j = int(rng.integers(n_actions - 1))
         return j + (j >= sole)
-    row = q.row(state)
+    row = q._rows[state]  # a partial tie: the row has been written
     pool = (row != top if explore else row == top).nonzero()[0]
     return int(pool[rng.integers(pool.size)])
 
@@ -310,19 +315,23 @@ def update_q(q: QTable, state: int, action: int, utility: float, next_state: int
     """Apply one Bellman step to the (state, action) entry; returns it.
 
     Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
+
+    The row is looked up once, and its old entry handed to the write that
+    QTable.set also makes, which rejects a non-finite value before it
+    creates the row.
     """
-    old = q.row(state).item(action)
-    value = (1.0 - alpha) * old + alpha * (utility + beta * q.best(next_state)[0])
-    q.set(state, action, value)
+    row = q._rows.get(state)
+    old = 0.0 if row is None else row.item(action)
+    value = (1.0 - alpha) * old + alpha * (utility + beta * q._best.get(next_state, q._unseen)[0])
+    q._write(state, row, action, old, value)
     return value
 
 
-def epsilon_at(slot: int, start: float, end: float, decay_slots: int) -> float:
-    """Exploration rate decayed linearly from start to end over decay_slots,
-    constant once decay completes."""
-    if slot >= decay_slots:
-        return end
-    return start + (end - start) * (slot / decay_slots)
+def epsilon_at(slots, start: float, end: float, decay_slots: int) -> list[float]:
+    """The exploration rate of each slot in slots, decayed linearly from
+    start to end over decay_slots, constant once decay completes."""
+    return [end if slot >= decay_slots else start + (end - start) * (slot / decay_slots)
+            for slot in slots]
 
 
 def warmup_policy(slot: int, warmup_slots: int, n_actions: int,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import sys
 from contextlib import contextmanager
 
@@ -40,6 +41,17 @@ def _exit_codes():
         sys.exit(3)
 
 
+@contextmanager
+def _sigterm_exits():
+    """SIGTERM unwinds like Ctrl-C and exits 143, so run_experiment shuts
+    its pool down on the way out; the previous handler is restored after."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _run(jobs, workers: int, keep_runs: bool = False) -> None:
     """Run each (config, result directory or None) pair, all through one
     pool, then print each config's converged metrics and write its files.
@@ -51,7 +63,8 @@ def _run(jobs, workers: int, keep_runs: bool = False) -> None:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as exc:
                 raise click.UsageError(f"cannot create --out: {exc}") from None
-    results = run_experiment([config for config, _ in jobs], workers, keep_runs)
+    with _sigterm_exits():
+        results = run_experiment([config for config, _ in jobs], workers, keep_runs)
     for (config, out_dir), series in zip(jobs, results):
         c = converged_means(series)
         click.echo(

@@ -32,9 +32,9 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import islice
@@ -81,8 +81,11 @@ class Series:
 
 def _left_sum(terms):
     """((t0 + t1) + t2) + ...: the one order in which per-UE rates and powers
-    are summed, on floats in the learner's loop and on per-slot columns in
-    _score.  numpy's add-reduce gives the same bits for fewer than 8 terms."""
+    are summed, on an action's powers in the learner and on per-slot columns
+    in _score.  numpy's add-reduce gives the same bits for fewer than 8
+    terms.  The learner's slot loop adds an action's rates one at a time in
+    this order onto -0.0, which is the identity of IEEE addition (-0.0 + t0
+    is t0, bit for bit), so it needs no list per slot."""
     return reduce(add, terms)
 
 
@@ -125,12 +128,12 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
     mob_rng = np.random.default_rng(mob_ss)
     agent_rng = np.random.default_rng(agent_ss)
 
-    def gain_grid(x: float, y: float, paths: np.ndarray) -> np.ndarray:
-        """Gains from the AP at x, y to a (n_slots, n_ues, 2) position array."""
-        dx = paths[:, :, 0] - x
-        dy = paths[:, :, 1] - y
-        flat = kernels.lambertian_gains(dx.ravel(), dy.ravel(), *gain_args)
-        return flat.reshape(paths.shape[:2])
+    def gain_grid(x: float, y: float, planes: np.ndarray) -> np.ndarray:
+        """Gains from the AP at x, y to the UEs of a (2, n_ues, n_slots)
+        slice of the position planes, as (n_ues, n_slots)."""
+        dx = planes[0] - x
+        dy = planes[1] - y
+        return kernels.lambertian_gains(dx.ravel(), dy.ravel(), *gain_args).reshape(dx.shape)
 
     def cell(x: float, y: float) -> tuple[float, float, float, float]:
         """Bounds of the square cell of the AP at x, y."""
@@ -140,22 +143,26 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
     # UEs in index order.
     n_foreign = config.n_neighbor_ues()
     groups = [(n, cell(cx, cy))] + [(n_foreign, cell(x, y)) for x, y in neighbors]
-    paths = simulate_paths(groups, config.v_min, config.v_max, config.slot_duration, n_slots,
-                           mob_rng)
-    local_paths = paths[:, :n]
-    serving = gain_grid(cx, cy, local_paths)  # (K, N)
+    # The x and y planes of the walk, each UE's slots side by side.
+    planes = simulate_paths(groups, config.v_min, config.v_max, config.slot_duration, n_slots,
+                            mob_rng).T
+    local = planes[:, :n]
+    serving = np.ascontiguousarray(gain_grid(cx, cy, local).T)  # (K, N)
 
     # Per slot the cross-gain toward all foreign UEs, and per slot and UE
-    # the incoming interference in denominator form.
+    # the incoming interference in denominator form.  The cross-gains are
+    # summed per slot as the rows of a C-contiguous (K, N_foreign) array,
+    # whose bits numpy's pairwise summation sets from 8 terms on.
     outgoing = np.zeros(n_slots)
     incoming = np.zeros((n_slots, n))
     for g, (x, y) in enumerate(neighbors):
         if n_foreign:
             first = n + g * n_foreign
-            outgoing += gain_grid(cx, cy, paths[:, first:first + n_foreign]).sum(axis=1)
-        term = eta * config.neighbor_power * gain_grid(x, y, local_paths)
-        incoming += term * term if squared else term
-    del paths, local_paths
+            cross = gain_grid(cx, cy, planes[:, first:first + n_foreign])
+            outgoing += np.ascontiguousarray(cross.T).sum(axis=1)
+        term = eta * config.neighbor_power * gain_grid(x, y, local)
+        incoming += (term * term if squared else term).T
+    del planes, local
 
     rate_tab = kernels.level_rates(
         levels, serving, incoming, wn, config.noise_psd, eta, squared
@@ -187,46 +194,56 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
 def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     """The rpic slot loop: fills qtable and returns each slot's action.
 
-    Everything that does not depend on the chosen action is done once, in
-    numpy, before the loop: the bin of every rate in the table, and each
+    Everything that does not depend on the chosen action is done once
+    before the loop: in numpy, the bin of every rate in the table and each
     slot's gain part of the state index (quantize_state over every slot's
-    gains with zero rates).  The loop reads the rates and their bins
-    through memoryviews, as Python floats and ints.  Per slot the state is
-    the previous action's rate bins in the previous slot, one Horner sum on
-    Python ints, times gain_bins**N, plus this slot's gain part.  An
-    action's columns in a flattened table row and its total power are
-    worked out the first time it is chosen.  The utility comes from the
-    same kernel, operations and summation order as _score, so the learner
-    sees the recorded utility.  A non-finite utility ends the loop early,
-    and _score stops the run at that slot.
+    gains with zero rates); and every slot's epsilon (epsilon_at).  The
+    loop reads the rates and their bins through flat memoryviews, as
+    Python floats and ints.  Per slot the state is the previous action's
+    rate bins in the previous slot, one Horner sum on Python ints, times
+    gain_bins**N, plus this slot's gain part.  An action's columns, its
+    offsets within a slot's stretch of the flat tables, and its total power
+    are worked out the first time it is chosen; one pass over the columns
+    then gives the slot's rate sum, in _left_sum's order, and its rate
+    bins' Horner sum.  The utility
+    comes from the same kernel, operations and summation order as _score,
+    so the learner sees the recorded utility.  The update of a slot's
+    (state, action, utility) is made in the next slot, once its state is
+    known.  A non-finite utility ends the loop early, and _score stops the
+    run at that slot.
     """
     agent_cfg = config.agent
     alpha, beta = agent_cfg.learning_rate, agent_cfg.discount
-    decay = (agent_cfg.epsilon_start, agent_cfg.epsilon_end, agent_cfg.epsilon_decay_slots)
+    warmup_slots, replay, replay_batch = agent_cfg.warmup_slots, config.replay, config.replay_batch
     quant = config.state_grid()
     n = config.ue_density
     n_levels = levels.size
+    n_actions = qtable.n_actions
     level_w = levels.tolist()
     places = [n_levels ** (n - 1 - i) for i in range(n)]  # first UE most significant
     rate_radix = quant.rate_bins
     gain_radix = quant.gain_bins ** n
-    # (slot, column i * (L+1) + level of UE i) views that read Python scalars
+    # Flat views of the (slot, UE, level) tables that read Python scalars:
+    # slot k's entry for UE i at level d is at k * width + i * (L+1) + d.
     n_slots = len(rate_tab)
-    rates = memoryview(rate_tab.reshape(n_slots, -1))
-    rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max)
-                           .reshape(n_slots, -1))
+    width = n * n_levels
+    rates = memoryview(rate_tab.reshape(-1))
+    rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max).reshape(-1))
     gain_keys = quantize_state(np.zeros_like(serving), serving, quant).tolist()
+    epsilons = epsilon_at(range(n_slots), agent_cfg.epsilon_start, agent_cfg.epsilon_end,
+                          agent_cfg.epsilon_decay_slots)
     cross = outgoing.tolist()
+    eta, energy_weight, ici_weight = prices
     columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
     pool: list[tuple[int, int, float, int]] = []  # (state, action, utility, next state)
     picks = []
     rate_key = 0  # the first slot sees zero rates, all in bin 0
-    last = None  # the previous slot's (state, action, utility)
-    for k in range(agent_cfg.max_slots):
+    base = 0  # k * width
+    for k in range(n_slots):
         state = rate_key * gain_radix + gain_keys[k]
-        action = warmup_policy(k, agent_cfg.warmup_slots, qtable.n_actions, rng)
+        action = warmup_policy(k, warmup_slots, n_actions, rng)
         if action is None:
-            action = select_action(qtable, state, epsilon_at(k, *decay), rng)
+            action = select_action(qtable, state, epsilons[k], rng)
         picks.append(action)
         known = columns.get(action)
         if known is None:
@@ -234,21 +251,22 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
             known = columns[action] = ([i * n_levels + d for i, d in enumerate(digits)],
                                        _left_sum([level_w[d] for d in digits]))
         cols, total_w = known
-        u = kernels.utility(_left_sum([rates[k, c] for c in cols]), n, total_w, cross[k],
-                            *prices)[0]
-        if not math.isfinite(u):
-            break
+        rate_sum = -0.0  # the sum's identity: -0.0 + t0 is t0, bit for bit
         rate_key = 0
         for c in cols:
-            rate_key = rate_key * rate_radix + rate_bins[k, c]
-        if last is not None:
-            step = (*last, state)
-            update_q(qtable, *step, alpha, beta)
-            if config.replay:
-                pool.append(step)
-                for _ in range(config.replay_batch):
+            rate_sum += rates[base + c]
+            rate_key = rate_key * rate_radix + rate_bins[base + c]
+        base += width
+        u = kernels.utility(rate_sum, n, total_w, cross[k], eta, energy_weight, ici_weight)[0]
+        if not math.isfinite(u):
+            break
+        if k:
+            update_q(qtable, last_state, last_action, last_u, state, alpha, beta)
+            if replay:
+                pool.append((last_state, last_action, last_u, state))
+                for _ in range(replay_batch):
                     update_q(qtable, *pool[int(rng.integers(len(pool)))], alpha, beta)
-        last = (state, action, u)
+        last_state, last_action, last_u = state, action, u
     return picks
 
 
@@ -260,10 +278,28 @@ def run_experiment(configs: list[ExperimentConfig], workers: int = 1,
     jobs = [(config, seed) for config in configs
             for seed in range(config.seed, config.seed + config.runs)]
     workers = min(workers, len(jobs))  # the pool starts all its processes up front
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool = None
+    try:
+        if workers > 1:
+            # SIGTERM waits until the pool is built and every run queued: a
+            # handler that raised halfway, as the CLI's does, would leave a
+            # pool that cannot be shut down.  The workers ignore it and leave
+            # it to this process, which stops the pool: a worker killed while
+            # it sends a result back would hang the pool's result reader.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                pool = ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                                           initargs=(signal.SIGTERM, signal.SIG_IGN))
+                episodes = pool.map(_run, *zip(*jobs))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        else:
+            episodes = map(_run, *zip(*jobs))
         # Both maps yield in job order, so each config's runs arrive in run order.
-        episodes = (pool.map if pool else map)(_run, *zip(*jobs))
         return [_mean(list(islice(episodes, config.runs)), keep_runs) for config in configs]
+    finally:
+        if pool:  # however the call is left, no queued run starts after it
+            pool.shutdown(cancel_futures=True)
 
 
 def _run(config: ExperimentConfig, seed: int) -> Series:

@@ -44,7 +44,10 @@ def simulate_paths(
     groups' UEs side by side in list order.
 
     Row k holds all UE positions after the move of slot k.  The start
-    positions are drawn but are not part of the returned array.
+    positions are drawn but are not part of the returned array.  The array
+    is the transposed view of a C-contiguous (2, total UEs, n_slots)
+    buffer, whose x and y planes hold each UE's slots side by side; its
+    .T is that buffer.
     """
     n_total = sum(n for n, _ in groups)
     src, way, q, col, start, arrival = _schedule(groups, v_min, v_max, slot_duration, n_slots,
@@ -64,17 +67,15 @@ def simulate_paths(
         np.divide(move, share, out=share)
         del move
         share = share.reshape(n_total, n_slots)
-        out = np.empty((n_slots, n_total, 2))
+        out = np.empty((2, n_total, n_slots))
         for axis in (0, 1):  # one full-size temporary at a time beside share and out
             origin = src[:, axis]
-            pos = out[:, :, axis].T  # this coordinate, UE by UE
-            moved = np.repeat(way[:, axis] - origin, length).reshape(pos.shape)
-            moved *= share
-            pos[...] = moved
-            del moved
+            pos = out[axis]  # this coordinate, UE by UE
+            np.multiply(np.repeat(way[:, axis] - origin, length).reshape(pos.shape), share,
+                        out=pos)
             pos += np.repeat(origin, length).reshape(pos.shape)
             pos[land_col, land_slot] = way[lands, axis]
-    return out
+    return out.T
 
 
 def _arrivals(src, way, step, left):

@@ -36,7 +36,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 TIMEOUT_S = 900
-MEMORY_CAP = 3 * 2 ** 30  # address space of each process of a Tier-1 run, in bytes
+MEMORY_CAP = 2 ** 30  # address space of each process of a Tier-1 run, in bytes
 
 # name -> [(file under src/vlcudn, old text, new text), ...]
 MUTANTS = {
@@ -48,14 +48,14 @@ MUTANTS = {
     "fov-edge-excluded": [("kernels.py", "np.where(cos_t >= cos_fov, gains, 0.0)",
                            "np.where(cos_t > cos_fov, gains, 0.0)")],
     # Schedules, state, learner and policies.
-    "epsilon-decays-upward": [("agent.py", "return start + (end - start) * (slot / decay_slots)",
-                               "return start - (end - start) * (slot / decay_slots)")],
+    "epsilon-decays-upward": [("agent.py", "else start + (end - start) * (slot / decay_slots)",
+                               "else start - (end - start) * (slot / decay_slots)")],
     "quantize-rounds": [("agent.py", "np.clip(np.multiply(values, n_bins / upper), 0",
                          "np.clip(np.rint(np.multiply(values, n_bins / upper)), 0")],
     "warmup-one-slot-longer": [("agent.py", "if slot < warmup_slots:",
                                 "if slot <= warmup_slots:")],
-    "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * q.best(next_state)[0])",
-                                  "alpha * (utility - beta * q.best(next_state)[0])")],
+    "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * q._best.get(next_state,",
+                                  "alpha * (utility - beta * q._best.get(next_state,")],
     "explore-on-high-draw": [("agent.py", "explore = rng.random() < epsilon",
                               "explore = rng.random() > epsilon")],
     "greedy-takes-worst-level": [("harness.py", "choice = per_ue.argmax(axis=2)",
@@ -90,16 +90,19 @@ MUTANTS = {
     # One extra path row that the harness slices off again: same bytes, but
     # mobility.ue_slots, as perfbench counts it, moves.
     "mobility-extra-row": [
-        ("mobility.py", "    return out\n", "    return np.concatenate([out, out[-1:]])\n"),
-        ("harness.py", "    local_paths = paths[:, :n]\n",
-         "    paths = paths[:n_slots]\n    local_paths = paths[:, :n]\n"),
+        ("mobility.py", "    return out.T\n",
+         "    return np.concatenate([out, out[..., -1:]], axis=2).T\n"),
+        ("harness.py", "    local = planes[:, :n]\n",
+         "    planes = planes[..., :n_slots]\n    local = planes[:, :n]\n"),
     ],
     # The Q-table's per-state maximum cache.
     "cache-skips-past-sole": [("agent.py", "return j + (j >= sole)", "return j + (j > sole)")],
     "cache-counts-every-tie": [("agent.py", "if old != top:", "if True:")],
     "cache-raises-on-equal": [("agent.py", "if value > top:", "if value >= top:")],
-    "update-reads-own-maximum": [("agent.py", "beta * q.best(next_state)[0]",
-                                  "beta * q.best(state)[0]")],
+    "update-reads-own-maximum": [("agent.py", "beta * q._best.get(next_state, q._unseen)[0]",
+                                  "beta * q._best.get(state, q._unseen)[0]")],
+    "update-hands-new-value-as-old": [("agent.py", "q._write(state, row, action, old, value)",
+                                       "q._write(state, row, action, value, value)")],
     # The runner-up bound beside a sole maximizer.
     "runner-up-fall-on-equal": [("agent.py",
                                  "if count == 1 and value > self._runner_up.get(state, -math.inf):",
@@ -118,11 +121,17 @@ MUTANTS = {
                                " n_bins - 1)")],
     "gain-key-one-slot-late": [("harness.py", "state = rate_key * gain_radix + gain_keys[k]",
                                 "state = rate_key * gain_radix + gain_keys[k - 1]")],
-    "rate-key-from-current-slot": [("harness.py", "rate_key * rate_radix + rate_bins[k, c]",
+    "rate-key-from-current-slot": [("harness.py", "rate_key * rate_radix + rate_bins[base + c]",
                                     "rate_key * rate_radix"
-                                    " + rate_bins[min(k + 1, n_slots - 1), c]")],
-    "rate-key-drops-first-ue": [("harness.py", "rate_key = 0\n        for c in cols:",
-                                 "rate_key = 0\n        for c in cols[1:]:")],
+                                    " + rate_bins[min(base + width, (n_slots - 1) * width) + c]")],
+    "rate-key-drops-first-ue": [("harness.py",
+                                 "rate_key = rate_key * rate_radix + rate_bins[base + c]",
+                                 "rate_key = (rate_key * rate_radix + rate_bins[base + c])"
+                                 " * (c >= n_levels)")],
+    "rate-sum-drops-first-ue": [("harness.py", "rate_sum += rates[base + c]",
+                                 "rate_sum += rates[base + c] * (c >= n_levels)")],
+    "epsilon-one-slot-late": [("harness.py", "select_action(qtable, state, epsilons[k], rng)",
+                               "select_action(qtable, state, epsilons[k - 1], rng)")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
                                 "[d for i, d in enumerate(digits)]")],
     "gain-bins-unbounded": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
@@ -148,7 +157,14 @@ MUTANTS = {
                                    "                pos[land_col, land_slot] = way[lands, axis]\n")],
     "walk-distance-x-twice": [("mobility.py", "dist = np.sqrt(sq[..., 0] + sq[..., 1])",
                                "dist = np.sqrt(sq[..., 0] + sq[..., 0])")],
-    "walk-y-written-to-x": [("mobility.py", "pos = out[:, :, axis].T", "pos = out[:, :, 0].T")],
+    "walk-y-written-to-x": [("mobility.py", "pos = out[axis]", "pos = out[0]")],
+    # A stopped pooled call cancels the runs it has not started.
+    "pool-shutdown-runs-the-queue": [("harness.py", "pool.shutdown(cancel_futures=True)",
+                                      "pool.shutdown()")],
+    # The cross-gains summed per slot as rows, whose order sets the bits.
+    "cross-gains-summed-down-columns": [("harness.py",
+                                         "outgoing += np.ascontiguousarray(cross.T).sum(axis=1)",
+                                         "outgoing += cross.sum(axis=0)")],
     # The per-UE blocks of legs and their top-up rounds.
     "top-up-stops-one-leg-short": [("mobility.py", "short = ends[:, -1] < n_slots",
                                     "short = ends[:, -1] < n_slots - 1")],

@@ -254,6 +254,7 @@ class TestQTable:
         q = QTable(4)
         with pytest.raises(ValueError):
             q.set(self.S0, 0, bad)
+        assert len(q) == 0
 
     def test_cache_follows_each_kind_of_write(self):
         q = QTable(4)
@@ -570,6 +571,21 @@ class TestUpdateQ:
         assert got == 0.0
         assert q.row(self.S0)[0] == 0.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_utility(self, bad):
+        q = QTable(2)
+        with pytest.raises(ValueError, match="finite"):
+            update_q(q, self.S0, 0, bad, self.S1, alpha=0.5, beta=0.5)
+        assert len(q) == 0
+
+    def test_keeps_the_cache(self):
+        """Every write through update_q, rises, ties and a falling sole
+        maximizer included, leaves the cached maximum a scan of the row."""
+        q = QTable(3)
+        for action, utility in [(0, 2.0), (1, 4.0), (1, -6.0), (2, 1.0), (0, -8.0), (2, -1.0)]:
+            update_q(q, self.S0, action, utility, self.S1, alpha=0.5, beta=0.5)
+            _assert_cache(q, self.S0)
+
     def test_only_target_entry_changes(self):
         q = QTable(3)
         q.set(self.S0, 2, 7.0)
@@ -584,19 +600,17 @@ class TestSchedules:
     DECAY = (0.9, 0.1, 1000)  # epsilon start, end and decay slots
 
     def test_epsilon_endpoints(self):
-        assert epsilon_at(0, *self.DECAY) == 0.9
-        assert epsilon_at(1000, *self.DECAY) == 0.1
-        assert epsilon_at(2999, *self.DECAY) == 0.1
+        assert epsilon_at([0, 1000, 2999], *self.DECAY) == [0.9, 0.1, 0.1]
 
     def test_epsilon_midpoint(self):
-        assert epsilon_at(500, *self.DECAY) == pytest.approx(0.5, rel=1e-12)
+        assert epsilon_at([500], *self.DECAY) == [pytest.approx(0.5, rel=1e-12)]
 
     def test_epsilon_monotone_nonincreasing(self):
-        values = [epsilon_at(k, *self.DECAY) for k in range(0, 1200, 7)]
+        values = epsilon_at(range(0, 1200, 7), *self.DECAY)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_zero_decay_jumps_to_end(self):
-        assert epsilon_at(0, 0.9, 0.1, 0) == 0.1
+        assert epsilon_at([0], 0.9, 0.1, 0) == [0.1]
 
     def test_warmup_boundary(self):
         rng = np.random.default_rng(3)

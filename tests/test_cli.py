@@ -5,8 +5,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -409,6 +411,50 @@ def test_module_invocation_runs():
     assert proc.returncode == 0
     for command in ("simulate", "sweep", "inspect-q"):
         assert command in proc.stdout
+
+
+def _group_size(pgid: int) -> int:
+    """How many live processes are in process group pgid."""
+    size = 0
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rpartition(")")[2].split()
+        except (OSError, ValueError):  # not a process, or one that has just exited
+            continue
+        size += fields[0] != "Z" and int(fields[2]) == pgid  # state, ppid, pgrp
+    return size
+
+
+@pytest.mark.parametrize("target", ["cli", "group"])
+def test_sigterm_exits_143_and_leaves_no_worker(target):
+    """SIGTERM to a pooled simulate, or to its whole process group, exits
+    143 without running the queued runs, and no pool worker outlives the
+    call.  The 5000 runs would take over a minute."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vlcudn.cli", "simulate", "--config",
+         str(REPO_ROOT / "configs" / "reference.ini"), "--runs", "5000", "--workers", "2"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while _group_size(proc.pid) < 3:  # the CLI and both workers
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        (os.kill if target == "cli" else os.killpg)(proc.pid, signal.SIGTERM)
+        assert proc.wait(timeout=10) == 143
+        deadline = time.monotonic() + 5
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.02)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 # The launcher an installer writes for a console-script entry point.

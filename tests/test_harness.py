@@ -21,7 +21,7 @@ from oracles import (
 )
 from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
-from vlcudn.agent import parse_state_key, quantize_state, state_key
+from vlcudn.agent import epsilon_at, parse_state_key, quantize_state, state_key
 from vlcudn.config import POLICIES, ConfigError, load_experiment
 from vlcudn.topology import episode_cells
 from vlcudn.harness import (
@@ -92,6 +92,28 @@ class TestEpisode:
             run_episode(cfg, seed=1)
         assert writes == []
 
+    def test_cross_gains_are_summed_per_slot_in_row_order(self, make_config, monkeypatch):
+        """Each slot's cross-gain toward the foreign UEs is numpy's row sum
+        of a C-contiguous (slots, foreign UEs) array of gains.  From 8 terms
+        on, numpy's pairwise summation sets the bits, so the sum's layout is
+        part of the output."""
+        cfg = load_experiment(make_config({**SHORT, "experiment.policy": "fixed_max",
+                                           "interference.neighbor_ues": 9}))
+        walks = []
+        monkeypatch.setattr(harness, "simulate_paths", recording(harness.simulate_paths, walks))
+        _, calls = record_episode(cfg, 5, monkeypatch)
+        (_, paths), = walks
+        ((_, _, _, outgoing, *_), _), = calls["score"]
+        (cx, cy), *neighbors = episode_cells(cfg)
+        optics = (cfg.ap_height - cfg.ue_height, cfg.semi_angle_half_intensity,
+                  cfg.detector_area, cfg.fov_angle)
+        want = np.zeros(cfg.agent.max_slots)
+        for g in range(len(neighbors)):
+            foreign = np.ascontiguousarray(paths[:, cfg.ue_density + 9 * g:][:, :9])
+            want += kernels.lambertian_gains(foreign[..., 0] - cx, foreign[..., 1] - cy,
+                                             *optics).sum(axis=1)
+        assert neighbors and np.array_equal(outgoing, want)
+
     def test_no_foreign_ues_means_no_leakage_but_interference_remains(self, make_config):
         quiet = load_experiment(make_config({**SHORT, "experiment.policy": "fixed_max",
                                              "interference.neighbor_ues": 0}))
@@ -155,10 +177,10 @@ def traced(request, tmp_path_factory):
     assert len(warmups) == n_slots
     # select_action runs exactly in the slots where warmup_policy returned None
     picked = iter(picks)
-    chosen, selected_in = [], {}
+    chosen, selected_in, epsilon_in = [], {}, {}
     for k, (_, action) in enumerate(warmups):
         if action is None:
-            (_, selected_in[k], *_), action = next(picked)
+            (_, selected_in[k], epsilon_in[k], _), action = next(picked)
         chosen.append(action)
     assert next(picked, None) is None
     # each slot after the first makes one update, then replay_batch replayed ones
@@ -175,6 +197,7 @@ def traced(request, tmp_path_factory):
     joint = joint_actions(levels, n)  # the powers of each action index, independently
     trace = [
         {"slot": k, "state": states[k], "selected_in": selected_in.get(k),
+         "epsilon": epsilon_in.get(k),
          "step": steps[k - 1] if k else None, "serving_gains": serving[k],
          "action": action, "powers": joint[action], "levels": choice[k],
          "rates": table[k, np.arange(n), choice[k]], "utility": u_args, "u": u}
@@ -274,6 +297,16 @@ class TestSlotContract:
             prev_rates = entry["rates"]
         big = max(entry["state"] for entry in trace) > 2**63
         assert big == (cfg.rate_bins == 1000)
+
+    def test_each_pick_gets_the_epsilon_of_its_slot(self, traced):
+        cfg, _, trace, _ = traced
+        agent_cfg = cfg.agent
+        want = epsilon_at(range(len(trace)), agent_cfg.epsilon_start, agent_cfg.epsilon_end,
+                          agent_cfg.epsilon_decay_slots)
+        picked = [entry for entry in trace if entry["selected_in"] is not None]
+        assert len(picked) == len(trace) - agent_cfg.warmup_slots
+        for entry in picked:
+            assert entry["epsilon"] == want[entry["slot"]], entry["slot"]
 
     def test_rates_chain_across_slots(self, traced):
         """Slot k's update writes slot k-1's state, action and utility, and
@@ -449,17 +482,14 @@ class TestExperiment:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **_):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         return sizes
