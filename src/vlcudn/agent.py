@@ -8,12 +8,12 @@ index is a plain Python int, so it stays exact past 2**63 at large bin
 counts.  bin_values is the one place a value is binned: quantize_state
 builds the index of one slot, or of every row of a (K, N) pair, on it,
 and the learner bins a whole episode's rate table with it at once.  The
-Q-table is a sparse map with implicit zeros, so the huge nominal state
-space costs nothing until states are actually visited.
+Q-table is a sparse map from state index to row with implicit zeros,
+so the huge nominal state space costs nothing until states are visited.
 
 qtable.tsv spells a state as "r1,..,rN|g1,..,gN|N" (state_key) and lists
 the rows in string order of that key, which differs from index order once
-a bin count reaches 10.
+a bin count reaches 10; QTable.load turns each key back into its index.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ def quantize_state(rates, gains, quant: StateQuantizer):
     return index
 
 
-def _key_text(rates, gains, density: int) -> str:
-    return f"{','.join(map(str, rates))}|{','.join(map(str, gains))}|{density}"
-
-
 def state_key(index: int, quant: StateQuantizer, density: int) -> str:
     """The qtable.tsv key "r1,..,rN|g1,..,gN|N" of a state index."""
     digits = []
@@ -76,7 +72,8 @@ def state_key(index: int, quant: StateQuantizer, density: int) -> str:
         index, digit = divmod(index, n_bins)
         digits.append(digit)
     digits.reverse()
-    return _key_text(digits[:density], digits[density:], density)
+    rates, gains = (",".join(map(str, part)) for part in (digits[:density], digits[density:]))
+    return f"{rates}|{gains}|{density}"
 
 
 def parse_state_key(text: str) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -106,30 +103,31 @@ def enumerate_actions(power_levels: int, max_power: float) -> np.ndarray:
 
 
 class QTable:
-    """Sparse state -> action-value-row map with implicit zero rows.
+    """Sparse state index -> action-value-row map with implicit zero rows.
 
-    The learner keys rows by state index.  A table read back by load is
-    keyed by the file's state keys, the text that inspect-q prints.
-
-    Beside each row sits its maximum, the count of actions that reach it
-    and, when that count is 1, the maximizer's index (best), so the
-    learner reads them without scanning the row.  A row with one
-    maximizer also keeps a runner-up bound: a value no other action
-    exceeds, the old maximum when another action rises past it, raised
-    by each write to a non-maximal action.  So a write scans a row only
-    when a tie is broken down to one maximizer, or when the only
-    maximizer falls to or below the bound; that scan then finds the
-    exact runner-up.  _write is the only writer of rows and of that
-    cache; set and update_q call it with the entry's old value, and the
-    arrays row() returns must not be written to.  select_action and
-    update_q, in this module, read the rows and the cache directly.
+    Beside each row sits, in _best, its maximum, the count of actions
+    that reach it and, when that count is 1, the maximizer's index (else
+    None), so the learner reads them without scanning the row; an unseen
+    row is all zeros (_unseen).  The maximum equals row(state).max(),
+    though a 0.0 may stand for a -0.0 there or the other way round.  A
+    row with one maximizer also keeps a runner-up bound: a value no other
+    action exceeds, the old maximum when another action rises past it,
+    raised by each write to a non-maximal action.  So a maximizer that is
+    the only one stays so, with no scan, while a write lowers it to a
+    value strictly above the bound; a write scans a row only when a tie
+    is broken down to one maximizer, or when the only maximizer falls to
+    or below the bound, and that scan then finds the exact runner-up.
+    _write is the only writer of rows and of that cache; set and update_q
+    call it with the entry's old value, and the arrays row() returns must
+    not be written to.  select_action and update_q, in this module, read
+    the rows and the cache directly.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
-        self._rows: dict[int | str, np.ndarray] = {}
-        self._best: dict[int | str, tuple[float, int, int | None]] = {}
-        self._runner_up: dict[int | str, float] = {}
+        self._rows: dict[int, np.ndarray] = {}
+        self._best: dict[int, tuple[float, int, int | None]] = {}
+        self._runner_up: dict[int, float] = {}
         self._unseen = (0.0, n_actions, 0 if n_actions == 1 else None)
 
     def __len__(self) -> int:
@@ -144,17 +142,6 @@ class QTable:
         if existing is not None:
             return existing
         return np.zeros(self.n_actions)
-
-    def best(self, state) -> tuple[float, int, int | None]:
-        """The row's maximum, how many actions reach it, and the maximizer
-        when it is the only one (else None); an unseen row is all zeros.
-
-        The maximum equals row(state).max(), though a 0.0 may stand for a
-        -0.0 there or the other way round.  A maximizer that is the only one
-        stays so, with no scan, while a write lowers it to a value strictly
-        above the row's runner-up bound (class docstring).
-        """
-        return self._best.get(state, self._unseen)
 
     def set(self, state, action: int, value: float) -> None:
         row = self._rows.get(state)
@@ -220,7 +207,9 @@ class QTable:
 
     @classmethod
     def load(cls, path) -> tuple["QTable", dict]:
-        """A saved table keyed by its state keys, and the header's pairs.
+        """A saved table, and the header's pairs plus n_ues, the keys' UE
+        count N (None when the table has no rows).  Each state key becomes
+        its state index on the header's rate_bins and gain_bins.
 
         Every check on a q-table file is made here: all seven header fields,
         integers n_actions, rate_bins and gain_bins >= 1, finite rate_max and
@@ -250,7 +239,8 @@ class QTable:
             for field in ("rate_max", "gain_max"):
                 if not 0 < meta[field] < math.inf:
                     raise ValueError(f"{field} must be finite and > 0, got {meta[field]!r}")
-            n_actions, grid = meta["n_actions"], (meta["rate_bins"], meta["gain_bins"])
+            n_actions = meta["n_actions"]
+            rate_bins, gain_bins = meta["rate_bins"], meta["gain_bins"]
             table = cls(n_actions=n_actions)
             ue_counts = set()
             for line in fh:
@@ -261,12 +251,14 @@ class QTable:
                 action = int(action)
                 if not 0 <= action < n_actions:
                     raise ValueError(f"action {action} outside [0, {n_actions})")
-                rates, gains, density = parse_state_key(key)
-                for bins, n_bins in zip((rates, gains), grid):
-                    if not all(0 <= b < n_bins for b in bins):
+                rates, gains, n = parse_state_key(key)
+                index = 0  # quantize_state's digits: N rate bins, then N gain bins
+                for b, n_bins in zip(rates + gains, (rate_bins,) * n + (gain_bins,) * n):
+                    if not 0 <= b < n_bins:
                         raise ValueError(f"state key {key!r} has a bin outside the header's grid")
-                ue_counts.add(density)
-                table.set(_key_text(rates, gains, density), action, float(value))
+                    index = index * n_bins + b
+                ue_counts.add(n)
+                table.set(index, action, float(value))
         if len(ue_counts) > 1:
             raise ValueError(f"state keys mix UE counts {sorted(ue_counts)}")
         n_levels, max_power = meta["power_levels"], meta["max_power"]
@@ -277,6 +269,7 @@ class QTable:
                         for n in ue_counts)):
             raise ValueError(f"power grid power_levels={n_levels} max_power={max_power}"
                              f" does not fit n_actions={n_actions}")
+        meta["n_ues"] = next(iter(ue_counts), None)
         return table, meta
 
 
@@ -289,7 +282,7 @@ def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generato
     is unique.  If every action is a maximizer the two branches coincide.
 
     The generator sees rng.random(), then rng.integers(pool size), for
-    every pick.  The row's cached maximum (QTable.best) spares the row
+    every pick.  The row's cached maximum (QTable._best) spares the row
     scan unless some but not all actions tie: when all tie (an unseen
     state) the pool is every action; a sole maximizer is the greedy pick,
     whose integers(1) draws nothing and is skipped, and the j-th of the

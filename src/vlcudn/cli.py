@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .agent import QTable, enumerate_actions, parse_state_key
+from .agent import QTable, StateQuantizer, enumerate_actions, state_key
 from .config import ConfigError, load_experiment
 from .harness import (
     SimulationAbort,
@@ -163,10 +163,9 @@ def inspect_q(qtable_path, top):
         click.echo(f"cannot read q-table: {exc}", err=True)
         sys.exit(2)
     click.echo(f"actions: {table.n_actions}")
-    click.echo(
-        "state grid: rate_bins=%s gain_bins=%s rate_max=%s gain_max=%s"
-        % (meta["rate_bins"], meta["gain_bins"], meta["rate_max"], meta["gain_max"])
-    )
+    grid = StateQuantizer(*(meta[f] for f in ("rate_bins", "gain_bins", "rate_max", "gain_max")))
+    click.echo("state grid: rate_bins=%s gain_bins=%s rate_max=%s gain_max=%s"
+               % (grid.rate_bins, grid.gain_bins, grid.rate_max, grid.gain_max))
     click.echo(f"states: {len(table)}")
     if not len(table):
         return
@@ -176,7 +175,7 @@ def inspect_q(qtable_path, top):
     click.echo(f"nonzero entries: {entries}")
     click.echo(f"value range: [{stored.min():.6g}, {stored.max():.6g}]")
     click.echo("best states:")
-    n_ues = parse_state_key(next(iter(rows)))[2]  # load allows one UE count per file
+    n_ues = meta["n_ues"]
     levels = enumerate_actions(meta["power_levels"], meta["max_power"])
     ranked = sorted(rows, key=lambda s: rows[s].max(), reverse=True)[:top]
     for state in ranked:
@@ -184,7 +183,8 @@ def inspect_q(qtable_path, top):
         best = int(np.argmax(row))
         digits = np.unravel_index(best, (levels.size,) * n_ues)
         mw = ", ".join("%.3g" % (levels[d] * 1e3) for d in digits)
-        click.echo(f"  {state}  action={best}  q={row[best]:.6g}  power_mw=({mw})")
+        key = state_key(state, grid, n_ues)
+        click.echo(f"  {key}  action={best}  q={row[best]:.6g}  power_mw=({mw})")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ The file format is plain INI with fixed sections.  Every known key must
 be present and no other keys are accepted, so a config file is always a
 complete, unambiguous record of an experiment.  Quantities carry their
 unit in the key name (mW, Hz, meters); they are converted to SI here and
-nowhere else.  Each key is declared once, on the ExperimentConfig or
-AgentConfig field it fills, with its section, SI factor and valid range;
-_KEYS lists them in declaration order, which is the file's.
+nowhere else.  Each key is declared once, on the ExperimentConfig field
+it fills, with its section, SI factor and valid range; _KEYS lists them
+in declaration order, which is the file's.
 ExperimentConfig checks every key and the rules that tie keys together
 on construction, so every ExperimentConfig (dataclasses.replace too) is
 valid and the simulator takes its values as given.
@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 from .agent import StateQuantizer
@@ -53,21 +52,6 @@ def _key(section: str, key: str, domain, factor: float | None = None, kind=None)
 
 
 @dataclass(frozen=True)
-class AgentConfig:
-    """The learner's parameters, checked by the ExperimentConfig holding them."""
-
-    power_levels: int = _key("agent", "power_levels", "[1, inf)")  # L; L+1 levels with zero
-    max_power: float = _key("agent", "max_power_mw", "(0, inf)", 1e-3)  # watts
-    learning_rate: float = _key("agent", "learning_rate", "(0, 1]")
-    discount: float = _key("agent", "discount", "[0, 1)")
-    epsilon_start: float = _key("agent", "epsilon_start", "[0, 1]")
-    epsilon_end: float = _key("agent", "epsilon_end", "[0, 1]")
-    epsilon_decay_slots: int = _key("agent", "epsilon_decay_slots", "[0, inf)")
-    warmup_slots: int = _key("agent", "warmup_slots", "[0, inf)")
-    max_slots: int = _key("agent", "max_slots", "[1, inf)")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment parameters, SI units throughout."""
 
@@ -91,7 +75,15 @@ class ExperimentConfig:
     # watts per neighbor AP; neighbor_ues None means: match ue_density
     neighbor_power: float = _key("interference", "neighbor_power_mw", "[0, inf)", 1e-3)
     neighbor_ues: int | None = _key("interference", "neighbor_ues", "[0, inf)")
-    agent: AgentConfig
+    power_levels: int = _key("agent", "power_levels", "[1, inf)")  # L; L+1 levels with zero
+    max_power: float = _key("agent", "max_power_mw", "(0, inf)", 1e-3)  # watts
+    learning_rate: float = _key("agent", "learning_rate", "(0, 1]")
+    discount: float = _key("agent", "discount", "[0, 1)")
+    epsilon_start: float = _key("agent", "epsilon_start", "[0, 1]")
+    epsilon_end: float = _key("agent", "epsilon_end", "[0, 1]")
+    epsilon_decay_slots: int = _key("agent", "epsilon_decay_slots", "[0, inf)")
+    warmup_slots: int = _key("agent", "warmup_slots", "[0, inf)")
+    max_slots: int = _key("agent", "max_slots", "[1, inf)")
     # 2**53 bins at most: agent.bin_values keeps them exact up to there
     rate_bins: int = _key("agent", "rate_bins", "[1, 9007199254740992]")
     gain_bins: int = _key("agent", "gain_bins", "[1, 9007199254740992]")
@@ -116,7 +108,6 @@ class ExperimentConfig:
             else:
                 domain = "in " + domain
             raise ConfigError(f"[{section}] {key} must be {domain}, got {value!r}")
-        agent = self.agent
         try:  # cell edges reach max(rows, cols) * spacing; the central-AP search squares it
             extent = max(self.rows, self.cols) * self.spacing
         except OverflowError:
@@ -130,12 +121,12 @@ class ExperimentConfig:
              f" [topology] ap_height_m = {self.ap_height!r}"),
             (self.v_min <= self.v_max,
              f"[mobility] v_min_mps = {self.v_min!r} must not exceed v_max_mps = {self.v_max!r}"),
-            (agent.epsilon_start >= agent.epsilon_end,
-             f"[agent] epsilon_start = {agent.epsilon_start!r} must not be below"
-             f" epsilon_end = {agent.epsilon_end!r}"),
-            (agent.warmup_slots < agent.max_slots,
-             f"[agent] warmup_slots = {agent.warmup_slots!r} must be below"
-             f" max_slots = {agent.max_slots!r}"),
+            (self.epsilon_start >= self.epsilon_end,
+             f"[agent] epsilon_start = {self.epsilon_start!r} must not be below"
+             f" epsilon_end = {self.epsilon_end!r}"),
+            (self.warmup_slots < self.max_slots,
+             f"[agent] warmup_slots = {self.warmup_slots!r} must be below"
+             f" max_slots = {self.max_slots!r}"),
             # log2(1 + sinr_cap) is the rate grid's top edge, so it must not round to 0
             (1.0 + self.sinr_cap > 1.0,
              f"[agent] sinr_cap = {self.sinr_cap!r} must leave 1 + sinr_cap > 1"),
@@ -149,7 +140,7 @@ class ExperimentConfig:
         if not 0.0 < gain_max < math.inf:
             raise ConfigError(f"the gain under the AP, the gain grid's top edge, is {gain_max!r};"
                               " it must be finite and positive: check the heights and semi_angle")
-        levels, n = agent.power_levels + 1, self.ue_density
+        levels, n = self.power_levels + 1, self.ue_density
         # levels >= 2, so past the cap's bit length the space exceeds it; the
         # short circuit keeps a huge N from building a huge integer.
         if n > self.action_cap.bit_length() or levels**n > self.action_cap:
@@ -157,6 +148,13 @@ class ExperimentConfig:
                 f"joint action space (L+1)^N = {levels}^{n}"
                 f" exceeds action_cap = {self.action_cap}; lower ue_density or power_levels"
             )
+
+    @property
+    def agent(self) -> ExperimentConfig:
+        """This config itself.  Kept because perfbench/run.py's check_outputs
+        reads cfg.agent.max_slots and cfg.agent.power_levels; remove it
+        together with those reads.  No package or test code uses it."""
+        return self
 
     def per_ue_bandwidth(self) -> float:
         """Bandwidth share W_n of each of the ue_density equal users, in Hz."""
@@ -181,8 +179,8 @@ class ExperimentConfig:
     def _file_values(self):
         """Each _KEYS row with its value in the file's units."""
         for row in _KEYS:
-            _, _, kind, factor, attr, _ = row
-            value = operator.attrgetter(attr)(self)
+            _, _, kind, factor, name, _ = row
+            value = getattr(self, name)
             if factor is not None:
                 # 1 / 1e-4 and 1 / 1e-3 equal 1e4 and 1e3 exactly; dividing
                 # by the factor would change the last bit of some values,
@@ -207,20 +205,17 @@ class ExperimentConfig:
 _KINDS = {"int": int, "float": float, "bool": bool, "str": str, "int | None": "match|int"}
 
 
-def _rows(cls, prefix=""):
-    """One row per INI key of cls's fields, in declaration order: section,
-    key, kind, SI factor, attribute path from ExperimentConfig, domain.
-    The kind "match|int" reads the word "match" as None, always valid."""
-    for f in dataclasses.fields(cls):
-        if f.name == "agent":
-            yield from _rows(AgentConfig, "agent.")
-            continue
+def _rows():
+    """One row per INI key of ExperimentConfig's fields, in declaration
+    order: section, key, kind, SI factor, field name, domain.  The kind
+    "match|int" reads the word "match" as None, always valid."""
+    for f in dataclasses.fields(ExperimentConfig):
         m = f.metadata
-        yield (m["section"], m["key"], m["kind"] or _KINDS[f.type], m["factor"],
-               prefix + f.name, m["domain"])
+        yield (m["section"], m["key"], m["kind"] or _KINDS[f.type], m["factor"], f.name,
+               m["domain"])
 
 
-_KEYS = tuple(_rows(ExperimentConfig))
+_KEYS = tuple(_rows())
 _SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
 
 
@@ -298,14 +293,12 @@ def load_experiment(
 ) -> ExperimentConfig:
     """Load a config file with optional CLI overrides, checked once as a whole."""
     sections = _read_sections(path)
-    fields, agent = {}, {}
-    for section, key, kind, factor, attr, _ in _KEYS:
+    fields = {}
+    for section, key, kind, factor, name, _ in _KEYS:
         value = _parse(section, key, kind, sections[section][key])
         if factor is not None:
             value *= factor
-        owner, _, name = attr.rpartition(".")
-        (agent if owner else fields)[name] = value
-    fields["agent"] = AgentConfig(**agent)
+        fields[name] = value
 
     if policy is not None:
         policy = canonical_policy(policy)

@@ -111,15 +111,14 @@ def _score(rate_tab, levels, choice, outgoing, prices, seed: int):
 def run_episode(config: ExperimentConfig, seed: int) -> Series:
     """One learning episode with its own seed; returns per-slot metrics."""
     n = config.ue_density
-    agent_cfg = config.agent
-    n_slots = agent_cfg.max_slots
+    n_slots = config.max_slots
     eta = config.responsivity
     squared = config.squared_electrical_power
     # utility()'s arguments after the summed powers and the cross-gain
     prices = (eta, config.energy_weight, config.interference_weight)
     (cx, cy), *neighbors = episode_cells(config)
     wn = config.per_ue_bandwidth()
-    levels = enumerate_actions(agent_cfg.power_levels, agent_cfg.max_power)
+    levels = enumerate_actions(config.power_levels, config.max_power)
     gain_args = (config.ap_height - config.ue_height, config.semi_angle_half_intensity,
                  config.detector_area, config.fov_angle)
     half = config.spacing / 2.0
@@ -171,7 +170,7 @@ def run_episode(config: ExperimentConfig, seed: int) -> Series:
     if config.policy == "fixed_max":
         choice = np.full((n_slots, n), levels.size - 1)
     elif config.policy == "fixed_half":
-        choice = np.full((n_slots, n), np.argmin(np.abs(levels - agent_cfg.max_power / 2.0)))
+        choice = np.full((n_slots, n), np.argmin(np.abs(levels - config.max_power / 2.0)))
     elif config.policy == "greedy_myopic":
         # A UE at zero power adds zero rate, energy and leakage, and no term
         # couples two UEs, so the joint argmax is each UE's own argmax with
@@ -212,9 +211,8 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     known.  A non-finite utility ends the loop early, and _score stops the
     run at that slot.
     """
-    agent_cfg = config.agent
-    alpha, beta = agent_cfg.learning_rate, agent_cfg.discount
-    warmup_slots, replay, replay_batch = agent_cfg.warmup_slots, config.replay, config.replay_batch
+    alpha, beta = config.learning_rate, config.discount
+    warmup_slots, replay, replay_batch = config.warmup_slots, config.replay, config.replay_batch
     quant = config.state_grid()
     n = config.ue_density
     n_levels = levels.size
@@ -230,8 +228,8 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     rates = memoryview(rate_tab.reshape(-1))
     rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max).reshape(-1))
     gain_keys = quantize_state(np.zeros_like(serving), serving, quant).tolist()
-    epsilons = epsilon_at(range(n_slots), agent_cfg.epsilon_start, agent_cfg.epsilon_end,
-                          agent_cfg.epsilon_decay_slots)
+    epsilons = epsilon_at(range(n_slots), config.epsilon_start, config.epsilon_end,
+                          config.epsilon_decay_slots)
     cross = outgoing.tolist()
     eta, energy_weight, ici_weight = prices
     columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
@@ -407,7 +405,7 @@ def save_experiment(out_dir, config: ExperimentConfig, series: Series) -> list[s
     if series.qtable is not None:
         q_path = os.path.join(out_dir, "qtable.tsv")
         series.qtable.save(q_path, config.state_grid(), config.ue_density,
-                           config.agent.power_levels, config.agent.max_power)
+                           config.power_levels, config.max_power)
         written.append(q_path)
     names = {os.path.basename(path) for path in written}
     for name in os.listdir(out_dir):

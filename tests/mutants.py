@@ -61,8 +61,8 @@ MUTANTS = {
     "greedy-takes-worst-level": [("harness.py", "choice = per_ue.argmax(axis=2)",
                                   "choice = per_ue.argmin(axis=2)")],
     "fixed-half-farthest-level": [("harness.py",
-                                   "np.argmin(np.abs(levels - agent_cfg.max_power / 2.0))",
-                                   "np.argmax(np.abs(levels - agent_cfg.max_power / 2.0))")],
+                                   "np.argmin(np.abs(levels - config.max_power / 2.0))",
+                                   "np.argmax(np.abs(levels - config.max_power / 2.0))")],
     "csv-ten-digits": [("harness.py", '"%d,%.12g,%.12g,%.12g,%.12g\\n"',
                         '"%d,%.10g,%.12g,%.12g,%.12g\\n"')],
     "mean-rate-is-sum": [("harness.py", "mean_rate = rate_sum / n", "mean_rate = rate_sum")],
@@ -134,6 +134,10 @@ MUTANTS = {
                                "select_action(qtable, state, epsilons[k - 1], rng)")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
                                 "[d for i, d in enumerate(digits)]")],
+    # QTable.load's parse of a file key back into its state index.
+    "load-rate-digits-on-gain-radix": [("agent.py", "(rate_bins,) * n + (gain_bins,) * n",
+                                        "(gain_bins,) * n + (gain_bins,) * n")],
+    "load-reads-gain-digits-first": [("agent.py", "zip(rates + gains,", "zip(gains + rates,")],
     "gain-bins-unbounded": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
                              '"gain_bins", "[1, inf)"')],
     # The closed-form waypoint walk.

@@ -34,10 +34,15 @@ def _key(rates, gains):
     return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
 
 
+def _best(q, state):
+    """The row's cached maximum, its count and sole maximizer (QTable._best)."""
+    return q._best.get(state, q._unseen)
+
+
 def _assert_cache(q, state):
-    """QTable.best(state) agrees with a scan of the row."""
+    """The cached maximum of the state's row agrees with a scan of the row."""
     row = q.row(state)
-    top, count, sole = q.best(state)
+    top, count, sole = _best(q, state)
     hits = np.flatnonzero(row == row.max())
     assert top == row.max()
     assert count == np.count_nonzero(row == row.max()) == hits.size
@@ -277,8 +282,8 @@ class TestQTable:
         for action, value in steps:
             q.set(self.S0, action, value)
             _assert_cache(q, self.S0)
-        assert q.best(self.S0) == (-2.0, 1, 2)
-        assert q.best(self.S1) == (0.0, 4, None)
+        assert _best(q, self.S0) == (-2.0, 1, 2)
+        assert _best(q, self.S1) == (0.0, 4, None)
 
     @pytest.mark.parametrize("n_actions", [1, 2, 5, 216])
     def test_cache_matches_a_row_scan_after_random_sets(self, n_actions):
@@ -307,10 +312,10 @@ class TestQTable:
         q, scans = self._runner_up_row()
         for value in (2.0, 1.5, 1.0 + 2.0**-40):
             q.set(self.S0, 1, value)
-            assert q.best(self.S0) == (value, 1, 1)
+            assert _best(q, self.S0) == (value, 1, 1)
         q.set(self.S0, 1, 5.0)  # the sole maximizer rises: the bound stays 1.0
         q.set(self.S0, 1, 1.25)
-        assert q.best(self.S0) == (1.25, 1, 1)
+        assert _best(q, self.S0) == (1.25, 1, 1)
         assert scans[0] == 0
         _assert_cache(q, self.S0)
 
@@ -318,55 +323,55 @@ class TestQTable:
         q, scans = self._runner_up_row()
         q.set(self.S0, 1, 1.0)
         assert scans[0] > 0
-        assert q.best(self.S0) == (1.0, 2, None)
+        assert _best(q, self.S0) == (1.0, 2, None)
         _assert_cache(q, self.S0)
 
     def test_sole_maximizer_falling_below_the_runner_up_hands_it_the_top(self):
         q, scans = self._runner_up_row()
         q.set(self.S0, 1, 0.5)  # [0, 0.5, 1, 0]: the scan also finds the runner-up 0.5
         assert scans[0] > 0
-        assert q.best(self.S0) == (1.0, 1, 2)
+        assert _best(q, self.S0) == (1.0, 1, 2)
         scans[0] = 0
         q.set(self.S0, 2, 0.75)
-        assert (q.best(self.S0), scans[0]) == ((0.75, 1, 2), 0)
+        assert (_best(q, self.S0), scans[0]) == ((0.75, 1, 2), 0)
         q.set(self.S0, 2, 0.5)
-        assert q.best(self.S0) == (0.5, 2, None)
+        assert _best(q, self.S0) == (0.5, 2, None)
         _assert_cache(q, self.S0)
 
     def test_a_new_maximizer_bounds_the_others_by_the_old_maximum(self):
         q, scans = self._runner_up_row()
         q.set(self.S0, 3, 4.0)  # [0, 3, 1, 4]: the bound becomes 3.0
         q.set(self.S0, 3, 3.5)
-        assert (q.best(self.S0), scans[0]) == ((3.5, 1, 3), 0)
+        assert (_best(q, self.S0), scans[0]) == ((3.5, 1, 3), 0)
         q.set(self.S0, 3, 3.0)
-        assert q.best(self.S0) == (3.0, 2, None)
+        assert _best(q, self.S0) == (3.0, 2, None)
         _assert_cache(q, self.S0)
 
     def test_stale_bound_costs_one_scan_that_renews_it(self):
         q, scans = self._runner_up_row()
         q.set(self.S0, 2, -1.0)  # [0, 3, -1, 0]: the runner-up fell; the bound stays 1.0
-        assert (q.best(self.S0), scans[0]) == ((3.0, 1, 1), 0)
+        assert (_best(q, self.S0), scans[0]) == ((3.0, 1, 1), 0)
         q.set(self.S0, 1, 0.5)  # between the true runner-up 0.0 and the stale bound
         assert scans[0] > 0
-        assert q.best(self.S0) == (0.5, 1, 1)
+        assert _best(q, self.S0) == (0.5, 1, 1)
         scans[0] = 0
         q.set(self.S0, 1, 0.25)  # above the renewed, exact bound 0.0
-        assert (q.best(self.S0), scans[0]) == ((0.25, 1, 1), 0)
+        assert (_best(q, self.S0), scans[0]) == ((0.25, 1, 1), 0)
         q.set(self.S0, 1, -0.0)
-        assert q.best(self.S0) == (0.0, 3, None)
+        assert _best(q, self.S0) == (0.0, 3, None)
         _assert_cache(q, self.S0)
 
     def test_single_action_rows_never_scan(self):
         q = QTable(1)
-        assert q.best(self.S0) == (0.0, 1, 0)
+        assert _best(q, self.S0) == (0.0, 1, 0)
         q.set(self.S0, 0, 2.0)
         scans = _count_scans(q, self.S0)
         for value in (-1.0, -5.0, 3.0, -0.0, 0.0, -7.5):
             q.set(self.S0, 0, value)
-            assert q.best(self.S0) == (value, 1, 0)
+            assert _best(q, self.S0) == (value, 1, 0)
         assert scans[0] == 0
         q.set(self.S1, 0, -3.0)  # an unseen row's only action falls from zero
-        assert q.best(self.S1) == (-3.0, 1, 0)
+        assert _best(q, self.S1) == (-3.0, 1, 0)
 
     @pytest.mark.parametrize("n_actions", [1, 2, 5, 216])
     def test_cache_matches_a_row_scan_when_writes_cluster_at_the_top(self, n_actions):
@@ -378,7 +383,7 @@ class TestQTable:
         falls = {"above": 0, "onto": 0, "below": 0}
         for _ in range(4000):
             state = int(rng.integers(3))
-            top, _, sole = q.best(state)
+            top, _, sole = _best(q, state)
             row = q.row(state).copy()
             if rng.random() < 0.1:  # some entry's value, often an exact tie
                 action = int(rng.integers(n_actions))
@@ -403,11 +408,11 @@ class TestQTable:
         path.write_text(f"{_header(4)}\n0|0|1\t1\t2.5\n0|0|1\t3\t2.5\n"
                         "1|0|1\t0\t-1\n2|0|1\t2\t4\n2|0|1\t0\t-0\n")
         loaded, _ = QTable.load(path)
-        for key in ("0|0|1", "1|0|1", "2|0|1", "3|0|1"):
-            _assert_cache(loaded, key)
-        assert loaded.best("0|0|1") == (2.5, 2, None)
-        assert loaded.best("1|0|1") == (0.0, 3, None)
-        assert loaded.best("2|0|1") == (4.0, 1, 2)
+        for state in (0, 4, 8, 12):  # "0|0|1" .. "3|0|1" on 4 x 4 bins
+            _assert_cache(loaded, state)
+        assert _best(loaded, 0) == (2.5, 2, None)
+        assert _best(loaded, 4) == (0.0, 3, None)
+        assert _best(loaded, 8) == (4.0, 1, 2)
 
     def test_save_load_roundtrip_is_exact(self, tmp_path):
         q = QTable(6)
@@ -422,9 +427,9 @@ class TestQTable:
         q.save(path, QUANT, 1, 5, 4e-3)
         loaded, meta = QTable.load(path)
         assert loaded.n_actions == 6
-        assert set(loaded.states()) == {"0|0|1", "1|0|1"}
+        assert set(loaded.states()) == {self.S0, self.S1}
         for (state, action), value in entries.items():
-            assert loaded.row(state_key(state, QUANT, 1))[action] == value
+            assert loaded.row(state)[action] == value
         assert meta["rate_bins"] == 4
         assert meta["gain_bins"] == 4
         assert meta["rate_max"] == QUANT.rate_max
@@ -454,12 +459,35 @@ class TestQTable:
         keys = [line.split("\t")[0] for line in path.read_text().splitlines()[1:]]
         assert keys == ["10|0|1", "10|7|1", "2|0|1"]
 
+    @pytest.mark.parametrize("quant, n_ues", [
+        (StateQuantizer(12, 11, 1.0, 1.0), 3),  # unequal radices, two-digit bins
+        (StateQuantizer(1000, 1000, 1.0, 1.0), 4),  # indices past 2**63
+    ])
+    def test_save_load_roundtrip_keeps_state_indices(self, tmp_path, quant, n_ues):
+        rng = np.random.default_rng(n_ues)
+        q = QTable(2**n_ues)  # one power level: two per UE
+        for _ in range(40):
+            rates = rng.integers(quant.rate_bins, size=n_ues) * (quant.rate_max / quant.rate_bins)
+            gains = rng.integers(quant.gain_bins, size=n_ues) * (quant.gain_max / quant.gain_bins)
+            q.set(quantize_state(rates, gains, quant), int(rng.integers(2**n_ues)),
+                  float(rng.normal()))
+        for index in (0, quant.rate_bins ** n_ues * quant.gain_bins ** n_ues - 1):
+            q.set(index, 1, -1.5)  # the grid's first and last state
+        path = tmp_path / "q.tsv"
+        q.save(path, quant, n_ues, 1, 1.0)
+        loaded, meta = QTable.load(path)
+        assert meta["n_ues"] == n_ues
+        assert set(loaded.states()) == set(q.states())
+        for state in q.states():
+            assert loaded.row(state).tolist() == q.row(state).tolist()
+
     def test_load_keys_rows_by_canonical_state_key(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text(f"{_header(2)}\n01|0|1\t0\t1.5\n1|00|1\t1\t2.5\n")
-        loaded, _ = QTable.load(path)
-        assert list(loaded.states()) == ["1|0|1"]
-        assert loaded.row("1|0|1").tolist() == [1.5, 2.5]
+        loaded, meta = QTable.load(path)
+        assert list(loaded.states()) == [self.S1]
+        assert state_key(self.S1, QUANT, meta["n_ues"]) == "1|0|1"
+        assert loaded.row(self.S1).tolist() == [1.5, 2.5]
 
     def test_load_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -523,8 +523,10 @@ def test_package_names_are_used_outside_tests():
     """Every public top-level function, class and constant of src/vlcudn is
     used, as a name or an attribute, somewhere other than its own definition:
     in src/vlcudn, perfbench/ or pyproject.toml.  An import alone is not a
-    use; a `@main.command()` registration is.  Code that only tests use
-    lives under tests/."""
+    use; a `@main.command()` registration is.  Every public method and
+    property of a package class is used as an attribute in src/vlcudn or
+    perfbench/, outside its own definition.  Code that only tests use lives
+    under tests/."""
     package = sorted((REPO_ROOT / "src" / "vlcudn").glob("*.py"))
     tops = [
         (path, top)
@@ -544,6 +546,16 @@ def test_package_names_are_used_outside_tests():
         if not name.startswith("_") and name not in pyproject and not _is_command(top)
         and not any(name in names for j, names in enumerate(used) if j != i)
     ]
+    attributes = [sub for _, top in tops for sub in ast.walk(top)
+                  if isinstance(sub, ast.Attribute)]
+    for path, top in tops:
+        if path not in package or not isinstance(top, ast.ClassDef):
+            continue
+        for member in top.body:
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                own = set(ast.walk(member))
+                if not any(a.attr == member.name and a not in own for a in attributes):
+                    unused.append(f"{path.stem}.{top.name}.{member.name}")
     assert unused == []
 
 

@@ -59,8 +59,8 @@ class TestReferenceConfig:
         assert cfg.squared_electrical_power is False
         assert cfg.neighbor_power == pytest.approx(3e-6, rel=1e-12)  # 0.003 mW
         assert cfg.neighbor_ues is None
-        assert cfg.agent.max_power == pytest.approx(4e-3, rel=1e-12)
-        assert cfg.agent.max_slots == 3000
+        assert cfg.max_power == pytest.approx(4e-3, rel=1e-12)
+        assert cfg.max_slots == 3000
         assert cfg.rate_bins == 3 and cfg.gain_bins == 3
         assert cfg.sinr_cap == 1e7
         assert cfg.replay is False

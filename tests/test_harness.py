@@ -107,7 +107,7 @@ class TestEpisode:
         (cx, cy), *neighbors = episode_cells(cfg)
         optics = (cfg.ap_height - cfg.ue_height, cfg.semi_angle_half_intensity,
                   cfg.detector_area, cfg.fov_angle)
-        want = np.zeros(cfg.agent.max_slots)
+        want = np.zeros(cfg.max_slots)
         for g in range(len(neighbors)):
             foreign = np.ascontiguousarray(paths[:, cfg.ue_density + 9 * g:][:, :9])
             want += kernels.lambertian_gains(foreign[..., 0] - cx, foreign[..., 1] - cy,
@@ -173,7 +173,7 @@ def traced(request, tmp_path_factory):
         mp.setattr(harness, "select_action", recording(harness.select_action, picks))
         mp.setattr(harness, "update_q", recording(harness.update_q, updates))
         episode, calls = record_episode(cfg, 7, mp)
-    n_slots, n = cfg.agent.max_slots, cfg.ue_density
+    n_slots, n = cfg.max_slots, cfg.ue_density
     assert len(warmups) == n_slots
     # select_action runs exactly in the slots where warmup_policy returned None
     picked = iter(picks)
@@ -259,10 +259,37 @@ class TestPerfbenchReads:
         # each episode walks N local UEs and N_foreign UEs in each of the J
         # neighbour cells for every slot
         n_neighbors = len(episode_cells(cfg)) - 1
-        per_episode = cfg.agent.max_slots * (cfg.ue_density
-                                             + n_neighbors * cfg.n_neighbor_ues())
+        per_episode = cfg.max_slots * (cfg.ue_density + n_neighbors * cfg.n_neighbor_ues())
         assert n_neighbors > 0
         assert tracer.counts["mobility.ue_slots"] == 2 * per_episode
+
+    def test_check_outputs_reads_package_results(self, make_config, tmp_path, monkeypatch):
+        """perfbench/run.py's check_outputs reads every result directory
+        through the package: load_experiment, cfg.agent and QTable.load.  A
+        break there would otherwise show only as a failed benchmark run."""
+        import importlib.util
+
+        from click.testing import CliRunner
+
+        from vlcudn.cli import main
+
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))  # run.py imports calibrate
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      REPO_ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up there
+        spec.loader.exec_module(run)
+        ini = make_config({**SHORT, "experiment.ue_density": 3})
+        for name, command in (("rpic_rho3", ["simulate"]),
+                              ("sweep_workers2", ["sweep", "--densities", "1,2,3"])):
+            workload, out = run.WORKLOADS[name], tmp_path / name
+            result = CliRunner().invoke(main, [*command, "--config", str(ini), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            read = run.check_outputs(str(ini), str(out), workload)
+            dirs = [out / f"rho{d}" for d in workload.densities] or [out]
+            metas = [json.loads((d / "metrics.meta.json").read_text()) for d in dirs]
+            assert read["q_rows"] > 0
+            assert read["converged"] == [m["converged_last_500"]["utility"] for m in metas]
 
     def test_run_episode_quantizes_once_per_episode(self, make_config, monkeypatch):
         """The learner bins every slot's gains in one call, with zero rates."""
@@ -276,7 +303,7 @@ class TestPerfbenchReads:
         monkeypatch.setattr(harness, "quantize_state", counting)
         run_episode(cfg, seed=2)
         (rates, gains, grid), = calls
-        assert gains.shape == rates.shape == (cfg.agent.max_slots, cfg.ue_density)
+        assert gains.shape == rates.shape == (cfg.max_slots, cfg.ue_density)
         assert not rates.any() and grid == cfg.state_grid()
 
 
@@ -300,11 +327,10 @@ class TestSlotContract:
 
     def test_each_pick_gets_the_epsilon_of_its_slot(self, traced):
         cfg, _, trace, _ = traced
-        agent_cfg = cfg.agent
-        want = epsilon_at(range(len(trace)), agent_cfg.epsilon_start, agent_cfg.epsilon_end,
-                          agent_cfg.epsilon_decay_slots)
+        want = epsilon_at(range(len(trace)), cfg.epsilon_start, cfg.epsilon_end,
+                          cfg.epsilon_decay_slots)
         picked = [entry for entry in trace if entry["selected_in"] is not None]
-        assert len(picked) == len(trace) - agent_cfg.warmup_slots
+        assert len(picked) == len(trace) - cfg.warmup_slots
         for entry in picked:
             assert entry["epsilon"] == want[entry["slot"]], entry["slot"]
 
@@ -345,7 +371,7 @@ class TestSlotContract:
         writes = []
         monkeypatch.setattr(harness, "update_q", recording(harness.update_q, writes))
         episode, calls = record_episode(cfg, 4, monkeypatch)
-        assert len(writes) == cfg.agent.max_slots - 1
+        assert len(writes) == cfg.max_slots - 1
         last_write = {}
         for k, ((_, state, action, u, *_), value) in enumerate(writes):
             assert u == value == episode.utility[k], k
@@ -358,7 +384,7 @@ class TestSlotContract:
         ((_, _, choice, outgoing, *_), _), = calls["score"]
         eta = cfg.responsivity
         x_nb = np.full((1, density), 1.0 / eta)  # one pseudo-neighbor: eta * x_nb * g ~ g
-        for k in range(cfg.agent.max_slots):
+        for k in range(cfg.max_slots):
             snapshot = SlotChannelSnapshot(serving[k], incoming[k][None], [[outgoing[k]]])
             powers = PowerVector(levels[choice[k]], x_nb)
             rates = [achievable_rate(per_ue_bandwidth(cfg, density),
@@ -403,8 +429,8 @@ class TestPolicies:
         ((levels, *_), table), = calls["level_rates"]
         ((_, _, choice, outgoing, prices, _), _), = calls["score"]
         assert len(calls["utility"]) == 2
-        assert choice.shape == (cfg.agent.max_slots, density)
-        for k in range(cfg.agent.max_slots):
+        assert choice.shape == (cfg.max_slots, density)
+        for k in range(cfg.max_slots):
             want = greedy_joint_argmax(levels, table[k], outgoing[k], *prices)
             assert (choice[k] == want).all(), k
             assert episode.energy_w[k] == levels[choice[k]].sum()
@@ -421,7 +447,7 @@ class TestPolicies:
         assert len(calls["level_rates"]) == len(calls["score"]) == 1
         on_floats = [args for args, _ in calls["utility"] if type(args[0]) is float]
         on_arrays = [args for args, _ in calls["utility"] if type(args[0]) is np.ndarray]
-        assert len(on_floats) == (cfg.agent.max_slots if policy == "rpic" else 0)
+        assert len(on_floats) == (cfg.max_slots if policy == "rpic" else 0)
         assert len(on_arrays) == (2 if policy == "greedy_myopic" else 1)
         assert len(on_floats) + len(on_arrays) == len(calls["utility"])
 
@@ -432,11 +458,11 @@ class TestPolicies:
         cfg = load_experiment(path)
         episode = run_episode(cfg, seed=2)
         assert episode.energy_w == pytest.approx(
-            [cfg.ue_density * cfg.agent.max_power] * cfg.agent.max_slots, rel=1e-12
+            [cfg.ue_density * cfg.max_power] * cfg.max_slots, rel=1e-12
         )
         half = run_episode(dataclasses.replace(cfg, policy="fixed_half"), seed=2)
         assert half.energy_w == pytest.approx(
-            [cfg.ue_density * cfg.agent.max_power / 2] * cfg.agent.max_slots, rel=1e-12
+            [cfg.ue_density * cfg.max_power / 2] * cfg.max_slots, rel=1e-12
         )
 
 
@@ -533,7 +559,7 @@ class TestExperiment:
 
         def saved(qtable):
             qtable.save(tmp_path / "q.tsv", cfg.state_grid(), cfg.ue_density,
-                        cfg.agent.power_levels, cfg.agent.max_power)
+                        cfg.power_levels, cfg.max_power)
             return (tmp_path / "q.tsv").read_bytes()
 
         assert len(pooled.qtable) > 0
@@ -545,7 +571,7 @@ class TestExperiment:
         configs = density_configs(cfg, [1, 2])
         assert [c.ue_density for c in configs] == [1, 2]
         results = [run_experiment([c])[0] for c in configs]
-        assert all(len(s.utility) == cfg.agent.max_slots for s in results)
+        assert all(len(s.utility) == cfg.max_slots for s in results)
         # denser cells split the band, so the single-UE run is faster per UE
         assert results[0].mean_rate_bps.mean() > results[1].mean_rate_bps.mean()
 
@@ -593,10 +619,10 @@ class TestWriters:
         write_series_csv(path, series)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER == "slot,utility,mean_rate_bps,energy_w,ici_w"
-        assert len(lines) == 1 + cfg.agent.max_slots
+        assert len(lines) == 1 + cfg.max_slots
         parsed = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert parsed.shape == (cfg.agent.max_slots, 5)
-        assert parsed[:, 0].tolist() == list(range(cfg.agent.max_slots))
+        assert parsed.shape == (cfg.max_slots, 5)
+        assert parsed[:, 0].tolist() == list(range(cfg.max_slots))
         assert parsed[:, 1] == pytest.approx(series.utility, rel=1e-10)
 
     def test_csv_bytes_are_reproducible(self, tmp_path, small_series):
