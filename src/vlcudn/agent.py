@@ -273,34 +273,34 @@ class QTable:
         return table, meta
 
 
-def select_action(q: QTable, state: int, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy pick over the joint action set.
+def select_action(q: QTable, state: int, explore: bool, u: float) -> int:
+    """Epsilon-greedy pick over the joint action set: given the slot's coin
+    (explore) and a uniform double u in [0, 1), the int(u * m)-th of the m
+    maximizers of Q(state, .), or when exploring of the m non-maximizers,
+    so each carries probability epsilon / (n_actions - 1) when the
+    maximizer is unique.  If every action is a maximizer the two coincide.
 
-    With probability 1 - epsilon: a uniform draw among the maximizers of
-    Q(state, .).  Otherwise: a uniform draw among the non-maximizers, so
-    each carries probability epsilon / (n_actions - 1) when the maximizer
-    is unique.  If every action is a maximizer the two branches coincide.
-
-    The generator sees rng.random(), then rng.integers(pool size), for
-    every pick.  The row's cached maximum (QTable._best) spares the row
-    scan unless some but not all actions tie: when all tie (an unseen
-    state) the pool is every action; a sole maximizer is the greedy pick,
-    whose integers(1) draws nothing and is skipped, and the j-th of the
-    others is j + (j >= sole).
+    The row's cached maximum (QTable._best) spares the row scan unless
+    some but not all actions tie: when all tie (an unseen state) the pool
+    is every action; a sole maximizer is the greedy pick, and the j-th of
+    the others is j + (j >= sole).  int(u * m) is below m for m up to
+    2**53, and each outcome's probability is 1/m to within a relative
+    m * 2**-53.  action_cap leaves m uncapped there: memory bounds it, as a
+    run allocates a dense row of n_actions floats at its first update, and
+    an 8 GiB row holds 2**30 actions, a bias of about 1e-7.
     """
     top, count, sole = q._best.get(state, q._unseen)
-    explore = rng.random() < epsilon
     n_actions = q.n_actions
     if count == n_actions:
-        return int(rng.integers(n_actions))
+        return int(u * n_actions)
     if count == 1:
         if not explore:
             return sole
-        j = int(rng.integers(n_actions - 1))
+        j = int(u * (n_actions - 1))
         return j + (j >= sole)
     row = q._rows[state]  # a partial tie: the row has been written
     pool = (row != top if explore else row == top).nonzero()[0]
-    return int(pool[rng.integers(pool.size)])
+    return int(pool[int(u * pool.size)])
 
 
 def update_q(q: QTable, state: int, action: int, utility: float, next_state: int,
@@ -326,10 +326,3 @@ def epsilon_at(slots, start: float, end: float, decay_slots: int) -> list[float]
     return [end if slot >= decay_slots else start + (end - start) * (slot / decay_slots)
             for slot in slots]
 
-
-def warmup_policy(slot: int, warmup_slots: int, n_actions: int,
-                  rng: np.random.Generator) -> int | None:
-    """Uniform random action during the warmup slots, None afterwards."""
-    if slot < warmup_slots:
-        return int(rng.integers(n_actions))
-    return None

@@ -19,10 +19,17 @@ utility, mean rate, energy and leakage.
 
 Each run derives two independent random streams from its seed, one for
 movement and one for the agent, and run i of an experiment uses seed
-base_seed + i.  Averaging across runs is an ordered reduction over the
-run index, so serial and process-parallel execution give byte-identical
-outputs.  run_experiment runs every run of every config it is given
-through one process pool.
+base_seed + i.  The learner reads the agent stream in a fixed layout,
+part of what a seed means: rng.random(n_slots) for the explore coins,
+then rng.random(n_slots) for the picks.  Slot k explores when its coin
+is below its epsilon, and its pick u takes the int(u * m)-th action of a
+pool of m: of every action in warm-up, else of select_action's pool.
+With replay, slot k >= 1 then replays, for each v of one
+rng.random(replay_batch), the int(v * k)-th of the k updates made so
+far.  Averaging across runs is an ordered reduction over the run index,
+so serial and process-parallel execution give byte-identical outputs.
+run_experiment runs every run of every config it is given through one
+process pool.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ from .agent import (
     quantize_state,
     select_action,
     update_q,
-    warmup_policy,
 )
 from .config import ConfigError, ExperimentConfig
 from .mobility import simulate_paths
@@ -196,7 +202,7 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     Everything that does not depend on the chosen action is done once
     before the loop: in numpy, the bin of every rate in the table and each
     slot's gain part of the state index (quantize_state over every slot's
-    gains with zero rates); and every slot's epsilon (epsilon_at).  The
+    gains with zero rates); and every slot's coin, pick and epsilon.  The
     loop reads the rates and their bins through flat memoryviews, as
     Python floats and ints.  Per slot the state is the previous action's
     rate bins in the previous slot, one Horner sum on Python ints, times
@@ -204,12 +210,11 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     offsets within a slot's stretch of the flat tables, and its total power
     are worked out the first time it is chosen; one pass over the columns
     then gives the slot's rate sum, in _left_sum's order, and its rate
-    bins' Horner sum.  The utility
-    comes from the same kernel, operations and summation order as _score,
-    so the learner sees the recorded utility.  The update of a slot's
-    (state, action, utility) is made in the next slot, once its state is
-    known.  A non-finite utility ends the loop early, and _score stops the
-    run at that slot.
+    bins' Horner sum.  The utility comes from the same kernel, operations
+    and summation order as _score, so the learner sees the recorded
+    utility.  The update of a slot's (state, action, utility) is made in
+    the next slot, once its state is known.  A non-finite utility ends the
+    loop early, and _score stops the run at that slot.
     """
     alpha, beta = config.learning_rate, config.discount
     warmup_slots, replay, replay_batch = config.warmup_slots, config.replay, config.replay_batch
@@ -228,8 +233,10 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     rates = memoryview(rate_tab.reshape(-1))
     rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max).reshape(-1))
     gain_keys = quantize_state(np.zeros_like(serving), serving, quant).tolist()
-    epsilons = epsilon_at(range(n_slots), config.epsilon_start, config.epsilon_end,
-                          config.epsilon_decay_slots)
+    coins, draws = rng.random((2, n_slots))  # the coins, then the picks
+    explore = (coins < epsilon_at(range(n_slots), config.epsilon_start, config.epsilon_end,
+                                  config.epsilon_decay_slots)).tolist()
+    draws = draws.tolist()
     cross = outgoing.tolist()
     eta, energy_weight, ici_weight = prices
     columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
@@ -239,9 +246,8 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     base = 0  # k * width
     for k in range(n_slots):
         state = rate_key * gain_radix + gain_keys[k]
-        action = warmup_policy(k, warmup_slots, n_actions, rng)
-        if action is None:
-            action = select_action(qtable, state, epsilons[k], rng)
+        action = (int(draws[k] * n_actions) if k < warmup_slots
+                  else select_action(qtable, state, explore[k], draws[k]))
         picks.append(action)
         known = columns.get(action)
         if known is None:
@@ -262,8 +268,8 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
             update_q(qtable, last_state, last_action, last_u, state, alpha, beta)
             if replay:
                 pool.append((last_state, last_action, last_u, state))
-                for _ in range(replay_batch):
-                    update_q(qtable, *pool[int(rng.integers(len(pool)))], alpha, beta)
+                for v in rng.random(replay_batch).tolist():
+                    update_q(qtable, *pool[int(v * len(pool))], alpha, beta)
         last_state, last_action, last_u = state, action, u
     return picks
 

@@ -52,12 +52,11 @@ MUTANTS = {
                                "else start - (end - start) * (slot / decay_slots)")],
     "quantize-rounds": [("agent.py", "np.clip(np.multiply(values, n_bins / upper), 0",
                          "np.clip(np.rint(np.multiply(values, n_bins / upper)), 0")],
-    "warmup-one-slot-longer": [("agent.py", "if slot < warmup_slots:",
-                                "if slot <= warmup_slots:")],
+    "warmup-one-slot-longer": [("harness.py", "if k < warmup_slots", "if k <= warmup_slots")],
     "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * q._best.get(next_state,",
                                   "alpha * (utility - beta * q._best.get(next_state,")],
-    "explore-on-high-draw": [("agent.py", "explore = rng.random() < epsilon",
-                              "explore = rng.random() > epsilon")],
+    "explore-on-high-draw": [("harness.py", "explore = (coins < epsilon_at(",
+                              "explore = (coins > epsilon_at(")],
     "greedy-takes-worst-level": [("harness.py", "choice = per_ue.argmax(axis=2)",
                                   "choice = per_ue.argmin(axis=2)")],
     "fixed-half-farthest-level": [("harness.py",
@@ -130,10 +129,19 @@ MUTANTS = {
                                  " * (c >= n_levels)")],
     "rate-sum-drops-first-ue": [("harness.py", "rate_sum += rates[base + c]",
                                  "rate_sum += rates[base + c] * (c >= n_levels)")],
-    "epsilon-one-slot-late": [("harness.py", "select_action(qtable, state, epsilons[k], rng)",
-                               "select_action(qtable, state, epsilons[k - 1], rng)")],
+    "epsilon-one-slot-late": [("harness.py", "epsilon_at(range(n_slots),",
+                               "epsilon_at(range(-1, n_slots - 1),")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
                                 "[d for i, d in enumerate(digits)]")],
+    # The agent stream's blocks of coins and picks, and u's index into a pool.
+    "pick-misses-last-of-pool": [("agent.py", "return int(pool[int(u * pool.size)])",
+                                  "return int(pool[int(u * (pool.size - 1))])")],
+    "coin-block-reused-as-picks": [("harness.py", "draws = draws.tolist()",
+                                    "draws = coins.tolist()")],
+    "warmup-misses-last-action": [("harness.py", "int(draws[k] * n_actions)",
+                                   "int(draws[k] * (n_actions - 1))")],
+    "replay-misses-newest-update": [("harness.py", "pool[int(v * len(pool))]",
+                                     "pool[int(v * (len(pool) - 1))]")],
     # QTable.load's parse of a file key back into its state index.
     "load-rate-digits-on-gain-radix": [("agent.py", "(rate_bins,) * n + (gain_bins,) * n",
                                         "(gain_bins,) * n + (gain_bins,) * n")],

@@ -308,17 +308,17 @@ def greedy_joint_argmax(levels, rate_rows, *utility_inputs) -> np.ndarray:
     return choices[np.argmax(scores)]
 
 
-def select_action(row, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy pick over one value row, by scanning it: rng.random()
-    chooses the branch, then rng.integers draws from the maximizers (greedy)
-    or the non-maximizers (explore; all actions if every one ties)."""
+def select_action(row, explore: bool, u: float) -> int:
+    """Epsilon-greedy pick over one value row, by scanning it: the
+    int(u * m)-th of the m maximizers (greedy) or non-maximizers (explore;
+    all actions if every one ties)."""
     top = row.max()
     pool = np.flatnonzero(row == top)
-    if rng.random() < epsilon:
+    if explore:
         others = np.flatnonzero(row != top)
         if others.size:
             pool = others
-    return int(pool[rng.integers(pool.size)])
+    return int(pool[int(u * pool.size)])
 
 
 def state_key(rates, gains, quant) -> str:

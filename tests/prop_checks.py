@@ -152,8 +152,8 @@ def check_argmax_invariance(n_cases: int = 1000, seed: int = 105) -> int:
         for a, v in enumerate(row):
             q1.set(state, a, v)
             q2.set(state, a, c * v)
-        pick1 = select_action(q1, state, 0.0, np.random.default_rng(7))
-        pick2 = select_action(q2, state, 0.0, np.random.default_rng(7))
+        pick1 = select_action(q1, state, False, 0.5)
+        pick2 = select_action(q2, state, False, 0.5)
         assert pick1 == pick2 == int(np.argmax(row))
     return n_cases
 

@@ -14,7 +14,8 @@ of one tree compare two independent samples of one distribution.  Each
 row of the report is one per-run quantity:
 
 - the converged (last 500 slots) utility, mean rate, energy and leakage
-  of rpic and of fixed_half at rho = 1, 3 and 5;
+  of rpic and of fixed_half at rho = 1, 3 and 5, and of rpic with
+  replay = true at rho = 3 (rows rpic_replay-rho3/...);
 - the mobility of the fixed_half episodes at each rho, over the UEs of
   every cell: the mean distance to the UE's own cell centre in the slot
   windows 0, 1, 2-3, 4-7, ..., 1024-2047 and 2048-2999 (the random-waypoint
@@ -29,8 +30,10 @@ two-sample test on the means.  A row fails when its interval excludes 0
 or its p-value is below the per-test level.  Both are taken at LEVEL / (2
 * rows) (Bonferroni), so two copies of one tree fail with probability at
 most LEVEL.  The exit status is 1 when any row fails.  The seeds, the
-level and the bootstrap were fixed before the first run.  It takes two to
-three minutes on 2 cores: the two trees run at once, one process each.
+level and the bootstrap were fixed before the first run; the replay
+cell was added later, and its rows tighten the per-test level of all.  It
+takes two to four minutes on 2 cores: the two trees run at once, one
+process each.
 """
 
 from __future__ import annotations
@@ -96,18 +99,20 @@ def child(out, seeds):
     harness.simulate_paths = recording
     reference = load_experiment(REFERENCE)
     values = {}
-    for rho in DENSITIES:
-        for policy in POLICIES:
-            config = dataclasses.replace(reference, policy=policy, ue_density=rho)
-            walked.clear()
-            for seed in seeds:
-                means = harness.converged_means(harness.run_episode(config, seed))
-                for name, value in means.items():
-                    values.setdefault(f"{policy}-rho{rho}/{name}", []).append(value)
-            if policy == "fixed_half":  # rpic walks the same paths on the same seeds
-                for rows in walked:
-                    for name, value in rows.items():
-                        values.setdefault(f"mobility-rho{rho}/{name}", []).append(value)
+    cells = [(policy, rho, {}) for rho in DENSITIES for policy in POLICIES]
+    cells.append(("rpic", 3, {"replay": True}))
+    for policy, rho, overrides in cells:
+        config = dataclasses.replace(reference, policy=policy, ue_density=rho, **overrides)
+        label = policy + ("_replay" if config.replay else "")
+        walked.clear()
+        for seed in seeds:
+            means = harness.converged_means(harness.run_episode(config, seed))
+            for name, value in means.items():
+                values.setdefault(f"{label}-rho{rho}/{name}", []).append(value)
+        if policy == "fixed_half":  # rpic walks the same paths on the same seeds
+            for rows in walked:
+                for name, value in rows.items():
+                    values.setdefault(f"mobility-rho{rho}/{name}", []).append(value)
     np.savez(out, **{name: np.array(v) for name, v in values.items()})
 
 

@@ -133,7 +133,7 @@ def test_criterion_3_epsilon_greedy_distribution(capsys):
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[select_action(q, state, 0.4, rng)] += 1
+        counts[select_action(q, state, rng.random() < 0.4, rng.random())] += 1
     freq = counts / n
     p_other = 0.4 / 3
     band_greedy = 3 * np.sqrt(0.6 * 0.4 / n)
@@ -166,7 +166,7 @@ def test_criterion_4_q_learning_matches_value_iteration(capsys):
     rng = np.random.default_rng(77)
     s = 0
     for _ in range(10_000):
-        a = select_action(q, s, 0.3, rng)
+        a = select_action(q, s, rng.random() < 0.3, rng.random())
         update_q(q, s, a, rewards[s, a], a, 0.1, beta)
         s = a
     learned = np.array([q.row(s) for s in (0, 1)])

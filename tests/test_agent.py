@@ -16,7 +16,6 @@ from vlcudn.agent import (
     select_action,
     state_key,
     update_q,
-    warmup_policy,
 )
 from vlcudn.config import ConfigError, load_experiment
 
@@ -534,7 +533,7 @@ class TestSelectAction:
     def test_greedy_when_epsilon_zero(self):
         q = self._table([0.0, 5.0, 0.0, 0.0])
         rng = np.random.default_rng(0)
-        picks = {select_action(q, self.S, 0.0, rng) for _ in range(50)}
+        picks = {select_action(q, self.S, rng.random() < 0.0, rng.random()) for _ in range(50)}
         assert picks == {1}
 
     def test_fresh_state_is_uniform_any_epsilon(self):
@@ -542,7 +541,7 @@ class TestSelectAction:
         rng = np.random.default_rng(1)
         counts = np.zeros(4)
         for _ in range(8000):
-            counts[select_action(q, self.S, 0.9, rng)] += 1
+            counts[select_action(q, self.S, rng.random() < 0.9, rng.random())] += 1
         # every action is a maximizer, so the split should be near 1/4 each
         assert (counts > 0).all()
         assert np.abs(counts / 8000 - 0.25).max() < 0.03
@@ -559,20 +558,45 @@ class TestSelectAction:
         "all-equal": [2.0, 2.0, 2.0, 2.0, 2.0],
     }
 
-    @pytest.mark.parametrize("epsilon", [0.0, 0.4, 1.0])
-    def test_draws_as_the_row_scanning_oracle(self, epsilon):
-        """Same pick and same generator state after every call: the cached
-        paths skip only draws that consume nothing."""
-        for seed, (name, values) in enumerate(self.ROWS.items()):
+    def _rows(self):
+        """(name, table) of each row of ROWS, in a 5-action table."""
+        for name, values in self.ROWS.items():
             q = QTable(5)
             for action, value in enumerate(values or ()):
                 q.set(self.S, action, value)
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            yield name, q
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4, 1.0])
+    def test_draws_as_the_row_scanning_oracle(self, epsilon):
+        """The same pick as the row scan for every coin and u: the cached
+        paths number each pool as the scan does."""
+        for seed, (name, q) in enumerate(self._rows()):
+            rng = np.random.default_rng(seed)
             for _ in range(300):
-                pick = select_action(q, self.S, epsilon, ours)
-                assert pick == oracles.select_action(q.row(self.S), epsilon, theirs), name
+                explore, u = rng.random() < epsilon, rng.random()
+                pick = select_action(q, self.S, explore, u)
+                assert pick == oracles.select_action(q.row(self.S), explore, u), name
                 assert type(pick) is int
-                assert ours.bit_generator.state == theirs.bit_generator.state, name
+
+    def test_pool_ends_at_the_extreme_draws(self):
+        """u = 0 picks the first action of every pool, the largest double
+        below 1 its last, greedy and exploring, for each kind of row."""
+        last = float(np.nextafter(1.0, 0.0))
+        for name, q in self._rows():
+            row = q.row(self.S)
+            for explore in (False, True):
+                pool = np.flatnonzero(row == row.max())
+                if explore and pool.size < row.size:
+                    pool = np.flatnonzero(row != row.max())
+                got = (select_action(q, self.S, explore, 0.0),
+                       select_action(q, self.S, explore, last))
+                assert got == (pool[0], pool[-1]), (name, explore)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 216, 7776, 10**9 + 7, 2**31 - 1, 2**52 + 1,
+                                   2**53 - 1, 2**53])
+    def test_largest_draw_stays_in_the_pool(self, m):
+        """int(u * m) is m - 1 for the largest u below 1, up to m = 2**53."""
+        assert int(float(np.nextafter(1.0, 0.0)) * m) == m - 1
 
 
 class TestUpdateQ:
@@ -639,16 +663,6 @@ class TestSchedules:
 
     def test_zero_decay_jumps_to_end(self):
         assert epsilon_at([0], 0.9, 0.1, 0) == [0.1]
-
-    def test_warmup_boundary(self):
-        rng = np.random.default_rng(3)
-        for slot in range(20):
-            pick = warmup_policy(slot, 20, 6, rng)
-            assert pick is not None and 0 <= pick < 6
-        assert warmup_policy(20, 20, 6, rng) is None
-
-    def test_warmup_disabled(self):
-        assert warmup_policy(0, 0, 6, np.random.default_rng(0)) is None
 
 
 # Each input in file units, through the config file; the ids are the

@@ -149,40 +149,36 @@ TRACED = {
     "bins1000-rho4": {**SHORT, "agent.rate_bins": 1000, "agent.gain_bins": 1000,
                       "experiment.ue_density": 4, "agent.power_levels": 1},
     "replay": {**SHORT, "agent.replay": "true"},
+    # no warm-up; epsilon 1 in slot 0 and 0 from slot 1 on
+    "no-warmup-steep-decay": {**SHORT, "agent.warmup_slots": 0, "agent.epsilon_start": 1.0,
+                              "agent.epsilon_end": 0.0, "agent.epsilon_decay_slots": 1},
 }
+TRACE_SEED = 7
 
 
 @pytest.fixture(scope="module", params=list(TRACED))
 def traced(request, tmp_path_factory):
     """One rpic episode and its per-slot trace, recorded from the calls the
     episode makes: the one level_rates call (the gains and the rate table),
-    per slot warmup_policy or select_action (the chosen action), utility
-    (the utility the learner sees) and, from the second slot on, update_q
-    (the first update's state is slot 0's, update k-1's next_state is slot
-    k's), and the batched _score pass (the chosen level indices of every
-    slot)."""
+    select_action (its arguments and pick, laid on the last slots, one
+    each), utility (the utility the learner sees) and, from the second slot
+    on, update_q (the first update's state is slot 0's, update k-1's
+    next_state is slot k's; then the slot's replayed updates), and the
+    batched _score pass (the chosen level indices of every slot, and so
+    each slot's action)."""
     from conftest import render_config
 
     path = tmp_path_factory.mktemp("trace") / "t.ini"
     path.write_text(render_config(TRACED[request.param]))
     cfg = load_experiment(path)
-    warmups, picks, updates = [], [], []
+    picks, updates = [], []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "warmup_policy", recording(harness.warmup_policy, warmups))
         mp.setattr(harness, "select_action", recording(harness.select_action, picks))
         mp.setattr(harness, "update_q", recording(harness.update_q, updates))
-        episode, calls = record_episode(cfg, 7, mp)
+        episode, calls = record_episode(cfg, TRACE_SEED, mp)
     n_slots, n = cfg.max_slots, cfg.ue_density
-    assert len(warmups) == n_slots
-    # select_action runs exactly in the slots where warmup_policy returned None
-    picked = iter(picks)
-    chosen, selected_in, epsilon_in = [], {}, {}
-    for k, (_, action) in enumerate(warmups):
-        if action is None:
-            (_, selected_in[k], epsilon_in[k], _), action = next(picked)
-        chosen.append(action)
-    assert next(picked, None) is None
+    first = n_slots - len(picks)  # test_agent_stream_layout checks it is warmup_slots
     # each slot after the first makes one update, then replay_batch replayed ones
     stride = 1 + cfg.replay_batch if cfg.replay else 1
     assert len(updates) == (n_slots - 1) * stride
@@ -195,10 +191,12 @@ def traced(request, tmp_path_factory):
     *per_slot, (batched, _) = calls["utility"]
     assert len(per_slot) == n_slots and type(batched[0]) is np.ndarray
     joint = joint_actions(levels, n)  # the powers of each action index, independently
+    chosen = np.ravel_multi_index(tuple(choice.T), (len(levels),) * n).tolist()
     trace = [
-        {"slot": k, "state": states[k], "selected_in": selected_in.get(k),
-         "epsilon": epsilon_in.get(k),
-         "step": steps[k - 1] if k else None, "serving_gains": serving[k],
+        {"slot": k, "state": states[k], "select": picks[k - first] if k >= first else None,
+         "step": steps[k - 1] if k else None,
+         "replayed": [tuple(args[1:5]) for args, _ in updates[(k - 1) * stride + 1:k * stride]],
+         "serving_gains": serving[k],
          "action": action, "powers": joint[action], "levels": choice[k],
          "rates": table[k, np.arange(n), choice[k]], "utility": u_args, "u": u}
         for k, (action, (u_args, (u, _))) in enumerate(zip(chosen, per_slot))
@@ -320,19 +318,40 @@ class TestSlotContract:
         for entry in trace:
             want = quantize_state(prev_rates, entry["serving_gains"], cfg.state_grid())
             assert type(entry["state"]) is int and entry["state"] == want, entry["slot"]
-            assert entry["selected_in"] in (None, entry["state"])
             prev_rates = entry["rates"]
         big = max(entry["state"] for entry in trace) > 2**63
         assert big == (cfg.rate_bins == 1000)
 
-    def test_each_pick_gets_the_epsilon_of_its_slot(self, traced):
+    def test_agent_stream_layout(self, traced):
+        """The agent stream, re-derived from the seed: a block of n_slots
+        coins, then one of n_slots picks.  Warm-up slot k takes action
+        int(picks[k] * n_actions).  select_action runs in exactly the slots
+        from warmup_slots on, with explore = coins[k] < epsilon of slot k and
+        u = picks[k], and its pick is the slot's action and its state the
+        slot's.  With replay, slot k >= 1 then replays, for each v of one
+        rng.random(replay_batch), update int(v * k) of the k made so far."""
         cfg, _, trace, _ = traced
-        want = epsilon_at(range(len(trace)), cfg.epsilon_start, cfg.epsilon_end,
-                          cfg.epsilon_decay_slots)
-        picked = [entry for entry in trace if entry["selected_in"] is not None]
-        assert len(picked) == len(trace) - cfg.warmup_slots
-        for entry in picked:
-            assert entry["epsilon"] == want[entry["slot"]], entry["slot"]
+        n_slots = cfg.max_slots
+        rng = np.random.default_rng(np.random.SeedSequence(TRACE_SEED).spawn(2)[1])
+        coins, picks = rng.random(n_slots), rng.random(n_slots)
+        epsilons = epsilon_at(range(n_slots), cfg.epsilon_start, cfg.epsilon_end,
+                              cfg.epsilon_decay_slots)
+        n_actions = (cfg.power_levels + 1) ** cfg.ue_density
+        selected = [entry["slot"] for entry in trace if entry["select"] is not None]
+        assert selected == list(range(cfg.warmup_slots, n_slots))
+        for k, entry in enumerate(trace):
+            if k < cfg.warmup_slots:
+                assert entry["action"] == int(picks[k] * n_actions), k
+            else:
+                (_, state, explore, u), action = entry["select"]
+                assert type(explore) is bool and explore == (coins[k] < epsilons[k]), k
+                assert (state, u, action) == (entry["state"], picks[k], entry["action"]), k
+            if cfg.replay and k:
+                made = [e["step"] for e in trace[1:k + 1]]
+                want = [made[int(v * k)] for v in rng.random(cfg.replay_batch)]
+                assert entry["replayed"] == want, k
+            else:
+                assert entry["replayed"] == [], k
 
     def test_rates_chain_across_slots(self, traced):
         """Slot k's update writes slot k-1's state, action and utility, and
@@ -719,10 +738,11 @@ class TestWriters:
 GREEDY_SOME_POWER = {"utility.energy_weight_per_mw": "0.1",
                      "utility.interference_weight_per_mw": "1e4"}
 SQUARED = {"link.squared_electrical_power": "true"}
+DIGEST_NUMPY = "2.4.6"  # the numpy version the GOLDEN digests were taken with
 GOLDEN = {
     "rpic": ("rpic", 3, {},
-             "619b53134c73946e4594d4ca1f07c81217cdc471c264433e29dc14fc21a4d2ad",
-             "44e8f1901d84d5f8bde44a2b7665a44944f36c50a787b7a93b6c4c9ffbb221aa"),
+             "df55a507122a2cc47f510a5895cb4ec432445b4d879afb03ee5c5975ffe125c9",
+             "b578d8101f038731016c5677e316c18e12fd64aa8aeb0ab0460f4d4fa2f090c0"),
     "fixed_max": ("fixed_max", 3, {},
                   "73073d76007f719a377a1f64d9be420a21ac74c1f43a43de8d5b54e0e8bd5dd1", None),
     "fixed_half": ("fixed_half", 3, {},
@@ -734,15 +754,15 @@ GOLDEN = {
     "greedy-rho5": ("greedy_myopic", 5, GREEDY_SOME_POWER,
                     "be191544690873cd6e73293220a9f8d81b5a613e61b0b305dec76dbebf39ee70", None),
     "rpic-replay": ("rpic", 3, {"agent.replay": "true"},
-                    "d6179721cc26bb30fa61518aa7fdffcd6193483b45c430691b60db1071606b30",
-                    "7c4a92ea9390f2dfe17d3033e43a891ffaa9781af2763498029e7ac01e6a62cc"),
+                    "60a2faa865a6b5829b5fcba5ea2320827ab04e73fc99e32326e2ca5a08360bbd",
+                    "fbda7669b1ff8231c5401e896194bd9cdbb73dc1c86d97586746824f1c5d8ce8"),
     # 12 and 11 bins: key-string order differs from state-index order
     "rpic-bins12": ("rpic", 3, {"agent.rate_bins": 12, "agent.gain_bins": 11},
-                    "b5d18a624bf0d8bc9cbbcabe27d8764f0dc42331d0045508458737a4650b3583",
-                    "d393085250212ec4952730e3179fd5cc08d4dc0cf23931e5d3c44b4b47e7353a"),
+                    "80f96008cf057494c4a685801c2499c16c8f6318b068073ac3c152a5c07ec496",
+                    "417d962dab6f88dd8c2af35390fab5e947d271885f07a57d47f16971b8d38c8a"),
     "rpic-squared": ("rpic", 3, SQUARED,
-                     "925628ddb29b3a821693fa2d92e9580df6585b8cba36fb87804b14dfe2be256c",
-                     "b5af65d750245ef47bcd7f0a7f78b8ac8df783ff5a0c671dfd9eec044752fef7"),
+                     "bcaedae9a0f24cb3519de7790916e1f94ddf1db39de76e2221e894d7d5b4ea08",
+                     "3de254fdff0717789ea5c23000607600ad3ea015e451f23f388a0fab44ec9964"),
     "greedy-squared": ("greedy_myopic", 3, {**SQUARED, "utility.energy_weight_per_mw": "1e-4",
                                             "utility.interference_weight_per_mw": "0"},
                        "dfe655a35b1f15ede23c6c6f150bd32e456c05340dd1e9a165ce5e1b285ea239",
@@ -752,8 +772,8 @@ GOLDEN = {
     # four_block: APs 1 and 4 tie, and AP 1 has no co-channel neighbour.
     "rpic-4x4-two-block": ("rpic", 3, {"topology.rows": 4, "topology.cols": 4,
                                        "topology.reuse_mode": "two_block"},
-                           "005eb585e3a1163c85ae521166ef57ee6cb5d5960cd385b9ffea678526c31f4c",
-                           "4239da5dfe91f89bd5a8da4fb2aa658a4c2d6154da1671ca58aaa2377bd41a28"),
+                           "f8d9ef566936c66b7ff1e72834fa29812bbf282a684a3ca4642e4d58044484af",
+                           "bcc216e4ff186aadb01c8789cfc4ca7265323678743a2c26ce5207fbb090157c"),
     "random-2x3-four-block": ("random", 3, {"topology.rows": 2, "topology.cols": 3,
                                             "topology.reuse_mode": "four_block"},
                               "175f4e654f90bc4832cd4a2511503170f3785384c557a57594b199cf861521f4",
@@ -770,8 +790,9 @@ def test_golden_bytes(make_config, tmp_path, policy, density, overrides, csv_sha
     A refactor or speed-up keeps these bytes.  Only a deliberate change to
     the random-stream layout may update the digests, once, and says so in
     CHANGES.md (ROADMAP, "Correctness and robustness").  The digests were
-    taken with numpy 2.4.6 on x86-64; a numpy or libm whose float results
-    differ in the last bit changes them too.
+    taken with numpy DIGEST_NUMPY on x86-64; a numpy or libm whose float
+    results differ in the last bit, or whose Generator streams moved
+    (NEP 19), changes them too.
     """
     cfg = load_experiment(make_config({
         "experiment.policy": policy, "experiment.ue_density": density, **overrides,
@@ -782,4 +803,5 @@ def test_golden_bytes(make_config, tmp_path, policy, density, overrides, csv_sha
         path = tmp_path / name
         return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
-    assert (digest("metrics.csv"), digest("qtable.tsv")) == (csv_sha256, qtable_sha256)
+    assert (digest("metrics.csv"), digest("qtable.tsv")) == (csv_sha256, qtable_sha256), (
+        f"digests taken with numpy {DIGEST_NUMPY}; this run has numpy {np.__version__}")
