@@ -347,19 +347,41 @@ def write_series_csv(path, series) -> None:
         fh.write("".join("%d,%.12g,%.12g,%.12g,%.12g\n" % row for row in rows))
 
 
+# What `git rev-parse --local-env-vars` lists (git 2.39): the variables that
+# point git at a repository, index or object store other than the one it
+# would find.
+_GIT_LOCAL_ENV = frozenset((
+    "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_COMMON_DIR", "GIT_CONFIG", "GIT_CONFIG_COUNT",
+    "GIT_CONFIG_PARAMETERS", "GIT_DIR", "GIT_GRAFT_FILE", "GIT_IMPLICIT_WORK_TREE",
+    "GIT_INDEX_FILE", "GIT_INTERNAL_SUPER_PREFIX", "GIT_NO_REPLACE_OBJECTS",
+    "GIT_OBJECT_DIRECTORY", "GIT_PREFIX", "GIT_REPLACE_REF_BASE", "GIT_SHALLOW_FILE",
+    "GIT_WORK_TREE",
+))
+
+
 @cache
 def _git_describe() -> str | None:
     """The commit of the checkout the package runs from (src/vlcudn), or
-    None.  The search stops above that checkout's root, so an installed
-    copy does not name a repository it happens to sit in.  It runs git
-    once per process: a sweep's saves share the answer."""
+    None.  git may search only the package directory, src/ and the
+    checkout root: its ceiling is the root's parent, so an installed copy
+    does not name a repository it happens to sit in.  With no .git entry
+    (a directory, or a worktree's or submodule's gitdir: file) in any of
+    the three, git could only fail, so no process starts.  GIT_DIR and the
+    rest of _GIT_LOCAL_ENV are left out of git's environment: set, as in a
+    git hook, they would bypass the ceiling and name another repository.
+    It runs git once per process: a sweep's saves share the answer."""
     package = os.path.dirname(os.path.abspath(__file__))
-    ceiling = os.path.dirname(os.path.dirname(os.path.dirname(package)))
+    src = os.path.dirname(package)
+    root = os.path.dirname(src)
+    if not any(os.path.exists(os.path.join(d, ".git")) for d in (package, src, root)):
+        return None
+    env = {k: v for k, v in os.environ.items() if k not in _GIT_LOCAL_ENV}
+    env["GIT_CEILING_DIRECTORIES"] = os.path.dirname(root)
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             cwd=package,
-            env=dict(os.environ, GIT_CEILING_DIRECTORIES=ceiling),
+            env=env,
             capture_output=True,
             text=True,
             timeout=10,

@@ -102,11 +102,18 @@ def reference_config_path() -> Path:
 
 
 @pytest.fixture
-def fresh_git_describe():
+def fresh_git_describe(tmp_path, monkeypatch):
     """Empty the per-process cache of harness._git_describe before and after
-    the test, so the test's own subprocess.run answers it."""
-    from vlcudn.harness import _git_describe
+    the test, and show it the package inside a checkout (src/vlcudn under
+    a root with an empty .git directory, in tmp_path), so the test's own
+    subprocess.run answers it in a copy of this repository without .git
+    too."""
+    from vlcudn import harness
 
-    _git_describe.cache_clear()
+    checkout = tmp_path / "checkout"
+    (checkout / ".git").mkdir(parents=True)
+    (checkout / "src" / "vlcudn").mkdir(parents=True)
+    monkeypatch.setattr(harness, "__file__", str(checkout / "src" / "vlcudn" / "harness.py"))
+    harness._git_describe.cache_clear()
     yield
-    _git_describe.cache_clear()
+    harness._git_describe.cache_clear()

@@ -173,6 +173,14 @@ MUTANTS = {
     # A stopped pooled call cancels the runs it has not started.
     "pool-shutdown-runs-the-queue": [("harness.py", "pool.shutdown(cancel_futures=True)",
                                       "pool.shutdown()")],
+    # The .git probe before git starts, and the environment git gets.
+    "git-probe-never-finds-checkout": [("harness.py", 'os.path.join(d, ".git")',
+                                        'os.path.join(d, ".git-absent")')],
+    "git-probe-skips-checkout-root": [("harness.py", "for d in (package, src, root)",
+                                       "for d in (package, src)")],
+    "git-probe-always-finds-checkout": [("harness.py", "if not any(os.path.exists(",
+                                         "if False and any(os.path.exists(")],
+    "git-env-keeps-git-dir": [("harness.py", '"GIT_DIR", ', "")],
     # The cross-gains summed per slot as rows, whose order sets the bits.
     "cross-gains-summed-down-columns": [("harness.py",
                                          "outgoing += np.ascontiguousarray(cross.T).sum(axis=1)",

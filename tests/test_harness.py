@@ -680,26 +680,58 @@ class TestWriters:
         write_metadata(path, cfg, series)
         assert json.loads(path.read_text())["git_describe"] is None
 
-    @pytest.mark.parametrize("layout,names_the_repo", [
-        ("src", True),  # a checkout: src/vlcudn under the repository root
-        ("venv/lib/site-packages", False),  # an install inside some other repository
+    @pytest.mark.parametrize("root,layout,foreign_git_dir,names", [
+        # src/vlcudn under the repository root
+        pytest.param("repo", "src", False, "root", id="checkout"),
+        pytest.param("repo", "venv/lib/site-packages", False, None,
+                     id="install-in-another-repo"),
+        # no .git anywhere: no process starts
+        pytest.param("plain", "src", False, None, id="plain-copy"),
+        # a worktree's .git file names the repository
+        pytest.param("gitdir-file", "src", False, "other", id="gitdir-file"),
+        # GIT_DIR naming another repository, as in a git hook
+        pytest.param("repo", "src", True, "root", id="foreign-GIT_DIR"),
     ])
-    def test_git_describe_stops_at_the_checkout_root(self, tmp_path, layout, names_the_repo):
-        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
-        subprocess.run(git + ["init", "-q"], check=True)
-        (tmp_path / "README").write_text("outer\n")
-        subprocess.run(git + ["add", "README"], check=True)
-        subprocess.run(git + ["commit", "-q", "-m", "outer"], check=True)
-        head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
-                              capture_output=True, text=True).stdout.strip()
-        site = tmp_path / layout
+    def test_git_describe_stops_at_the_checkout_root(self, tmp_path, root, layout,
+                                                     foreign_git_dir, names):
+        def commit(repo, text):
+            git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+            subprocess.run(git + ["init", "-q"], check=True)
+            (repo / "README").write_text(text)
+            subprocess.run(git + ["add", "README"], check=True)
+            subprocess.run(git + ["commit", "-q", "-m", text], check=True)
+            return subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                                  capture_output=True, text=True).stdout.strip()
+
+        other = tmp_path / "other"
+        other.mkdir()
+        heads = {"other": commit(other, "other\n"), None: "None"}
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        if root == "repo":
+            heads["root"] = commit(copy, "copy\n")
+        elif root == "gitdir-file":
+            (copy / ".git").write_text("gitdir: %s\n" % (other / ".git"))
+            (copy / "README").write_text("other\n")
+        site = copy / layout
         shutil.copytree(REPO_ROOT / "src" / "vlcudn", site / "vlcudn",
                         ignore=shutil.ignore_patterns("__pycache__"))
+        shim = tmp_path / "bin" / "git"
+        shim.parent.mkdir()
+        calls = tmp_path / "git-calls"
+        shim.write_text('#!/bin/sh\necho "$@" >> %s\nexec %s "$@"\n'
+                        % (calls, shutil.which("git")))
+        shim.chmod(0o755)
+        env = dict(os.environ, PYTHONPATH=str(site),
+                   PATH=os.pathsep.join([str(shim.parent), os.environ["PATH"]]))
+        if foreign_git_dir:
+            env["GIT_DIR"] = str(other / ".git")
         proc = subprocess.run(
             [sys.executable, "-c", "from vlcudn.harness import _git_describe as d; print(d())"],
-            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(site)),
-            check=True, capture_output=True, text=True)
-        assert proc.stdout.strip() == (head if names_the_repo else "None")
+            cwd=tmp_path, env=env, check=True, capture_output=True, text=True)
+        assert proc.stdout.strip() == heads[names]
+        ran = calls.read_text().splitlines() if calls.exists() else []
+        assert ran == (["describe --always --dirty"] if names else [])
 
     def test_save_experiment_layout(self, tmp_path, small_series):
         cfg, series = small_series
