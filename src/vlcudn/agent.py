@@ -102,6 +102,13 @@ def enumerate_actions(power_levels: int, max_power: float) -> np.ndarray:
     return np.arange(power_levels + 1) * (max_power / power_levels)
 
 
+# The seven qtable.tsv header fields, in the order QTable.save writes them,
+# each with its printf format.
+_HEADER_FIELDS = (("rate_bins", "%d"), ("gain_bins", "%d"), ("rate_max", "%.17g"),
+                  ("gain_max", "%.17g"), ("n_actions", "%d"), ("power_levels", "%d"),
+                  ("max_power", "%.17g"))
+
+
 class QTable:
     """Sparse state index -> action-value-row map with implicit zero rows.
 
@@ -168,19 +175,13 @@ class QTable:
                 self._best[state] = (value, 1, sole)  # still above every other action
             elif count > 2:
                 self._best[state] = (top, count - 1, None)
-            else:
-                if count == 1:  # it fell to or below the bound: rescan the row
-                    top = row.max().item()
-                hits = (row == top).nonzero()[0]
-                if hits.size == 1:
-                    sole = int(hits[0])
-                    held = row.item(sole)
-                    row[sole] = -math.inf
-                    self._runner_up[state] = row.max().item()
-                    row[sole] = held
-                    self._best[state] = (top, 1, sole)
+            else:  # the sole maximizer fell to or below the bound, or a tie of two broke
+                second, top = np.partition(row, -2)[-2:].tolist()
+                if second < top:
+                    self._runner_up[state] = second
+                    self._best[state] = (top, 1, int(row.argmax()))
                 else:
-                    self._best[state] = (top, hits.size, None)
+                    self._best[state] = (top, np.count_nonzero(row == top), None)
         elif value > self._runner_up.get(state, -math.inf):
             self._runner_up[state] = value
 
@@ -191,12 +192,9 @@ class QTable:
         The header row records the binning grid behind the keys, the action
         count and the power grid behind the actions: seven fields, all needed.
         """
-        header = (
-            "# rate_bins=%d gain_bins=%d rate_max=%.17g gain_max=%.17g n_actions=%d"
-            " power_levels=%d max_power=%.17g"
-            % (quant.rate_bins, quant.gain_bins, quant.rate_max, quant.gain_max,
-               self.n_actions, power_levels, max_power)
-        )
+        header = "# " + " ".join(f"{name}={fmt}" for name, fmt in _HEADER_FIELDS) % (
+            quant.rate_bins, quant.gain_bins, quant.rate_max, quant.gain_max,
+            self.n_actions, power_levels, max_power)
         keys = {state_key(state, quant, density): state for state in self._rows}
         with open(path, "w") as fh:
             fh.write(header + "\n")
@@ -228,9 +226,7 @@ class QTable:
                     meta[key] = int(raw)
                 except ValueError:
                     meta[key] = float(raw)
-            missing = [field for field in ("rate_bins", "gain_bins", "rate_max", "gain_max",
-                                           "n_actions", "power_levels", "max_power")
-                       if field not in meta]
+            missing = [name for name, _ in _HEADER_FIELDS if name not in meta]
             if missing:
                 raise ValueError(f"header lacks {', '.join(missing)}")
             for field in ("n_actions", "rate_bins", "gain_bins"):

@@ -79,16 +79,22 @@ def _run(jobs, workers: int, keep_runs: bool = False) -> None:
                 click.echo(f"wrote {path}")
 
 
+def _run_options(command):
+    """The --config, --runs, --seed and --workers options of simulate and sweep."""
+    for option in reversed((
+        click.option("--config", "config_path", required=True,
+                     type=click.Path(exists=True, dir_okay=False), help="Experiment config file."),
+        click.option("--runs", type=int, default=None, help="Override the run count."),
+        click.option("--seed", type=int, default=None, help="Override the base seed."),
+        click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
+                     help="Processes for Monte-Carlo runs; 1 runs serially."),
+    )):
+        command = option(command)
+    return command
+
+
 @main.command()
-@click.option(
-    "--config",
-    "config_path",
-    required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Experiment config file.",
-)
-@click.option("--runs", type=int, default=None, help="Override the run count.")
-@click.option("--seed", type=int, default=None, help="Override the base seed.")
+@_run_options
 @click.option("--policy", default=None, help="Override the policy.")
 @click.option("--density", type=int, default=None, help="Override the UE count.")
 @click.option(
@@ -98,10 +104,8 @@ def _run(jobs, workers: int, keep_runs: bool = False) -> None:
     default=None,
     help="Directory for metrics.csv plus sidecars.",
 )
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Processes for Monte-Carlo runs; 1 runs serially.")
 @click.option("--per-run", is_flag=True, help="Also write one CSV per run (needs --out).")
-def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run):
+def simulate(config_path, runs, seed, workers, policy, density, out_dir, per_run):
     """Run one experiment and report its converged metrics."""
     if per_run and not out_dir:
         raise click.UsageError("--per-run needs --out")
@@ -113,13 +117,7 @@ def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run
 
 
 @main.command()
-@click.option(
-    "--config",
-    "config_path",
-    required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Experiment config file.",
-)
+@_run_options
 @click.option("--densities", required=True, help="Comma-separated UE counts, e.g. 1,2,3.")
 @click.option(
     "--out",
@@ -128,11 +126,7 @@ def simulate(config_path, runs, seed, policy, density, out_dir, workers, per_run
     type=click.Path(file_okay=False),
     help="Directory; one rho<N> subdirectory per density.",
 )
-@click.option("--runs", type=int, default=None, help="Override the run count.")
-@click.option("--seed", type=int, default=None, help="Override the base seed.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Processes for Monte-Carlo runs; 1 runs serially.")
-def sweep(config_path, densities, out_dir, runs, seed, workers):
+def sweep(config_path, runs, seed, workers, densities, out_dir):
     """Repeat the experiment across several UE densities."""
     try:
         parsed = [int(tok) for tok in densities.split(",") if tok.strip()]

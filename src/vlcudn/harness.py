@@ -437,6 +437,6 @@ def save_experiment(out_dir, config: ExperimentConfig, series: Series) -> list[s
         written.append(q_path)
     names = {os.path.basename(path) for path in written}
     for name in os.listdir(out_dir):
-        if re.fullmatch(r"qtable\.tsv|run[0-9]{4}\.csv", name) and name not in names:
+        if re.fullmatch(r"qtable\.tsv|run[0-9]{4,}\.csv", name) and name not in names:
             os.remove(os.path.join(out_dir, name))
     return written

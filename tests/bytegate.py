@@ -6,11 +6,12 @@ Run by hand, not by pytest, on two source trees, and compare the manifests:
     python tests/bytegate.py --src src --out change.sha256
     cmp parent.sha256 change.sha256
 
-Each line is "<sha256>  <case>/<file>".  The files are every metrics.csv and
-qtable.tsv, every metrics.meta.json without its git_describe line (the only
-field that names the checkout), and the text of `inspect-q --top 10` on
-every qtable.tsv.  The matrix: configs/reference.ini at its 100 runs, serial
-and with 2 workers; all five policies at rho=3; `sweep --densities 1,2,3`;
+Each line is "<sha256>  <case>/<file>".  The files are every metrics.csv,
+runNNNN.csv and qtable.tsv, every metrics.meta.json without its
+git_describe line (the only field that names the checkout), and the text
+of `inspect-q --top 10` on every qtable.tsv.  The matrix: configs/reference.ini at its 100 runs, serial
+and with 2 workers, and at 20 runs with --per-run, serial and with 2
+workers; all five policies at rho=3; `sweep --densities 1,2,3`;
 rpic with replay = true; rpic at rho=4; rpic at rho=4 on 1000 rate and
 gain bins with one power level, whose state indices pass 2**63; rpic with
 no warm-up and no epsilon decay; rpic with UEs at 5-6 m/s, whose walks
@@ -55,7 +56,10 @@ def _cases(tmp):
     """(case name, vlcudn arguments without --out) of the matrix."""
     ref = os.path.abspath(REFERENCE)
     cases = [("reference-serial", ["simulate", "--config", ref]),
-             ("reference-workers2", ["simulate", "--config", ref, "--workers", "2"])]
+             ("reference-workers2", ["simulate", "--config", ref, "--workers", "2"]),
+             ("per-run-serial", ["simulate", "--config", ref, "--runs", "20", "--per-run"]),
+             ("per-run-workers2", ["simulate", "--config", ref, "--runs", "20", "--per-run",
+                                   "--workers", "2"])]
     for policy in POLICIES:
         cases.append((f"rho3-{policy}", ["simulate", "--config", ref, "--policy", policy,
                                          "--density", "3", "--workers", "2"]))

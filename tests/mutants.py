@@ -110,8 +110,12 @@ MUTANTS = {
     "runner-up-not-raised": [("agent.py", "self._runner_up[state] = value", "pass")],
     "runner-up-kept-on-new-top": [("agent.py", "self._runner_up[state] = top", "pass")],
     "runner-up-reset-on-own-rise": [("agent.py", "if action != sole:  #", "if True:  #")],
-    "runner-up-scan-keeps-maximizer": [("agent.py", "row[sole] = -math.inf", "pass")],
-    "runner-up-scan-leaves-minus-inf": [("agent.py", "row[sole] = held", "pass")],
+    "runner-up-scan-tie-taken-as-sole": [("agent.py", "if second < top:", "if second <= top:")],
+    "runner-up-scan-takes-minimizer": [("agent.py", "int(row.argmax())", "int(row.argmin())")],
+    # The qtable.tsv header fields that QTable.save writes and QTable.load requires.
+    "header-drops-n-actions": [("agent.py", '("n_actions", "%d"), ', "")],
+    # The stale per-run files a rerun removes.
+    "stale-runs-four-digits-only": [("harness.py", r"run[0-9]{4,}\.csv", r"run[0-9]{4}\.csv")],
     # The learner's per-episode bin tables and its per-action cache.
     "bins-cast-before-clip": [("agent.py",
                                "np.clip(np.multiply(values, n_bins / upper), 0, n_bins - 1)"

@@ -220,9 +220,10 @@ class TestEnumerateActions:
 
 
 def _count_scans(q, state):
-    """Swap state's stored row for a view that counts the max() and nonzero()
-    calls made on it and on the arrays derived from it; returns the count,
-    a one-item list that the calls bump."""
+    """Swap state's stored row for a view that counts the max(), nonzero()
+    and partition() calls made on it and on the arrays derived from it
+    (np.partition calls partition() on its copy of the row); returns the
+    count, a one-item list that the calls bump."""
     scans = [0]
 
     class CountingRow(np.ndarray):
@@ -233,6 +234,10 @@ def _count_scans(q, state):
         def nonzero(self):
             scans[0] += 1
             return np.asarray(self).nonzero()
+
+        def partition(self, *args, **kwargs):
+            scans[0] += 1
+            return np.asarray(self).partition(*args, **kwargs)
 
     q._rows[state] = q._rows[state].view(CountingRow)
     return scans

@@ -88,6 +88,8 @@ class TestSimulate:
 
     def test_rerun_removes_files_it_did_not_write(self, runner, fast_config, tmp_path):
         out = tmp_path / "out"
+        out.mkdir()
+        (out / "run10000.csv").write_text("left by an earlier run with 10001 runs\n")
         for extra in (["--per-run"], ["--per-run", "--runs", "1"], ["--policy", "fixed_max"]):
             result = runner.invoke(
                 main, ["simulate", "--config", str(fast_config), "--out", str(out), *extra]
