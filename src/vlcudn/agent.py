@@ -1,4 +1,4 @@
-"""Tabular Q-learning pieces: state index, power grid, selection, update.
+"""Tabular Q-learning pieces: state index, power grid, Q-rows and their table.
 
 The learner picks one joint power vector per slot.  Its state is the
 uniform bin of each UE's previous-slot rate and of each UE's current
@@ -8,7 +8,7 @@ index is a plain Python int, so it stays exact past 2**63 at large bin
 counts.  bin_values is the one place a value is binned: quantize_state
 builds the index of one slot, or of every row of a (K, N) pair, on it,
 and the learner bins a whole episode's rate table with it at once.  The
-Q-table is a sparse map from state index to row with implicit zeros,
+Q-table is a sparse map from state index to QRow with implicit zeros,
 so the huge nominal state space costs nothing until states are visited.
 
 qtable.tsv spells a state as "r1,..,rN|g1,..,gN|N" (state_key) and lists
@@ -53,7 +53,7 @@ def quantize_state(rates, gains, quant: StateQuantizer):
     """State index of one slot's per-UE rates and gains (module docstring).
 
     (K, N) rates and gains give the index of each of the K rows, as an
-    object array of Python ints.
+    object array of Python ints; (K, 0) rates give the gain part alone.
     """
     index = 0
     for values, n_bins, upper in (
@@ -109,81 +109,128 @@ _HEADER_FIELDS = (("rate_bins", "%d"), ("gain_bins", "%d"), ("rate_max", "%.17g"
                   ("max_power", "%.17g"))
 
 
-class QTable:
-    """Sparse state index -> action-value-row map with implicit zero rows.
+class QRow:
+    """One state's action values, their maximum top, the count of actions
+    that reach it and, if that count is 1, the maximizer sole (else None);
+    top equals values.max(), though a 0.0 may stand for a -0.0 there or the
+    other way round.  A sole maximizer also has a runner-up bound (-inf when
+    new) that no other action exceeds: the old maximum when another action
+    rises past it, raised by each write to a non-maximal action.  So write
+    scans the row only when a tie breaks down to one maximizer or the only
+    maximizer falls to or below the bound, and that scan finds the exact
+    runner-up.  write is the only writer of values and of the cache."""
 
-    Beside each row sits, in _best, its maximum, the count of actions
-    that reach it and, when that count is 1, the maximizer's index (else
-    None), so the learner reads them without scanning the row; an unseen
-    row is all zeros (_unseen).  The maximum equals row(state).max(),
-    though a 0.0 may stand for a -0.0 there or the other way round.  A
-    row with one maximizer also keeps a runner-up bound: a value no other
-    action exceeds, the old maximum when another action rises past it,
-    raised by each write to a non-maximal action.  So a maximizer that is
-    the only one stays so, with no scan, while a write lowers it to a
-    value strictly above the bound; a write scans a row only when a tie
-    is broken down to one maximizer, or when the only maximizer falls to
-    or below the bound, and that scan then finds the exact runner-up.
-    _write is the only writer of rows and of that cache; set and update_q
-    call it with the entry's old value, and the arrays row() returns must
-    not be written to.  select_action and update_q, in this module, read
-    the rows and the cache directly.
+    __slots__ = ("top", "count", "sole", "bound", "values")
+
+    def __init__(self, n_actions: int):
+        self.values = np.zeros(n_actions)
+        self.top, self.count, self.sole = 0.0, n_actions, 0 if n_actions == 1 else None
+        self.bound = -math.inf
+
+    def select(self, explore: bool, u: float) -> int:
+        """Epsilon-greedy pick: given the slot's coin (explore) and a uniform
+        double u in [0, 1), the int(u * m)-th of the m maximizers, or when
+        exploring of the m others (all actions if every one ties, as in a new
+        row).  Only a partial tie scans the row, for the others: the j-th
+        maximizer is j plus the count of others below it, and with a sole
+        maximizer the j-th other is j + (j >= sole).  int(u * m) is below m,
+        and each outcome's probability 1/m to within a relative m * 2**-53,
+        for m up to 2**53; action_cap leaves m uncapped there, but a dense
+        row of 2**30 actions, a bias of about 1e-7, already takes 8 GiB.
+        """
+        count, values = self.count, self.values
+        if count == values.size:
+            return int(u * count)
+        if count == 1:
+            if not explore:
+                return self.sole
+            j = int(u * (values.size - 1))
+            return j + (j >= self.sole)
+        others = (values != self.top).nonzero()[0]
+        if explore:
+            return int(others[int(u * others.size)])
+        j = int(u * count)  # others[i] - i counts the maximizers below others[i]
+        return j + int(np.searchsorted(others - np.arange(others.size), j, side="right"))
+
+    def update(self, action: int, utility: float, next_top: float, alpha: float,
+               beta: float) -> None:
+        """Apply one Bellman step to the entry of action:
+
+        Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
+
+        next_top is the next state's top before this write (0.0 if no row).
+        """
+        old = self.values.item(action)
+        value = (1.0 - alpha) * old + alpha * (utility + beta * next_top)
+        self.write(action, old, value)
+
+    def write(self, action: int, old: float, value: float) -> None:
+        """Write value at action, whose entry was old, and keep the cache."""
+        if not math.isfinite(value):
+            raise ValueError("q-values must be finite")
+        self.values[action] = value
+        top = self.top
+        if value > top:
+            if action != self.sole:  # every other action is at most the old maximum
+                self.bound = top
+            self.top, self.count, self.sole = value, 1, int(action)
+        elif value == top:
+            if old != top:
+                self.count, self.sole = self.count + 1, None
+        elif old == top:  # a maximizer fell
+            count = self.count
+            if count == 1 and value > self.bound:
+                self.top = value  # still above every other action
+            elif count > 2:
+                self.count = count - 1
+            else:  # the sole maximizer fell to or below the bound, or a tie of two broke
+                values = self.values
+                second, top = np.partition(values, -2)[-2:].tolist()
+                if second < top:
+                    self.bound = second
+                    self.top, self.count, self.sole = top, 1, int(values.argmax())
+                else:
+                    self.top, self.count, self.sole = top, np.count_nonzero(values == top), None
+        elif value > self.bound:
+            self.bound = value
+
+
+class QTable:
+    """Sparse state index -> QRow map; a state without a row reads as a new
+    QRow, all zeros.  A state's row is made by its first write and added to
+    rows once that write has passed its finiteness check, so a write that
+    raises leaves the table as it was.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
-        self._rows: dict[int, np.ndarray] = {}
-        self._best: dict[int, tuple[float, int, int | None]] = {}
-        self._runner_up: dict[int, float] = {}
-        self._unseen = (0.0, n_actions, 0 if n_actions == 1 else None)
+        self.rows: dict[int, QRow] = {}
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    def states(self):
-        return self._rows.keys()
+        return len(self.rows)
 
     def row(self, state) -> np.ndarray:
-        """Value row for a state; a zero row (not inserted) if unseen."""
-        existing = self._rows.get(state)
-        if existing is not None:
-            return existing
-        return np.zeros(self.n_actions)
+        """Read-only value row for a state; a zero row (not inserted) if unseen."""
+        existing = self.rows.get(state)
+        if existing is None:
+            return np.zeros(self.n_actions)
+        view = existing.values.view()
+        view.flags.writeable = False
+        return view
 
     def set(self, state, action: int, value: float) -> None:
-        row = self._rows.get(state)
-        self._write(state, row, action, 0.0 if row is None else row.item(action), float(value))
+        row = self.rows.get(state) or QRow(self.n_actions)
+        row.write(action, row.values.item(action), float(value))
+        self.rows[state] = row
 
-    def _write(self, state, row, action: int, old: float, value: float) -> None:
-        """Write value at (state, action) of row, the state's row or None if
-        it has none yet, whose entry there was old, and keep the cache."""
-        if not math.isfinite(value):
-            raise ValueError("q-values must be finite")
-        if row is None:
-            row = self._rows[state] = np.zeros(self.n_actions)
-        row[action] = value
-        top, count, sole = self._best.get(state, self._unseen)
-        if value > top:
-            if action != sole:  # every other action is at most the old maximum
-                self._runner_up[state] = top
-            self._best[state] = (value, 1, int(action))
-        elif value == top:
-            if old != top:
-                self._best[state] = (top, count + 1, None)
-        elif old == top:  # a maximizer fell
-            if count == 1 and value > self._runner_up.get(state, -math.inf):
-                self._best[state] = (value, 1, sole)  # still above every other action
-            elif count > 2:
-                self._best[state] = (top, count - 1, None)
-            else:  # the sole maximizer fell to or below the bound, or a tie of two broke
-                second, top = np.partition(row, -2)[-2:].tolist()
-                if second < top:
-                    self._runner_up[state] = second
-                    self._best[state] = (top, 1, int(row.argmax()))
-                else:
-                    self._best[state] = (top, np.count_nonzero(row == top), None)
-        elif value > self._runner_up.get(state, -math.inf):
-            self._runner_up[state] = value
+    def update(self, state, action: int, utility: float, next_top: float, alpha: float,
+               beta: float) -> QRow:
+        """QRow.update on the state's row, made for the state if it has none;
+        returns the row."""
+        row = self.rows.get(state) or QRow(self.n_actions)
+        row.update(action, utility, next_top, alpha, beta)
+        self.rows[state] = row
+        return row
 
     def save(self, path, quant: StateQuantizer, density: int, power_levels: int,
              max_power: float) -> None:
@@ -195,11 +242,11 @@ class QTable:
         header = "# " + " ".join(f"{name}={fmt}" for name, fmt in _HEADER_FIELDS) % (
             quant.rate_bins, quant.gain_bins, quant.rate_max, quant.gain_max,
             self.n_actions, power_levels, max_power)
-        keys = {state_key(state, quant, density): state for state in self._rows}
+        keys = {state_key(state, quant, density): state for state in self.rows}
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for key in sorted(keys):
-                row = self._rows[keys[key]]
+                row = self.rows[keys[key]].values
                 for action in np.flatnonzero(row != 0.0):
                     fh.write("%s\t%d\t%.17g\n" % (key, action, row[action]))
 
@@ -269,56 +316,9 @@ class QTable:
         return table, meta
 
 
-def select_action(q: QTable, state: int, explore: bool, u: float) -> int:
-    """Epsilon-greedy pick over the joint action set: given the slot's coin
-    (explore) and a uniform double u in [0, 1), the int(u * m)-th of the m
-    maximizers of Q(state, .), or when exploring of the m non-maximizers,
-    so each carries probability epsilon / (n_actions - 1) when the
-    maximizer is unique.  If every action is a maximizer the two coincide.
-
-    The row's cached maximum (QTable._best) spares the row scan unless
-    some but not all actions tie: when all tie (an unseen state) the pool
-    is every action; a sole maximizer is the greedy pick, and the j-th of
-    the others is j + (j >= sole).  int(u * m) is below m for m up to
-    2**53, and each outcome's probability is 1/m to within a relative
-    m * 2**-53.  action_cap leaves m uncapped there: memory bounds it, as a
-    run allocates a dense row of n_actions floats at its first update, and
-    an 8 GiB row holds 2**30 actions, a bias of about 1e-7.
-    """
-    top, count, sole = q._best.get(state, q._unseen)
-    n_actions = q.n_actions
-    if count == n_actions:
-        return int(u * n_actions)
-    if count == 1:
-        if not explore:
-            return sole
-        j = int(u * (n_actions - 1))
-        return j + (j >= sole)
-    row = q._rows[state]  # a partial tie: the row has been written
-    pool = (row != top if explore else row == top).nonzero()[0]
-    return int(pool[int(u * pool.size)])
-
-
-def update_q(q: QTable, state: int, action: int, utility: float, next_state: int,
-             alpha: float, beta: float) -> float:
-    """Apply one Bellman step to the (state, action) entry; returns it.
-
-    Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
-
-    The row is looked up once, and its old entry handed to the write that
-    QTable.set also makes, which rejects a non-finite value before it
-    creates the row.
-    """
-    row = q._rows.get(state)
-    old = 0.0 if row is None else row.item(action)
-    value = (1.0 - alpha) * old + alpha * (utility + beta * q._best.get(next_state, q._unseen)[0])
-    q._write(state, row, action, old, value)
-    return value
-
-
-def epsilon_at(slots, start: float, end: float, decay_slots: int) -> list[float]:
-    """The exploration rate of each slot in slots, decayed linearly from
-    start to end over decay_slots, constant once decay completes."""
-    return [end if slot >= decay_slots else start + (end - start) * (slot / decay_slots)
-            for slot in slots]
-
+def epsilon_at(slots, start: float, end: float, decay_slots: int) -> np.ndarray:
+    """The exploration rate of each slot in slots: start + (end - start) *
+    (slot / decay_slots) before slot decay_slots, end from it on."""
+    slots = np.asarray(slots)
+    return np.where(slots < decay_slots, start + (end - start) * (slots / max(decay_slots, 1)),
+                    end)

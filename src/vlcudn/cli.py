@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import sys
@@ -157,13 +158,12 @@ def inspect_q(qtable_path, top):
         click.echo(f"cannot read q-table: {exc}", err=True)
         sys.exit(2)
     click.echo(f"actions: {table.n_actions}")
-    grid = StateQuantizer(*(meta[f] for f in ("rate_bins", "gain_bins", "rate_max", "gain_max")))
-    click.echo("state grid: rate_bins=%s gain_bins=%s rate_max=%s gain_max=%s"
-               % (grid.rate_bins, grid.gain_bins, grid.rate_max, grid.gain_max))
+    grid = StateQuantizer(*(meta[field.name] for field in dataclasses.fields(StateQuantizer)))
+    click.echo("state grid: " + " ".join(f"{name}={value}" for name, value in vars(grid).items()))
     click.echo(f"states: {len(table)}")
     if not len(table):
         return
-    rows = {state: table.row(state) for state in table.states()}
+    rows = {state: table.row(state) for state in table.rows}
     entries = int(sum(np.count_nonzero(row) for row in rows.values()))
     stored = np.concatenate(list(rows.values()))
     click.echo(f"nonzero entries: {entries}")

@@ -23,7 +23,7 @@ base_seed + i.  The learner reads the agent stream in a fixed layout,
 part of what a seed means: rng.random(n_slots) for the explore coins,
 then rng.random(n_slots) for the picks.  Slot k explores when its coin
 is below its epsilon, and its pick u takes the int(u * m)-th action of a
-pool of m: of every action in warm-up, else of select_action's pool.
+pool of m: of every action in warm-up, else of QRow.select's pool.
 With replay, slot k >= 1 then replays, for each v of one
 rng.random(replay_batch), the int(v * k)-th of the k updates made so
 far.  Averaging across runs is an ordered reduction over the run index,
@@ -50,15 +50,7 @@ from operator import add
 import numpy as np
 
 from . import __version__, kernels
-from .agent import (
-    QTable,
-    bin_values,
-    enumerate_actions,
-    epsilon_at,
-    quantize_state,
-    select_action,
-    update_q,
-)
+from .agent import QRow, QTable, bin_values, enumerate_actions, epsilon_at, quantize_state
 from .config import ConfigError, ExperimentConfig
 from .mobility import simulate_paths
 from .topology import episode_cells
@@ -200,21 +192,22 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     """The rpic slot loop: fills qtable and returns each slot's action.
 
     Everything that does not depend on the chosen action is done once
-    before the loop: in numpy, the bin of every rate in the table and each
-    slot's gain part of the state index (quantize_state over every slot's
-    gains with zero rates); and every slot's coin, pick and epsilon.  The
-    loop reads the rates and their bins through flat memoryviews, as
-    Python floats and ints.  Per slot the state is the previous action's
-    rate bins in the previous slot, one Horner sum on Python ints, times
-    gain_bins**N, plus this slot's gain part.  An action's columns, its
-    offsets within a slot's stretch of the flat tables, and its total power
-    are worked out the first time it is chosen; one pass over the columns
-    then gives the slot's rate sum, in _left_sum's order, and its rate
-    bins' Horner sum.  The utility comes from the same kernel, operations
-    and summation order as _score, so the learner sees the recorded
-    utility.  The update of a slot's (state, action, utility) is made in
-    the next slot, once its state is known.  A non-finite utility ends the
-    loop early, and _score stops the run at that slot.
+    before the loop: in numpy, the bin of every rate in the table, each
+    slot's gain part of the state index (quantize_state on the gains
+    alone), and every slot's coin, pick and epsilon.  The loop reads the
+    rates and bins as Python scalars through flat memoryviews.  Per slot
+    the state is the previous action's rate bins in the previous slot, one
+    Horner sum on Python ints, times gain_bins**N, plus this slot's gain
+    part.  An action's columns (its offsets in a slot's stretch of the flat
+    tables) and total power are worked out when it is first chosen; one
+    pass over the columns then gives the slot's rate sum, in _left_sum's
+    order, and its rate bins' Horner sum.  The utility comes from the same
+    kernel, operations and summation order as _score, so the learner sees
+    the recorded utility.  A slot looks its state's row up once (unseen,
+    all zeros, if it has none) and picks through it; its update is made in
+    the next slot, with that slot's row's top as next_top, and through the
+    table if its row was unseen, which makes it unless an update has since.
+    A non-finite utility ends the loop early, and _score stops the run.
     """
     alpha, beta = config.learning_rate, config.discount
     warmup_slots, replay, replay_batch = config.warmup_slots, config.replay, config.replay_batch
@@ -232,22 +225,25 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     width = n * n_levels
     rates = memoryview(rate_tab.reshape(-1))
     rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max).reshape(-1))
-    gain_keys = quantize_state(np.zeros_like(serving), serving, quant).tolist()
+    gain_keys = quantize_state(serving[:, :0], serving, quant).tolist()
     coins, draws = rng.random((2, n_slots))  # the coins, then the picks
-    explore = (coins < epsilon_at(range(n_slots), config.epsilon_start, config.epsilon_end,
+    explore = (coins < epsilon_at(np.arange(n_slots), config.epsilon_start, config.epsilon_end,
                                   config.epsilon_decay_slots)).tolist()
     draws = draws.tolist()
     cross = outgoing.tolist()
     eta, energy_weight, ici_weight = prices
     columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
-    pool: list[tuple[int, int, float, int]] = []  # (state, action, utility, next state)
+    pool: list[tuple[QRow, int, float, int]] = []  # (row, action, utility, next state)
+    get = qtable.rows.get
+    unseen = QRow(n_actions)  # how a state without a row reads; never written
     picks = []
     rate_key = 0  # the first slot sees zero rates, all in bin 0
     base = 0  # k * width
     for k in range(n_slots):
         state = rate_key * gain_radix + gain_keys[k]
+        row = get(state, unseen)
         action = (int(draws[k] * n_actions) if k < warmup_slots
-                  else select_action(qtable, state, explore[k], draws[k]))
+                  else row.select(explore[k], draws[k]))
         picks.append(action)
         known = columns.get(action)
         if known is None:
@@ -265,12 +261,16 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
         if not math.isfinite(u):
             break
         if k:
-            update_q(qtable, last_state, last_action, last_u, state, alpha, beta)
+            if last_row is unseen:
+                last_row = qtable.update(last_state, last_action, last_u, row.top, alpha, beta)
+            else:
+                last_row.update(last_action, last_u, row.top, alpha, beta)
             if replay:
-                pool.append((last_state, last_action, last_u, state))
+                pool.append((last_row, last_action, last_u, state))
                 for v in rng.random(replay_batch).tolist():
-                    update_q(qtable, *pool[int(v * len(pool))], alpha, beta)
-        last_state, last_action, last_u = state, action, u
+                    past, past_action, past_u, past_next = pool[int(v * len(pool))]
+                    past.update(past_action, past_u, get(past_next, unseen).top, alpha, beta)
+        last_state, last_action, last_u, last_row = state, action, u, row
     return picks
 
 

@@ -48,13 +48,15 @@ MUTANTS = {
     "fov-edge-excluded": [("kernels.py", "np.where(cos_t >= cos_fov, gains, 0.0)",
                            "np.where(cos_t > cos_fov, gains, 0.0)")],
     # Schedules, state, learner and policies.
-    "epsilon-decays-upward": [("agent.py", "else start + (end - start) * (slot / decay_slots)",
-                               "else start - (end - start) * (slot / decay_slots)")],
+    "epsilon-decays-upward": [("agent.py", "start + (end - start) * (slots / max(decay_slots, 1))",
+                               "start - (end - start) * (slots / max(decay_slots, 1))")],
+    "epsilon-zero-decay-divides": [("agent.py", "(slots / max(decay_slots, 1))",
+                                    "(slots / decay_slots)")],
     "quantize-rounds": [("agent.py", "np.clip(np.multiply(values, n_bins / upper), 0",
                          "np.clip(np.rint(np.multiply(values, n_bins / upper)), 0")],
     "warmup-one-slot-longer": [("harness.py", "if k < warmup_slots", "if k <= warmup_slots")],
-    "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * q._best.get(next_state,",
-                                  "alpha * (utility - beta * q._best.get(next_state,")],
+    "bellman-subtracts-future": [("agent.py", "alpha * (utility + beta * next_top)",
+                                  "alpha * (utility - beta * next_top)")],
     "explore-on-high-draw": [("harness.py", "explore = (coins < epsilon_at(",
                               "explore = (coins > epsilon_at(")],
     "greedy-takes-worst-level": [("harness.py", "choice = per_ue.argmax(axis=2)",
@@ -95,23 +97,43 @@ MUTANTS = {
          "    planes = planes[..., :n_slots]\n    local = planes[:, :n]\n"),
     ],
     # The Q-table's per-state maximum cache.
-    "cache-skips-past-sole": [("agent.py", "return j + (j >= sole)", "return j + (j > sole)")],
+    "cache-skips-past-sole": [("agent.py", "return j + (j >= self.sole)",
+                               "return j + (j > self.sole)")],
     "cache-counts-every-tie": [("agent.py", "if old != top:", "if True:")],
     "cache-raises-on-equal": [("agent.py", "if value > top:", "if value >= top:")],
-    "update-reads-own-maximum": [("agent.py", "beta * q._best.get(next_state, q._unseen)[0]",
-                                  "beta * q._best.get(state, q._unseen)[0]")],
-    "update-hands-new-value-as-old": [("agent.py", "q._write(state, row, action, old, value)",
-                                       "q._write(state, row, action, value, value)")],
+    "update-reads-own-maximum": [("agent.py", "(utility + beta * next_top)",
+                                  "(utility + beta * self.top)")],
+    "update-hands-new-value-as-old": [("agent.py", "self.write(action, old, value)",
+                                       "self.write(action, value, value)")],
+    # A row made, or added to the table, before its first write passed the
+    # finiteness check; a new row whose runner-up bound starts at 0.
+    "set-adds-row-before-finite-check": [("agent.py",
+                                          "row = self.rows.get(state) or QRow(self.n_actions)\n"
+                                          "        row.write(",
+                                          "row = self.rows.setdefault(state,"
+                                          " QRow(self.n_actions))\n        row.write(")],
+    "update-adds-row-before-finite-check": [("agent.py",
+                                             "row = self.rows.get(state) or QRow(self.n_actions)\n"
+                                             "        row.update(",
+                                             "row = self.rows.setdefault(state,"
+                                             " QRow(self.n_actions))\n        row.update(")],
+    "new-row-bound-starts-at-zero": [("agent.py", "self.bound = -math.inf", "self.bound = 0.0")],
+    "row-view-writable": [("agent.py", "view.flags.writeable = False", "pass")],
+    # The learner's all-zero stand-in for a state without a row, and the
+    # greedy pick of a partial tie through the non-maximizers.
+    "unseen-row-updated": [("harness.py", "if last_row is unseen:", "if last_row is None:")],
+    "greedy-tie-pick-one-early": [("agent.py", 'j, side="right"', 'j, side="left"')],
+    "greedy-tie-pick-ignores-order": [("agent.py", "others - np.arange(others.size)", "others")],
     # The runner-up bound beside a sole maximizer.
     "runner-up-fall-on-equal": [("agent.py",
-                                 "if count == 1 and value > self._runner_up.get(state, -math.inf):",
-                                 "if count == 1 and value >= self._runner_up.get(state,"
-                                 " -math.inf):")],
-    "runner-up-not-raised": [("agent.py", "self._runner_up[state] = value", "pass")],
-    "runner-up-kept-on-new-top": [("agent.py", "self._runner_up[state] = top", "pass")],
-    "runner-up-reset-on-own-rise": [("agent.py", "if action != sole:  #", "if True:  #")],
+                                 "if count == 1 and value > self.bound:",
+                                 "if count == 1 and value >= self.bound:")],
+    "runner-up-not-raised": [("agent.py", "self.bound = value", "pass")],
+    "runner-up-kept-on-new-top": [("agent.py", "self.bound = top", "pass")],
+    "runner-up-reset-on-own-rise": [("agent.py", "if action != self.sole:  #", "if True:  #")],
     "runner-up-scan-tie-taken-as-sole": [("agent.py", "if second < top:", "if second <= top:")],
-    "runner-up-scan-takes-minimizer": [("agent.py", "int(row.argmax())", "int(row.argmin())")],
+    "runner-up-scan-takes-minimizer": [("agent.py", "int(values.argmax())",
+                                        "int(values.argmin())")],
     # The qtable.tsv header fields that QTable.save writes and QTable.load requires.
     "header-drops-n-actions": [("agent.py", '("n_actions", "%d"), ', "")],
     # The stale per-run files a rerun removes.
@@ -133,13 +155,15 @@ MUTANTS = {
                                  " * (c >= n_levels)")],
     "rate-sum-drops-first-ue": [("harness.py", "rate_sum += rates[base + c]",
                                  "rate_sum += rates[base + c] * (c >= n_levels)")],
-    "epsilon-one-slot-late": [("harness.py", "epsilon_at(range(n_slots),",
-                               "epsilon_at(range(-1, n_slots - 1),")],
+    "epsilon-one-slot-late": [("harness.py", "epsilon_at(np.arange(n_slots),",
+                               "epsilon_at(np.arange(-1, n_slots - 1),")],
+    "gain-part-keeps-a-rate-column": [("harness.py", "quantize_state(serving[:, :0], serving,",
+                                       "quantize_state(serving[:, :1], serving,")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
                                 "[d for i, d in enumerate(digits)]")],
     # The agent stream's blocks of coins and picks, and u's index into a pool.
-    "pick-misses-last-of-pool": [("agent.py", "return int(pool[int(u * pool.size)])",
-                                  "return int(pool[int(u * (pool.size - 1))])")],
+    "pick-misses-last-of-pool": [("agent.py", "return int(others[int(u * others.size)])",
+                                  "return int(others[int(u * (others.size - 1))])")],
     "coin-block-reused-as-picks": [("harness.py", "draws = draws.tolist()",
                                     "draws = coins.tolist()")],
     "warmup-misses-last-action": [("harness.py", "int(draws[k] * n_actions)",

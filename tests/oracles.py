@@ -321,6 +321,15 @@ def select_action(row, explore: bool, u: float) -> int:
     return int(pool[int(u * pool.size)])
 
 
+def row_cache(row) -> tuple:
+    """What a QRow caches of its values, by scanning them: the maximum, how
+    many actions reach it, and the maximizer when it is the only one (else
+    None)."""
+    top = row.max()
+    hits = np.flatnonzero(row == top)
+    return top, hits.size, int(hits[0]) if hits.size == 1 else None
+
+
 def state_key(rates, gains, quant) -> str:
     """qtable.tsv key "r1,..,rN|g1,..,gN|N" of one slot's per-UE rates and
     gains: each value floored onto its uniform grid, then clipped into

@@ -16,7 +16,7 @@ from oracles import (
     channel_params_from_cm2, link_geometry, per_ue_bandwidth, rect_fov, sinr, total_ici,
 )
 from vlcudn import kernels
-from vlcudn.agent import QTable, select_action
+from vlcudn.agent import QTable
 from vlcudn.mobility import simulate_paths
 
 
@@ -152,8 +152,8 @@ def check_argmax_invariance(n_cases: int = 1000, seed: int = 105) -> int:
         for a, v in enumerate(row):
             q1.set(state, a, v)
             q2.set(state, a, c * v)
-        pick1 = select_action(q1, state, False, 0.5)
-        pick2 = select_action(q2, state, False, 0.5)
+        pick1 = q1.rows[state].select(False, 0.5)
+        pick2 = q2.rows[state].select(False, 0.5)
         assert pick1 == pick2 == int(np.argmax(row))
     return n_cases
 

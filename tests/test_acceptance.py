@@ -22,7 +22,7 @@ from oracles import (
     channel_params_from_cm2, sinr, total_ici, utility,
 )
 from vlcudn import kernels
-from vlcudn.agent import QTable, select_action, update_q
+from vlcudn.agent import QRow, QTable
 from vlcudn.config import load_experiment
 from vlcudn.harness import converged_means, run_experiment
 
@@ -133,7 +133,7 @@ def test_criterion_3_epsilon_greedy_distribution(capsys):
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[select_action(q, state, rng.random() < 0.4, rng.random())] += 1
+        counts[q.rows[state].select(rng.random() < 0.4, rng.random())] += 1
     freq = counts / n
     p_other = 0.4 / 3
     band_greedy = 3 * np.sqrt(0.6 * 0.4 / n)
@@ -163,11 +163,12 @@ def test_criterion_4_q_learning_matches_value_iteration(capsys):
             break
 
     q = QTable(2)  # states 0 and 1, two actions; action a leads to state a
+    unseen = QRow(2)  # how a state without a row reads: all zeros, both actions tied
     rng = np.random.default_rng(77)
     s = 0
     for _ in range(10_000):
-        a = select_action(q, s, rng.random() < 0.3, rng.random())
-        update_q(q, s, a, rewards[s, a], a, 0.1, beta)
+        a = q.rows.get(s, unseen).select(rng.random() < 0.3, rng.random())
+        q.update(s, a, rewards[s, a], q.rows.get(a, unseen).top, 0.1, beta)
         s = a
     learned = np.array([q.row(s) for s in (0, 1)])
     policy_ok = all(int(np.argmax(learned[s])) == int(np.argmax(q_star[s])) for s in (0, 1))

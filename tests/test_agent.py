@@ -6,6 +6,7 @@ import pytest
 import oracles
 from oracles import joint_actions
 from vlcudn.agent import (
+    QRow,
     QTable,
     StateQuantizer,
     bin_values,
@@ -13,9 +14,7 @@ from vlcudn.agent import (
     epsilon_at,
     parse_state_key,
     quantize_state,
-    select_action,
     state_key,
-    update_q,
 )
 from vlcudn.config import ConfigError, load_experiment
 
@@ -33,19 +32,38 @@ def _key(rates, gains):
     return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
 
 
+def _row(q, state):
+    """The state's QRow, or a new one (not inserted) that reads as its
+    unseen row does."""
+    return q.rows.get(state) or QRow(q.n_actions)
+
+
 def _best(q, state):
-    """The row's cached maximum, its count and sole maximizer (QTable._best)."""
-    return q._best.get(state, q._unseen)
+    """The row's cached maximum, its count and sole maximizer."""
+    row = _row(q, state)
+    return row.top, row.count, row.sole
+
+
+def _select(q, state, explore, u):
+    """The pick through the state's row; a state without one picks as an
+    all-zero row does, which is how the learner picks there."""
+    return _row(q, state).select(explore, u)
+
+
+def _update(q, state, action, utility, next_state, alpha, beta):
+    """One Bellman step on (state, action) toward next_state's row; returns
+    the value written."""
+    return q.update(state, action, utility, _row(q, next_state).top, alpha, beta).values[action]
 
 
 def _assert_cache(q, state):
-    """The cached maximum of the state's row agrees with a scan of the row."""
+    """The cached maximum of the state's row agrees with a scan of the row,
+    and a sole maximizer's runner-up bound is at least every other entry."""
     row = q.row(state)
     top, count, sole = _best(q, state)
-    hits = np.flatnonzero(row == row.max())
-    assert top == row.max()
-    assert count == np.count_nonzero(row == row.max()) == hits.size
-    assert sole == (hits[0] if hits.size == 1 else None)
+    assert (top, count, sole) == oracles.row_cache(row)
+    if count == 1 and row.size > 1:
+        assert _row(q, state).bound >= np.delete(row, sole).max()
 
 
 class TestQuantizeState:
@@ -120,6 +138,17 @@ class TestQuantizeState:
             assert rows == [quantize_state(r, g, quant) for r, g in zip(rates, gains)]
             assert all(type(index) is int for index in rows)
         assert max(rows) > 2**63
+
+
+    def test_no_rate_columns_give_the_gain_part(self):
+        """(K, 0) rates index each row's gains alone: the index of the same
+        gains with every rate in bin 0."""
+        rng = np.random.default_rng(110)
+        for quant in (QUANT, StateQuantizer(1000, 1000, 7.5e7, 8e-6)):
+            gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 4))
+            part = quantize_state(gains[:, :0], gains, quant).tolist()
+            assert part == quantize_state(np.zeros_like(gains), gains, quant).tolist()
+            assert all(type(index) is int for index in part)
 
 
 class TestBinValues:
@@ -239,7 +268,8 @@ def _count_scans(q, state):
             scans[0] += 1
             return np.asarray(self).partition(*args, **kwargs)
 
-    q._rows[state] = q._rows[state].view(CountingRow)
+    row = q.rows[state]
+    row.values = row.values.view(CountingRow)
     return scans
 
 
@@ -257,6 +287,16 @@ class TestQTable:
         q.set(self.S0, 2, -1.5)
         assert q.row(self.S0).tolist() == [0.0, 0.0, -1.5, 0.0]  # other entries still zero
         assert len(q) == 1
+
+    def test_rows_read_back_cannot_be_written(self):
+        q = QTable(4)
+        q.set(self.S0, 2, -1.5)
+        view = q.row(self.S0)
+        with pytest.raises(ValueError, match="read-only"):
+            view[2] = 1.0
+        q.set(self.S0, 1, 0.5)  # the table still writes its own row, and the view shows it
+        assert view.tolist() == [0.0, 0.5, -1.5, 0.0]
+        assert _best(q, self.S0) == (0.5, 1, 1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, bad):
@@ -431,7 +471,7 @@ class TestQTable:
         q.save(path, QUANT, 1, 5, 4e-3)
         loaded, meta = QTable.load(path)
         assert loaded.n_actions == 6
-        assert set(loaded.states()) == {self.S0, self.S1}
+        assert set(loaded.rows) == {self.S0, self.S1}
         for (state, action), value in entries.items():
             assert loaded.row(state)[action] == value
         assert meta["rate_bins"] == 4
@@ -481,15 +521,15 @@ class TestQTable:
         q.save(path, quant, n_ues, 1, 1.0)
         loaded, meta = QTable.load(path)
         assert meta["n_ues"] == n_ues
-        assert set(loaded.states()) == set(q.states())
-        for state in q.states():
+        assert set(loaded.rows) == set(q.rows)
+        for state in q.rows:
             assert loaded.row(state).tolist() == q.row(state).tolist()
 
     def test_load_keys_rows_by_canonical_state_key(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text(f"{_header(2)}\n01|0|1\t0\t1.5\n1|00|1\t1\t2.5\n")
         loaded, meta = QTable.load(path)
-        assert list(loaded.states()) == [self.S1]
+        assert list(loaded.rows) == [self.S1]
         assert state_key(self.S1, QUANT, meta["n_ues"]) == "1|0|1"
         assert loaded.row(self.S1).tolist() == [1.5, 2.5]
 
@@ -538,7 +578,7 @@ class TestSelectAction:
     def test_greedy_when_epsilon_zero(self):
         q = self._table([0.0, 5.0, 0.0, 0.0])
         rng = np.random.default_rng(0)
-        picks = {select_action(q, self.S, rng.random() < 0.0, rng.random()) for _ in range(50)}
+        picks = {_select(q, self.S, rng.random() < 0.0, rng.random()) for _ in range(50)}
         assert picks == {1}
 
     def test_fresh_state_is_uniform_any_epsilon(self):
@@ -546,7 +586,7 @@ class TestSelectAction:
         rng = np.random.default_rng(1)
         counts = np.zeros(4)
         for _ in range(8000):
-            counts[select_action(q, self.S, rng.random() < 0.9, rng.random())] += 1
+            counts[_select(q, self.S, rng.random() < 0.9, rng.random())] += 1
         # every action is a maximizer, so the split should be near 1/4 each
         assert (counts > 0).all()
         assert np.abs(counts / 8000 - 0.25).max() < 0.03
@@ -561,6 +601,10 @@ class TestSelectAction:
         "tie-negative": [-1.0, -3.0, -1.0, -2.0, -1.5],
         "all-negative": [-1.0, -3.0, -0.25, -2.0, -1.5],
         "all-equal": [2.0, 2.0, 2.0, 2.0, 2.0],
+        "tie-ends": [2.0, 1.0, 2.0, 1.0, 2.0],
+        "others-first": [-1.0, -2.0, 0.0, 0.0, 0.0],
+        "others-last": [0.0, 0.0, 0.0, -1.0, -2.0],
+        "one-other": [0.0, 0.0, -1.0, 0.0, 0.0],
     }
 
     def _rows(self):
@@ -579,9 +623,24 @@ class TestSelectAction:
             rng = np.random.default_rng(seed)
             for _ in range(300):
                 explore, u = rng.random() < epsilon, rng.random()
-                pick = select_action(q, self.S, explore, u)
+                pick = _select(q, self.S, explore, u)
                 assert pick == oracles.select_action(q.row(self.S), explore, u), name
                 assert type(pick) is int
+
+    @pytest.mark.parametrize("n_actions", [2, 5, 216])
+    def test_draws_as_the_row_scanning_oracle_on_random_rows(self, n_actions):
+        """Rows written with a few repeated values, so that every kind of
+        tie occurs, pick as the row scan does for random coins and u."""
+        rng = np.random.default_rng(200 + n_actions)
+        for _ in range(200):
+            q = QTable(n_actions)
+            written = rng.choice(n_actions, size=rng.integers(1, n_actions + 1), replace=False)
+            for action in written.tolist():
+                q.set(self.S, action, float(rng.choice([-1.0, -0.5, 0.0, 0.5])))
+            for _ in range(20):
+                explore, u = bool(rng.random() < 0.5), rng.random()
+                pick = _select(q, self.S, explore, u)
+                assert pick == oracles.select_action(q.row(self.S), explore, u)
 
     def test_pool_ends_at_the_extreme_draws(self):
         """u = 0 picks the first action of every pool, the largest double
@@ -593,8 +652,8 @@ class TestSelectAction:
                 pool = np.flatnonzero(row == row.max())
                 if explore and pool.size < row.size:
                     pool = np.flatnonzero(row != row.max())
-                got = (select_action(q, self.S, explore, 0.0),
-                       select_action(q, self.S, explore, last))
+                got = (_select(q, self.S, explore, 0.0),
+                       _select(q, self.S, explore, last))
                 assert got == (pool[0], pool[-1]), (name, explore)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 216, 7776, 10**9 + 7, 2**31 - 1, 2**52 + 1,
@@ -612,19 +671,19 @@ class TestUpdateQ:
         q = QTable(2)
         q.set(self.S0, 0, 1.0)
         q.set(self.S1, 1, 1.0)
-        got = update_q(q, self.S0, 0, 4.0, self.S1, alpha=0.9, beta=0.5)
+        got = _update(q, self.S0, 0, 4.0, self.S1, alpha=0.9, beta=0.5)
         # (1 - 0.9) * 1 + 0.9 * (4 + 0.5 * 1) = 4.15
         assert got == pytest.approx(4.15, rel=1e-12)
         assert q.row(self.S0)[0] == got
 
     def test_full_rate_no_discount_copies_reward(self):
         q = QTable(2)
-        got = update_q(q, self.S0, 1, -2.5, self.S1, alpha=1.0, beta=0.0)
+        got = _update(q, self.S0, 1, -2.5, self.S1, alpha=1.0, beta=0.0)
         assert got == -2.5
 
     def test_zero_everything_is_a_fixpoint(self):
         q = QTable(2)
-        got = update_q(q, self.S0, 0, 0.0, self.S1, alpha=0.9, beta=0.5)
+        got = _update(q, self.S0, 0, 0.0, self.S1, alpha=0.9, beta=0.5)
         assert got == 0.0
         assert q.row(self.S0)[0] == 0.0
 
@@ -632,15 +691,25 @@ class TestUpdateQ:
     def test_rejects_non_finite_utility(self, bad):
         q = QTable(2)
         with pytest.raises(ValueError, match="finite"):
-            update_q(q, self.S0, 0, bad, self.S1, alpha=0.5, beta=0.5)
+            _update(q, self.S0, 0, bad, self.S1, alpha=0.5, beta=0.5)
         assert len(q) == 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_step_leaves_a_visited_row_as_it_was(self, bad):
+        q = QTable(3)
+        q.set(self.S0, 1, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            q.rows[self.S0].update(1, bad, 0.0, alpha=0.5, beta=0.5)
+        assert q.row(self.S0).tolist() == [0.0, 2.0, 0.0]
+        assert _best(q, self.S0) == (2.0, 1, 1)
+        _assert_cache(q, self.S0)
+
     def test_keeps_the_cache(self):
-        """Every write through update_q, rises, ties and a falling sole
+        """Every write through QTable.update, rises, ties and a falling sole
         maximizer included, leaves the cached maximum a scan of the row."""
         q = QTable(3)
         for action, utility in [(0, 2.0), (1, 4.0), (1, -6.0), (2, 1.0), (0, -8.0), (2, -1.0)]:
-            update_q(q, self.S0, action, utility, self.S1, alpha=0.5, beta=0.5)
+            _update(q, self.S0, action, utility, self.S1, alpha=0.5, beta=0.5)
             _assert_cache(q, self.S0)
 
     def test_only_target_entry_changes(self):
@@ -648,7 +717,7 @@ class TestUpdateQ:
         q.set(self.S0, 2, 7.0)
         q.set(self.S1, 0, -1.0)
         before_s1 = q.row(self.S1).copy()
-        update_q(q, self.S0, 0, 1.0, self.S1, alpha=0.5, beta=0.5)
+        _update(q, self.S0, 0, 1.0, self.S1, alpha=0.5, beta=0.5)
         assert q.row(self.S0)[2] == 7.0
         assert (q.row(self.S1) == before_s1).all()
 
@@ -657,17 +726,26 @@ class TestSchedules:
     DECAY = (0.9, 0.1, 1000)  # epsilon start, end and decay slots
 
     def test_epsilon_endpoints(self):
-        assert epsilon_at([0, 1000, 2999], *self.DECAY) == [0.9, 0.1, 0.1]
+        assert epsilon_at([0, 1000, 2999], *self.DECAY).tolist() == [0.9, 0.1, 0.1]
 
     def test_epsilon_midpoint(self):
-        assert epsilon_at([500], *self.DECAY) == [pytest.approx(0.5, rel=1e-12)]
+        assert epsilon_at([500], *self.DECAY).tolist() == [pytest.approx(0.5, rel=1e-12)]
 
     def test_epsilon_monotone_nonincreasing(self):
         values = epsilon_at(range(0, 1200, 7), *self.DECAY)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_decay_jumps_to_end(self):
-        assert epsilon_at([0], 0.9, 0.1, 0) == [0.1]
+        assert epsilon_at([0], 0.9, 0.1, 0).tolist() == [0.1]
+
+    @pytest.mark.parametrize("start, end, decay_slots", [DECAY, (1.0, 0.0, 1), (0.3, 0.3, 7),
+                                                         (0.95, 0.05, 2999), (0.7, 0.01, 3)])
+    def test_each_slot_has_the_scalar_formulas_bits(self, start, end, decay_slots):
+        slots = range(3000)
+        want = [end if slot >= decay_slots else start + (end - start) * (slot / decay_slots)
+                for slot in slots]
+        assert epsilon_at(np.arange(3000), start, end, decay_slots).tolist() == want
 
 
 # Each input in file units, through the config file; the ids are the

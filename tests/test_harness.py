@@ -17,7 +17,7 @@ import pytest
 from conftest import REPO_ROOT
 from oracles import (
     PowerVector, SlotChannelSnapshot, achievable_rate, greedy_joint_argmax, joint_actions,
-    per_ue_bandwidth, sinr, total_ici,
+    per_ue_bandwidth, row_cache, sinr, total_ici,
 )
 from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
@@ -86,11 +86,10 @@ class TestEpisode:
     def test_non_finite_utility_stops_the_learner(self, make_config, monkeypatch):
         cfg = load_experiment(make_config({**SHORT, "utility.energy_weight_per_mw": "1e308",
                                            "agent.max_power_mw": "1e3"}))
-        writes = []
-        monkeypatch.setattr(harness, "update_q", lambda *args: writes.append(args))
+        events = record_learner(monkeypatch)
         with pytest.raises(SimulationAbort, match="non-finite utility at slot 0 "):
             run_episode(cfg, seed=1)
-        assert writes == []
+        assert [event for event in events if event[0] == "update"] == []
 
     def test_cross_gains_are_summed_per_slot_in_row_order(self, make_config, monkeypatch):
         """Each slot's cross-gain toward the foreign UEs is numpy's row sum
@@ -133,6 +132,63 @@ def recording(fn, calls):
     return wrapper
 
 
+def record_learner(mp):
+    """Record the learner's calls on its Q-table in one list, in call order:
+    ("get", state, row, top) for each row lookup of the slot loop (row is
+    what the lookup returned, its default for a state without one, and top
+    that row's top then), ("select", row, explore, u, pick) for each
+    QRow.select, and ("update", who, action, utility, next_top, value) for
+    each QRow.update (who is the row) and QTable.update (who is the state),
+    value being the entry it wrote, leaving out what these make inside each
+    other."""
+    events = []
+    inside = [False]
+
+    class Rows(dict):
+        def get(self, state, default=None):
+            row = dict.get(self, state, default)
+            if not inside[0]:
+                events.append(("get", state, row, None if row is None else row.top))
+            return row
+
+    class Table(agent.QTable):
+        def __init__(self, n_actions):
+            super().__init__(n_actions)
+            self.rows = Rows()
+
+    def outermost(fn, event):
+        def wrapper(*args):
+            if inside[0]:
+                return fn(*args)
+            inside[0] = True
+            try:
+                result = fn(*args)
+            finally:
+                inside[0] = False
+            events.append(event(*args, result))
+            return result
+        return wrapper
+
+    mp.setattr(harness, "QTable", Table)
+    mp.setattr(agent.QRow, "select", outermost(
+        agent.QRow.select, lambda row, explore, u, pick: ("select", row, explore, u, pick)))
+    mp.setattr(agent.QRow, "update", outermost(
+        agent.QRow.update,
+        lambda row, x, u, top, _a, _b, _: ("update", row, x, u, top, row.values.item(x))))
+    mp.setattr(Table, "update", outermost(
+        agent.QTable.update,
+        lambda _, s, x, u, top, _a, _b, row: ("update", s, x, u, top, row.values.item(x))))
+    return events
+
+
+def state_of(who, qtable):
+    """The state of a recorded row, or who itself if it is a state."""
+    if isinstance(who, agent.QRow):
+        (state,) = (s for s, row in qtable.rows.items() if row is who)
+        return state
+    return who
+
+
 def record_episode(cfg, seed, mp):
     """Run one episode with its kernel calls and its batched record pass
     (harness._score) recorded; returns the episode and the recorded calls."""
@@ -160,30 +216,56 @@ TRACE_SEED = 7
 def traced(request, tmp_path_factory):
     """One rpic episode and its per-slot trace, recorded from the calls the
     episode makes: the one level_rates call (the gains and the rate table),
-    select_action (its arguments and pick, laid on the last slots, one
-    each), utility (the utility the learner sees) and, from the second slot
-    on, update_q (the first update's state is slot 0's, update k-1's
-    next_state is slot k's; then the slot's replayed updates), and the
-    batched _score pass (the chosen level indices of every slot, and so
-    each slot's action)."""
+    the learner's calls on its Q-table (record_learner): each slot's row
+    lookup (the slot's state), its QRow.select after warm-up (the coin,
+    the pick u and the action), and from the second slot on its update
+    (s, x, u, s') and then its replayed ones, each with the s' of the
+    lookup that handed it next_top; utility (the utility the learner
+    sees), and the batched _score pass (the chosen level indices of every
+    slot, and so each slot's action)."""
     from conftest import render_config
 
     path = tmp_path_factory.mktemp("trace") / "t.ini"
     path.write_text(render_config(TRACED[request.param]))
     cfg = load_experiment(path)
-    picks, updates = [], []
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "select_action", recording(harness.select_action, picks))
-        mp.setattr(harness, "update_q", recording(harness.update_q, updates))
+        events = record_learner(mp)
         episode, calls = record_episode(cfg, TRACE_SEED, mp)
     n_slots, n = cfg.max_slots, cfg.ue_density
-    first = n_slots - len(picks)  # test_agent_stream_layout checks it is warmup_slots
-    # each slot after the first makes one update, then replay_batch replayed ones
-    stride = 1 + cfg.replay_batch if cfg.replay else 1
-    assert len(updates) == (n_slots - 1) * stride
-    steps = [tuple(args[1:5]) for args, _ in updates[::stride]]  # (s, x, u, s')
-    states = [steps[0][0]] + [step[3] for step in steps]
+    qtable = episode.qtable
+    # Per slot: its lookup, after warm-up a select through the row it
+    # returned, and from the second slot on its update, then replay_batch
+    # replayed ones, each after the lookup of its s'.  Each update's
+    # next_top is the top of the row that lookup returned.
+    remaining = iter(events)
+
+    def take(kind):
+        event = next(remaining)
+        assert event[0] == kind, event
+        return event[1:]
+
+    def step(s_next, top):
+        who, action, utility, next_top, _ = take("update")
+        assert next_top == top
+        return state_of(who, qtable), action, utility, s_next
+
+    states, selects, steps, replayed = [], [], [None], [[]]
+    for k in range(n_slots):
+        state, row, top = take("get")
+        states.append(state)
+        if k >= cfg.warmup_slots:
+            who, explore, u, pick = take("select")
+            assert who is row
+            selects.append(((state, explore, u), pick))
+        else:
+            selects.append(None)
+        if k:
+            steps.append(step(state, top))
+            replayed.append([])
+            for _ in range(cfg.replay_batch if cfg.replay else 0):
+                s_next, _, top = take("get")
+                replayed[-1].append(step(s_next, top))
+    assert next(remaining, None) is None
     # one rate table and one record pass per episode; one utility per slot,
     # on Python floats, before the record pass scores all slots at once
     ((levels, serving, *_), table), = calls["level_rates"]
@@ -193,10 +275,8 @@ def traced(request, tmp_path_factory):
     joint = joint_actions(levels, n)  # the powers of each action index, independently
     chosen = np.ravel_multi_index(tuple(choice.T), (len(levels),) * n).tolist()
     trace = [
-        {"slot": k, "state": states[k], "select": picks[k - first] if k >= first else None,
-         "step": steps[k - 1] if k else None,
-         "replayed": [tuple(args[1:5]) for args, _ in updates[(k - 1) * stride + 1:k * stride]],
-         "serving_gains": serving[k],
+        {"slot": k, "state": states[k], "select": selects[k],
+         "step": steps[k], "replayed": replayed[k], "serving_gains": serving[k],
          "action": action, "powers": joint[action], "levels": choice[k],
          "rates": table[k, np.arange(n), choice[k]], "utility": u_args, "u": u}
         for k, (action, (u_args, (u, _))) in enumerate(zip(chosen, per_slot))
@@ -209,6 +289,12 @@ class TestPerfbenchReads:
     keys, and the tracer counts each traced call; a rename or an extra call
     per slot would change its per-layer numbers without failing the run."""
 
+    # Spans perfbench/run.py still reads that no function carries: the
+    # learner selects and updates through QRow's methods, which the tracer
+    # does not wrap, so agent.select.* and agent.update.* read 0 until
+    # perfbench drops these keys (ROADMAP item 1).
+    RETIRED_SPANS = {"agent.select_action", "agent.update_q"}
+
     def test_agent_span_keys_name_public_agent_functions(self):
         source = (REPO_ROOT / "perfbench" / "run.py").read_text()
         bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -218,10 +304,13 @@ class TestPerfbenchReads:
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and re.fullmatch(r"agent\.\w+", node.value) and node.value not in metric_names
         }
-        assert span_keys
+        assert span_keys - self.RETIRED_SPANS
         for key in span_keys:
             name = key.partition(".")[2]
             fn = getattr(agent, name, None)
+            if key in self.RETIRED_SPANS:
+                assert fn is None, key
+                continue
             assert not name.startswith("_") and inspect.isfunction(fn), key
             assert fn.__module__ == "vlcudn.agent", key
 
@@ -290,7 +379,8 @@ class TestPerfbenchReads:
             assert read["converged"] == [m["converged_last_500"]["utility"] for m in metas]
 
     def test_run_episode_quantizes_once_per_episode(self, make_config, monkeypatch):
-        """The learner bins every slot's gains in one call, with zero rates."""
+        """The learner bins every slot's gains in one call, with no rate
+        columns: the gain part of every slot's state index."""
         cfg = load_experiment(make_config({**SHORT, "agent.replay": "true"}))
         calls = []
 
@@ -301,8 +391,8 @@ class TestPerfbenchReads:
         monkeypatch.setattr(harness, "quantize_state", counting)
         run_episode(cfg, seed=2)
         (rates, gains, grid), = calls
-        assert gains.shape == rates.shape == (cfg.max_slots, cfg.ue_density)
-        assert not rates.any() and grid == cfg.state_grid()
+        assert gains.shape == (cfg.max_slots, cfg.ue_density)
+        assert rates.shape == (cfg.max_slots, 0) and grid == cfg.state_grid()
 
 
 class TestSlotContract:
@@ -325,11 +415,12 @@ class TestSlotContract:
     def test_agent_stream_layout(self, traced):
         """The agent stream, re-derived from the seed: a block of n_slots
         coins, then one of n_slots picks.  Warm-up slot k takes action
-        int(picks[k] * n_actions).  select_action runs in exactly the slots
+        int(picks[k] * n_actions).  QRow.select runs in exactly the slots
         from warmup_slots on, with explore = coins[k] < epsilon of slot k and
-        u = picks[k], and its pick is the slot's action and its state the
-        slot's.  With replay, slot k >= 1 then replays, for each v of one
-        rng.random(replay_batch), update int(v * k) of the k made so far."""
+        u = picks[k], and its pick is the slot's action and its row the one
+        the slot's lookup returned.  With replay, slot k >= 1 then replays,
+        for each v of one rng.random(replay_batch), update int(v * k) of the
+        k made so far."""
         cfg, _, trace, _ = traced
         n_slots = cfg.max_slots
         rng = np.random.default_rng(np.random.SeedSequence(TRACE_SEED).spawn(2)[1])
@@ -343,7 +434,7 @@ class TestSlotContract:
             if k < cfg.warmup_slots:
                 assert entry["action"] == int(picks[k] * n_actions), k
             else:
-                (_, state, explore, u), action = entry["select"]
+                (state, explore, u), action = entry["select"]
                 assert type(explore) is bool and explore == (coins[k] < epsilons[k]), k
                 assert (state, u, action) == (entry["state"], picks[k], entry["action"]), k
             if cfg.replay and k:
@@ -387,12 +478,13 @@ class TestSlotContract:
             "agent.power_levels": 1, "agent.learning_rate": 1, "agent.discount": 0,
         }))
         assert cfg.action_cap >= 2 ** 8
-        writes = []
-        monkeypatch.setattr(harness, "update_q", recording(harness.update_q, writes))
+        events = record_learner(monkeypatch)
         episode, calls = record_episode(cfg, 4, monkeypatch)
+        writes = [event for event in events if event[0] == "update"]
         assert len(writes) == cfg.max_slots - 1
         last_write = {}
-        for k, ((_, state, action, u, *_), value) in enumerate(writes):
+        for k, (_, who, action, u, _, value) in enumerate(writes):
+            state = state_of(who, episode.qtable)
             assert u == value == episode.utility[k], k
             last_write[state, action] = k
         qtable = episode.qtable
@@ -411,6 +503,29 @@ class TestSlotContract:
                      for n in range(density)]
             want = oracle_utility(rates, powers, total_ici(powers, snapshot, eta), cfg)
             assert episode.utility[k] == pytest.approx(want, rel=1e-12), k
+
+    # At rho=5 every Q-value written is negative, so no row has a sole maximizer.
+    @pytest.mark.parametrize("overrides, sole", [
+        ({"experiment.ue_density": 3}, True),
+        ({"experiment.ue_density": 5}, False),
+        ({"experiment.ue_density": 3, "agent.replay": "true"}, True),
+    ], ids=["rho3", "rho5", "rho3-replay"])
+    def test_every_rows_cache_matches_a_scan_of_its_values(self, make_config, overrides, sole):
+        """After whole episodes, each row's cached top, count and sole are
+        what a scan of its values finds, and a sole maximizer's runner-up
+        bound is at least every other entry."""
+        cfg = load_experiment(make_config({**SHORT, "agent.max_slots": 300, **overrides}))
+        sole_rows = 0
+        for seed in (1, 2):
+            qtable = run_episode(cfg, seed).qtable
+            assert len(qtable) > 0
+            for state, row in qtable.rows.items():
+                values = row.values
+                assert (row.top, row.count, row.sole) == row_cache(values), state
+                if row.count == 1:
+                    sole_rows += 1
+                    assert row.bound >= np.delete(values, row.sole).max(), state
+        assert (sole_rows > 0) == sole
 
     def test_utility_recomposes_from_metric_columns(self, make_config):
         cfg = load_experiment(make_config({**SHORT, "experiment.policy": "random"}))
