@@ -158,7 +158,7 @@ class QRow:
 
         Q(s, x) <- (1 - alpha) Q(s, x) + alpha (u + beta max_x' Q(s', x'))
 
-        next_top is the next state's top before this write (0.0 if no row).
+        next_top is the top of the next state's row, read before this write.
         """
         old = self.values.item(action)
         value = (1.0 - alpha) * old + alpha * (utility + beta * next_top)
@@ -196,10 +196,10 @@ class QRow:
 
 
 class QTable:
-    """Sparse state index -> QRow map; a state without a row reads as a new
-    QRow, all zeros.  A state's row is made by its first write and added to
-    rows once that write has passed its finiteness check, so a write that
-    raises leaves the table as it was.
+    """Sparse state index -> QRow map.  The learner makes a state's row, all
+    zeros, at the state's first lookup, and the row stays; set, load's path,
+    adds a row only once its first write has passed the finiteness check,
+    so a write that raises leaves the table as it was.
     """
 
     def __init__(self, n_actions: int):
@@ -210,7 +210,7 @@ class QTable:
         return len(self.rows)
 
     def row(self, state) -> np.ndarray:
-        """Read-only value row for a state; a zero row (not inserted) if unseen."""
+        """Read-only value row for a state; a zero row (not inserted) if it has none."""
         existing = self.rows.get(state)
         if existing is None:
             return np.zeros(self.n_actions)
@@ -222,15 +222,6 @@ class QTable:
         row = self.rows.get(state) or QRow(self.n_actions)
         row.write(action, row.values.item(action), float(value))
         self.rows[state] = row
-
-    def update(self, state, action: int, utility: float, next_top: float, alpha: float,
-               beta: float) -> QRow:
-        """QRow.update on the state's row, made for the state if it has none;
-        returns the row."""
-        row = self.rows.get(state) or QRow(self.n_actions)
-        row.update(action, utility, next_top, alpha, beta)
-        self.rows[state] = row
-        return row
 
     def save(self, path, quant: StateQuantizer, density: int, power_levels: int,
              max_power: float) -> None:
@@ -257,10 +248,12 @@ class QTable:
         its state index on the header's rate_bins and gain_bins.
 
         Every check on a q-table file is made here: all seven header fields,
-        integers n_actions, rate_bins and gain_bins >= 1, finite rate_max and
-        gain_max > 0, actions below n_actions, one UE count N over all keys,
-        bins inside the header's grid, and a power grid with integer
-        L = power_levels >= 1, a finite max_power > 0 and (L + 1)**N == n_actions.
+        each a name=number token named once, integers n_actions, rate_bins and
+        gain_bins >= 1, finite rate_max and gain_max > 0, data lines of a key,
+        an integer action below n_actions and a number, no (state, action)
+        twice, one UE count N over all keys, bins inside the header's grid,
+        and a power grid with integer L = power_levels >= 1, a finite
+        max_power > 0 and (L + 1)**N == n_actions.
         """
         with open(path) as fh:
             header = fh.readline()
@@ -269,10 +262,15 @@ class QTable:
             meta = {}
             for token in header[1:].split():
                 key, _, raw = token.partition("=")
+                if key in meta:
+                    raise ValueError(f"header names {key} twice")
                 try:
                     meta[key] = int(raw)
                 except ValueError:
-                    meta[key] = float(raw)
+                    try:
+                        meta[key] = float(raw)
+                    except ValueError:
+                        raise ValueError(f"header token {token!r} is not name=number") from None
             missing = [name for name, _ in _HEADER_FIELDS if name not in meta]
             if missing:
                 raise ValueError(f"header lacks {', '.join(missing)}")
@@ -285,13 +283,17 @@ class QTable:
             n_actions = meta["n_actions"]
             rate_bins, gain_bins = meta["rate_bins"], meta["gain_bins"]
             table = cls(n_actions=n_actions)
-            ue_counts = set()
-            for line in fh:
+            ue_counts, written = set(), set()
+            for number, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                key, action, value = line.split("\t")
-                action = int(action)
+                try:
+                    key, action, value = line.split("\t")
+                    action, value = int(action), float(value)
+                except ValueError:
+                    raise ValueError(f"line {number} is not key, action and value,"
+                                     f" tab-separated: {line!r}") from None
                 if not 0 <= action < n_actions:
                     raise ValueError(f"action {action} outside [0, {n_actions})")
                 rates, gains, n = parse_state_key(key)
@@ -300,8 +302,11 @@ class QTable:
                     if not 0 <= b < n_bins:
                         raise ValueError(f"state key {key!r} has a bin outside the header's grid")
                     index = index * n_bins + b
+                if (n, index, action) in written:
+                    raise ValueError(f"line {number} repeats state key {key!r} action {action}")
+                written.add((n, index, action))
                 ue_counts.add(n)
-                table.set(index, action, float(value))
+                table.set(index, action, value)
         if len(ue_counts) > 1:
             raise ValueError(f"state keys mix UE counts {sorted(ue_counts)}")
         n_levels, max_power = meta["power_levels"], meta["max_power"]

@@ -12,10 +12,10 @@ level from the table, random one batch of draws.  Only the learner keeps
 a slot loop.  Before it, numpy bins every rate of the table and turns
 every slot's gains into that slot's gain part of the state index.  Then,
 per slot and in this order: form the state from the previous action's
-rate bins of the previous slot plus the current gain part, pick an
-action, read its rates from the table and compute the utility, apply the
-learning update.  One batched pass then records every policy's per-slot
-utility, mean rate, energy and leakage.
+rate bins of the previous slot plus the current gain part, look up its
+Q-row (made at the state's first lookup), pick an action, read its rates
+and compute the utility, apply the previous slot's learning update.  One
+batched pass then records each slot's utility, mean rate, energy and leakage.
 
 Each run derives two independent random streams from its seed, one for
 movement and one for the agent, and run i of an experiment uses seed
@@ -203,11 +203,11 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     pass over the columns then gives the slot's rate sum, in _left_sum's
     order, and its rate bins' Horner sum.  The utility comes from the same
     kernel, operations and summation order as _score, so the learner sees
-    the recorded utility.  A slot looks its state's row up once (unseen,
-    all zeros, if it has none) and picks through it; its update is made in
-    the next slot, with that slot's row's top as next_top, and through the
-    table if its row was unseen, which makes it unless an update has since.
-    A non-finite utility ends the loop early, and _score stops the run.
+    the recorded utility.  A slot looks its state's row up once, stores a
+    new all-zero one if it has none, and picks through it; its update is
+    made in the next slot with that slot's row's top as next_top, and a
+    replayed one reads the top of the next row it was pooled with.  A
+    non-finite utility ends the loop early, and _score stops the run.
     """
     alpha, beta = config.learning_rate, config.discount
     warmup_slots, replay, replay_batch = config.warmup_slots, config.replay, config.replay_batch
@@ -233,15 +233,17 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     cross = outgoing.tolist()
     eta, energy_weight, ici_weight = prices
     columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
-    pool: list[tuple[QRow, int, float, int]] = []  # (row, action, utility, next state)
-    get = qtable.rows.get
-    unseen = QRow(n_actions)  # how a state without a row reads; never written
+    pool: list[tuple[QRow, int, float, QRow]] = []  # (row, action, utility, next row)
+    rows = qtable.rows
+    get = rows.get
     picks = []
     rate_key = 0  # the first slot sees zero rates, all in bin 0
     base = 0  # k * width
     for k in range(n_slots):
         state = rate_key * gain_radix + gain_keys[k]
-        row = get(state, unseen)
+        row = get(state)
+        if row is None:
+            row = rows[state] = QRow(n_actions)
         action = (int(draws[k] * n_actions) if k < warmup_slots
                   else row.select(explore[k], draws[k]))
         picks.append(action)
@@ -261,16 +263,13 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
         if not math.isfinite(u):
             break
         if k:
-            if last_row is unseen:
-                last_row = qtable.update(last_state, last_action, last_u, row.top, alpha, beta)
-            else:
-                last_row.update(last_action, last_u, row.top, alpha, beta)
+            last_row.update(last_action, last_u, row.top, alpha, beta)
             if replay:
-                pool.append((last_row, last_action, last_u, state))
+                pool.append((last_row, last_action, last_u, row))
                 for v in rng.random(replay_batch).tolist():
                     past, past_action, past_u, past_next = pool[int(v * len(pool))]
-                    past.update(past_action, past_u, get(past_next, unseen).top, alpha, beta)
-        last_state, last_action, last_u, last_row = state, action, u, row
+                    past.update(past_action, past_u, past_next.top, alpha, beta)
+        last_action, last_u, last_row = action, u, row
     return picks
 
 

@@ -105,23 +105,21 @@ MUTANTS = {
                                   "(utility + beta * self.top)")],
     "update-hands-new-value-as-old": [("agent.py", "self.write(action, old, value)",
                                        "self.write(action, value, value)")],
-    # A row made, or added to the table, before its first write passed the
+    # A row that QTable.set adds before its first write passed the
     # finiteness check; a new row whose runner-up bound starts at 0.
     "set-adds-row-before-finite-check": [("agent.py",
                                           "row = self.rows.get(state) or QRow(self.n_actions)\n"
                                           "        row.write(",
                                           "row = self.rows.setdefault(state,"
                                           " QRow(self.n_actions))\n        row.write(")],
-    "update-adds-row-before-finite-check": [("agent.py",
-                                             "row = self.rows.get(state) or QRow(self.n_actions)\n"
-                                             "        row.update(",
-                                             "row = self.rows.setdefault(state,"
-                                             " QRow(self.n_actions))\n        row.update(")],
     "new-row-bound-starts-at-zero": [("agent.py", "self.bound = -math.inf", "self.bound = 0.0")],
     "row-view-writable": [("agent.py", "view.flags.writeable = False", "pass")],
-    # The learner's all-zero stand-in for a state without a row, and the
-    # greedy pick of a partial tie through the non-maximizers.
-    "unseen-row-updated": [("harness.py", "if last_row is unseen:", "if last_row is None:")],
+    # The learner's row made at a state's first lookup, the next row a
+    # replayed update reads, and the greedy pick of a partial tie through
+    # the non-maximizers.
+    "lookup-row-not-stored": [("harness.py", "row = rows[state] = QRow(n_actions)",
+                               "row = QRow(n_actions)")],
+    "replay-next-top-from-own-row": [("harness.py", "past_next.top", "past.top")],
     "greedy-tie-pick-one-early": [("agent.py", 'j, side="right"', 'j, side="left"')],
     "greedy-tie-pick-ignores-order": [("agent.py", "others - np.arange(others.size)", "others")],
     # The runner-up bound beside a sole maximizer.
@@ -174,6 +172,11 @@ MUTANTS = {
     "load-rate-digits-on-gain-radix": [("agent.py", "(rate_bins,) * n + (gain_bins,) * n",
                                         "(gain_bins,) * n + (gain_bins,) * n")],
     "load-reads-gain-digits-first": [("agent.py", "zip(rates + gains,", "zip(gains + rates,")],
+    # A header field named twice, or a (state, action) pair written twice,
+    # where the last value would win.
+    "load-keeps-last-header-field": [("agent.py", "if key in meta:", "if False:")],
+    "load-keeps-last-repeated-entry": [("agent.py", "if (n, index, action) in written:",
+                                        "if False:")],
     "gain-bins-unbounded": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
                              '"gain_bins", "[1, inf)"')],
     # The closed-form waypoint walk.

@@ -163,12 +163,18 @@ def test_criterion_4_q_learning_matches_value_iteration(capsys):
             break
 
     q = QTable(2)  # states 0 and 1, two actions; action a leads to state a
-    unseen = QRow(2)  # how a state without a row reads: all zeros, both actions tied
+
+    def lookup(s):
+        """The state's row, made all zeros at its first lookup, as the learner does."""
+        if s not in q.rows:
+            q.rows[s] = QRow(2)
+        return q.rows[s]
+
     rng = np.random.default_rng(77)
     s = 0
     for _ in range(10_000):
-        a = q.rows.get(s, unseen).select(rng.random() < 0.3, rng.random())
-        q.update(s, a, rewards[s, a], q.rows.get(a, unseen).top, 0.1, beta)
+        a = lookup(s).select(rng.random() < 0.3, rng.random())
+        lookup(s).update(a, rewards[s, a], lookup(a).top, 0.1, beta)
         s = a
     learned = np.array([q.row(s) for s in (0, 1)])
     policy_ok = all(int(np.argmax(learned[s])) == int(np.argmax(q_star[s])) for s in (0, 1))

@@ -33,9 +33,18 @@ def _key(rates, gains):
 
 
 def _row(q, state):
-    """The state's QRow, or a new one (not inserted) that reads as its
-    unseen row does."""
+    """The state's QRow, or a new one (not inserted), all zeros, for a
+    state without one."""
     return q.rows.get(state) or QRow(q.n_actions)
+
+
+def _lookup(q, state):
+    """The state's QRow, made and stored if it has none, as the learner's
+    lookup does."""
+    row = q.rows.get(state)
+    if row is None:
+        row = q.rows[state] = QRow(q.n_actions)
+    return row
 
 
 def _best(q, state):
@@ -51,9 +60,11 @@ def _select(q, state, explore, u):
 
 
 def _update(q, state, action, utility, next_state, alpha, beta):
-    """One Bellman step on (state, action) toward next_state's row; returns
-    the value written."""
-    return q.update(state, action, utility, _row(q, next_state).top, alpha, beta).values[action]
+    """One Bellman step on (state, action) toward next_state's row, both
+    rows looked up as the learner does; returns the value written."""
+    row, next_row = _lookup(q, state), _lookup(q, next_state)
+    row.update(action, utility, next_row.top, alpha, beta)
+    return row.values[action]
 
 
 def _assert_cache(q, state):
@@ -689,10 +700,16 @@ class TestUpdateQ:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_utility(self, bad):
+        """A non-finite step on a fresh row leaves it all zeros, with a new
+        row's cache."""
         q = QTable(2)
         with pytest.raises(ValueError, match="finite"):
             _update(q, self.S0, 0, bad, self.S1, alpha=0.5, beta=0.5)
-        assert len(q) == 0
+        row, new = q.rows[self.S0], QRow(2)
+        assert row.values.tolist() == [0.0, 0.0]
+        assert (row.top, row.count, row.sole, row.bound) == (new.top, new.count, new.sole,
+                                                             new.bound)
+        _assert_cache(q, self.S0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_step_leaves_a_visited_row_as_it_was(self, bad):
@@ -705,7 +722,7 @@ class TestUpdateQ:
         _assert_cache(q, self.S0)
 
     def test_keeps_the_cache(self):
-        """Every write through QTable.update, rises, ties and a falling sole
+        """Every write through QRow.update, rises, ties and a falling sole
         maximizer included, leaves the cached maximum a scan of the row."""
         q = QTable(3)
         for action, utility in [(0, 2.0), (1, 4.0), (1, -6.0), (2, 1.0), (0, -8.0), (2, -1.0)]:

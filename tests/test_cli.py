@@ -342,10 +342,30 @@ class TestInspectQ:
          " max_power=0.004\n0|0|1\t1\t1.0\n", "rate_max must be finite and > 0, got nan"),
         ("# rate_bins=3 gain_bins=3 rate_max=1 gain_max=-1 n_actions=6 power_levels=5"
          " max_power=0.004\n0|0|1\t1\t1.0\n", "gain_max must be finite and > 0, got -1"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004 n_actions=36\n"
+         "0,0|0,0|2\t1\t1.0\n", "header names n_actions twice"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n"
+         "0|0|1\t1\t1.0\n0|0|1\t2\t1.0\n0|0|1\t1\t2.0\n",
+         "line 4 repeats state key '0|0|1' action 1"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n"
+         "0|0|1\t1\t1.0\n00|0|1\t1\t2.0\n", "line 3 repeats state key '00|0|1' action 1"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004 cells\n0|0|1\t1\t1.0\n",
+         "header token 'cells' is not name=number"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=\n0|0|1\t1\t1.0\n",
+         "header token 'max_power=' is not name=number"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t1\t1.0\n0|0|1\t2\n",
+         "line 3 is not key, action and value, tab-separated: '0|0|1\\t2'"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t1\tabc\n",
+         "line 2 is not key, action and value, tab-separated: '0|0|1\\t1\\tabc'"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n\n0|0|1\t1.5\t1.0\n",
+         "line 3 is not key, action and value, tab-separated: '0|0|1\\t1.5\\t1.0'"),
     ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree",
             "fractional-action-count", "bins-outside-grid", "mixed-ue-counts",
             "power-levels-zero", "max-power-zero", "max-power-inf", "zero-action-count",
-            "missing-grid", "missing-power-grid", "grid-edge-nan", "grid-edge-negative"])
+            "missing-grid", "missing-power-grid", "grid-edge-nan", "grid-edge-negative",
+            "header-field-twice", "state-action-twice", "state-action-twice-other-spelling",
+            "header-token-without-value", "header-value-empty", "line-two-fields",
+            "value-not-a-number", "action-not-an-integer"])
     def test_rejects_garbage_file(self, runner, tmp_path, contents, reason):
         """Each input has a full header unless the header is its defect, and
         fails for that defect alone."""

@@ -134,32 +134,39 @@ def recording(fn, calls):
 
 def record_learner(mp):
     """Record the learner's calls on its Q-table in one list, in call order:
-    ("get", state, row, top) for each row lookup of the slot loop (row is
-    what the lookup returned, its default for a state without one, and top
-    that row's top then), ("select", row, explore, u, pick) for each
-    QRow.select, and ("update", who, action, utility, next_top, value) for
-    each QRow.update (who is the row) and QTable.update (who is the state),
-    value being the entry it wrote, leaving out what these make inside each
-    other."""
+    ("get", state, row) for each row lookup of the slot loop (row is what
+    the lookup returned, None for a state without one), ("add", state, row)
+    for each row stored in the table, ("select", row, explore, u, pick) for
+    each QRow.select, ("top", row, peak) for each read of a row's top
+    outside the row's own methods (peak is the row's largest value then),
+    and ("update", row, action, utility, next_top, value) for each
+    QRow.update, value being the entry it wrote."""
     events = []
     inside = [False]
+    top_slot = agent.QRow.__dict__["top"]
 
     class Rows(dict):
         def get(self, state, default=None):
             row = dict.get(self, state, default)
-            if not inside[0]:
-                events.append(("get", state, row, None if row is None else row.top))
+            events.append(("get", state, row))
             return row
+
+        def __setitem__(self, state, row):
+            events.append(("add", state, row))
+            dict.__setitem__(self, state, row)
 
     class Table(agent.QTable):
         def __init__(self, n_actions):
             super().__init__(n_actions)
             self.rows = Rows()
 
-    def outermost(fn, event):
+    def read_top(row):
+        if not inside[0]:
+            events.append(("top", row, row.values.max()))
+        return top_slot.__get__(row)
+
+    def method(fn, event):
         def wrapper(*args):
-            if inside[0]:
-                return fn(*args)
             inside[0] = True
             try:
                 result = fn(*args)
@@ -170,23 +177,19 @@ def record_learner(mp):
         return wrapper
 
     mp.setattr(harness, "QTable", Table)
-    mp.setattr(agent.QRow, "select", outermost(
+    mp.setattr(agent.QRow, "top", property(read_top, top_slot.__set__))
+    mp.setattr(agent.QRow, "select", method(
         agent.QRow.select, lambda row, explore, u, pick: ("select", row, explore, u, pick)))
-    mp.setattr(agent.QRow, "update", outermost(
+    mp.setattr(agent.QRow, "update", method(
         agent.QRow.update,
         lambda row, x, u, top, _a, _b, _: ("update", row, x, u, top, row.values.item(x))))
-    mp.setattr(Table, "update", outermost(
-        agent.QTable.update,
-        lambda _, s, x, u, top, _a, _b, row: ("update", s, x, u, top, row.values.item(x))))
     return events
 
 
-def state_of(who, qtable):
-    """The state of a recorded row, or who itself if it is a state."""
-    if isinstance(who, agent.QRow):
-        (state,) = (s for s, row in qtable.rows.items() if row is who)
-        return state
-    return who
+def state_of(row, qtable):
+    """The state of a recorded row."""
+    (state,) = (s for s, r in qtable.rows.items() if r is row)
+    return state
 
 
 def record_episode(cfg, seed, mp):
@@ -217,12 +220,12 @@ def traced(request, tmp_path_factory):
     """One rpic episode and its per-slot trace, recorded from the calls the
     episode makes: the one level_rates call (the gains and the rate table),
     the learner's calls on its Q-table (record_learner): each slot's row
-    lookup (the slot's state), its QRow.select after warm-up (the coin,
-    the pick u and the action), and from the second slot on its update
-    (s, x, u, s') and then its replayed ones, each with the s' of the
-    lookup that handed it next_top; utility (the utility the learner
-    sees), and the batched _score pass (the chosen level indices of every
-    slot, and so each slot's action)."""
+    lookup (the slot's state) and the row it stores if the state has none,
+    its QRow.select after warm-up (the coin, the pick u and the action),
+    and from the second slot on its update (s, x, u, s') and then its
+    replayed ones, each s' the state of the row whose top it was handed;
+    utility (the utility the learner sees), and the batched _score pass
+    (the chosen level indices of every slot, and so each slot's action)."""
     from conftest import render_config
 
     path = tmp_path_factory.mktemp("trace") / "t.ini"
@@ -233,10 +236,10 @@ def traced(request, tmp_path_factory):
         episode, calls = record_episode(cfg, TRACE_SEED, mp)
     n_slots, n = cfg.max_slots, cfg.ue_density
     qtable = episode.qtable
-    # Per slot: its lookup, after warm-up a select through the row it
-    # returned, and from the second slot on its update, then replay_batch
-    # replayed ones, each after the lookup of its s'.  Each update's
-    # next_top is the top of the row that lookup returned.
+    # Per slot: its lookup, the row it stores if the state has none, after
+    # warm-up a select through the slot's row, and from the second slot on
+    # its update, then replay_batch replayed ones, each after the read of
+    # the top it is handed as next_top, which is that row's largest value.
     remaining = iter(events)
 
     def take(kind):
@@ -244,15 +247,21 @@ def traced(request, tmp_path_factory):
         assert event[0] == kind, event
         return event[1:]
 
-    def step(s_next, top):
+    def step():
+        next_row, peak = take("top")
         who, action, utility, next_top, _ = take("update")
-        assert next_top == top
-        return state_of(who, qtable), action, utility, s_next
+        assert next_top == peak
+        return state_of(who, qtable), action, utility, state_of(next_row, qtable)
 
-    states, selects, steps, replayed = [], [], [None], [[]]
+    states, rows, added, selects, steps, replayed = [], [], [], [], [None], [[]]
     for k in range(n_slots):
-        state, row, top = take("get")
+        state, row = take("get")
+        if row is None:
+            new_state, row = take("add")
+            assert new_state == state
+            added.append(state)
         states.append(state)
+        rows.append(row)
         if k >= cfg.warmup_slots:
             who, explore, u, pick = take("select")
             assert who is row
@@ -260,12 +269,15 @@ def traced(request, tmp_path_factory):
         else:
             selects.append(None)
         if k:
-            steps.append(step(state, top))
+            steps.append(step())
+            assert steps[-1][3] == state
             replayed.append([])
             for _ in range(cfg.replay_batch if cfg.replay else 0):
-                s_next, _, top = take("get")
-                replayed[-1].append(step(s_next, top))
+                replayed[-1].append(step())
     assert next(remaining, None) is None
+    # each state's row is made once, at its first lookup, and stays in the table
+    assert sorted(added) == sorted(set(states)) == sorted(qtable.rows)
+    assert all(qtable.rows[state] is row for state, row in zip(states, rows))
     # one rate table and one record pass per episode; one utility per slot,
     # on Python floats, before the record pass scores all slots at once
     ((levels, serving, *_), table), = calls["level_rates"]
@@ -526,6 +538,26 @@ class TestSlotContract:
                     sole_rows += 1
                     assert row.bound >= np.delete(values, row.sole).max(), state
         assert (sole_rows > 0) == sole
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_saved_rows_are_the_rows_with_a_nonzero_entry(self, make_config, monkeypatch,
+                                                          tmp_path, seed):
+        """The table keeps the row of every state the learner looked up, so it
+        holds the saved rows and more: qtable.tsv loads back exactly its rows
+        with a nonzero entry, each row left out is all zeros, and on the
+        1000-bin grid the last slot's state is new and its row one of them."""
+        cfg = load_experiment(make_config(TRACED["bins1000-rho4"]))
+        events = record_learner(monkeypatch)
+        qtable = run_episode(cfg, seed).qtable
+        lookups = [event[1] for event in events if event[0] == "get"]
+        assert len(lookups) == cfg.max_slots and lookups[-1] not in lookups[:-1]
+        path = tmp_path / "qtable.tsv"
+        qtable.save(path, cfg.state_grid(), cfg.ue_density, cfg.power_levels, cfg.max_power)
+        loaded, _ = agent.QTable.load(path)
+        assert set(loaded.rows) == {s for s, row in qtable.rows.items() if row.values.any()}
+        for state, row in qtable.rows.items():
+            assert loaded.row(state).tolist() == row.values.tolist(), state
+        assert lookups[-1] in qtable.rows and lookups[-1] not in loaded.rows
 
     def test_utility_recomposes_from_metric_columns(self, make_config):
         cfg = load_experiment(make_config({**SHORT, "experiment.policy": "random"}))
