@@ -250,7 +250,7 @@ class QTable:
         Every check on a q-table file is made here: all seven header fields,
         each a name=number token named once, integers n_actions, rate_bins and
         gain_bins >= 1, finite rate_max and gain_max > 0, data lines of a key,
-        an integer action below n_actions and a number, no (state, action)
+        an integer action below n_actions and a finite number, no (state, action)
         twice, one UE count N over all keys, bins inside the header's grid,
         and a power grid with integer L = power_levels >= 1, a finite
         max_power > 0 and (L + 1)**N == n_actions.
@@ -295,12 +295,15 @@ class QTable:
                     raise ValueError(f"line {number} is not key, action and value,"
                                      f" tab-separated: {line!r}") from None
                 if not 0 <= action < n_actions:
-                    raise ValueError(f"action {action} outside [0, {n_actions})")
+                    raise ValueError(f"line {number} has action {action} outside [0, {n_actions})")
+                if not math.isfinite(value):
+                    raise ValueError(f"line {number} has a non-finite value {value!r}")
                 rates, gains, n = parse_state_key(key)
                 index = 0  # quantize_state's digits: N rate bins, then N gain bins
                 for b, n_bins in zip(rates + gains, (rate_bins,) * n + (gain_bins,) * n):
                     if not 0 <= b < n_bins:
-                        raise ValueError(f"state key {key!r} has a bin outside the header's grid")
+                        raise ValueError(f"line {number} has state key {key!r} with a bin"
+                                         " outside the header's grid")
                     index = index * n_bins + b
                 if (n, index, action) in written:
                     raise ValueError(f"line {number} repeats state key {key!r} action {action}")

@@ -44,8 +44,9 @@ def _exit_codes():
 
 @contextmanager
 def _sigterm_exits():
-    """SIGTERM unwinds like Ctrl-C and exits 143, so run_experiment shuts
-    its pool down on the way out; the previous handler is restored after."""
+    """SIGTERM unwinds like Ctrl-C and exits 143, so run_experiment kills
+    and reaps its forked children on the way out; the previous handler is
+    restored after."""
     previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         yield
@@ -55,7 +56,8 @@ def _sigterm_exits():
 
 def _run(jobs, workers: int, keep_runs: bool = False) -> None:
     """Run each (config, result directory or None) pair, all through one
-    pool, then print each config's converged metrics and write its files.
+    run_experiment call and so one pool of forked children, then print
+    each config's converged metrics and write its files.
     Every directory is created first, so that a path which cannot hold the
     results fails (exit 2) before the compute is spent."""
     for _, out_dir in jobs:

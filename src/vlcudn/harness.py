@@ -29,7 +29,9 @@ rng.random(replay_batch), the int(v * k)-th of the k updates made so
 far.  Averaging across runs is an ordered reduction over the run index,
 so serial and process-parallel execution give byte-identical outputs.
 run_experiment runs every run of every config it is given through one
-process pool.
+pool of forked children: each takes a fixed stride of the runs, runs it
+in order and sends its results back once, on its own pipe, when it
+finishes.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import islice
@@ -55,6 +57,7 @@ from .config import ConfigError, ExperimentConfig
 from .mobility import simulate_paths
 from .topology import episode_cells
 
+_STOPS = {signal.SIGTERM, signal.SIGINT}  # held while pool children are forked or reaped
 CSV_HEADER = "slot,utility,mean_rate_bps,energy_w,ici_w"
 METRICS = ("utility", "mean_rate_bps", "energy_w", "ici_w")
 
@@ -276,33 +279,93 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
 def run_experiment(configs: list[ExperimentConfig], workers: int = 1,
                    keep_runs: bool = False) -> list[Series]:
     """One Series per config: the mean of its config.runs episodes, seeded
-    seed, seed+1, ...  Every run of every config goes through one pool of
-    up to `workers` processes; 1 runs serially."""
+    seed, seed+1, ...  Every run of every config goes through one _forked
+    pool of up to `workers` children; 1 runs serially.  Each child takes a
+    fixed stride of the runs, so a runs = 1 sweep over unlike densities can
+    split unevenly."""
     jobs = [(config, seed) for config in configs
             for seed in range(config.seed, config.seed + config.runs)]
-    workers = min(workers, len(jobs))  # the pool starts all its processes up front
-    pool = None
+    workers = min(workers, len(jobs))  # a child without runs would only cost a fork
+    episodes = iter(_forked(jobs, workers) if workers > 1 else map(_run, *zip(*jobs)))
+    # Both yield in job order, so each config's runs arrive in run order.
+    return [_mean(list(islice(episodes, config.runs)), keep_runs) for config in configs]
+
+
+def _forked(jobs: list, workers: int) -> list[Series]:
+    """_run over jobs, in job order, in `workers` forked children.
+
+    Child i runs jobs[i::workers] in order up to its first failure and
+    sends back (its results, the failure or None) as one pickle on its own
+    pipe, about 100 KB per 3000-slot run.  The pipes are read in index
+    order.  Each write end is closed here after its fork, so EOF means the
+    child exited, and one that exited without a whole pickle is an error
+    naming its wait status.  Of several failures the lowest job's raises,
+    as in a serial call.  SIGTERM and SIGINT, whose handlers may raise,
+    wait while children are forked or reaped; the children ignore SIGTERM.
+    However the call is left, every child is killed and reaped, so no run
+    starts after it, and a child ends in os._exit, never in the caller."""
+    children = []  # (pid, read end of its pipe)
+    batches = []  # each child's (results, failure or None), in index order
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOPS)
     try:
-        if workers > 1:
-            # SIGTERM waits until the pool is built and every run queued: a
-            # handler that raised halfway, as the CLI's does, would leave a
-            # pool that cannot be shut down.  The workers ignore it and leave
-            # it to this process, which stops the pool: a worker killed while
-            # it sends a result back would hang the pool's result reader.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        for i in range(workers):
+            read, write = os.pipe()
             try:
-                pool = ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                                           initargs=(signal.SIGTERM, signal.SIG_IGN))
-                episodes = pool.map(_run, *zip(*jobs))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        else:
-            episodes = map(_run, *zip(*jobs))
-        # Both maps yield in job order, so each config's runs arrive in run order.
-        return [_mean(list(islice(episodes, config.runs)), keep_runs) for config in configs]
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if not pid:
+                _child(jobs[i::workers], write, held)
+            os.close(write)
+            children.append((pid, read))
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    batches.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):  # it died before a whole pickle
+                    break
     finally:
-        if pool:  # however the call is left, no queued run starts after it
-            pool.shutdown(cancel_futures=True)
+        signal.pthread_sigmask(signal.SIG_BLOCK, _STOPS)
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        for _, read in children:
+            os.close(read)
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+    if len(batches) < workers:
+        code = os.waitstatus_to_exitcode(statuses[len(batches)])
+        raise RuntimeError(f"pool worker {len(batches)} ended without its results: "
+                           + (f"killed by signal {-code}" if code < 0 else f"exit status {code}"))
+    failures = [(i + len(done) * workers, error)
+                for i, (done, error) in enumerate(batches) if error is not None]
+    if failures:
+        raise min(failures)[1]  # job indices differ, so no two exceptions are compared
+    results = [None] * len(jobs)
+    for i, (done, _) in enumerate(batches):
+        results[i::workers] = done
+    return results
+
+
+def _child(jobs: list, write: int, mask) -> None:
+    """A forked child's whole life, which ends in os._exit."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        done, error = [], None
+        try:
+            for job in jobs:
+                done.append(_run(*job))
+        except Exception as exc:
+            error = exc
+        with open(write, "wb") as pipe:
+            pickle.dump((done, error), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run(config: ExperimentConfig, seed: int) -> Series:

@@ -201,9 +201,22 @@ MUTANTS = {
     "walk-distance-x-twice": [("mobility.py", "dist = np.sqrt(sq[..., 0] + sq[..., 1])",
                                "dist = np.sqrt(sq[..., 0] + sq[..., 0])")],
     "walk-y-written-to-x": [("mobility.py", "pos = out[axis]", "pos = out[0]")],
-    # A stopped pooled call cancels the runs it has not started.
-    "pool-shutdown-runs-the-queue": [("harness.py", "pool.shutdown(cancel_futures=True)",
-                                      "pool.shutdown()")],
+    # The fork pool: its children die with the call, leave SIGTERM to it and
+    # send back their failures, and their runs come back in job order.
+    "pool-children-not-killed": [("harness.py", "os.kill(pid, signal.SIGKILL)", "pass")],
+    "pool-children-keep-sigterm": [("harness.py", "signal.signal(signal.SIGTERM, signal.SIG_IGN)",
+                                    "pass")],
+    "pool-runs-in-contiguous-slices": [("harness.py",
+                                        "    results = [None] * len(jobs)\n"
+                                        "    for i, (done, _) in enumerate(batches):\n"
+                                        "        results[i::workers] = done\n"
+                                        "    return results\n",
+                                        "    return [run for done, _ in batches for run in done]\n")],
+    "pool-child-returns": [("harness.py", "        os._exit(code)\n", "        pass\n")],
+    "pool-child-drops-its-exception": [("harness.py", "        except Exception as exc:\n"
+                                                      "            error = exc\n",
+                                        "        except Exception:\n"
+                                        "            pass\n")],
     # The .git probe before git starts, and the environment git gets.
     "git-probe-never-finds-checkout": [("harness.py", 'os.path.join(d, ".git")',
                                         'os.path.join(d, ".git-absent")')],

@@ -316,15 +316,15 @@ class TestInspectQ:
     @pytest.mark.parametrize("contents,reason", [
         ("not a table\n", "missing header row"),
         (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t-1\t1.0\n",
-         "action -1 outside [0, 6)"),
+         "line 2 has action -1 outside [0, 6)"),
         (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t999\t1.0\n",
-         "action 999 outside [0, 6)"),
+         "line 2 has action 999 outside [0, 6)"),
         (f"# {GRID} n_actions=216 power_levels=2 max_power=0.004\n0,0,0|0,0,0|3\t100\t1.0\n",
          "power grid power_levels=2 max_power=0.004 does not fit n_actions=216"),
         (f"# {GRID} n_actions=2.5 power_levels=1 max_power=0.004\n0|0|1\t1\t1.0\n",
          "n_actions must be an integer >= 1, got 2.5"),
         (f"# {GRID} n_actions=4 power_levels=3 max_power=0.004\n7|0|1\t0\t1.0\n",
-         "state key '7|0|1' has a bin outside the header's grid"),
+         "line 2 has state key '7|0|1' with a bin outside the header's grid"),
         (f"# {GRID} n_actions=4 power_levels=3 max_power=0.004\n"
          "0|0|1\t1\t1.0\n0,0|0,0|2\t1\t1.0\n", "state keys mix UE counts [1, 2]"),
         (f"# {GRID} n_actions=1 power_levels=0 max_power=0.004\n0|0|1\t0\t1.0\n",
@@ -359,13 +359,15 @@ class TestInspectQ:
          "line 2 is not key, action and value, tab-separated: '0|0|1\\t1\\tabc'"),
         (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n\n0|0|1\t1.5\t1.0\n",
          "line 3 is not key, action and value, tab-separated: '0|0|1\\t1.5\\t1.0'"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t1\t1.0\n0|0|1\t2\tnan\n",
+         "line 3 has a non-finite value nan"),
     ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree",
             "fractional-action-count", "bins-outside-grid", "mixed-ue-counts",
             "power-levels-zero", "max-power-zero", "max-power-inf", "zero-action-count",
             "missing-grid", "missing-power-grid", "grid-edge-nan", "grid-edge-negative",
             "header-field-twice", "state-action-twice", "state-action-twice-other-spelling",
             "header-token-without-value", "header-value-empty", "line-two-fields",
-            "value-not-a-number", "action-not-an-integer"])
+            "value-not-a-number", "action-not-an-integer", "value-not-finite"])
     def test_rejects_garbage_file(self, runner, tmp_path, contents, reason):
         """Each input has a full header unless the header is its defect, and
         fails for that defect alone."""
@@ -427,12 +429,18 @@ class TestDeterminism:
 
 
 def test_module_invocation_runs():
+    """The CLI runs as a module, and starts without multiprocessing or
+    concurrent.futures: its pool forks directly."""
     proc = subprocess.run(
-        [sys.executable, "-m", "vlcudn.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-X", "importtime", "-m", "vlcudn.cli", "--help"],
+        capture_output=True, text=True
     )
     assert proc.returncode == 0
     for command in ("simulate", "sweep", "inspect-q"):
         assert command in proc.stdout
+    imported = re.findall(r"^import time:.*\| +(\S+)$", proc.stderr, re.MULTILINE)
+    assert "vlcudn.harness" in imported
+    assert [m for m in imported if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
 
 
 def _group_size(pgid: int) -> int:

@@ -8,8 +8,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -669,21 +671,15 @@ class TestExperiment:
 
     @pytest.fixture()
     def pool_sizes(self, monkeypatch):
-        """The size of each pool run_experiment opens; the pools run their
-        maps in this process."""
+        """The worker count of each pool run_experiment opens; the pools run
+        their jobs in this process."""
         sizes = []
 
-        class RecordingPool:
-            def __init__(self, max_workers, **_):
-                sizes.append(max_workers)
+        def recording(jobs, workers):
+            sizes.append(workers)
+            return list(map(harness._run, *zip(*jobs)))
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_forked", recording)
         return sizes
 
     def test_pool_is_no_larger_than_the_run_count(self, make_config, pool_sizes):
@@ -771,6 +767,90 @@ class TestExperiment:
             assert result.exit_code == 2 and fragment in result.output, result.output
         assert calls == []
         assert not out.exists()
+
+
+class TestForkedPool:
+    """run_experiment's pool of forked children, with harness._run replaced
+    inside the children."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_runs_come_back_in_run_order(self, make_config, workers):
+        cfg = load_experiment(make_config(SHORT), runs=5)
+        serial = run_experiment([cfg], keep_runs=True)[0]
+        pooled = run_experiment([cfg], workers=workers, keep_runs=True)[0]
+        for a, b in zip(serial.per_run, pooled.per_run, strict=True):
+            assert np.array_equal(a.utility, b.utility)
+        assert np.array_equal(serial.utility, pooled.utility)
+
+    def test_a_killed_child_is_an_error_and_leaves_no_child(self, make_config, monkeypatch):
+        cfg = load_experiment(make_config(SHORT), runs=4)
+        real = harness._run
+
+        def dying(config, seed):
+            if seed == cfg.seed + 1:  # the first run of worker 1
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, seed)
+
+        monkeypatch.setattr(harness, "_run", dying)
+        with pytest.raises(RuntimeError, match="^pool worker 1 ended without its results:"
+                                               " killed by signal 9$"):
+            run_experiment([cfg], workers=2)
+        with pytest.raises(ChildProcessError):  # no child, running or zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing,raised", [((1, 2), 1), ((2, 3), 2), ((0, 3), 0)])
+    def test_the_lowest_failing_job_raises(self, make_config, monkeypatch, failing, raised):
+        """Worker 0 runs jobs 0 and 2 and worker 1 jobs 1 and 3; each stops
+        at its first failure."""
+        cfg = load_experiment(make_config(SHORT), runs=4)
+        real = harness._run
+
+        def failing_run(config, seed):
+            if seed - cfg.seed in failing:
+                raise SimulationAbort(f"job {seed - cfg.seed}")
+            return real(config, seed)
+
+        monkeypatch.setattr(harness, "_run", failing_run)
+        with pytest.raises(SimulationAbort, match=f"^job {raised}$"):
+            run_experiment([cfg], workers=2)
+
+    def test_children_leave_sigterm_to_the_caller(self, make_config, monkeypatch):
+        cfg = load_experiment(make_config(SHORT), runs=2)
+        serial = run_experiment([cfg])[0]
+        real = harness._run
+
+        def terminated(config, seed):
+            os.kill(os.getpid(), signal.SIGTERM)
+            return real(config, seed)
+
+        monkeypatch.setattr(harness, "_run", terminated)
+        assert np.array_equal(run_experiment([cfg], workers=2)[0].utility, serial.utility)
+
+    def test_a_child_never_returns_into_the_caller(self, make_config, monkeypatch, tmp_path):
+        """Worker 0 fails at once while worker 1 holds the call open, so a
+        worker 0 that unwound into this test would append its line before
+        the call kills it."""
+        cfg = load_experiment(make_config(SHORT), runs=2)
+
+        def run(config, seed):
+            if seed == cfg.seed:
+                raise ValueError("first run")
+            time.sleep(0.3)
+
+        monkeypatch.setattr(harness, "_run", run)
+        caller = os.getpid()
+        log = tmp_path / "log"
+        raised = None
+        try:
+            run_experiment([cfg], workers=2)
+        except Exception as exc:  # whatever a child that unwound here raised
+            raised = exc
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != caller:  # a child that got here ends here
+            os._exit(0)
+        assert log.read_text() == f"{caller}\n"
+        assert type(raised) is ValueError and str(raised) == "first run"
 
 
 class TestWriters:
