@@ -16,6 +16,7 @@ from .agent import QTable, StateQuantizer, enumerate_actions, state_key
 from .config import ConfigError, load_experiment
 from .harness import (
     SimulationAbort,
+    blocked_results,
     converged_means,
     density_configs,
     run_experiment,
@@ -58,14 +59,18 @@ def _run(jobs, workers: int, keep_runs: bool = False) -> None:
     """Run each (config, result directory or None) pair, all through one
     run_experiment call and so one pool of forked children, then print
     each config's converged metrics and write its files.
-    Every directory is created first, so that a path which cannot hold the
-    results fails (exit 2) before the compute is spent."""
+    Every directory is created and checked first, so that a path which
+    cannot hold the results, or a result name taken by a directory, fails
+    (exit 2) before the compute is spent."""
     for _, out_dir in jobs:
         if out_dir:
             try:
                 os.makedirs(out_dir, exist_ok=True)
+                blocked = blocked_results(out_dir)
             except OSError as exc:
                 raise click.UsageError(f"cannot create --out: {exc}") from None
+            if blocked:
+                raise click.UsageError(f"cannot write --out: {blocked[0]} is not a file")
     with _sigterm_exits():
         results = run_experiment([config for config, _ in jobs], workers, keep_runs)
     for (config, out_dir), series in zip(jobs, results):

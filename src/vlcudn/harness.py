@@ -60,6 +60,8 @@ from .topology import episode_cells
 _STOPS = {signal.SIGTERM, signal.SIGINT}  # held while pool children are forked or reaped
 CSV_HEADER = "slot,utility,mean_rate_bps,energy_w,ici_w"
 METRICS = ("utility", "mean_rate_bps", "energy_w", "ici_w")
+# Every file name save_experiment writes, or removes when an earlier save left it.
+_RESULTS = re.compile(r"metrics\.csv|metrics\.meta\.json|qtable\.tsv|run[0-9]{4,}\.csv")
 
 
 class SimulationAbort(RuntimeError):
@@ -499,6 +501,13 @@ def save_experiment(out_dir, config: ExperimentConfig, series: Series) -> list[s
         written.append(q_path)
     names = {os.path.basename(path) for path in written}
     for name in os.listdir(out_dir):
-        if re.fullmatch(r"qtable\.tsv|run[0-9]{4,}\.csv", name) and name not in names:
+        if _RESULTS.fullmatch(name) and name not in names:
             os.remove(os.path.join(out_dir, name))
     return written
+
+
+def blocked_results(out_dir) -> list[str]:
+    """The entries of an existing out_dir that save_experiment would write
+    or remove but that are not files (directories, say), in name order."""
+    return [os.path.join(out_dir, name) for name in sorted(os.listdir(out_dir))
+            if _RESULTS.fullmatch(name) and not os.path.isfile(os.path.join(out_dir, name))]

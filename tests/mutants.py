@@ -159,6 +159,10 @@ MUTANTS = {
                                        "quantize_state(serving[:, :1], serving,")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
                                 "[d for i, d in enumerate(digits)]")],
+    # The learner's first state, and the cross-gain its utility reads.
+    "first-slot-rate-key-one": [("harness.py", "rate_key = 0  # the first slot sees zero rates",
+                                 "rate_key = 1  # the first slot sees zero rates")],
+    "utility-reads-previous-cross-gain": [("harness.py", "cross[k]", "cross[k - 1]")],
     # The agent stream's blocks of coins and picks, and u's index into a pool.
     "pick-misses-last-of-pool": [("agent.py", "return int(others[int(u * others.size)])",
                                   "return int(others[int(u * (others.size - 1))])")],

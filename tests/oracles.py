@@ -3,9 +3,11 @@ package computes only in :mod:`vlcudn.kernels`: the Lambertian gain, SINR
 and Shannon rate, leaked ICI and the slot utility; the random-waypoint
 step, which the package computes only in :mod:`vlcudn.mobility`; the
 joint-action scan that the per-UE greedy choice replaces; the
-per-component state binning that the integer state index replaces; and
-the row-scanning epsilon-greedy pick that the Q-table's cached row
-maximum replaces.
+per-component state binning that the integer state index replaces; the
+row-scanning epsilon-greedy pick that the Q-table's cached row maximum
+replaces; and learn, the rpic learner's slot loop one slot at a time on
+string-keyed numpy rows, which the package's flattened loop over QRow
+objects replaces.
 The tests hold the package to these; the package never imports them.
 Their parameter records are plain and check nothing: the package checks
 its inputs once, in ExperimentConfig.
@@ -344,3 +346,58 @@ def state_key(rates, gains, quant) -> str:
         bins(gains, quant.gain_max, quant.gain_bins),
         len(rates),
     )
+
+
+def learn(config, rate_tab, serving, outgoing, rng):
+    """The rpic learner, one slot at a time: tabular Q-learning on the
+    episode's (slot, UE, level) rate table, its (slot, UE) serving gains
+    and per-slot cross-gains, reading the agent stream rng in the layout
+    the harness docstring states.  Returns each slot's (state key, action,
+    utility) and the Q-table, a dict from state key to value row.
+
+    Slot k's state is state_key of the rates slot k-1's action got (zeros
+    in slot 0) and slot k's gains; its row is made, all zeros, at the
+    state's first lookup.  Slot k picks a uniform action in warm-up, else
+    select_action on its row, explores when its coin is below epsilon,
+    and takes kernels.utility of its summed rates and powers.  From slot 1
+    on it then makes slot k-1's Bellman step, with the next state's row
+    maximum read when the step is made, and with replay one more step per
+    draw v, the int(v * k)-th of the k made so far.  The loop stops after
+    the first slot whose utility is not finite."""
+    n_slots, n, n_levels = rate_tab.shape
+    levels = (np.arange(n_levels) * (config.max_power / config.power_levels)).tolist()
+    actions = list(itertools.product(range(n_levels), repeat=n))  # per-UE levels, first UE first
+    alpha, beta = config.learning_rate, config.discount
+    start, end, decay = config.epsilon_start, config.epsilon_end, config.epsilon_decay_slots
+    coins, picks = rng.random(n_slots), rng.random(n_slots)
+    table, slots = {}, []
+    rates = np.zeros(n)
+
+    def step(j):  # the Bellman step of slot j's (state, action, utility)
+        (key, action, u), next_key = slots[j], slots[j + 1][0]
+        row = table[key]
+        row[action] = (1.0 - alpha) * row[action] + alpha * (u + beta * table[next_key].max())
+
+    for k in range(n_slots):
+        key = state_key(rates, serving[k], config.state_grid())
+        row = table.setdefault(key, np.zeros(len(actions)))
+        if k < config.warmup_slots:
+            action = int(picks[k] * len(actions))
+        else:
+            epsilon = start + (end - start) * (k / decay) if k < decay else end
+            action = select_action(row, bool(coins[k] < epsilon), picks[k])
+        rates = rate_tab[k, np.arange(n), list(actions[action])]
+        rate_sum = total_w = 0.0
+        for rate, level in zip(rates.tolist(), actions[action]):  # left to right
+            rate_sum += rate
+            total_w += levels[level]
+        u = kernels.utility(rate_sum, n, total_w, float(outgoing[k]), config.responsivity,
+                            config.energy_weight, config.interference_weight)[0]
+        slots.append((key, action, u))
+        if not math.isfinite(u):
+            break
+        if k:
+            step(k - 1)
+            for v in rng.random(config.replay_batch) if config.replay else ():
+                step(int(v * k))
+    return slots, table

@@ -207,6 +207,28 @@ def test_density_directory_that_cannot_be_created_exits_2_before_any_run(
     assert [p for p in out.rglob("*") if p.is_file()] == [out / "rho2"]
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("metrics.csv", []),  # every save writes it
+    ("qtable.tsv", ["--policy", "fixed_max"]),  # a save without a learner removes it
+], ids=["written", "stale"])
+def test_result_name_taken_by_a_directory_exits_2_before_any_run(
+    runner, fast_config, tmp_path, monkeypatch, name, extra
+):
+    import vlcudn.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran an experiment before checking --out")
+
+    monkeypatch.setattr(vlcudn.cli, "run_experiment", no_run)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    result = runner.invoke(main, [
+        "simulate", "--config", str(fast_config), "--out", str(out), *extra,
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"cannot write --out: {out / name} is not a file" in result.output
+
+
 class TestSweep:
     def test_writes_one_directory_per_density(self, runner, fast_config, tmp_path):
         out = tmp_path / "sweep"

@@ -18,12 +18,12 @@ import pytest
 
 from conftest import REPO_ROOT
 from oracles import (
-    PowerVector, SlotChannelSnapshot, achievable_rate, greedy_joint_argmax, joint_actions,
+    PowerVector, SlotChannelSnapshot, achievable_rate, greedy_joint_argmax, learn,
     per_ue_bandwidth, row_cache, sinr, total_ici,
 )
 from oracles import utility as oracle_utility
 from vlcudn import agent, harness, kernels
-from vlcudn.agent import epsilon_at, parse_state_key, quantize_state, state_key
+from vlcudn.agent import quantize_state, state_key
 from vlcudn.config import POLICIES, ConfigError, load_experiment
 from vlcudn.topology import episode_cells
 from vlcudn.harness import (
@@ -86,12 +86,17 @@ class TestEpisode:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_utility_stops_the_learner(self, make_config, monkeypatch):
+        """The learner ends in slot 0, whose utility is not finite, before
+        any Bellman step, as the oracle does: the record pass gets one
+        slot's action."""
         cfg = load_experiment(make_config({**SHORT, "utility.energy_weight_per_mw": "1e308",
                                            "agent.max_power_mw": "1e3"}))
-        events = record_learner(monkeypatch)
+        calls = {}
         with pytest.raises(SimulationAbort, match="non-finite utility at slot 0 "):
-            run_episode(cfg, seed=1)
-        assert [event for event in events if event[0] == "update"] == []
+            record_episode(cfg, 1, monkeypatch, calls)
+        ((_, _, choice, *_), _), = calls["score"]
+        slots, _ = oracle_run(cfg, 1, calls)
+        assert len(choice) == len(slots) == 1 and not np.isfinite(slots[0][2])
 
     def test_cross_gains_are_summed_per_slot_in_row_order(self, make_config, monkeypatch):
         """Each slot's cross-gain toward the foreign UEs is numpy's row sum
@@ -127,81 +132,50 @@ class TestEpisode:
 
 
 def recording(fn, calls):
+    """fn, appending (its arguments, its result) to calls on each call; the
+    result reads None until fn returns."""
     def wrapper(*args):
+        calls.append((args, None))
         result = fn(*args)
-        calls.append((args, result))
+        calls[-1] = (args, result)
         return result
     return wrapper
 
 
-def record_learner(mp):
-    """Record the learner's calls on its Q-table in one list, in call order:
-    ("get", state, row) for each row lookup of the slot loop (row is what
-    the lookup returned, None for a state without one), ("add", state, row)
-    for each row stored in the table, ("select", row, explore, u, pick) for
-    each QRow.select, ("top", row, peak) for each read of a row's top
-    outside the row's own methods (peak is the row's largest value then),
-    and ("update", row, action, utility, next_top, value) for each
-    QRow.update, value being the entry it wrote."""
-    events = []
-    inside = [False]
-    top_slot = agent.QRow.__dict__["top"]
-
-    class Rows(dict):
-        def get(self, state, default=None):
-            row = dict.get(self, state, default)
-            events.append(("get", state, row))
-            return row
-
-        def __setitem__(self, state, row):
-            events.append(("add", state, row))
-            dict.__setitem__(self, state, row)
-
-    class Table(agent.QTable):
-        def __init__(self, n_actions):
-            super().__init__(n_actions)
-            self.rows = Rows()
-
-    def read_top(row):
-        if not inside[0]:
-            events.append(("top", row, row.values.max()))
-        return top_slot.__get__(row)
-
-    def method(fn, event):
-        def wrapper(*args):
-            inside[0] = True
-            try:
-                result = fn(*args)
-            finally:
-                inside[0] = False
-            events.append(event(*args, result))
-            return result
-        return wrapper
-
-    mp.setattr(harness, "QTable", Table)
-    mp.setattr(agent.QRow, "top", property(read_top, top_slot.__set__))
-    mp.setattr(agent.QRow, "select", method(
-        agent.QRow.select, lambda row, explore, u, pick: ("select", row, explore, u, pick)))
-    mp.setattr(agent.QRow, "update", method(
-        agent.QRow.update,
-        lambda row, x, u, top, _a, _b, _: ("update", row, x, u, top, row.values.item(x))))
-    return events
-
-
-def state_of(row, qtable):
-    """The state of a recorded row."""
-    (state,) = (s for s, r in qtable.rows.items() if r is row)
-    return state
-
-
-def record_episode(cfg, seed, mp):
+def record_episode(cfg, seed, mp, calls=None):
     """Run one episode with its kernel calls and its batched record pass
-    (harness._score) recorded; returns the episode and the recorded calls."""
-    calls = {"level_rates": [], "utility": [], "score": []}
+    (harness._score) recorded in calls, a new dict unless one is given;
+    returns the episode and the recorded calls."""
+    calls = {} if calls is None else calls
+    calls.update(level_rates=[], utility=[], score=[])
     mp.setattr(kernels, "level_rates", recording(kernels.level_rates, calls["level_rates"]))
     mp.setattr(kernels, "utility", recording(kernels.utility, calls["utility"]))
     mp.setattr(harness, "_score", recording(harness._score, calls["score"]))
     return run_episode(cfg, seed), calls
+
+
+def oracle_run(cfg, seed, calls):
+    """oracles.learn on a recorded rpic episode's rate table, serving gains
+    and cross-gains, reading the agent stream re-derived from the seed:
+    the second of the two streams the seed spawns."""
+    ((_, serving, *_), rate_tab), = calls["level_rates"]
+    ((_, _, _, outgoing, *_), _), = calls["score"]
+    return learn(cfg, rate_tab, serving, outgoing,
+                 np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]))
+
+
+def assert_learned_as_oracle(cfg, calls, qtable, slots, table):
+    """The record pass scored the oracle's action in every slot, and the
+    Q-table, keyed by agent.state_key, has the oracle's rows, value for
+    value: a row for each state looked up, the last slot's included."""
+    ((_, _, choice, *_), _), = calls["score"]
+    shape = (cfg.power_levels + 1,) * cfg.ue_density
+    assert np.ravel_multi_index(tuple(choice.T), shape).tolist() == [a for _, a, _ in slots]
+    rows = {state_key(state, cfg.state_grid(), cfg.ue_density): row.values
+            for state, row in qtable.rows.items()}
+    assert rows.keys() == table.keys()
+    for key, values in rows.items():
+        assert np.array_equal(values, table[key]), key
 
 
 TRACED = {
@@ -214,88 +188,22 @@ TRACED = {
     "no-warmup-steep-decay": {**SHORT, "agent.warmup_slots": 0, "agent.epsilon_start": 1.0,
                               "agent.epsilon_end": 0.0, "agent.epsilon_decay_slots": 1},
 }
-TRACE_SEED = 7
 
 
-@pytest.fixture(scope="module", params=list(TRACED))
-def traced(request, tmp_path_factory):
-    """One rpic episode and its per-slot trace, recorded from the calls the
-    episode makes: the one level_rates call (the gains and the rate table),
-    the learner's calls on its Q-table (record_learner): each slot's row
-    lookup (the slot's state) and the row it stores if the state has none,
-    its QRow.select after warm-up (the coin, the pick u and the action),
-    and from the second slot on its update (s, x, u, s') and then its
-    replayed ones, each s' the state of the row whose top it was handed;
-    utility (the utility the learner sees), and the batched _score pass
-    (the chosen level indices of every slot, and so each slot's action)."""
+@pytest.fixture(scope="module", params=[(name, seed) for name in TRACED for seed in (1, 2, 7)],
+                ids="{0[0]}-seed{0[1]}".format)
+def learned(request, tmp_path_factory):
+    """One rpic episode of a TRACED config, its recorded calls, and the
+    oracle's slots and Q-table on the same inputs."""
     from conftest import render_config
 
-    path = tmp_path_factory.mktemp("trace") / "t.ini"
-    path.write_text(render_config(TRACED[request.param]))
+    name, seed = request.param
+    path = tmp_path_factory.mktemp("learned") / "t.ini"
+    path.write_text(render_config(TRACED[name]))
     cfg = load_experiment(path)
     with pytest.MonkeyPatch.context() as mp:
-        events = record_learner(mp)
-        episode, calls = record_episode(cfg, TRACE_SEED, mp)
-    n_slots, n = cfg.max_slots, cfg.ue_density
-    qtable = episode.qtable
-    # Per slot: its lookup, the row it stores if the state has none, after
-    # warm-up a select through the slot's row, and from the second slot on
-    # its update, then replay_batch replayed ones, each after the read of
-    # the top it is handed as next_top, which is that row's largest value.
-    remaining = iter(events)
-
-    def take(kind):
-        event = next(remaining)
-        assert event[0] == kind, event
-        return event[1:]
-
-    def step():
-        next_row, peak = take("top")
-        who, action, utility, next_top, _ = take("update")
-        assert next_top == peak
-        return state_of(who, qtable), action, utility, state_of(next_row, qtable)
-
-    states, rows, added, selects, steps, replayed = [], [], [], [], [None], [[]]
-    for k in range(n_slots):
-        state, row = take("get")
-        if row is None:
-            new_state, row = take("add")
-            assert new_state == state
-            added.append(state)
-        states.append(state)
-        rows.append(row)
-        if k >= cfg.warmup_slots:
-            who, explore, u, pick = take("select")
-            assert who is row
-            selects.append(((state, explore, u), pick))
-        else:
-            selects.append(None)
-        if k:
-            steps.append(step())
-            assert steps[-1][3] == state
-            replayed.append([])
-            for _ in range(cfg.replay_batch if cfg.replay else 0):
-                replayed[-1].append(step())
-    assert next(remaining, None) is None
-    # each state's row is made once, at its first lookup, and stays in the table
-    assert sorted(added) == sorted(set(states)) == sorted(qtable.rows)
-    assert all(qtable.rows[state] is row for state, row in zip(states, rows))
-    # one rate table and one record pass per episode; one utility per slot,
-    # on Python floats, before the record pass scores all slots at once
-    ((levels, serving, *_), table), = calls["level_rates"]
-    ((_, _, choice, *_), _), = calls["score"]
-    *per_slot, (batched, _) = calls["utility"]
-    assert len(per_slot) == n_slots and type(batched[0]) is np.ndarray
-    joint = joint_actions(levels, n)  # the powers of each action index, independently
-    chosen = np.ravel_multi_index(tuple(choice.T), (len(levels),) * n).tolist()
-    trace = [
-        {"slot": k, "state": states[k], "select": selects[k],
-         "step": steps[k], "replayed": replayed[k], "serving_gains": serving[k],
-         "action": action, "powers": joint[action], "levels": choice[k],
-         "rates": table[k, np.arange(n), choice[k]], "utility": u_args, "u": u}
-        for k, (action, (u_args, (u, _))) in enumerate(zip(chosen, per_slot))
-    ]
-    return cfg, episode, trace, levels
+        episode, calls = record_episode(cfg, seed, mp)
+    return (cfg, episode, calls, *oracle_run(cfg, seed, calls))
 
 
 class TestPerfbenchReads:
@@ -410,75 +318,68 @@ class TestPerfbenchReads:
 
 
 class TestSlotContract:
-    def test_first_slot_sees_zero_rates(self, traced):
-        cfg, _, trace, _ = traced
-        n, grid, first = cfg.ue_density, cfg.state_grid(), trace[0]
-        assert parse_state_key(state_key(first["state"], grid, n))[0] == (0,) * n
-        assert first["state"] == quantize_state([0.0] * n, first["serving_gains"], grid)
+    """The learner against oracles.learn, which walks the same slots
+    plainly.  The agent stream's layout, each slot's state from the
+    previous slot's rates and its own gains, the pick, every Bellman step
+    and replay all show in the actions and in the Q-rows."""
 
-    def test_every_state_is_previous_rates_and_current_gains(self, traced):
-        cfg, _, trace, _ = traced
-        prev_rates = np.zeros(cfg.ue_density)
-        for entry in trace:
-            want = quantize_state(prev_rates, entry["serving_gains"], cfg.state_grid())
-            assert type(entry["state"]) is int and entry["state"] == want, entry["slot"]
-            prev_rates = entry["rates"]
-        big = max(entry["state"] for entry in trace) > 2**63
-        assert big == (cfg.rate_bins == 1000)
+    def test_actions_and_q_rows_are_the_oracles(self, learned):
+        cfg, episode, calls, slots, table = learned
+        assert_learned_as_oracle(cfg, calls, episode.qtable, slots, table)
+        # on the 1000-bin grid the state indices pass 2**63, and stay exact
+        assert (max(episode.qtable.rows) > 2**63) == (cfg.rate_bins == 1000)
 
-    def test_agent_stream_layout(self, traced):
-        """The agent stream, re-derived from the seed: a block of n_slots
-        coins, then one of n_slots picks.  Warm-up slot k takes action
-        int(picks[k] * n_actions).  QRow.select runs in exactly the slots
-        from warmup_slots on, with explore = coins[k] < epsilon of slot k and
-        u = picks[k], and its pick is the slot's action and its row the one
-        the slot's lookup returned.  With replay, slot k >= 1 then replays,
-        for each v of one rng.random(replay_batch), update int(v * k) of the
-        k made so far."""
-        cfg, _, trace, _ = traced
-        n_slots = cfg.max_slots
-        rng = np.random.default_rng(np.random.SeedSequence(TRACE_SEED).spawn(2)[1])
-        coins, picks = rng.random(n_slots), rng.random(n_slots)
-        epsilons = epsilon_at(range(n_slots), cfg.epsilon_start, cfg.epsilon_end,
-                              cfg.epsilon_decay_slots)
-        n_actions = (cfg.power_levels + 1) ** cfg.ue_density
-        selected = [entry["slot"] for entry in trace if entry["select"] is not None]
-        assert selected == list(range(cfg.warmup_slots, n_slots))
-        for k, entry in enumerate(trace):
-            if k < cfg.warmup_slots:
-                assert entry["action"] == int(picks[k] * n_actions), k
-            else:
-                (state, explore, u), action = entry["select"]
-                assert type(explore) is bool and explore == (coins[k] < epsilons[k]), k
-                assert (state, u, action) == (entry["state"], picks[k], entry["action"]), k
-            if cfg.replay and k:
-                made = [e["step"] for e in trace[1:k + 1]]
-                want = [made[int(v * k)] for v in rng.random(cfg.replay_batch)]
-                assert entry["replayed"] == want, k
-            else:
-                assert entry["replayed"] == [], k
+    def test_recorded_metrics_are_the_learners(self, learned):
+        """The recorded utility is the one the learner learned from, bit for
+        bit, and the recorded energy and mean rate are those of its levels."""
+        cfg, episode, calls, slots, _ = learned
+        ((levels, *_), rate_tab), = calls["level_rates"]
+        ((_, _, choice, *_), _), = calls["score"]
+        assert episode.utility.tolist() == [u for *_, u in slots]
+        rates = np.take_along_axis(rate_tab, choice[..., None], axis=2)[..., 0]
+        assert episode.energy_w == pytest.approx(levels[choice].sum(axis=1), rel=1e-12)
+        assert episode.mean_rate_bps == pytest.approx(rates.mean(axis=1), rel=1e-12)
 
-    def test_rates_chain_across_slots(self, traced):
-        """Slot k's update writes slot k-1's state, action and utility, and
-        takes slot k's state, formed from slot k-1's rates, as the next one."""
-        _, _, trace, _ = traced
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur["step"] == (prev["state"], prev["action"], prev["u"], cur["state"])
+    def test_oracle_by_hand(self, make_config):
+        """oracles.learn on a stand-in stream and a 3-slot rate table for one
+        UE: one state (one rate bin, one gain bin), actions 0 (off) and 1
+        (on), no warm-up, epsilon 0.5, alpha = beta = 0.5, replay of 1, and
+        utility = rate in Mbit/s.  Each value below is the Bellman step
+        written out."""
+        cfg = load_experiment(make_config({
+            "experiment.ue_density": 1, "agent.power_levels": 1, "agent.rate_bins": 1,
+            "agent.gain_bins": 1, "agent.max_slots": 3, "agent.warmup_slots": 0,
+            "agent.replay": "true", "agent.replay_batch": 1, "agent.learning_rate": 0.5,
+            "agent.discount": 0.5, "agent.epsilon_start": 0.5, "agent.epsilon_end": 0.5,
+            "utility.energy_weight_per_mw": 0, "utility.interference_weight_per_mw": 0,
+        }))
 
-    def test_recorded_metrics_match_trace(self, traced):
-        cfg, episode, trace, levels = traced
-        for k, entry in enumerate(trace):
-            assert entry["slot"] == k
-            # the recorded levels are the learner's action, and the recorded
-            # utility is the one it learned from, from the same rates
-            assert np.array_equal(levels[entry["levels"]], entry["powers"])
-            rate_sum, n_ues, total_w, *_ = entry["utility"]
-            assert n_ues == cfg.ue_density
-            assert rate_sum == pytest.approx(entry["rates"].sum(), rel=1e-12)
-            assert total_w == pytest.approx(entry["powers"].sum(), rel=1e-12)
-            assert episode.utility[k] == entry["u"]
-            assert episode.energy_w[k] == pytest.approx(entry["powers"].sum(), rel=1e-12)
-            assert episode.mean_rate_bps[k] == pytest.approx(entry["rates"].mean(), rel=1e-12)
+        class Stream:
+            """Hands out the given blocks, one per random(size) call."""
+
+            def __init__(self, *blocks):
+                self.blocks = list(blocks)
+
+            def random(self, size):
+                block = self.blocks.pop(0)
+                assert len(block) == size
+                return np.array(block)
+
+        # coins: slot 0 explores; picks; one replay draw each in slots 1 and 2
+        rng = Stream([0.4, 0.9, 0.9], [0.75, 0.25, 0.1], [0.0], [0.9])
+        rate_tab = np.array([[[0.0, 2e6]], [[0.0, 3e6]], [[0.0, 4e6]]])
+        slots, table = learn(cfg, rate_tab, np.full((3, 1), 1e-6), np.zeros(3), rng)
+        assert rng.blocks == []
+        # slot 0 explores a new row: action int(0.75 * 2); slot 1 takes the
+        # first of two tied maximizers, slot 2 the sole one
+        assert slots == [("0|0|1", 1, 2.0), ("0|0|1", 0, 0.0), ("0|0|1", 1, 4.0)]
+        a = b = 0.5
+        on = (1 - a) * 0.0 + a * (2.0 + b * 0.0)  # slot 1 steps slot 0, next max 0
+        on = (1 - a) * on + a * (2.0 + b * on)  # and replays it, next max now `on`
+        off = (1 - a) * 0.0 + a * (0.0 + b * on)  # slot 2 steps slot 1
+        off = (1 - a) * off + a * (0.0 + b * on)  # and replays it (int(0.9 * 2) = 1)
+        assert list(table) == ["0|0|1"] and table["0|0|1"].tolist() == [off, on]
+        assert [off, on] == [0.65625, 1.75]
 
     @pytest.mark.parametrize("density", [3, 8])
     def test_learner_sees_the_recorded_utility(self, make_config, monkeypatch, density):
@@ -492,18 +393,12 @@ class TestSlotContract:
             "agent.power_levels": 1, "agent.learning_rate": 1, "agent.discount": 0,
         }))
         assert cfg.action_cap >= 2 ** 8
-        events = record_learner(monkeypatch)
         episode, calls = record_episode(cfg, 4, monkeypatch)
-        writes = [event for event in events if event[0] == "update"]
-        assert len(writes) == cfg.max_slots - 1
-        last_write = {}
-        for k, (_, who, action, u, _, value) in enumerate(writes):
-            state = state_of(who, episode.qtable)
-            assert u == value == episode.utility[k], k
-            last_write[state, action] = k
-        qtable = episode.qtable
-        for (state, action), k in last_write.items():
-            assert qtable.row(state)[action] == episode.utility[k]
+        slots, table = oracle_run(cfg, 4, calls)
+        assert_learned_as_oracle(cfg, calls, episode.qtable, slots, table)
+        assert [u for *_, u in slots] == episode.utility.tolist()
+        written = {(key, action): u for key, action, u in slots[:-1]}  # the last write stays
+        assert [table[key][action] for key, action in written] == list(written.values())
 
         ((levels, serving, incoming, *_), _), = calls["level_rates"]
         ((_, _, choice, outgoing, *_), _), = calls["score"]
@@ -549,17 +444,19 @@ class TestSlotContract:
         with a nonzero entry, each row left out is all zeros, and on the
         1000-bin grid the last slot's state is new and its row one of them."""
         cfg = load_experiment(make_config(TRACED["bins1000-rho4"]))
-        events = record_learner(monkeypatch)
-        qtable = run_episode(cfg, seed).qtable
-        lookups = [event[1] for event in events if event[0] == "get"]
-        assert len(lookups) == cfg.max_slots and lookups[-1] not in lookups[:-1]
+        episode, calls = record_episode(cfg, seed, monkeypatch)
+        keys = [key for key, *_ in oracle_run(cfg, seed, calls)[0]]
+        assert len(keys) == cfg.max_slots and keys[-1] not in keys[:-1]
+        qtable = episode.qtable
         path = tmp_path / "qtable.tsv"
         qtable.save(path, cfg.state_grid(), cfg.ue_density, cfg.power_levels, cfg.max_power)
         loaded, _ = agent.QTable.load(path)
         assert set(loaded.rows) == {s for s, row in qtable.rows.items() if row.values.any()}
         for state, row in qtable.rows.items():
             assert loaded.row(state).tolist() == row.values.tolist(), state
-        assert lookups[-1] in qtable.rows and lookups[-1] not in loaded.rows
+        states = {state_key(s, cfg.state_grid(), cfg.ue_density): s for s in qtable.rows}
+        assert keys[-1] in states and states[keys[-1]] not in loaded.rows
+
 
     def test_utility_recomposes_from_metric_columns(self, make_config):
         cfg = load_experiment(make_config({**SHORT, "experiment.policy": "random"}))
