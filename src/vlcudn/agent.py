@@ -52,17 +52,18 @@ def bin_values(values, n_bins: int, upper: float) -> np.ndarray:
 def quantize_state(rates, gains, quant: StateQuantizer):
     """State index of one slot's per-UE rates and gains (module docstring).
 
-    (K, N) rates and gains give the index of each of the K rows, as an
-    object array of Python ints; (K, 0) rates give the gain part alone.
+    (K, N) rates and gains give the index of each of the K rows, as a list
+    of Python ints; (K, 0) rates give the gain part alone.  The Horner sum
+    runs in int64 when every index fits, and on Python ints beyond that.
     """
+    parts = [(bin_values(rates, quant.rate_bins, quant.rate_max), quant.rate_bins),
+             (bin_values(gains, quant.gain_bins, quant.gain_max), quant.gain_bins)]
+    wide = math.prod(n_bins ** np.shape(bins)[-1] for bins, n_bins in parts) > 2**63
     index = 0
-    for values, n_bins, upper in (
-        (rates, quant.rate_bins, quant.rate_max),
-        (gains, quant.gain_bins, quant.gain_max),
-    ):
-        for digit in bin_values(values, n_bins, upper).astype(object).T:
+    for bins, n_bins in parts:
+        for digit in (bins.astype(object) if wide else bins).T:
             index = index * n_bins + digit
-    return index
+    return np.asarray(index).tolist()
 
 
 def state_key(index: int, quant: StateQuantizer, density: int) -> str:

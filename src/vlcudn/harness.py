@@ -230,7 +230,7 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     width = n * n_levels
     rates = memoryview(rate_tab.reshape(-1))
     rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max).reshape(-1))
-    gain_keys = quantize_state(serving[:, :0], serving, quant).tolist()
+    gain_keys = quantize_state(serving[:, :0], serving, quant)
     coins, draws = rng.random((2, n_slots))  # the coins, then the picks
     explore = (coins < epsilon_at(np.arange(n_slots), config.epsilon_start, config.epsilon_end,
                                   config.epsilon_decay_slots)).tolist()

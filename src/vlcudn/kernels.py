@@ -6,8 +6,8 @@ level) of an episode, and the leakage and utility of summed rates and
 powers, on the learner's Python floats or on whole arrays of slots.  The
 scalar code in ``tests/oracles.py`` is the reference the tests hold these
 kernels to.  The random-waypoint move is not a kernel: its closed form
-is written once, in :mod:`vlcudn.mobility`, which places every move of
-an episode at once in numpy.
+is written once, in :mod:`vlcudn.mobility`, which places the moves of
+one cell group at a time in numpy.
 """
 
 from __future__ import annotations
@@ -46,15 +46,23 @@ def lambertian_gains(dx, dy, dz, semi_angle_deg, detector_area, fov_deg):
 
     dx, dy are arrays; dz > 0 is the drop to the receiver plane, shared by
     all links.  The optics come as configured: the LED semi-angle and the
-    FOV half-angle in degrees, the detector area A_R in m^2.
+    FOV half-angle in degrees, the detector area A_R in m^2.  dx and dy are
+    only read; a link outside the FOV, or with a NaN cos(theta), gets 0.
     """
     m_order = lambertian_order(semi_angle_deg)
     coef = (m_order + 1.0) * detector_area / (2.0 * math.pi)
     cos_fov = math.cos(math.radians(fov_deg))
-    d2 = dx * dx + dy * dy + dz * dz
-    cos_t = dz / np.sqrt(d2)
-    gains = (coef / d2) * cos_t ** (m_order + 1.0)
-    return np.where(cos_t >= cos_fov, gains, 0.0)
+    d2 = dx * dx
+    d2 += dy * dy
+    d2 += dz * dz
+    cos_t = np.sqrt(d2)
+    np.divide(dz, cos_t, out=cos_t)
+    outside = ~(cos_t >= cos_fov)
+    np.divide(coef, d2, out=d2)
+    np.power(cos_t, m_order + 1.0, out=cos_t)
+    d2 *= cos_t
+    d2[outside] = 0.0
+    return d2
 
 
 def level_rates(levels, serving, interference, wn, noise_psd, eta, squared):

@@ -22,6 +22,9 @@ not walked.  Each value is ``low + (high - low) * u`` for a double u of
 per-UE scalar reference in ``tests/oracles.py`` deals the same blocks
 and walks the same formula slot by slot, so for a given seed both
 produce the same paths and leave the generator in the same state.
+
+Once every leg is drawn, each group's moves are placed in its UEs' slice of
+the result, group after group, so every temporary of the walk is group-sized.
 """
 
 from __future__ import annotations
@@ -49,33 +52,45 @@ def simulate_paths(
     buffer, whose x and y planes hold each UE's slots side by side; its
     .T is that buffer.
     """
-    n_total = sum(n for n, _ in groups)
+    firsts = np.cumsum([0] + [n for n, _ in groups])  # each group's first UE column
     src, way, q, col, start, arrival = _schedule(groups, v_min, v_max, slot_duration, n_slots,
                                                  rng)
     # Each UE's legs in turn, so that their moves are its slots in order.
     order = np.argsort(col * n_slots + start, kind="stable")
-    src, way, q, arrival = (np.take(a, order, axis=0) for a in (src, way, q, arrival))
+    src, way, q, col, arrival = (np.take(a, order, axis=0) for a in (src, way, q, col, arrival))
     length = np.minimum(arrival, n_slots - 1 - start[order]) + 1  # moves within the episode
     lands = length > arrival
     ends = np.cumsum(length)
+    cuts = np.searchsorted(col, firsts)  # each group's first leg
+    out = np.empty((2, firsts[-1], n_slots))
+    for first, last, a, b in zip(firsts, firsts[1:], cuts, cuts[1:]):
+        # a UE has n_slots moves, so the group's moves start at first * n_slots
+        _walk(out[:, first:last], src[a:b], way[a:b], q[a:b], length[a:b], lands[a:b],
+              ends[a:b] - first * n_slots)
+    return out.T
+
+
+def _walk(out, src, way, q, length, lands, ends):
+    """Place the moves of one group's legs, in UE and start order, into its
+    (2, UEs, n_slots) slice out of the position planes; ends counts each
+    leg's last move from the group's first."""
+    n_ues, n_slots = out.shape[1:]
     land_col, land_slot = np.divmod(ends[lands] - 1, n_slots)  # (UE, slot) of each landing
     # Each move's number on its leg, from 1, then its share m / q of the leg.
-    move = np.arange(1, n_slots * n_total + 1)
+    move = np.arange(1, n_slots * n_ues + 1)
     move -= np.repeat(ends - length, length)
     share = np.repeat(q, length)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and 1/0 only on landing moves
         np.divide(move, share, out=share)
         del move
-        share = share.reshape(n_total, n_slots)
-        out = np.empty((2, n_total, n_slots))
-        for axis in (0, 1):  # one full-size temporary at a time beside share and out
+        share = share.reshape(n_ues, n_slots)
+        for axis in (0, 1):  # one temporary of the group's size at a time beside share
             origin = src[:, axis]
             pos = out[axis]  # this coordinate, UE by UE
             np.multiply(np.repeat(way[:, axis] - origin, length).reshape(pos.shape), share,
                         out=pos)
             pos += np.repeat(origin, length).reshape(pos.shape)
             pos[land_col, land_slot] = way[lands, axis]
-    return out.T
 
 
 def _arrivals(src, way, step, left):

@@ -45,8 +45,10 @@ MUTANTS = {
     "neighbor-radius-strict": [("topology.py", "(dist <= radius)", "(dist < radius)")],
     "neighbor-radius-half-side": [("topology.py", "radius += spacing * math.sqrt(2.0) / 2.0",
                                    "radius += spacing / 2.0")],
-    "fov-edge-excluded": [("kernels.py", "np.where(cos_t >= cos_fov, gains, 0.0)",
-                           "np.where(cos_t > cos_fov, gains, 0.0)")],
+    "fov-edge-excluded": [("kernels.py", "outside = ~(cos_t >= cos_fov)",
+                           "outside = ~(cos_t > cos_fov)")],
+    "fov-nan-gain-kept": [("kernels.py", "outside = ~(cos_t >= cos_fov)",
+                           "outside = cos_t < cos_fov")],
     # Schedules, state, learner and policies.
     "epsilon-decays-upward": [("agent.py", "start + (end - start) * (slots / max(decay_slots, 1))",
                                "start - (end - start) * (slots / max(decay_slots, 1))")],
@@ -85,7 +87,11 @@ MUTANTS = {
                          "np.multiply(eta * levels[::-1], serving")],
     "interference-subtracted": [("kernels.py", "(wn * noise_psd + interference)",
                                  "(wn * noise_psd - interference)")],
-    "gain-times-d2": [("kernels.py", "gains = (coef / d2)", "gains = (coef * d2)")],
+    "gain-times-d2": [("kernels.py", "np.divide(coef, d2, out=d2)",
+                       "np.multiply(coef, d2, out=d2)")],
+    # The gains built in place, in their own arrays: dx and dy only read.
+    "gain-squares-dx-in-place": [("kernels.py", "d2 = dx * dx\n",
+                                  "d2 = np.multiply(dx, dx, out=dx)\n")],
     "leakage-quadratic": [("kernels.py", "ici_w = eta * total_w * outgoing",
                            "ici_w = eta * total_w * total_w * outgoing")],
     # One extra path row that the harness slices off again: same bytes, but
@@ -155,6 +161,7 @@ MUTANTS = {
                                  "rate_sum += rates[base + c] * (c >= n_levels)")],
     "epsilon-one-slot-late": [("harness.py", "epsilon_at(np.arange(n_slots),",
                                "epsilon_at(np.arange(-1, n_slots - 1),")],
+    "quantize-int64-past-the-edge": [("agent.py", ") > 2**63", ") > 2**64")],
     "gain-part-keeps-a-rate-column": [("harness.py", "quantize_state(serving[:, :0], serving,",
                                        "quantize_state(serving[:, :1], serving,")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
@@ -191,8 +198,12 @@ MUTANTS = {
     "walk-legs-ordered-by-start-only": [("mobility.py",
                                          "np.argsort(col * n_slots + start, kind=\"stable\")",
                                          "np.argsort(start, kind=\"stable\")")],
-    "walk-moves-counted-from-zero": [("mobility.py", "move = np.arange(1, n_slots * n_total + 1)",
-                                      "move = np.arange(n_slots * n_total)")],
+    "walk-moves-counted-from-zero": [("mobility.py", "move = np.arange(1, n_slots * n_ues + 1)",
+                                      "move = np.arange(n_slots * n_ues)")],
+    # Each cell group walked into its own slice of the planes.
+    "walk-ends-not-rebased": [("mobility.py", "ends[a:b] - first * n_slots)", "ends[a:b])")],
+    "walk-group-slice-one-ue-late": [("mobility.py", "_walk(out[:, first:last],",
+                                      "_walk(out[:, first + 1:last + 1],")],
     "walk-episode-cut-one-move-late": [("mobility.py", "np.minimum(arrival, n_slots - 1 - start",
                                         "np.minimum(arrival, n_slots - start")],
     # The walk's x and y, each from its own coordinate.

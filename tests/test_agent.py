@@ -145,7 +145,7 @@ class TestQuantizeState:
         for quant in (QUANT, StateQuantizer(1000, 1000, 7.5e7, 8e-6)):
             rates = rng.uniform(0.0, 1.2 * quant.rate_max, (50, 4))
             gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 4))
-            rows = quantize_state(rates, gains, quant).tolist()
+            rows = quantize_state(rates, gains, quant)
             assert rows == [quantize_state(r, g, quant) for r, g in zip(rates, gains)]
             assert all(type(index) is int for index in rows)
         assert max(rows) > 2**63
@@ -157,9 +157,28 @@ class TestQuantizeState:
         rng = np.random.default_rng(110)
         for quant in (QUANT, StateQuantizer(1000, 1000, 7.5e7, 8e-6)):
             gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 4))
-            part = quantize_state(gains[:, :0], gains, quant).tolist()
-            assert part == quantize_state(np.zeros_like(gains), gains, quant).tolist()
+            part = quantize_state(gains[:, :0], gains, quant)
+            assert part == quantize_state(np.zeros_like(gains), gains, quant)
             assert all(type(index) is int for index in part)
+
+    @pytest.mark.parametrize("gain_bins", [2**21, 2**21 + 1], ids=["int64", "past-int64"])
+    def test_indices_are_exact_on_both_sides_of_the_int64_edge(self, gain_bins):
+        """gain_bins**3 is 2**63 on the first grid, so every index fits in
+        int64, and just past it on the second: the top row's index is then
+        above 2**63 - 1.  Both give each row's exact Horner sum."""
+        quant = StateQuantizer(1, gain_bins, 1.0, 8e-6)
+        gains = np.random.default_rng(111).uniform(0.0, 1.2 * quant.gain_max, (60, 3))
+        gains[0] = quant.gain_max  # every UE in the top bin
+        want = []
+        for row in gains:
+            digits = oracles.state_key(np.zeros(3), row, quant).split("|")[1].split(",")
+            want.append((int(digits[0]) * gain_bins + int(digits[1])) * gain_bins
+                        + int(digits[2]))
+        assert want[0] == gain_bins**3 - 1
+        for rates in (gains[:, :0], np.zeros_like(gains)):
+            part = quantize_state(rates, gains, quant)
+            assert part == want and all(type(index) is int for index in part)
+        assert quantize_state(gains[0, :0], gains[0], quant) == want[0]
 
 
 class TestBinValues:

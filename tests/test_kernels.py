@@ -18,6 +18,7 @@ from oracles import (
 from vlcudn import kernels
 from vlcudn.agent import enumerate_actions
 from vlcudn.kernels import lambertian_order
+from vlcudn.mobility import simulate_paths
 
 PARAMS = channel_params_from_cm2(1.0, 60.0, 70.0, 0.54)
 LINK = Link(total_bandwidth=20e6, noise_psd=1e-21, effective_bandwidth_factor=0.5)
@@ -52,6 +53,32 @@ def test_lambertian_gains_keeps_a_receiver_exactly_on_the_fov_edge():
     gains = kernels.lambertian_gains(np.array([3.0, 0.0, 3.0 + 1e-9]), np.array([0.0, 3.0, 0.0]),
                                      4.0, 60.0, 1e-4, fov_deg)
     assert gains[0] > 0.0 and gains[1] == gains[0] and gains[2] == 0.0
+
+
+def test_lambertian_gains_only_reads_its_offsets():
+    """Gains built in place leave dx, dy and the walk planes that dx is a
+    view of as they were, and share no memory with them."""
+    planes = simulate_paths([(3, (4.0, 6.0, 4.0, 6.0))], 0.1, 1.0, 0.1, 50,
+                            np.random.default_rng(5)).T
+    walked = planes.copy()
+    dx = planes[0, :, 10:]  # a view into the walk's x plane
+    dy = planes[1, :, 10:] - 5.0
+    before = dy.copy()
+    gains = kernels.lambertian_gains(dx, dy, 2.15, 60.0, 1e-4, 70.0)
+    assert np.array_equal(planes, walked) and np.array_equal(dy, before)
+    assert not np.shares_memory(gains, planes) and not np.shares_memory(gains, dy)
+    want = kernels.lambertian_gains(dx.copy(), before.copy(), 2.15, 60.0, 1e-4, 70.0)
+    assert gains.tobytes() == want.tobytes()
+
+
+def test_lambertian_gains_are_zero_outside_the_fov_and_on_nan():
+    """A receiver past the FOV edge, or at a NaN or infinite offset (cos(theta)
+    NaN or 0), gets +0.0 exactly, beside a gain inside the FOV."""
+    gains = kernels.lambertian_gains(np.array([np.nan, 3.0 + 1e-9, np.inf, 0.0, 1.0]),
+                                     np.array([0.0, 0.0, 0.0, np.nan, 0.0]),
+                                     4.0, 60.0, 1e-4, 36.86989764584401)
+    assert gains[:4].tolist() == [0.0] * 4 and not np.signbit(gains[:4]).any()
+    assert gains[4] > 0.0
 
 
 @pytest.mark.parametrize("squared", [False, True])

@@ -156,6 +156,26 @@ def test_groups_share_one_generator_as_the_oracle_walks_them(seed):
     _assert_walks_as_oracle(GROUPS, CFG, 1500, seed)
 
 
+# Groups that neighbor_ues = 0 and rho=1 give an episode: UE-less groups
+# in the middle and at the end, and runs of one-UE groups.
+EDGE_GROUPS = {
+    "empty-in-the-middle": [GROUPS[0], (0, GROUPS[1][1]), *GROUPS[2:]],
+    "empty-at-the-end": [*GROUPS, (0, CFG.bounds), (0, GROUPS[2][1])],
+    "no-neighbor-ues": [GROUPS[0]] + [(0, bounds) for _, bounds in GROUPS[1:]],
+    "one-ue-runs": [(1, bounds) for _, bounds in GROUPS + GROUPS],
+    "one-ue-runs-and-empties": [(1, GROUPS[0][1]), (0, CFG.bounds), (1, GROUPS[1][1]),
+                                (1, GROUPS[2][1]), (2, GROUPS[3][1]), (1, CFG.bounds),
+                                (0, GROUPS[3][1])],
+}
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("groups", list(EDGE_GROUPS.values()), ids=list(EDGE_GROUPS))
+def test_empty_and_one_ue_groups_walk_as_the_oracle(groups, seed):
+    _assert_walks_as_oracle(groups, CFG, 1100, seed)
+    _assert_walks_as_oracle(groups, CASES["arrive-every-slot"][0], 300, seed)
+
+
 def test_calls_of_other_sizes_in_one_process_walk_as_the_oracle():
     """Nothing of one call carries over to the next: a smaller call after a
     larger one, and a larger one after that, walk as the oracle does."""
