@@ -8,7 +8,7 @@ index is a plain Python int, so it stays exact past 2**63 at large bin
 counts.  bin_values is the one place a value is binned: quantize_state
 builds the index of one slot, or of every row of a (K, N) pair, on it,
 and the learner bins a whole episode's rate table with it at once.  The
-Q-table is a sparse map from state index to QRow with implicit zeros,
+Q-table maps each state index to a QRow made at the state's first lookup,
 so the huge nominal state space costs nothing until states are visited.
 
 qtable.tsv spells a state as "r1,..,rN|g1,..,gN|N" (state_key) and lists
@@ -196,23 +196,24 @@ class QRow:
             self.bound = value
 
 
-class QTable:
-    """Sparse state index -> QRow map.  The learner makes a state's row, all
-    zeros, at the state's first lookup, and the row stays; set, load's path,
-    adds a row only once its first write has passed the finiteness check,
-    so a write that raises leaves the table as it was.
-    """
+class QTable(dict):
+    """Sparse state index -> QRow map.  The lookup table[state] is where the
+    learner's rows are made: a state without one gets an all-zero row, which
+    stays.  row reads without inserting; set, load's path, adds a row only
+    once its first write has passed the finiteness check, so a write that
+    raises leaves the table as it was."""
 
     def __init__(self, n_actions: int):
+        super().__init__()
         self.n_actions = n_actions
-        self.rows: dict[int, QRow] = {}
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def __missing__(self, state) -> QRow:
+        row = self[state] = QRow(self.n_actions)
+        return row
 
     def row(self, state) -> np.ndarray:
         """Read-only value row for a state; a zero row (not inserted) if it has none."""
-        existing = self.rows.get(state)
+        existing = self.get(state)
         if existing is None:
             return np.zeros(self.n_actions)
         view = existing.values.view()
@@ -220,9 +221,9 @@ class QTable:
         return view
 
     def set(self, state, action: int, value: float) -> None:
-        row = self.rows.get(state) or QRow(self.n_actions)
+        row = self.get(state) or QRow(self.n_actions)
         row.write(action, row.values.item(action), float(value))
-        self.rows[state] = row
+        self[state] = row
 
     def save(self, path, quant: StateQuantizer, density: int, power_levels: int,
              max_power: float) -> None:
@@ -234,11 +235,11 @@ class QTable:
         header = "# " + " ".join(f"{name}={fmt}" for name, fmt in _HEADER_FIELDS) % (
             quant.rate_bins, quant.gain_bins, quant.rate_max, quant.gain_max,
             self.n_actions, power_levels, max_power)
-        keys = {state_key(state, quant, density): state for state in self.rows}
+        keys = {state_key(state, quant, density): state for state in self}
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for key in sorted(keys):
-                row = self.rows[keys[key]].values
+                row = self[keys[key]].values
                 for action in np.flatnonzero(row != 0.0):
                     fh.write("%s\t%d\t%.17g\n" % (key, action, row[action]))
 

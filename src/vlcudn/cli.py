@@ -32,25 +32,19 @@ def main():
 
 @contextmanager
 def _exit_codes():
-    """Exit 2 on bad input and 3 on an aborted run, with the reason."""
+    """Exit 2 on bad input and 3 on an aborted run or a failed allocation,
+    with the reason.  SIGTERM unwinds like Ctrl-C and exits 143, so
+    run_experiment kills and reaps its forked children on the way out; the
+    previous handler is restored after."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         yield
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    except SimulationAbort as exc:
+    except (SimulationAbort, MemoryError) as exc:
         click.echo(f"aborted: {exc}", err=True)
         sys.exit(3)
-
-
-@contextmanager
-def _sigterm_exits():
-    """SIGTERM unwinds like Ctrl-C and exits 143, so run_experiment kills
-    and reaps its forked children on the way out; the previous handler is
-    restored after."""
-    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
-    try:
-        yield
     finally:
         signal.signal(signal.SIGTERM, previous)
 
@@ -71,8 +65,7 @@ def _run(jobs, workers: int, keep_runs: bool = False) -> None:
                 raise click.UsageError(f"cannot create --out: {exc}") from None
             if blocked:
                 raise click.UsageError(f"cannot write --out: {blocked[0]} is not a file")
-    with _sigterm_exits():
-        results = run_experiment([config for config, _ in jobs], workers, keep_runs)
+    results = run_experiment([config for config, _ in jobs], workers, keep_runs)
     for (config, out_dir), series in zip(jobs, results):
         c = converged_means(series)
         click.echo(
@@ -161,20 +154,21 @@ def inspect_q(qtable_path, top):
     """Summarize an exported Q-table."""
     try:
         table, meta = QTable.load(qtable_path)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         click.echo(f"cannot read q-table: {exc}", err=True)
         sys.exit(2)
     click.echo(f"actions: {table.n_actions}")
     grid = StateQuantizer(*(meta[field.name] for field in dataclasses.fields(StateQuantizer)))
     click.echo("state grid: " + " ".join(f"{name}={value}" for name, value in vars(grid).items()))
     click.echo(f"states: {len(table)}")
-    if not len(table):
+    if not table:
         return
-    rows = {state: table.row(state) for state in table.rows}
+    rows = {state: table.row(state) for state in table}
     entries = int(sum(np.count_nonzero(row) for row in rows.values()))
-    stored = np.concatenate(list(rows.values()))
+    low = min(row.min() for row in rows.values())
+    high = max(row.max() for row in rows.values())
     click.echo(f"nonzero entries: {entries}")
-    click.echo(f"value range: [{stored.min():.6g}, {stored.max():.6g}]")
+    click.echo(f"value range: [{low:.6g}, {high:.6g}]")
     click.echo("best states:")
     n_ues = meta["n_ues"]
     levels = enumerate_actions(meta["power_levels"], meta["max_power"])

@@ -208,11 +208,11 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     pass over the columns then gives the slot's rate sum, in _left_sum's
     order, and its rate bins' Horner sum.  The utility comes from the same
     kernel, operations and summation order as _score, so the learner sees
-    the recorded utility.  A slot looks its state's row up once, stores a
-    new all-zero one if it has none, and picks through it; its update is
-    made in the next slot with that slot's row's top as next_top, and a
-    replayed one reads the top of the next row it was pooled with.  A
-    non-finite utility ends the loop early, and _score stops the run.
+    the recorded utility.  A slot picks through its state's row, looked up
+    once as qtable[state]; its update is made in the next slot with that
+    slot's row's top as next_top, and a replayed one reads the top of the
+    next row it was pooled with.  A non-finite utility ends the loop early,
+    and _score stops the run.
     """
     alpha, beta = config.learning_rate, config.discount
     warmup_slots, replay, replay_batch = config.warmup_slots, config.replay, config.replay_batch
@@ -239,16 +239,12 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     eta, energy_weight, ici_weight = prices
     columns: dict[int, tuple[list[int], float]] = {}  # action -> (its columns, its total power)
     pool: list[tuple[QRow, int, float, QRow]] = []  # (row, action, utility, next row)
-    rows = qtable.rows
-    get = rows.get
     picks = []
     rate_key = 0  # the first slot sees zero rates, all in bin 0
     base = 0  # k * width
     for k in range(n_slots):
         state = rate_key * gain_radix + gain_keys[k]
-        row = get(state)
-        if row is None:
-            row = rows[state] = QRow(n_actions)
+        row = qtable[state]
         action = (int(draws[k] * n_actions) if k < warmup_slots
                   else row.select(explore[k], draws[k]))
         picks.append(action)

@@ -112,19 +112,21 @@ MUTANTS = {
     "update-hands-new-value-as-old": [("agent.py", "self.write(action, old, value)",
                                        "self.write(action, value, value)")],
     # A row that QTable.set adds before its first write passed the
-    # finiteness check; a new row whose runner-up bound starts at 0.
+    # finiteness check, a read that adds a row, and a new row whose
+    # runner-up bound starts at 0.
     "set-adds-row-before-finite-check": [("agent.py",
-                                          "row = self.rows.get(state) or QRow(self.n_actions)\n"
+                                          "row = self.get(state) or QRow(self.n_actions)\n"
                                           "        row.write(",
-                                          "row = self.rows.setdefault(state,"
+                                          "row = self.setdefault(state,"
                                           " QRow(self.n_actions))\n        row.write(")],
+    "row-read-inserts": [("agent.py", "existing = self.get(state)", "existing = self[state]")],
     "new-row-bound-starts-at-zero": [("agent.py", "self.bound = -math.inf", "self.bound = 0.0")],
     "row-view-writable": [("agent.py", "view.flags.writeable = False", "pass")],
-    # The learner's row made at a state's first lookup, the next row a
-    # replayed update reads, and the greedy pick of a partial tie through
-    # the non-maximizers.
-    "lookup-row-not-stored": [("harness.py", "row = rows[state] = QRow(n_actions)",
-                               "row = QRow(n_actions)")],
+    # The row QTable.__missing__ makes at a state's first lookup, the next
+    # row a replayed update reads, and the greedy pick of a partial tie
+    # through the non-maximizers.
+    "lookup-row-not-stored": [("agent.py", "row = self[state] = QRow(self.n_actions)",
+                               "row = QRow(self.n_actions)")],
     "replay-next-top-from-own-row": [("harness.py", "past_next.top", "past.top")],
     "greedy-tie-pick-one-early": [("agent.py", 'j, side="right"', 'j, side="left"')],
     "greedy-tie-pick-ignores-order": [("agent.py", "others - np.arange(others.size)", "others")],
@@ -232,6 +234,9 @@ MUTANTS = {
                                                       "            error = exc\n",
                                         "        except Exception:\n"
                                         "            pass\n")],
+    # A failed allocation in a run, which the CLI reports as an abort.
+    "memory-error-escapes": [("cli.py", "except (SimulationAbort, MemoryError) as exc:",
+                              "except SimulationAbort as exc:")],
     # The .git probe before git starts, and the environment git gets.
     "git-probe-never-finds-checkout": [("harness.py", 'os.path.join(d, ".git")',
                                         'os.path.join(d, ".git-absent")')],

@@ -152,8 +152,8 @@ def check_argmax_invariance(n_cases: int = 1000, seed: int = 105) -> int:
         for a, v in enumerate(row):
             q1.set(state, a, v)
             q2.set(state, a, c * v)
-        pick1 = q1.rows[state].select(False, 0.5)
-        pick2 = q2.rows[state].select(False, 0.5)
+        pick1 = q1[state].select(False, 0.5)
+        pick2 = q2[state].select(False, 0.5)
         assert pick1 == pick2 == int(np.argmax(row))
     return n_cases
 

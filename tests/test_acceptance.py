@@ -22,7 +22,7 @@ from oracles import (
     channel_params_from_cm2, sinr, total_ici, utility,
 )
 from vlcudn import kernels
-from vlcudn.agent import QRow, QTable
+from vlcudn.agent import QTable
 from vlcudn.config import load_experiment
 from vlcudn.harness import converged_means, run_experiment
 
@@ -133,7 +133,7 @@ def test_criterion_3_epsilon_greedy_distribution(capsys):
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[q.rows[state].select(rng.random() < 0.4, rng.random())] += 1
+        counts[q[state].select(rng.random() < 0.4, rng.random())] += 1
     freq = counts / n
     p_other = 0.4 / 3
     band_greedy = 3 * np.sqrt(0.6 * 0.4 / n)
@@ -164,17 +164,11 @@ def test_criterion_4_q_learning_matches_value_iteration(capsys):
 
     q = QTable(2)  # states 0 and 1, two actions; action a leads to state a
 
-    def lookup(s):
-        """The state's row, made all zeros at its first lookup, as the learner does."""
-        if s not in q.rows:
-            q.rows[s] = QRow(2)
-        return q.rows[s]
-
     rng = np.random.default_rng(77)
     s = 0
     for _ in range(10_000):
-        a = lookup(s).select(rng.random() < 0.3, rng.random())
-        lookup(s).update(a, rewards[s, a], lookup(a).top, 0.1, beta)
+        a = q[s].select(rng.random() < 0.3, rng.random())
+        q[s].update(a, rewards[s, a], q[a].top, 0.1, beta)
         s = a
     learned = np.array([q.row(s) for s in (0, 1)])
     policy_ok = all(int(np.argmax(learned[s])) == int(np.argmax(q_star[s])) for s in (0, 1))

@@ -35,16 +35,7 @@ def _key(rates, gains):
 def _row(q, state):
     """The state's QRow, or a new one (not inserted), all zeros, for a
     state without one."""
-    return q.rows.get(state) or QRow(q.n_actions)
-
-
-def _lookup(q, state):
-    """The state's QRow, made and stored if it has none, as the learner's
-    lookup does."""
-    row = q.rows.get(state)
-    if row is None:
-        row = q.rows[state] = QRow(q.n_actions)
-    return row
+    return q.get(state) or QRow(q.n_actions)
 
 
 def _best(q, state):
@@ -62,7 +53,7 @@ def _select(q, state, explore, u):
 def _update(q, state, action, utility, next_state, alpha, beta):
     """One Bellman step on (state, action) toward next_state's row, both
     rows looked up as the learner does; returns the value written."""
-    row, next_row = _lookup(q, state), _lookup(q, next_state)
+    row, next_row = q[state], q[next_state]
     row.update(action, utility, next_row.top, alpha, beta)
     return row.values[action]
 
@@ -298,7 +289,7 @@ def _count_scans(q, state):
             scans[0] += 1
             return np.asarray(self).partition(*args, **kwargs)
 
-    row = q.rows[state]
+    row = q[state]
     row.values = row.values.view(CountingRow)
     return scans
 
@@ -501,7 +492,7 @@ class TestQTable:
         q.save(path, QUANT, 1, 5, 4e-3)
         loaded, meta = QTable.load(path)
         assert loaded.n_actions == 6
-        assert set(loaded.rows) == {self.S0, self.S1}
+        assert set(loaded) == {self.S0, self.S1}
         for (state, action), value in entries.items():
             assert loaded.row(state)[action] == value
         assert meta["rate_bins"] == 4
@@ -551,15 +542,15 @@ class TestQTable:
         q.save(path, quant, n_ues, 1, 1.0)
         loaded, meta = QTable.load(path)
         assert meta["n_ues"] == n_ues
-        assert set(loaded.rows) == set(q.rows)
-        for state in q.rows:
+        assert set(loaded) == set(q)
+        for state in q:
             assert loaded.row(state).tolist() == q.row(state).tolist()
 
     def test_load_keys_rows_by_canonical_state_key(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text(f"{_header(2)}\n01|0|1\t0\t1.5\n1|00|1\t1\t2.5\n")
         loaded, meta = QTable.load(path)
-        assert list(loaded.rows) == [self.S1]
+        assert list(loaded) == [self.S1]
         assert state_key(self.S1, QUANT, meta["n_ues"]) == "1|0|1"
         assert loaded.row(self.S1).tolist() == [1.5, 2.5]
 
@@ -724,7 +715,8 @@ class TestUpdateQ:
         q = QTable(2)
         with pytest.raises(ValueError, match="finite"):
             _update(q, self.S0, 0, bad, self.S1, alpha=0.5, beta=0.5)
-        row, new = q.rows[self.S0], QRow(2)
+        assert self.S0 in q
+        row, new = q[self.S0], QRow(2)
         assert row.values.tolist() == [0.0, 0.0]
         assert (row.top, row.count, row.sole, row.bound) == (new.top, new.count, new.sole,
                                                              new.bound)
@@ -735,7 +727,7 @@ class TestUpdateQ:
         q = QTable(3)
         q.set(self.S0, 1, 2.0)
         with pytest.raises(ValueError, match="finite"):
-            q.rows[self.S0].update(1, bad, 0.0, alpha=0.5, beta=0.5)
+            q[self.S0].update(1, bad, 0.0, alpha=0.5, beta=0.5)
         assert q.row(self.S0).tolist() == [0.0, 2.0, 0.0]
         assert _best(q, self.S0) == (2.0, 1, 1)
         _assert_cache(q, self.S0)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -140,6 +141,18 @@ class TestSimulate:
                                           "--workers", workers])
             assert result.exit_code == 3, workers
             assert "aborted" in result.output
+
+    def test_failed_allocation_exits_3(self, runner, fast_config, monkeypatch):
+        """A MemoryError in the runs is reported as an abort, not a traceback."""
+        def run_experiment(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr("vlcudn.cli.run_experiment", run_experiment)
+        result = runner.invoke(main, ["simulate", "--config", str(fast_config)])
+        assert result.exit_code == 3, result.output
+        assert "aborted: Unable to allocate 1.00 TiB" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_config_that_is_not_utf8_exits_2(self, runner, tmp_path):
         path = tmp_path / "latin1.ini"
@@ -398,6 +411,38 @@ class TestInspectQ:
         result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
         assert result.exit_code == 2
         assert f"cannot read q-table: {reason}" in result.output
+
+    def test_reads_each_row_in_place(self, runner, tmp_path):
+        """20 rows of 6**7 actions hold 44.8 MB; the summary adds little to
+        them at its peak, so no copy of all the rows is made."""
+        n_actions = 6**7
+        path = tmp_path / "q.tsv"
+        lines = [f"# {GRID} n_actions={n_actions} power_levels=5 max_power=0.004"]
+        for i in range(20):
+            rates = ",".join(str(i // 3**k % 3) for k in range(7))
+            lines.append(f"{rates}|0,0,0,0,0,0,0|7\t{1000 * i}\t{i - 10.5}")
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert "states: 20" in result.output
+        assert "value range: [-10.5, 8.5]" in result.output
+        assert peak < 1.5 * 20 * n_actions * 8
+
+    def test_table_too_large_to_hold_exits_2(self, runner, tmp_path):
+        """A header that claims 6**18 actions asks for 739 TiB per row, past
+        any 47-bit address space, so the first row's allocation fails."""
+        path = tmp_path / "q.tsv"
+        zeros = ",".join("0" * 18)
+        path.write_text(f"# {GRID} n_actions={6**18} power_levels=5 max_power=0.004\n"
+                        f"{zeros}|{zeros}|18\t0\t1.0\n")
+        result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "cannot read q-table: Unable to allocate" in result.output
 
     def test_decodes_best_action_first_ue_most_significant(self, runner, tmp_path):
         path = tmp_path / "q.tsv"  # 100 = 2*36 + 4*6 + 4 on a 6-level grid

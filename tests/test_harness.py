@@ -172,7 +172,7 @@ def assert_learned_as_oracle(cfg, calls, qtable, slots, table):
     shape = (cfg.power_levels + 1,) * cfg.ue_density
     assert np.ravel_multi_index(tuple(choice.T), shape).tolist() == [a for _, a, _ in slots]
     rows = {state_key(state, cfg.state_grid(), cfg.ue_density): row.values
-            for state, row in qtable.rows.items()}
+            for state, row in qtable.items()}
     assert rows.keys() == table.keys()
     for key, values in rows.items():
         assert np.array_equal(values, table[key]), key
@@ -327,7 +327,7 @@ class TestSlotContract:
         cfg, episode, calls, slots, table = learned
         assert_learned_as_oracle(cfg, calls, episode.qtable, slots, table)
         # on the 1000-bin grid the state indices pass 2**63, and stay exact
-        assert (max(episode.qtable.rows) > 2**63) == (cfg.rate_bins == 1000)
+        assert (max(episode.qtable) > 2**63) == (cfg.rate_bins == 1000)
 
     def test_recorded_metrics_are_the_learners(self, learned):
         """The recorded utility is the one the learner learned from, bit for
@@ -428,7 +428,7 @@ class TestSlotContract:
         for seed in (1, 2):
             qtable = run_episode(cfg, seed).qtable
             assert len(qtable) > 0
-            for state, row in qtable.rows.items():
+            for state, row in qtable.items():
                 values = row.values
                 assert (row.top, row.count, row.sole) == row_cache(values), state
                 if row.count == 1:
@@ -451,11 +451,11 @@ class TestSlotContract:
         path = tmp_path / "qtable.tsv"
         qtable.save(path, cfg.state_grid(), cfg.ue_density, cfg.power_levels, cfg.max_power)
         loaded, _ = agent.QTable.load(path)
-        assert set(loaded.rows) == {s for s, row in qtable.rows.items() if row.values.any()}
-        for state, row in qtable.rows.items():
+        assert set(loaded) == {s for s, row in qtable.items() if row.values.any()}
+        for state, row in qtable.items():
             assert loaded.row(state).tolist() == row.values.tolist(), state
-        states = {state_key(s, cfg.state_grid(), cfg.ue_density): s for s in qtable.rows}
-        assert keys[-1] in states and states[keys[-1]] not in loaded.rows
+        states = {state_key(s, cfg.state_grid(), cfg.ue_density): s for s in qtable}
+        assert keys[-1] in states and states[keys[-1]] not in loaded
 
 
     def test_utility_recomposes_from_metric_columns(self, make_config):
