@@ -6,8 +6,8 @@ serving gain, held as one integer: a mixed-radix number whose digits are
 the N rate bins, then the N gain bins, first UE most significant.  The
 index is a plain Python int, so it stays exact past 2**63 at large bin
 counts.  bin_values is the one place a value is binned: quantize_state
-builds the index of one slot, or of every row of a (K, N) pair, on it,
-and the learner bins a whole episode's rate table with it at once.  The
+builds the gain part of every slot's index on it, and the learner bins a
+whole episode's rate table with it at once and adds the rate part.  The
 Q-table maps each state index to a QRow made at the state's first lookup,
 so the huge nominal state space costs nothing until states are visited.
 
@@ -49,21 +49,18 @@ def bin_values(values, n_bins: int, upper: float) -> np.ndarray:
     return np.clip(np.multiply(values, n_bins / upper), 0, n_bins - 1).astype(np.int64)
 
 
-def quantize_state(rates, gains, quant: StateQuantizer):
-    """State index of one slot's per-UE rates and gains (module docstring).
-
-    (K, N) rates and gains give the index of each of the K rows, as a list
-    of Python ints; (K, 0) rates give the gain part alone.  The Horner sum
-    runs in int64 when every index fits, and on Python ints beyond that.
-    """
-    parts = [(bin_values(rates, quant.rate_bins, quant.rate_max), quant.rate_bins),
-             (bin_values(gains, quant.gain_bins, quant.gain_max), quant.gain_bins)]
-    wide = math.prod(n_bins ** np.shape(bins)[-1] for bins, n_bins in parts) > 2**63
+def quantize_state(gains, quant: StateQuantizer) -> list[int]:
+    """The gain part of the state index (module docstring) of each row of
+    (K, N) gains, as Python ints: the N gain bins, first UE most
+    significant.  The Horner sum runs in int64 when every index fits, and
+    on Python ints beyond that."""
+    bins = bin_values(gains, quant.gain_bins, quant.gain_max)
+    if quant.gain_bins ** bins.shape[1] > 2**63:
+        bins = bins.astype(object)
     index = 0
-    for bins, n_bins in parts:
-        for digit in (bins.astype(object) if wide else bins).T:
-            index = index * n_bins + digit
-    return np.asarray(index).tolist()
+    for digit in bins.T:
+        index = index * quant.gain_bins + digit
+    return index.tolist()
 
 
 def state_key(index: int, quant: StateQuantizer, density: int) -> str:
@@ -300,8 +297,11 @@ class QTable(dict):
                     raise ValueError(f"line {number} has action {action} outside [0, {n_actions})")
                 if not math.isfinite(value):
                     raise ValueError(f"line {number} has a non-finite value {value!r}")
-                rates, gains, n = parse_state_key(key)
-                index = 0  # quantize_state's digits: N rate bins, then N gain bins
+                try:
+                    rates, gains, n = parse_state_key(key)
+                except ValueError as exc:
+                    raise ValueError(f"line {number} has a {exc}") from None
+                index = 0  # the index's digits: N rate bins, then N gain bins
                 for b, n_bins in zip(rates + gains, (rate_bins,) * n + (gain_bins,) * n):
                     if not 0 <= b < n_bins:
                         raise ValueError(f"line {number} has state key {key!r} with a bin"

@@ -18,7 +18,6 @@ from .harness import (
     SimulationAbort,
     blocked_results,
     converged_means,
-    density_configs,
     run_experiment,
     save_experiment,
 )
@@ -128,7 +127,7 @@ def simulate(config_path, runs, seed, workers, policy, density, out_dir, per_run
     help="Directory; one rho<N> subdirectory per density.",
 )
 def sweep(config_path, runs, seed, workers, densities, out_dir):
-    """Repeat the experiment across several UE densities."""
+    """Repeat the experiment at several distinct UE densities, each in place of the file's."""
     try:
         parsed = [int(tok) for tok in densities.split(",") if tok.strip()]
     except ValueError:
@@ -136,7 +135,11 @@ def sweep(config_path, runs, seed, workers, densities, out_dir):
             "must be comma-separated integers", param_hint="--densities"
         ) from None
     with _exit_codes():
-        configs = density_configs(load_experiment(config_path, runs=runs, seed=seed), parsed)
+        if not parsed:
+            raise ConfigError("densities must be non-empty")
+        if len(set(parsed)) != len(parsed):
+            raise ConfigError(f"densities must be distinct, got {parsed}")
+        configs = [load_experiment(config_path, density=d, runs=runs, seed=seed) for d in parsed]
         _run([(c, os.path.join(out_dir, f"rho{c.ue_density}")) for c in configs], workers)
 
 

@@ -148,6 +148,11 @@ class ExperimentConfig:
                 f"joint action space (L+1)^N = {levels}^{n}"
                 f" exceeds action_cap = {self.action_cap}; lower ue_density or power_levels"
             )
+        # np.zeros sizes at most 2**60 - 1 float64s (an rpic row); np.unravel_index, 2**63 - 1
+        limit = {"rpic": 2**60 - 1, "random": 2**63 - 1}.get(self.policy, math.inf)
+        if levels**n > limit:
+            raise ConfigError(f"joint action space (L+1)^N = {levels}^{n} exceeds {limit}, the"
+                              f" most numpy can index for policy {self.policy}")
 
     @property
     def agent(self) -> ExperimentConfig:

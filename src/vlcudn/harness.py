@@ -36,7 +36,6 @@ finishes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -53,7 +52,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .agent import QRow, QTable, bin_values, enumerate_actions, epsilon_at, quantize_state
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .mobility import simulate_paths
 from .topology import episode_cells
 
@@ -230,7 +229,7 @@ def _learn(config, levels, rate_tab, serving, outgoing, prices, qtable, rng):
     width = n * n_levels
     rates = memoryview(rate_tab.reshape(-1))
     rate_bins = memoryview(bin_values(rate_tab, quant.rate_bins, quant.rate_max).reshape(-1))
-    gain_keys = quantize_state(serving[:, :0], serving, quant)
+    gain_keys = quantize_state(serving, quant)
     coins, draws = rng.random((2, n_slots))  # the coins, then the picks
     explore = (coins < epsilon_at(np.arange(n_slots), config.epsilon_start, config.epsilon_end,
                                   config.epsilon_decay_slots)).tolist()
@@ -381,17 +380,6 @@ def _mean(episodes: list[Series], keep_runs: bool) -> Series:
         qtable=episodes[0].qtable,
         per_run=episodes if keep_runs else None,
     )
-
-
-def density_configs(config: ExperimentConfig, densities) -> list[ExperimentConfig]:
-    """One config per density, everything else held fixed, all checked
-    before any of them runs."""
-    densities = list(densities)
-    if not densities:
-        raise ConfigError("densities must be non-empty")
-    if len(set(densities)) != len(densities):
-        raise ConfigError(f"densities must be distinct, got {densities}")
-    return [dataclasses.replace(config, ue_density=int(d)) for d in densities]
 
 
 def converged_means(series: Series) -> dict:

@@ -163,9 +163,8 @@ MUTANTS = {
                                  "rate_sum += rates[base + c] * (c >= n_levels)")],
     "epsilon-one-slot-late": [("harness.py", "epsilon_at(np.arange(n_slots),",
                                "epsilon_at(np.arange(-1, n_slots - 1),")],
-    "quantize-int64-past-the-edge": [("agent.py", ") > 2**63", ") > 2**64")],
-    "gain-part-keeps-a-rate-column": [("harness.py", "quantize_state(serving[:, :0], serving,",
-                                       "quantize_state(serving[:, :1], serving,")],
+    "quantize-int64-past-the-edge": [("agent.py", "** bins.shape[1] > 2**63",
+                                      "** bins.shape[1] > 2**64")],
     "columns-drop-ue-offset": [("harness.py", "[i * n_levels + d for i, d in enumerate(digits)]",
                                 "[d for i, d in enumerate(digits)]")],
     # The learner's first state, and the cross-gain its utility reads.
@@ -188,6 +187,8 @@ MUTANTS = {
     # A header field named twice, or a (state, action) pair written twice,
     # where the last value would win.
     "load-keeps-last-header-field": [("agent.py", "if key in meta:", "if False:")],
+    "key-error-without-line": [("agent.py", 'raise ValueError(f"line {number} has a {exc}")',
+                                'raise ValueError(f"{exc}")')],
     "load-keeps-last-repeated-entry": [("agent.py", "if (n, index, action) in written:",
                                         "if False:")],
     "gain-bins-unbounded": [("config.py", '"gain_bins", "[1, 9007199254740992]"',
@@ -218,6 +219,7 @@ MUTANTS = {
     "walk-distance-x-twice": [("mobility.py", "dist = np.sqrt(sq[..., 0] + sq[..., 1])",
                                "dist = np.sqrt(sq[..., 0] + sq[..., 0])")],
     "walk-y-written-to-x": [("mobility.py", "pos = out[axis]", "pos = out[0]")],
+    "walk-extra-slot-per-leg": [("mobility.py", "q = dist / step\n", "q = dist / step + 1\n")],
     # The fork pool: its children die with the call, leave SIGTERM to it and
     # send back their failures, and their runs come back in job order.
     "pool-children-not-killed": [("harness.py", "os.kill(pid, signal.SIGKILL)", "pass")],
@@ -234,6 +236,13 @@ MUTANTS = {
                                                       "            error = exc\n",
                                         "        except Exception:\n"
                                         "            pass\n")],
+    # The sweep's density list, and the joint action spaces numpy can index.
+    "densities-may-repeat": [("cli.py", "if len(set(parsed)) != len(parsed):",
+                              "if len(set(parsed)) > len(parsed):")],
+    "rpic-row-limit-dropped": [("config.py", '{"rpic": 2**60 - 1, "random": 2**63 - 1}',
+                                '{"random": 2**63 - 1}')],
+    "random-pick-limit-dropped": [("config.py", '{"rpic": 2**60 - 1, "random": 2**63 - 1}',
+                                   '{"rpic": 2**60 - 1}')],
     # A failed allocation in a run, which the CLI reports as an abort.
     "memory-error-escapes": [("cli.py", "except (SimulationAbort, MemoryError) as exc:",
                               "except SimulationAbort as exc:")],

@@ -27,9 +27,10 @@ def _header(n_actions):
             f" power_levels={n_actions - 1} max_power=1")
 
 
-def _key(rates, gains):
-    """The rendered key of quantize_state on QUANT."""
-    return state_key(quantize_state(rates, gains, QUANT), QUANT, len(rates))
+def _key(gains, quant=QUANT):
+    """The rendered key of quantize_state on one slot's gains: the gain
+    part alone, so every rate is in bin 0."""
+    return state_key(quantize_state([gains], quant)[0], quant, len(gains))
 
 
 def _row(q, state):
@@ -69,88 +70,80 @@ def _assert_cache(q, state):
 
 
 class TestQuantizeState:
+    """The gain part of the state index.  bin_values' edges are
+    TestBinValues', and the learner's full index, rate part included, is
+    held to the oracle by TestSlotContract."""
+
+    EDGES = StateQuantizer(rate_bins=4, gain_bins=4, rate_max=1.0, gain_max=2.0**-17)
+
     def test_zeros_land_in_bin_zero(self):
-        assert quantize_state([0.0, 0.0], [0.0, 0.0], QUANT) == 0
-        assert _key([0.0, 0.0], [0.0, 0.0]) == "0,0|0,0|2"
+        assert quantize_state(np.zeros((1, 2)), QUANT) == [0]
+        assert _key([0.0, 0.0]) == "0,0|0,0|2"
 
     def test_interior_edge_goes_to_upper_bin(self):
-        # 2^23 * (4 / 2^25) is exactly 1.0, so the edge value lands in bin 1
-        assert _key([2.0**23], [0.0]) == "1|0|1"
+        # 2^-19 * (4 / 2^-17) is exactly 1.0, so the edge value lands in bin 1
+        assert _key([2.0**-19], self.EDGES) == "0|1|1"
 
     def test_just_below_edge_stays_in_lower_bin(self):
-        assert _key([2.0**23 * (1 - 1e-12)], [0.0]) == "0|0|1"
+        assert _key([2.0**-19 * (1 - 1e-12)], self.EDGES) == "0|0|1"
 
     def test_values_at_or_above_max_clamp_to_top_bin(self):
-        assert _key([QUANT.rate_max, 10 * QUANT.rate_max], [0.0, 0.0]) == "3,3|0,0|2"
+        assert _key([QUANT.gain_max, 10 * QUANT.gain_max]) == "0,0|3,3|2"
 
     def test_gain_component(self):
-        assert _key([0.0], [5e-6]) == "0|2|1"  # 5e-6 / (8e-6/4) = 2.5 -> floor 2
+        assert _key([5e-6]) == "0|2|1"  # 5e-6 / (8e-6/4) = 2.5 -> floor 2
 
-    def test_digits_are_rates_then_gains_first_ue_most_significant(self):
-        rates = [2.0**23, 2.0**24]  # bins 1, 2
-        gains = [6e-6, 0.0]  # bins 3, 0
-        assert quantize_state(rates, gains, QUANT) == ((1 * 4 + 2) * 4 + 3) * 4 + 0
+    def test_digits_are_first_ue_most_significant(self):
+        gains = [[6e-6, 0.0, 3e-6]]  # bins 3, 0, 1
+        assert quantize_state(gains, QUANT) == [(3 * 4 + 0) * 4 + 1]
 
     def test_matches_the_oracle_on_edges(self):
         cases = [
-            (QUANT, [2.0**23], [0.0]),
-            (QUANT, [np.nextafter(2.0**23, 0.0)], [0.0]),
-            (QUANT, [QUANT.rate_max, 3 * QUANT.rate_max], [QUANT.gain_max, 1.0]),
-            (QUANT, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-            (QUANT, [-1.0, -0.5], [-1e-9, 0.0]),  # below the grid: bin 0, as the oracle clips
+            (self.EDGES, [2.0**-19]),
+            (self.EDGES, [np.nextafter(2.0**-19, 0.0)]),
+            (QUANT, [QUANT.gain_max, 1.0]),
+            (QUANT, [0.0, 0.0, 0.0]),
+            (QUANT, [-1e-9, 0.0]),  # below the grid: bin 0, as the oracle clips
         ]
         big = []
         for n_bins in (3, 12, 1000):
             quant = StateQuantizer(n_bins, n_bins, 7.5e7, 8e-6)
-            for density in range(1, 6):
+            for density in range(1, 8):
                 for scale in (0.0, 1.0, 2.0):  # zeros, the top edge, above it
-                    cases.append((quant, [scale * quant.rate_max] * density,
-                                  [scale * quant.gain_max] * density))
-                steps = range(density)  # interior edges, rates on them, gains just below
-                cases.append((quant, [k * quant.rate_max / n_bins for k in steps],
-                              [np.nextafter(k * quant.gain_max / n_bins, 0.0) for k in steps]))
-        for quant, rates, gains in cases:
-            index = quantize_state(rates, gains, quant)
+                    cases.append((quant, [scale * quant.gain_max] * density))
+                edges = [k * quant.gain_max / n_bins for k in range(density)]
+                cases.append((quant, edges))  # on interior edges, then just below them
+                cases.append((quant, [np.nextafter(edge, 0.0) for edge in edges]))
+        for quant, gains in cases:
+            (index,) = quantize_state([gains], quant)
             assert type(index) is int
-            assert state_key(index, quant, len(rates)) == oracles.state_key(rates, gains, quant)
-            if quant.rate_bins == 1000:
+            want = oracles.state_key(np.zeros(len(gains)), gains, quant)
+            assert state_key(index, quant, len(gains)) == want
+            if quant.gain_bins == 1000:
                 big.append(index)
         assert max(big) > 2**63
 
     def test_matches_the_oracle_on_random_draws(self):
         rng = np.random.default_rng(108)
-        for _ in range(1500):
+        for _ in range(300):
             quant = StateQuantizer(
                 int(rng.choice([1, 3, 10, 12, 1000])), int(rng.choice([1, 3, 11, 1000])),
                 rng.uniform(1e6, 1e8), rng.uniform(1e-6, 1e-5),
             )
-            density = int(rng.integers(1, 6))
-            rates = rng.uniform(0.0, 1.2 * quant.rate_max, density)
-            gains = rng.uniform(0.0, 1.2 * quant.gain_max, density)
-            index = quantize_state(rates, gains, quant)
-            assert state_key(index, quant, density) == oracles.state_key(rates, gains, quant)
-
+            density = int(rng.integers(1, 8))
+            gains = rng.uniform(0.0, 1.2 * quant.gain_max, (5, density))
+            for index, row in zip(quantize_state(gains, quant), gains, strict=True):
+                want = oracles.state_key(np.zeros(density), row, quant)
+                assert state_key(index, quant, density) == want
 
     def test_rows_give_each_rows_index(self):
         rng = np.random.default_rng(109)
         for quant in (QUANT, StateQuantizer(1000, 1000, 7.5e7, 8e-6)):
-            rates = rng.uniform(0.0, 1.2 * quant.rate_max, (50, 4))
-            gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 4))
-            rows = quantize_state(rates, gains, quant)
-            assert rows == [quantize_state(r, g, quant) for r, g in zip(rates, gains)]
+            gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 7))
+            rows = quantize_state(gains, quant)
+            assert rows == [quantize_state(g[None], quant)[0] for g in gains]
             assert all(type(index) is int for index in rows)
         assert max(rows) > 2**63
-
-
-    def test_no_rate_columns_give_the_gain_part(self):
-        """(K, 0) rates index each row's gains alone: the index of the same
-        gains with every rate in bin 0."""
-        rng = np.random.default_rng(110)
-        for quant in (QUANT, StateQuantizer(1000, 1000, 7.5e7, 8e-6)):
-            gains = rng.uniform(0.0, 1.2 * quant.gain_max, (50, 4))
-            part = quantize_state(gains[:, :0], gains, quant)
-            assert part == quantize_state(np.zeros_like(gains), gains, quant)
-            assert all(type(index) is int for index in part)
 
     @pytest.mark.parametrize("gain_bins", [2**21, 2**21 + 1], ids=["int64", "past-int64"])
     def test_indices_are_exact_on_both_sides_of_the_int64_edge(self, gain_bins):
@@ -166,10 +159,8 @@ class TestQuantizeState:
             want.append((int(digits[0]) * gain_bins + int(digits[1])) * gain_bins
                         + int(digits[2]))
         assert want[0] == gain_bins**3 - 1
-        for rates in (gains[:, :0], np.zeros_like(gains)):
-            part = quantize_state(rates, gains, quant)
-            assert part == want and all(type(index) is int for index in part)
-        assert quantize_state(gains[0, :0], gains[0], quant) == want[0]
+        part = quantize_state(gains, quant)
+        assert part == want and all(type(index) is int for index in part)
 
 
 class TestBinValues:
@@ -531,12 +522,11 @@ class TestQTable:
     def test_save_load_roundtrip_keeps_state_indices(self, tmp_path, quant, n_ues):
         rng = np.random.default_rng(n_ues)
         q = QTable(2**n_ues)  # one power level: two per UE
-        for _ in range(40):
-            rates = rng.integers(quant.rate_bins, size=n_ues) * (quant.rate_max / quant.rate_bins)
-            gains = rng.integers(quant.gain_bins, size=n_ues) * (quant.gain_max / quant.gain_bins)
-            q.set(quantize_state(rates, gains, quant), int(rng.integers(2**n_ues)),
-                  float(rng.normal()))
-        for index in (0, quant.rate_bins ** n_ues * quant.gain_bins ** n_ues - 1):
+        n_states = quant.rate_bins ** n_ues * quant.gain_bins ** n_ues
+        for _ in range(40):  # uniform state indices, past 2**63 on the 1000-bin grid
+            state = int.from_bytes(rng.bytes(16), "little") % n_states
+            q.set(state, int(rng.integers(2**n_ues)), float(rng.normal()))
+        for index in (0, n_states - 1):
             q.set(index, 1, -1.5)  # the grid's first and last state
         path = tmp_path / "q.tsv"
         q.save(path, quant, n_ues, 1, 1.0)

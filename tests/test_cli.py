@@ -154,6 +154,41 @@ class TestSimulate:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("policy,density", [("rpic", 24), ("random", 25)])
+    def test_action_space_numpy_cannot_index_exits_2_before_any_run(
+            self, runner, tmp_path, monkeypatch, policy, density):
+        """Under an action_cap of 10**20, an rpic row of 6**24 float64s is
+        past what np.zeros sizes, and a random pick below 6**25 past what
+        numpy draws and unravels in int64."""
+        calls = []
+        monkeypatch.setattr("vlcudn.cli.run_experiment", lambda *args: calls.append(args))
+        path = tmp_path / "wide.ini"
+        path.write_text(render_config({**FAST, "agent.action_cap": 10**20,
+                                       "experiment.policy": policy}))
+        result = runner.invoke(main, ["simulate", "--config", str(path),
+                                      "--density", str(density)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: joint action space (L+1)^N = 6^{density} exceeds" in result.output
+        assert calls == []
+
+    def test_rpic_row_too_large_to_allocate_exits_3(self, runner, tmp_path):
+        """6**23 float64s pass the config's limit, and the first row's
+        5.48 EiB then fail to allocate."""
+        path = tmp_path / "wide.ini"
+        path.write_text(render_config({**FAST, "agent.action_cap": 10**20,
+                                       "experiment.ue_density": 23, "experiment.runs": 1}))
+        result = runner.invoke(main, ["simulate", "--config", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "aborted: Unable to allocate 5.48 EiB" in result.output
+
+    def test_grid_extent_past_a_float_exits_2(self, runner, tmp_path):
+        """rows = 10**400 overflows the float product rows * spacing itself."""
+        path = tmp_path / "wide.ini"
+        path.write_text(render_config({**FAST, "topology.rows": 10**400}))
+        result = runner.invoke(main, ["simulate", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "config error: [topology] spacing_m = 2.0 times rows = 1000" in result.output
+
     def test_config_that_is_not_utf8_exits_2(self, runner, tmp_path):
         path = tmp_path / "latin1.ini"
         path.write_bytes(render_config(FAST).replace("[agent]", "# caf\xe9\n[agent]")
@@ -250,10 +285,32 @@ class TestSweep:
             "--out", str(out), "--runs", "1",
         ])
         assert result.exit_code == 0, result.output
+        mean_rates = []
         for rho in ("rho1", "rho2"):
-            assert (out / rho / "metrics.csv").exists()
+            csv = (out / rho / "metrics.csv").read_text().splitlines()
+            assert len(csv) == 1 + FAST["agent.max_slots"]
+            mean_rates.append(sum(float(line.split(",")[2]) for line in csv[1:]))
             meta = json.loads((out / rho / "metrics.meta.json").read_text())
             assert meta["ue_density"] == int(rho[-1])
+        # denser cells split the band, so the single-UE run is faster per UE
+        assert mean_rates[0] > mean_rates[1]
+
+    def test_each_density_replaces_the_files(self, runner, tmp_path):
+        """Each density is set before the config is checked, as simulate
+        --density does: the file's own 6**9 actions, past action_cap, are
+        never run and do not stop the sweep."""
+        path = tmp_path / "dense.ini"
+        path.write_text(render_config({**FAST, "experiment.ue_density": 9}))
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "sweep", "--config", str(path), "--densities", "1,2",
+            "--out", str(out), "--runs", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == ["rho1", "rho2"]
+        for rho in (1, 2):
+            meta = json.loads((out / f"rho{rho}" / "metrics.meta.json").read_text())
+            assert meta["ue_density"] == rho
 
     def test_worker_count_does_not_change_the_tree(self, runner, fast_config, tmp_path):
         trees, outputs = [], []
@@ -396,13 +453,18 @@ class TestInspectQ:
          "line 3 is not key, action and value, tab-separated: '0|0|1\\t1.5\\t1.0'"),
         (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t1\t1.0\n0|0|1\t2\tnan\n",
          "line 3 has a non-finite value nan"),
+        (f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n0|0|1\t1\t1.0\n0|x|1\t1\t1.0\n",
+         "line 3 has a malformed state key '0|x|1'"),
+        (f"# {GRID} n_actions=36 power_levels=5 max_power=0.004\n0,0|0|2\t1\t1.0\n",
+         "line 2 has a malformed state key '0,0|0|2': needs one rate and gain bin per UE"),
     ], ids=["not-a-table", "negative-action", "action-past-end", "levels-disagree",
             "fractional-action-count", "bins-outside-grid", "mixed-ue-counts",
             "power-levels-zero", "max-power-zero", "max-power-inf", "zero-action-count",
             "missing-grid", "missing-power-grid", "grid-edge-nan", "grid-edge-negative",
             "header-field-twice", "state-action-twice", "state-action-twice-other-spelling",
             "header-token-without-value", "header-value-empty", "line-two-fields",
-            "value-not-a-number", "action-not-an-integer", "value-not-finite"])
+            "value-not-a-number", "action-not-an-integer", "value-not-finite",
+            "state-key-not-numbers", "state-key-short-of-ues"])
     def test_rejects_garbage_file(self, runner, tmp_path, contents, reason):
         """Each input has a full header unless the header is its defect, and
         fails for that defect alone."""
@@ -411,6 +473,13 @@ class TestInspectQ:
         result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
         assert result.exit_code == 2
         assert f"cannot read q-table: {reason}" in result.output
+
+    def test_header_only_table_has_no_states(self, runner, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"# {GRID} n_actions=6 power_levels=5 max_power=0.004\n")
+        result = runner.invoke(main, ["inspect-q", "--qtable", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1] == "states: 0"
 
     def test_reads_each_row_in_place(self, runner, tmp_path):
         """20 rows of 6**7 actions hold 44.8 MB; the summary adds little to

@@ -111,6 +111,21 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="action_cap"):
             load_experiment(make_config(), density=density)
 
+    @pytest.mark.parametrize("policy,density,fits", [
+        ("rpic", 23, True), ("rpic", 24, False), ("random", 24, True), ("random", 25, False),
+        ("greedy_myopic", 25, True), ("fixed_max", 25, True),
+    ])
+    def test_action_space_numpy_can_index(self, make_config, policy, density, fits):
+        """rpic's rows hold at most 2**60 - 1 float64s, the most np.zeros
+        sizes, and random picks below at most 2**63 - 1; 6**23 < 2**60 <
+        6**24 < 2**63 < 6**25.  The other policies index no joint action."""
+        path = make_config({"agent.action_cap": 10**20})
+        if fits:
+            assert load_experiment(path, policy=policy, density=density).ue_density == density
+        else:
+            with pytest.raises(ConfigError, match=f"6\\^{density} exceeds .* the most numpy"):
+                load_experiment(path, policy=policy, density=density)
+
     def test_explicit_neighbor_count(self, make_config):
         path = make_config({"interference.neighbor_ues": 0})
         cfg = load_experiment(path)

@@ -31,7 +31,6 @@ from vlcudn.harness import (
     Series,
     SimulationAbort,
     converged_means,
-    density_configs,
     run_episode,
     run_experiment,
     save_experiment,
@@ -301,8 +300,8 @@ class TestPerfbenchReads:
             assert read["converged"] == [m["converged_last_500"]["utility"] for m in metas]
 
     def test_run_episode_quantizes_once_per_episode(self, make_config, monkeypatch):
-        """The learner bins every slot's gains in one call, with no rate
-        columns: the gain part of every slot's state index."""
+        """The learner bins every slot's serving gains in one call: the gain
+        part of every slot's state index."""
         cfg = load_experiment(make_config({**SHORT, "agent.replay": "true"}))
         calls = []
 
@@ -312,9 +311,8 @@ class TestPerfbenchReads:
 
         monkeypatch.setattr(harness, "quantize_state", counting)
         run_episode(cfg, seed=2)
-        (rates, gains, grid), = calls
-        assert gains.shape == (cfg.max_slots, cfg.ue_density)
-        assert rates.shape == (cfg.max_slots, 0) and grid == cfg.state_grid()
+        (gains, grid), = calls
+        assert gains.shape == (cfg.max_slots, cfg.ue_density) and grid == cfg.state_grid()
 
 
 class TestSlotContract:
@@ -625,22 +623,6 @@ class TestExperiment:
         assert saved(pooled.qtable) == saved(serial.qtable)
         assert saved(serial.qtable) == saved(run_episode(cfg, cfg.seed).qtable)
 
-    def test_sweep_covers_each_density(self, make_config):
-        cfg = load_experiment(make_config(SHORT), runs=1)
-        configs = density_configs(cfg, [1, 2])
-        assert [c.ue_density for c in configs] == [1, 2]
-        results = [run_experiment([c])[0] for c in configs]
-        assert all(len(s.utility) == cfg.max_slots for s in results)
-        # denser cells split the band, so the single-UE run is faster per UE
-        assert results[0].mean_rate_bps.mean() > results[1].mean_rate_bps.mean()
-
-    def test_sweep_validates_densities(self, make_config):
-        cfg = load_experiment(make_config(SHORT))
-        with pytest.raises(ConfigError):
-            density_configs(cfg, [])
-        with pytest.raises(ConfigError):
-            density_configs(cfg, [2, 0])
-
     def test_sweep_checks_every_density_before_running(self, make_config, monkeypatch,
                                                        tmp_path):
         from click.testing import CliRunner
@@ -656,7 +638,8 @@ class TestExperiment:
 
         monkeypatch.setattr(harness, "run_episode", counting)
         config, out = make_config(SHORT), tmp_path / "out"
-        for densities, fragment in (("1,9", "action_cap"), ("2,1,2", "distinct")):
+        for densities, fragment in (("1,9", "action_cap"), ("2,1,2", "distinct"),
+                                    (",", "non-empty")):
             result = CliRunner().invoke(main, [
                 "sweep", "--config", str(config), "--densities", densities,
                 "--runs", "1", "--out", str(out),

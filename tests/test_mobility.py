@@ -30,6 +30,36 @@ def _ue(px, py, wx, wy, speed):
     )
 
 
+def test_long_run_speed_follows_the_renewal_reward_law():
+    """Random-waypoint theory, not the walk's own oracle.  Legs are i.i.d.:
+    a uniform start and waypoint in the cell and a speed V uniform on
+    [v_min, v_max], and a leg of q = D / (V * slot) moves takes
+    max(ceil(q), 1) slots.  So by renewal-reward the long-run speed is
+    E[D] / (slot * E[max(ceil(D / (V * slot)), 1)]), worked out here from
+    10**6 leg draws of numpy alone, on their own seed.  The tolerance is
+    four standard errors of the difference: the walk's over its UEs and
+    the draws' by the delta method.  A walk 5% faster at the top falls
+    outside it."""
+    side, v_min, v_max, slot = 2.0, 0.1, 1.0, 0.1  # the reference mobility in one cell
+    u = np.random.default_rng(2003).random((5, 10**6))
+    dist = side * np.hypot(u[0] - u[1], u[2] - u[3])
+    slots = np.maximum(np.ceil(dist / ((v_min + (v_max - v_min) * u[4]) * slot)), 1.0)
+    ratio = dist.mean() / slots.mean()
+    want = ratio / slot
+    want_se = np.std(dist - ratio * slots) / (slots.mean() * slot * np.sqrt(dist.size))
+
+    def walk(top):
+        n_ues, n_slots = 40, 50_000
+        x, y = simulate_paths([(n_ues, (0.0, side, 0.0, side))], v_min, top, slot, n_slots,
+                              np.random.default_rng(16)).T
+        per_ue = np.hypot(np.diff(x), np.diff(y)).sum(axis=1) / ((n_slots - 1) * slot)
+        return per_ue.mean(), per_ue.std(ddof=1) / np.sqrt(n_ues)
+
+    for top, inside in ((v_max, True), (1.05 * v_max, False)):
+        speed, se = walk(top)
+        assert (abs(speed - want) <= 4 * np.hypot(se, want_se)) == inside, (top, speed, want)
+
+
 def test_straight_step_kinematics():
     ue = _ue(4.5, 5.0, 5.5, 5.0, 1.0)
     out = rwp_step(ue, CFG)
